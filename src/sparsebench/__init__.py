@@ -8,7 +8,7 @@ DRAM model prices the resulting memory traffic.
 
 from .codec import (DeltaStream, SparseFeatureMap, SparsityStats, decode_sm,
                     encode_delta, encode_sm, load_smfm, measure_sparsity,
-                    nonzero_iter, save_smfm)
+                    save_smfm)
 from .conv import (ConvLayerSpec, LayerRunResult, conv_dense_oracle,
                    conv_zeroskip, fused_relu_pool, run_network)
 from .errors import (IndexOutOfRange, MalformedStream, MissingArtifact,

@@ -123,23 +123,12 @@ def decode_sm(s: SparseFeatureMap) -> QTensor:
     return QTensor(s.dims, s.fmt, flat)
 
 
-def nonzero_iter(s: SparseFeatureMap):
-    """Yield (c, y, x, raw) for the non-zero pixels in canonical order.
+def nonzero_arrays(s: SparseFeatureMap) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(c, y, x, raw) arrays of the non-zero pixels in canonical order.
 
     Work is proportional to the number of set pixels; the bitmap itself
     is scanned at word level only.
     """
-    c, h, w = s.dims
-    bits = np.unpackbits(s.sm, bitorder="little")[: s.total_pixels]
-    flat_idx = np.flatnonzero(bits)
-    cs, rem = np.divmod(flat_idx, h * w)
-    ys, xs = np.divmod(rem, w)
-    for ci, yi, xi, v in zip(cs.tolist(), ys.tolist(), xs.tolist(), s.nzvl.tolist()):
-        yield ci, yi, xi, v
-
-
-def nonzero_arrays(s: SparseFeatureMap) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized variant of nonzero_iter: (c, y, x, raw) index arrays."""
     c, h, w = s.dims
     bits = np.unpackbits(s.sm, bitorder="little")[: s.total_pixels]
     flat_idx = np.flatnonzero(bits)

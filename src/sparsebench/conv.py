@@ -12,7 +12,9 @@ accumulators, ties-to-even renormalization):
 Both accumulate each output in the same term order (input channel, then
 kernel row, then kernel column), and adding zero to a saturating
 accumulator is the identity, so the two paths agree bit-exactly even
-when intermediate sums clip.
+when intermediate sums clip. The zero-skip engine drops the per-term
+clamp only when a bound proves that no prefix of that order can clip;
+the oracle always clamps.
 
 ReLU and 2x2 pooling are fused after accumulation: the window maximum
 is taken on the 32-bit plane and clamped once, so no full-resolution
@@ -26,8 +28,7 @@ import numpy as np
 from .codec import (SparseFeatureMap, SparsityStats, decode_sm, encode_sm,
                     measure_sparsity, nonzero_arrays)
 from .errors import ShapeMismatch
-from .fxp import (INT32_MAX, INT32_MIN, OpCounter, QFormat, QTensor,
-                  renormalize_array)
+from .fxp import OpCounter, QFormat, QTensor, no_clip, renormalize_array, sat_add
 from .trace import AccessTrace
 
 POOL_MODES = ("none", "max2x2")
@@ -101,12 +102,8 @@ class LayerRunResult:
     counters: OpCounter
     accesses: AccessTrace
     output_sparsity: SparsityStats
-    pixels_visited: int = 0   # inner-loop iterations; nnz for zero-skip
+    pixels_visited: int = 0   # input pixels read: nnz for zero-skip, all for dense
     live_bytes: int = 0       # input + output + weight buffer footprint
-
-
-def _sat32(v: np.ndarray) -> np.ndarray:
-    return np.clip(v, INT32_MIN, INT32_MAX)
 
 
 def fused_relu_pool(acc: np.ndarray, relu: bool, pool: str,
@@ -190,14 +187,20 @@ def conv_dense_oracle(spec: ConvLayerSpec, x: QTensor,
                         oy0 * s + ky - p: oy1 * s + ky - p + 1: s,
                         ox0 * s + kx - p: ox1 * s + kx - p + 1: s]
                 prod = wv[:, ic, ky, kx][:, None, None] * xs[None]
-                blk = acc[:, oy0:oy1 + 1, ox0:ox1 + 1].astype(np.int64) + prod
-                clipped = _sat32(blk)
-                counter.saturations += int(np.count_nonzero(clipped != blk))
-                acc[:, oy0:oy1 + 1, ox0:ox1 + 1] = clipped.astype(np.int32)
+                counter.saturations += sat_add(
+                    acc[:, oy0:oy1 + 1, ox0:ox1 + 1], prod)
     n_dense = spec.dense_equivalent_macs(h, w)
     counter.macs_executed += n_dense
     counter.macs_dense_equivalent += n_dense
     return _finish_layer(spec, acc, h, w, x.fmt, counter)
+
+
+def _tap_targets(pos: np.ndarray, k: int, pad: int, stride: int,
+                 n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Output coordinate that each input coordinate feeds through kernel
+    offset k, and whether that output exists."""
+    o, r = np.divmod(pos + pad - k, stride)
+    return o, (r == 0) & (o >= 0) & (o < n_out)
 
 
 def conv_zeroskip(spec: ConvLayerSpec, sfm: SparseFeatureMap,
@@ -206,7 +209,12 @@ def conv_zeroskip(spec: ConvLayerSpec, sfm: SparseFeatureMap,
 
     Each non-zero pixel updates exactly the output positions whose
     receptive field contains it, for every output channel; nothing else
-    is touched. The result is bit-identical to the dense oracle on the
+    is touched. One scatter step covers all pixels of one input channel
+    under one kernel tap; in a step, distinct pixels feed distinct
+    outputs, and each output takes at most one term per (channel, tap).
+    Steps run in (channel, kernel row, kernel column) order, the
+    oracle's term order, clamping after each, unless the no-clip bound
+    holds. The result is bit-identical to the dense oracle on the
     decoded input.
     """
     if sfm.dims[0] != spec.in_channels:
@@ -217,30 +225,42 @@ def conv_zeroskip(spec: ConvLayerSpec, sfm: SparseFeatureMap,
     c, h, w = sfm.dims
     h_out, w_out = spec.out_dims(h, w)
     s, p = spec.stride, spec.pad
-    acc = np.broadcast_to(
-        spec.bias[:, None, None], (spec.out_channels, h_out, w_out)
-    ).astype(np.int32).copy()
+    kh, kw = spec.kernel_h, spec.kernel_w
+    acc = np.repeat(spec.bias.astype(np.int64)[:, None], h_out * w_out, axis=1)
     counter.adds += acc.size
 
-    wv = spec.weights.data.reshape(spec.weights.dims).astype(np.int64)
+    wv = spec.weights.data.reshape(spec.weights.dims)
     cs, ys, xs, vals = nonzero_arrays(sfm)
-    pixels_visited = 0
-    for ic, y, x, v in zip(cs.tolist(), ys.tolist(), xs.tolist(), vals.tolist()):
-        pixels_visited += 1
-        oy0 = max(0, -(-(y + p - spec.kernel_h + 1) // s))
-        oy1 = min(h_out - 1, (y + p) // s)
-        ox0 = max(0, -(-(x + p - spec.kernel_w + 1) // s))
-        ox1 = min(w_out - 1, (x + p) // s)
-        if oy1 < oy0 or ox1 < ox0:
+    starts = np.searchsorted(cs, np.arange(c + 1)).tolist()
+    peak = np.array([np.abs(vals[a:b]).max(initial=0)
+                     for a, b in zip(starts, starts[1:])])
+    # Per output channel, |bias| + sum over (input channel, tap) of |w|
+    # times that input channel's largest |value| bounds every prefix sum
+    # of its outputs, since each output takes at most one term per
+    # (input channel, tap).
+    proven = no_clip(spec.bias, wv.reshape(spec.out_channels, -1),
+                     np.repeat(peak, kh * kw))
+    for ic, (a, b) in enumerate(zip(starts, starts[1:])):
+        if a == b:
             continue
-        kys = (y + p) - np.arange(oy0, oy1 + 1) * s
-        kxs = (x + p) - np.arange(ox0, ox1 + 1) * s
-        wblk = wv[:, ic][:, kys][:, :, kxs]
-        blk = acc[:, oy0:oy1 + 1, ox0:ox1 + 1].astype(np.int64) + v * wblk
-        clipped = _sat32(blk)
-        counter.saturations += int(np.count_nonzero(clipped != blk))
-        acc[:, oy0:oy1 + 1, ox0:ox1 + 1] = clipped.astype(np.int32)
-        counter.macs_executed += wblk.size
+        v = vals[a:b]
+        rows = [_tap_targets(ys[a:b], ky, p, s, h_out) for ky in range(kh)]
+        cols = [_tap_targets(xs[a:b], kx, p, s, w_out) for kx in range(kw)]
+        for ky, (oy, row_ok) in enumerate(rows):
+            for kx, (ox, col_ok) in enumerate(cols):
+                hit = np.flatnonzero(row_ok & col_ok)
+                if hit.size == 0:
+                    continue
+                idx = oy[hit] * w_out + ox[hit]
+                term = np.multiply.outer(wv[:, ic, ky, kx].astype(np.int64), v[hit])
+                if proven:
+                    acc[:, idx] += term
+                else:
+                    blk = acc[:, idx]
+                    counter.saturations += sat_add(blk, term)
+                    acc[:, idx] = blk
+                counter.macs_executed += term.size
+    acc = acc.reshape(spec.out_channels, h_out, w_out)
 
     counter.macs_dense_equivalent += spec.dense_equivalent_macs(h, w)
     out_tensor = _finish_layer(spec, acc, h, w, sfm.fmt, counter)
@@ -262,7 +282,7 @@ def conv_zeroskip(spec: ConvLayerSpec, sfm: SparseFeatureMap,
     live = 2 * (sfm.payload_words + out_sfm.payload_words
                 + spec.weight_words + spec.bias_words)
     return LayerRunResult(out_sfm, counter, trace, measure_sparsity(out_tensor),
-                          pixels_visited, live)
+                          sfm.nnz, live)
 
 
 def conv_dense_run(spec: ConvLayerSpec, sfm: SparseFeatureMap,

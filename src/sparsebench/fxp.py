@@ -208,11 +208,63 @@ def mac_accumulate(acc: int, a_raw: int, b_raw: int, counter: OpCounter | None =
     return min(max(result, INT32_MIN), INT32_MAX)
 
 
-def sat32_array(values: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
-    """Clamp an int64 array to the 32-bit accumulator range."""
-    if counter is not None:
-        counter.saturations += int(np.count_nonzero((values < INT32_MIN) | (values > INT32_MAX)))
-    return np.clip(values, INT32_MIN, INT32_MAX)
+# The saturating accumulator every engine uses. An engine's exact result
+# is its terms added in a fixed order, clamped to int32 after each one
+# (the ordered step). If |acc| + sum |terms| <= INT32_MAX, no prefix of
+# that order can leave int32: every clamp is the identity, term order no
+# longer matters, and one int64 sum is bit-identical (the proven fast
+# path). Dense oracles use the ordered step only, so the equivalence
+# checks never compare the fast path with itself.
+
+def sat_add(acc: np.ndarray, term) -> int:
+    """Ordered step: ``acc += term`` in place, clamped to int32.
+
+    ``acc`` is an int32 or int64 array or view; returns the number of
+    elements that clipped.
+    """
+    wide = np.add(acc, term, dtype=np.int64)
+    clips = 0
+    if wide.min(initial=0) < INT32_MIN or wide.max(initial=0) > INT32_MAX:
+        clipped = np.clip(wide, INT32_MIN, INT32_MAX)
+        clips = int(np.count_nonzero(clipped != wide))
+        wide = clipped
+    acc[...] = wide
+    return clips
+
+
+def no_clip(acc: np.ndarray, w: np.ndarray, x: np.ndarray) -> bool:
+    """True when ``|acc| + |w| @ |x| <= INT32_MAX`` in every element.
+
+    ``|w| @ |x|`` bounds the sum of the magnitudes of the terms
+    ``w[:, j] * x[j]``, so no ordered prefix of them can clip. An engine
+    whose terms are not materialized passes an upper bound per column
+    in ``x`` (for example a channel's largest value).
+    """
+    bound = (np.abs(np.asarray(acc, dtype=np.int64))
+             + np.abs(np.asarray(w, dtype=np.int64)) @ np.abs(np.asarray(x, dtype=np.int64)))
+    return bool(bound.max(initial=0) <= INT32_MAX)
+
+
+def sat_columns(acc: np.ndarray, w: np.ndarray, x: np.ndarray) -> int:
+    """``acc += w @ x`` as ordered steps ``w[:, j] * x[j]``, j ascending.
+
+    Zero entries of ``x`` are skipped: adding zero to an in-range
+    accumulator is the identity. Returns the number of clips.
+    """
+    nz = np.flatnonzero(x)
+    cols = w.T[nz].astype(np.int64)
+    return sum(sat_add(acc, col * v) for col, v in zip(cols, x[nz].tolist()))
+
+
+def sat_matvec(acc: np.ndarray, w: np.ndarray, x: np.ndarray) -> int:
+    """``sat_columns`` with the proven fast path: one int64 matvec when
+    ``no_clip`` holds, the ordered loop otherwise. Same result and clip
+    count either way."""
+    w64, x64 = w.astype(np.int64), x.astype(np.int64)
+    if no_clip(acc, w64, x64):
+        acc[...] = acc.astype(np.int64) + w64 @ x64
+        return 0
+    return sat_columns(acc, w64, x64)
 
 
 def round_shift_even(values: np.ndarray, shift: int) -> np.ndarray:

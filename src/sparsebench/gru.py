@@ -26,8 +26,8 @@ import numpy as np
 
 from .codec import DeltaStream, encode_delta
 from .errors import IndexOutOfRange, ShapeMismatch
-from .fxp import (INT32_MAX, INT32_MIN, OpCounter, Q8_8, QScalar, QTensor,
-                  round_shift_even)
+from .fxp import (OpCounter, Q8_8, QScalar, QTensor, round_shift_even,
+                  sat_add, sat_matvec)
 from .trace import AccessTrace, TeeTrace
 
 ACT_FMT = Q8_8
@@ -148,59 +148,33 @@ class StepStats:
     saturations: int = 0
 
 
-def _sat_add_into(acc: np.ndarray, term: np.ndarray) -> int:
-    """acc += term with int32 saturation; returns the number of clips."""
-    wide = acc.astype(np.int64) + term
-    clipped = np.clip(wide, INT32_MIN, INT32_MAX)
-    n = int(np.count_nonzero(clipped != wide))
-    acc[:] = clipped.astype(np.int32)
-    return n
-
-
 def delta_mxv_accumulate(w: QTensor, deltas: DeltaStream, acc: np.ndarray,
                          counter: OpCounter | None = None,
                          trace: AccessTrace | None = None,
                          weight_base: int = 0) -> np.ndarray:
     """acc[j] += sum over events of W[j, idx] * val, saturating per event.
 
-    One event reads one matrix column. Columns are stored column-major,
-    so the read is a single burst of H contiguous words, which is what
+    The events are accumulated in stream order, clamping after each, or
+    as one matvec over the fetched columns when no prefix can clip. One
+    event reads one matrix column. Columns are stored column-major, so
+    the read is a single burst of H contiguous words, which is what
     keeps delta-driven fetches DRAM-friendly.
     """
     h, n = w.dims
     if deltas.length != n:
         raise ShapeMismatch(f"stream length {deltas.length} vs {n} columns")
-    wv = w.data.reshape(h, n)
-    sats = 0
-    for idx, val in zip(deltas.indices.tolist(), deltas.values.tolist()):
-        if idx >= n:
-            raise IndexOutOfRange(f"event index {idx} >= {n} columns")
-        sats += _sat_add_into(acc, wv[:, idx].astype(np.int64) * val)
-        if trace is not None:
-            trace.add("DRAM", "read", "weights", weight_base + idx * h, h)
+    idx = deltas.indices
+    bad = idx[(idx < 0) | (idx >= n)]
+    if bad.size:
+        raise IndexOutOfRange(f"event index {int(bad[0])} outside [0, {n}) columns")
+    sats = sat_matvec(acc, w.data.reshape(h, n)[:, idx], deltas.values) if idx.size else 0
+    if trace is not None:
+        for i in idx.tolist():
+            trace.add("DRAM", "read", "weights", weight_base + i * h, h)
     if counter is not None:
         counter.macs_executed += h * deltas.event_count
         counter.saturations += sats
     return acc
-
-
-def _sat_matvec_accumulate(acc: np.ndarray, w2d: np.ndarray, xvec: np.ndarray) -> int:
-    """acc += W @ x with per-column saturating order; returns clip count.
-
-    Fast path: when |acc| + sum |W[:,i] x[i]| stays inside int32 no
-    prefix can clip, so one exact matmul is bit-identical to the
-    column-by-column saturating loop.
-    """
-    w64 = w2d.astype(np.int64)
-    x64 = xvec.astype(np.int64)
-    bound = np.abs(acc.astype(np.int64)) + np.abs(w64) @ np.abs(x64)
-    if bound.max(initial=0) <= INT32_MAX:
-        acc[:] = (acc.astype(np.int64) + w64 @ x64).astype(np.int32)
-        return 0
-    sats = 0
-    for i in np.flatnonzero(x64):
-        sats += _sat_add_into(acc, w64[:, i] * x64[i])
-    return sats
 
 
 def _gates(spec: GruLayerSpec, a_r, a_u, a_xc, a_hc, h_prev_raw,
@@ -210,11 +184,9 @@ def _gates(spec: GruLayerSpec, a_r, a_u, a_xc, a_hc, h_prev_raw,
     acc_frac = spec.acc_frac
     r = act_lookup(a_r, acc_frac, SIGMOID_TABLE).astype(np.int64)
     u = act_lookup(a_u, acc_frac, SIGMOID_TABLE).astype(np.int64)
-    rec = round_shift_even(r * a_hc.astype(np.int64), 8)
-    wide = a_xc.astype(np.int64) + rec
-    clipped = np.clip(wide, INT32_MIN, INT32_MAX)
-    sats = int(np.count_nonzero(clipped != wide))
-    c = act_lookup(clipped, acc_frac, TANH_TABLE).astype(np.int64)
+    c_acc = a_xc.astype(np.int64)
+    sats = sat_add(c_acc, round_shift_even(r * a_hc.astype(np.int64), 8))
+    c = act_lookup(c_acc, acc_frac, TANH_TABLE).astype(np.int64)
     one = 1 << ACT_FMT.frac_bits
     mix = (one - u) * c + u * h_prev_raw.astype(np.int64)
     h_raw = round_shift_even(mix, ACT_FMT.frac_bits).astype(np.int16)
@@ -226,20 +198,25 @@ def _gates(spec: GruLayerSpec, a_r, a_u, a_xc, a_hc, h_prev_raw,
 
 def _dense_step(spec: GruLayerSpec, h_prev: np.ndarray, xv: np.ndarray,
                 counter: OpCounter | None = None) -> np.ndarray:
-    """One dense GRU step from raw vectors; returns the new raw hidden."""
+    """One dense GRU step from raw vectors; returns the new raw hidden.
+
+    Each product is a bound-checked ``sat_matvec`` over a full matrix;
+    the delta engine's products are over column subsets and deltas, so
+    the theta-0 check still compares two different computations.
+    """
     h = spec.hidden_size
     sats = 0
     accs = []
     for wx, wh, b in ((spec.w_xr, spec.w_hr, spec.b_r),
                       (spec.w_xu, spec.w_hu, spec.b_u)):
         a = b.copy()
-        sats += _sat_matvec_accumulate(a, wx.data.reshape(wx.dims), xv)
-        sats += _sat_matvec_accumulate(a, wh.data.reshape(wh.dims), h_prev)
+        sats += sat_matvec(a, wx.data, xv)
+        sats += sat_matvec(a, wh.data, h_prev)
         accs.append(a)
     a_xc = spec.b_c.copy()
-    sats += _sat_matvec_accumulate(a_xc, spec.w_xc.data.reshape(spec.w_xc.dims), xv)
+    sats += sat_matvec(a_xc, spec.w_xc.data, xv)
     a_hc = np.zeros(h, dtype=np.int32)
-    sats += _sat_matvec_accumulate(a_hc, spec.w_hc.data.reshape(spec.w_hc.dims), h_prev)
+    sats += sat_matvec(a_hc, spec.w_hc.data, h_prev)
     if counter is not None:
         counter.macs_executed += 3 * h * (spec.input_size + h)
         counter.macs_dense_equivalent += 3 * h * (spec.input_size + h)

@@ -13,7 +13,6 @@ from sparsebench.codec import (
     load_smfm,
     measure_sparsity,
     nonzero_arrays,
-    nonzero_iter,
     save_smfm,
     to_smfm_bytes,
 )
@@ -86,15 +85,19 @@ def test_payload_formula(t):
     assert s.dense_bits == 16 * n
 
 
-def test_nonzero_iter_reference():
+def _nonzero_list(s):
+    return list(zip(*(a.tolist() for a in nonzero_arrays(s))))
+
+
+def test_nonzero_arrays_reference():
     s = encode_sm(_map([0, 5, 0, 3], (1, 1, 4)))
-    assert list(nonzero_iter(s)) == [(0, 0, 1, 5), (0, 0, 3, 3)]
+    assert _nonzero_list(s) == [(0, 0, 1, 5), (0, 0, 3, 3)]
 
 
 @given(feature_maps())
-def test_nonzero_iter_canonical_order_and_values(t):
+def test_nonzero_arrays_canonical_order_and_values(t):
     s = encode_sm(t)
-    got = list(nonzero_iter(s))
+    got = _nonzero_list(s)
     c, h, w = t.dims
     flat_positions = [ci * h * w + yi * w + xi for ci, yi, xi, _ in got]
     assert flat_positions == sorted(flat_positions)
@@ -102,15 +105,6 @@ def test_nonzero_iter_canonical_order_and_values(t):
     dense = t.flat
     assert all(dense[p] == v for p, (_, _, _, v) in zip(flat_positions, got))
     assert len(got) == s.nnz
-
-
-@given(feature_maps())
-def test_nonzero_arrays_matches_iter(t):
-    s = encode_sm(t)
-    cs, ys, xs, vs = nonzero_arrays(s)
-    assert list(zip(cs.tolist(), ys.tolist(), xs.tolist(), vs.tolist())) == list(
-        nonzero_iter(s)
-    )
 
 
 def test_decode_rejects_bad_bitmap_length():

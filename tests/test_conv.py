@@ -1,11 +1,15 @@
 """Zero-skipping convolution against the dense reference, plus fused pooling."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _synthcases import conv_case
+from sparsebench import conv as conv_mod
+from sparsebench import fxp
 from sparsebench.codec import decode_sm, encode_sm
 from sparsebench.conv import (
     ConvLayerSpec,
@@ -16,8 +20,8 @@ from sparsebench.conv import (
     run_network,
 )
 from sparsebench.errors import ShapeMismatch
-from sparsebench.fxp import Q8_8, OpCounter, QTensor
-from sparsebench.synth import make_rng
+from sparsebench.fxp import INT32_MAX, Q2_14, Q8_8, OpCounter, QTensor
+from sparsebench.synth import make_rng, random_weights, sparse_map
 
 
 def _layer(in_c=1, out_c=1, k=3, stride=1, pad=0, w_vals=None, bias=None,
@@ -135,6 +139,77 @@ def test_zeroskip_bit_exact_under_saturation():
         assert decode_sm(res.output) == want
         total_sats += res.counters.saturations
     assert total_sats > 0  # the stress amplitudes really do clip
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    k=st.sampled_from((1, 3, 5)),
+    stride=st.sampled_from((1, 2)),
+    pad=st.sampled_from((0, 1, 2)),
+    pool=st.booleans(),
+    relu=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_zeroskip_fallback_bit_exact_at_full_scale(k, stride, pad, pool, relu, seed):
+    # full-scale weights and inputs: the no-clip bound almost always
+    # fails, so the ordered per-step clamp runs and must still equal the
+    # oracle
+    rng = make_rng(seed)
+    spec, x = conv_case(rng, k=k, stride=stride, pad=pad, pool=pool, relu=relu,
+                        sparsity=0.5, w_amp=128.0, x_amp=128.0, bias_amp=30000.0)
+    with mock.patch.object(conv_mod, "sat_add", wraps=fxp.sat_add) as step:
+        res = conv_zeroskip(spec, encode_sm(x))
+    counter = OpCounter()
+    assert decode_sm(res.output) == conv_dense_oracle(spec, x, counter)
+    assert res.counters.saturations == counter.saturations
+    w = np.abs(spec.weights.data.astype(np.int64)).sum(axis=(2, 3))
+    peak = np.abs(x.data.astype(np.int64)).max(axis=(1, 2))
+    proven = (np.abs(spec.bias.astype(np.int64)) + w @ peak).max() <= INT32_MAX
+    assert step.called == (not proven and res.counters.macs_executed > 0)
+
+
+def test_zeroskip_fallback_without_clipping(monkeypatch):
+    # biases next to the int32 limits defeat the bound, but every term
+    # moves away from the limit, so the ordered fallback never clips
+    w = np.ones((2, 2, 3, 3), dtype=np.int16)
+    w[1] = -1
+    spec = _layer(in_c=2, out_c=2, k=3, pad=1, w_vals=w,
+                  bias=np.array([INT32_MAX - 10, -INT32_MAX + 10], dtype=np.int32))
+    x = _ones_input(c=2, h=4, w=4, raw=-300)
+    clips = []
+
+    def step(acc, term):
+        clips.append(fxp.sat_add(acc, term))
+        return clips[-1]
+
+    monkeypatch.setattr(conv_mod, "sat_add", step)
+    res = conv_zeroskip(spec, encode_sm(x))
+    monkeypatch.undo()
+    assert clips and sum(clips) == 0
+    counter = OpCounter()
+    assert decode_sm(res.output) == conv_dense_oracle(spec, x, counter)
+    # only the 16-bit output conversion saturates, in both engines alike
+    assert res.counters.saturations == counter.saturations
+
+
+def test_fast_path_taken_at_bench_scale(monkeypatch):
+    # the bench conv layer (32->16, 3x3, Q2.14 weights of amplitude 0.2)
+    # on a map of values up to 1.0 is proven clip-free: the ordered
+    # clamp never runs
+    rng = make_rng(17)
+    spec = ConvLayerSpec(32, 16, 3, 3, 1, 1,
+                         random_weights((16, 32, 3, 3), rng, Q2_14, 0.2),
+                         np.zeros(16, dtype=np.int32), True, "max2x2", Q8_8)
+    x = sparse_map(32, 24, 24, 0.8, rng, Q8_8, amp=1.0)
+
+    def refuse(*args):
+        raise AssertionError("ordered fallback ran")
+
+    monkeypatch.setattr(conv_mod, "sat_add", refuse)
+    res = conv_zeroskip(spec, encode_sm(x))
+    monkeypatch.undo()
+    assert decode_sm(res.output) == conv_dense_oracle(spec, x)
+    assert res.counters.saturations == 0
 
 
 def test_all_zero_input_executes_nothing():

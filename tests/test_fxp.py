@@ -23,7 +23,7 @@ from sparsebench.fxp import (
     renormalize_array,
     round_shift_even,
     save_qt,
-    sat32_array,
+    sat_add,
     to_qt_bytes,
 )
 
@@ -117,11 +117,16 @@ def test_mac_matches_clamped_integer_math(acc, a, b):
     assert mac_accumulate(acc, a, b) == want
 
 
-def test_sat32_array_counts():
-    c = OpCounter()
-    out = sat32_array(np.array([0, 1 << 40, -(1 << 40)], dtype=np.int64), c)
-    assert list(out) == [0, INT32_MAX, INT32_MIN]
-    assert c.saturations == 2
+def test_sat_add_counts():
+    acc = np.zeros(3, dtype=np.int32)
+    clips = sat_add(acc, np.array([0, 1 << 40, -(1 << 40)], dtype=np.int64))
+    assert list(acc) == [0, INT32_MAX, INT32_MIN]
+    assert clips == 2
+    # in place through a view, on an int64 accumulator too
+    wide = np.zeros((2, 3), dtype=np.int64)
+    assert sat_add(wide[:, 1], np.array([INT32_MAX, 1], dtype=np.int64)) == 0
+    assert sat_add(wide[:, 1], np.array([1, -2], dtype=np.int64)) == 1
+    assert wide.tolist() == [[0, INT32_MAX, 0], [0, -1, 0]]
 
 
 # --- rounding shift -----------------------------------------------------------

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from _synthcases import gru_spec
 from sparsebench.codec import DeltaStream
 from sparsebench.errors import IndexOutOfRange, ShapeMismatch
-from sparsebench.fxp import INT32_MAX, Q8_8, OpCounter, QScalar, QTensor
+from sparsebench import fxp
+from sparsebench.fxp import (INT32_MAX, Q8_8, OpCounter, QScalar, QTensor,
+                             sat_columns, sat_matvec)
 from sparsebench.gru import (
     SIGMOID_TABLE,
     TANH_TABLE,
@@ -20,8 +22,7 @@ from sparsebench.gru import (
     layer_bias_words,
     run_sequence,
 )
-from sparsebench.gru import _sat_matvec_accumulate
-from sparsebench.synth import make_rng, piecewise_constant_seq, uniform_seq
+from sparsebench.synth import ar1_seq, make_rng, piecewise_constant_seq, uniform_seq
 
 
 def _vec(vals):
@@ -99,10 +100,15 @@ def test_delta_mxv_bounds_checks():
                           np.array([], dtype=np.int32))
     with pytest.raises(ShapeMismatch):
         delta_mxv_accumulate(w, bad_len, np.zeros(4, dtype=np.int32))
-    oob = DeltaStream(3, np.array([3], dtype=np.int64),
-                      np.array([1], dtype=np.int32))
-    with pytest.raises(IndexOutOfRange):
-        delta_mxv_accumulate(w, oob, np.zeros(4, dtype=np.int32))
+    for bad in (3, -1):
+        # numpy would wrap -1 to the last column; the check must come
+        # before any accumulator is touched
+        oob = DeltaStream(3, np.array([0, bad], dtype=np.int64),
+                          np.array([1, 1], dtype=np.int32))
+        acc = np.zeros(4, dtype=np.int32)
+        with pytest.raises(IndexOutOfRange):
+            delta_mxv_accumulate(w, oob, acc)
+        assert not acc.any()
 
 
 def _matvec_reference(acc, w2d, xvec):
@@ -126,8 +132,11 @@ def test_guarded_matvec_matches_column_loop(seed, stress):
     acc0 = rng.integers(-(1 << 30), 1 << 30, size=h).astype(np.int32)
     want = _matvec_reference(acc0, w, x)
     got = acc0.copy()
-    _sat_matvec_accumulate(got, w, x)
+    clips = sat_matvec(got, w, x)
     assert np.array_equal(got, want)
+    ordered = acc0.copy()
+    assert sat_columns(ordered, w, x) == clips
+    assert np.array_equal(ordered, want)
 
 
 def test_guarded_matvec_saturating_prefix():
@@ -137,8 +146,53 @@ def test_guarded_matvec_saturating_prefix():
     x = np.array([32767, 32767], dtype=np.int16)
     acc = np.array([INT32_MAX - 5], dtype=np.int32)
     want = _matvec_reference(acc, w, x)
-    _sat_matvec_accumulate(acc, w, x)
+    assert sat_matvec(acc, w, x) == 1
     assert np.array_equal(acc, want)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_delta_mxv_matches_per_event_reference(seed, full_scale):
+    # full-scale weights and 17-bit deltas make the bound fail, so the
+    # ordered per-event loop runs and must clip exactly as the reference
+    rng = make_rng(seed)
+    h, n = int(rng.integers(1, 10)), int(rng.integers(1, 12))
+    scale = 32767 if full_scale else 300
+    w = QTensor((h, n), Q8_8,
+                rng.integers(-scale, scale + 1, size=(h, n)).astype(np.int16))
+    idx = np.flatnonzero(rng.random(n) < 0.6).astype(np.int64)
+    vals = rng.integers(1, 2 * scale + 2, size=idx.size) * rng.choice((-1, 1), size=idx.size)
+    stream = DeltaStream(n, idx, vals.astype(np.int32))
+    acc0 = rng.integers(-(1 << 31), 1 << 31, size=h).astype(np.int32)
+    if not full_scale:
+        acc0 >>= 8
+    want = acc0.astype(np.int64)
+    want_sats = 0
+    for i, v in zip(idx.tolist(), stream.values.tolist()):
+        wide = want + w.data[:, i].astype(np.int64) * v
+        want = np.clip(wide, -(1 << 31), (1 << 31) - 1)
+        want_sats += int(np.count_nonzero(want != wide))
+    got = acc0.copy()
+    counter = OpCounter()
+    delta_mxv_accumulate(w, stream, got, counter)
+    assert np.array_equal(got, want)
+    assert counter.saturations == want_sats
+    assert counter.macs_executed == h * idx.size
+
+
+def test_fast_path_taken_at_bench_scale(monkeypatch):
+    # the bench's GRU layer shape and input scale never reach the ordered
+    # fallback, so every matrix step is one bound-checked matvec
+    def refuse(*args):
+        raise AssertionError("ordered fallback ran")
+
+    rng = make_rng(16)
+    spec = gru_spec(rng, 32, 128)
+    xs = ar1_seq(20, 32, 0.99, rng)
+    monkeypatch.setattr(fxp, "sat_columns", refuse)
+    run = run_sequence([spec], xs, "sparse")
+    assert run.outputs == gru_dense_oracle(spec, xs)
+    assert run.counters.saturations == 0
 
 
 # --- single-step semantics ------------------------------------------------------------
