@@ -10,6 +10,8 @@ Usage: python3 scripts/dram_asymmetry.py
 import argparse
 import sys
 
+import numpy as np
+
 from sparsebench.memmodel import MemConfig, cost_trace, random_vs_burst_ratio
 from sparsebench.synth import make_rng
 from sparsebench.trace import AccessTrace
@@ -28,16 +30,15 @@ def main(argv=None) -> int:
         print(f"{n},{random_vs_burst_ratio(n, cfg):.4f}")
 
     rng = make_rng(args.seed)
-    addrs = rng.integers(0, 64 * cfg.words_per_row, args.words).tolist()
+    addrs = rng.integers(0, 64 * cfg.words_per_row, args.words)
 
     def cycles(order):
         t = AccessTrace()
-        for a in order:
-            t.add("DRAM", "read", "weights", int(a), 1)
+        t.add("DRAM", "read", "weights", order, 1)
         return cost_trace(t, cfg)
 
     scattered = cycles(addrs)
-    ordered = cycles(sorted(addrs))
+    ordered = cycles(np.sort(addrs))
     print(f"\n{args.words} single-word reads over 64 rows:")
     print(f"scattered order: {scattered.cycles} cycles, "
           f"{scattered.row_activations} row activations")

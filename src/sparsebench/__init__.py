@@ -21,6 +21,6 @@ from .gru import (DeltaState, GruLayerSpec, StepStats, delta_mxv_accumulate,
 from .memmodel import (MemConfig, MemCostReport, brain_budget, cost_trace,
                        random_vs_burst_ratio, schedule_dense_weight_stream,
                        solve_for)
-from .trace import AccessEvent, AccessTrace
+from .trace import AccessTrace
 
 __version__ = "0.1.0"

@@ -73,6 +73,8 @@ def _resolve_mem(args, desc) -> MemConfig:
 
 
 def cmd_run(args) -> int:
+    if args.count < 1:
+        raise MalformedStream(f"--count must be at least 1, got {args.count}")
     desc = load_network(args.net)
     mem = _resolve_mem(args, desc)
     if desc.kind == "conv":

@@ -140,6 +140,26 @@ def fused_relu_pool(acc: np.ndarray, relu: bool, pool: str,
     return out[0] if squeeze else out
 
 
+def _layer_result(spec: ConvLayerSpec, weight_base: int, counter: OpCounter,
+                  out_tensor: QTensor, out_sfm: SparseFeatureMap, in_words: int,
+                  out_words: int, values_read: int) -> LayerRunResult:
+    """A layer run and its traffic: weights and input stream in from DRAM,
+    SRAM serves values_read input values and a weight per MAC, output
+    values land in SRAM and stream out to DRAM. Accumulators are untraced."""
+    trace = AccessTrace()
+    in_base = weight_base + spec.weight_words + spec.bias_words
+    trace.add("DRAM", "read", "weights", weight_base,
+              spec.weight_words + spec.bias_words)
+    trace.add("DRAM", "read", "activations", in_base, in_words)
+    trace.add("SRAM", "read", "weights", 0, counter.macs_executed)
+    trace.add("SRAM", "read", "activations", 0, values_read)
+    trace.add("SRAM", "write", "activations", 0, out_tensor.size)
+    trace.add("DRAM", "write", "activations", in_base + in_words, out_words)
+    live = 2 * (in_words + out_words + spec.weight_words + spec.bias_words)
+    return LayerRunResult(out_sfm, counter, trace, measure_sparsity(out_tensor),
+                          values_read, live)
+
+
 def _finish_layer(spec: ConvLayerSpec, acc: np.ndarray, h: int, w: int,
                   in_fmt: QFormat, counter: OpCounter) -> QTensor:
     """Shared tail: fused ReLU/pool on accumulators, then renormalize."""
@@ -221,7 +241,6 @@ def conv_zeroskip(spec: ConvLayerSpec, sfm: SparseFeatureMap,
         raise ShapeMismatch(
             f"input dims {sfm.dims} do not match {spec.in_channels} channels")
     counter = OpCounter()
-    trace = AccessTrace()
     c, h, w = sfm.dims
     h_out, w_out = spec.out_dims(h, w)
     s, p = spec.stride, spec.pad
@@ -265,24 +284,9 @@ def conv_zeroskip(spec: ConvLayerSpec, sfm: SparseFeatureMap,
     counter.macs_dense_equivalent += spec.dense_equivalent_macs(h, w)
     out_tensor = _finish_layer(spec, acc, h, w, sfm.fmt, counter)
     out_sfm = encode_sm(out_tensor)
-
-    # Traffic: weights and compressed input stream in from DRAM, values
-    # are served from SRAM during compute, the pooled compressed output
-    # streams back out. Accumulators live in registers and are untraced.
-    trace.add("DRAM", "read", "weights", weight_base,
-              spec.weight_words + spec.bias_words)
-    in_base = weight_base + spec.weight_words + spec.bias_words
-    trace.add("DRAM", "read", "activations", in_base, sfm.payload_words)
-    trace.add("SRAM", "read", "weights", 0, counter.macs_executed)
-    trace.add("SRAM", "read", "activations", 0, sfm.nnz)
-    trace.add("SRAM", "write", "activations", 0, out_tensor.size)
-    out_base = in_base + sfm.payload_words
-    trace.add("DRAM", "write", "activations", out_base, out_sfm.payload_words)
-
-    live = 2 * (sfm.payload_words + out_sfm.payload_words
-                + spec.weight_words + spec.bias_words)
-    return LayerRunResult(out_sfm, counter, trace, measure_sparsity(out_tensor),
-                          sfm.nnz, live)
+    # The input and the pooled output travel compressed.
+    return _layer_result(spec, weight_base, counter, out_tensor, out_sfm,
+                         sfm.payload_words, out_sfm.payload_words, sfm.nnz)
 
 
 def conv_dense_run(spec: ConvLayerSpec, sfm: SparseFeatureMap,
@@ -291,22 +295,8 @@ def conv_dense_run(spec: ConvLayerSpec, sfm: SparseFeatureMap,
     x = decode_sm(sfm)
     counter = OpCounter()
     out_tensor = conv_dense_oracle(spec, x, counter)
-    out_sfm = encode_sm(out_tensor)
-    trace = AccessTrace()
-    trace.add("DRAM", "read", "weights", weight_base,
-              spec.weight_words + spec.bias_words)
-    in_base = weight_base + spec.weight_words + spec.bias_words
-    in_words = x.size
-    trace.add("DRAM", "read", "activations", in_base, in_words)
-    trace.add("SRAM", "read", "weights", 0, counter.macs_executed)
-    trace.add("SRAM", "read", "activations", 0, in_words)
-    trace.add("SRAM", "write", "activations", 0, out_tensor.size)
-    out_base = in_base + in_words
-    trace.add("DRAM", "write", "activations", out_base, out_tensor.size)
-    live = 2 * (in_words + out_tensor.size
-                + spec.weight_words + spec.bias_words)
-    return LayerRunResult(out_sfm, counter, trace, measure_sparsity(out_tensor),
-                          x.size, live)
+    return _layer_result(spec, weight_base, counter, out_tensor, encode_sm(out_tensor),
+                         x.size, out_tensor.size, x.size)
 
 
 @dataclass
@@ -323,7 +313,11 @@ class ConvNetRun:
 
 def run_network(layers: list[ConvLayerSpec], x: QTensor,
                 mode: str = "sparse") -> tuple[ConvNetRun, SparseFeatureMap]:
-    """Run stacked conv layers; only one layer's buffers are live at a time."""
+    """Run stacked conv layers; only one layer's buffers are live at a time.
+
+    The run trace holds every layer's rows in order, each stamped with
+    its layer's index.
+    """
     if mode not in ("sparse", "dense"):
         raise ValueError(f"unknown mode {mode!r}")
     dims = x.dims
@@ -337,7 +331,7 @@ def run_network(layers: list[ConvLayerSpec], x: QTensor,
     run = ConvNetRun()
     cur = encode_sm(x)
     weight_base = 0
-    for spec in layers:
+    for i, spec in enumerate(layers):
         if mode == "sparse":
             res = conv_zeroskip(spec, cur, weight_base)
         else:
@@ -345,6 +339,7 @@ def run_network(layers: list[ConvLayerSpec], x: QTensor,
         weight_base += spec.weight_words + spec.bias_words
         run.layer_results.append(res)
         run.counters.merge(res.counters)
+        run.trace.layer = i
         run.trace.extend(res.accesses)
         run.peak_live_bytes = max(run.peak_live_bytes, res.live_bytes)
         cur = res.output

@@ -145,9 +145,6 @@ class QTensor:
         arr = np.asarray(values, dtype=np.float64)
         return cls(arr.shape, fmt, quantize_array(arr, fmt, counter))
 
-    def to_float(self) -> np.ndarray:
-        return self.data.astype(np.float64) / self.fmt.scale
-
     @property
     def flat(self) -> np.ndarray:
         return self.data.reshape(-1)
@@ -190,10 +187,6 @@ def quantize_array(values: np.ndarray, fmt: QFormat, counter: OpCounter | None =
 def dequantize(q: QScalar) -> float:
     """Exact real value of a fixed-point scalar."""
     return q.raw / q.fmt.scale
-
-
-def dequantize_array(raw: np.ndarray, fmt: QFormat) -> np.ndarray:
-    return raw.astype(np.float64) / fmt.scale
 
 
 # --- accumulator arithmetic ---------------------------------------------------

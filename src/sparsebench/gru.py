@@ -28,7 +28,7 @@ from .codec import DeltaStream, encode_delta
 from .errors import IndexOutOfRange, ShapeMismatch
 from .fxp import (OpCounter, Q8_8, QScalar, QTensor, round_shift_even,
                   sat_add, sat_matvec)
-from .trace import AccessTrace, TeeTrace
+from .trace import AccessTrace
 
 ACT_FMT = Q8_8
 TABLE_LO = -8.0
@@ -108,10 +108,6 @@ class GruLayerSpec:
         i, h = self.input_size, self.hidden_size
         return 3 * h * i + 3 * h * h
 
-    @property
-    def dense_weight_words_per_step(self) -> int:
-        return self.weight_words
-
 
 @dataclass
 class DeltaState:
@@ -168,9 +164,8 @@ def delta_mxv_accumulate(w: QTensor, deltas: DeltaStream, acc: np.ndarray,
     if bad.size:
         raise IndexOutOfRange(f"event index {int(bad[0])} outside [0, {n}) columns")
     sats = sat_matvec(acc, w.data.reshape(h, n)[:, idx], deltas.values) if idx.size else 0
-    if trace is not None:
-        for i in idx.tolist():
-            trace.add("DRAM", "read", "weights", weight_base + i * h, h)
+    if trace is not None and idx.size:
+        trace.add("DRAM", "read", "weights", weight_base + idx * h, h)
     if counter is not None:
         counter.macs_executed += h * deltas.event_count
         counter.saturations += sats
@@ -297,7 +292,6 @@ class GruSeqRun:
     step_stats: list[list[StepStats]] = field(default_factory=list)
     counters: OpCounter = field(default_factory=OpCounter)
     trace: AccessTrace = field(default_factory=AccessTrace)
-    layer_traces: list[AccessTrace] = field(default_factory=list)
     weight_words_fetched: int = 0
     dense_weight_words: int = 0
     init_words: int = 0
@@ -308,6 +302,11 @@ class GruSeqRun:
         if self.weight_words_fetched == 0:
             return float("inf") if self.dense_weight_words else 1.0
         return self.dense_weight_words / self.weight_words_fetched
+
+    @property
+    def layer_traces(self) -> list[AccessTrace]:
+        """Each layer's rows of the run trace, in run order."""
+        return [self.trace.select_layer(l) for l in range(len(self.step_stats))]
 
     def event_timeline(self) -> list[tuple[int, int]]:
         """Per step: (input events, hidden events) summed over layers."""
@@ -341,7 +340,6 @@ def run_sequence(specs: list[GruLayerSpec], x_seq: list[QTensor],
 
     run = GruSeqRun()
     run.step_stats = [[] for _ in specs]
-    run.layer_traces = [AccessTrace() for _ in specs]
     bases = []
     base = 0
     for spec in specs:
@@ -351,18 +349,20 @@ def run_sequence(specs: list[GruLayerSpec], x_seq: list[QTensor],
     steps = len(x_seq)
     run.dense_weight_words = steps * sum(s.weight_words for s in specs)
 
-    tees = [TeeTrace(run.trace, lt) for lt in run.layer_traces]
+    trace = run.trace  # each layer sets its layer column before adding
     if mode == "sparse":
         states = [DeltaState.initial(s) for s in specs]
         for l, (spec, b) in enumerate(zip(specs, bases)):
-            tees[l].add("DRAM", "read", "weights",
-                        b + spec.weight_words, layer_bias_words(spec))
+            trace.layer = l
+            trace.add("DRAM", "read", "weights",
+                      b + spec.weight_words, layer_bias_words(spec))
             run.init_words += layer_bias_words(spec)
         for x in x_seq:
             cur = x
             for l, spec in enumerate(specs):
+                trace.layer = l
                 cur, states[l], stats = deltagru_step(
-                    spec, states[l], cur, run.counters, tees[l], bases[l])
+                    spec, states[l], cur, run.counters, trace, bases[l])
                 run.step_stats[l].append(stats)
                 run.weight_words_fetched += stats.weight_words
             run.outputs.append(cur)
@@ -375,11 +375,12 @@ def run_sequence(specs: list[GruLayerSpec], x_seq: list[QTensor],
             cur = x.data
             for l, spec in enumerate(specs):
                 i, h = spec.input_size, spec.hidden_size
-                tees[l].add("DRAM", "read", "weights", bases[l],
-                            spec.weight_words + layer_bias_words(spec))
-                tees[l].add("SRAM", "read", "activations", 0, i)
-                tees[l].add("SRAM", "read", "state", 0, h)
-                tees[l].add("SRAM", "write", "state", 0, h)
+                trace.layer = l
+                trace.add("DRAM", "read", "weights", bases[l],
+                          spec.weight_words + layer_bias_words(spec))
+                trace.add("SRAM", "read", "activations", 0, i)
+                trace.add("SRAM", "read", "state", 0, h)
+                trace.add("SRAM", "write", "state", 0, h)
                 h_prevs[l] = _dense_step(spec, h_prevs[l], cur, run.counters)
                 cur = h_prevs[l]
                 run.step_stats[l].append(StepStats(

@@ -6,6 +6,9 @@ activation of row_change_factor * cycles_seq_word. SRAM accesses cost
 no cycles (fully pipelined) but do cost energy, so cycle totals are
 attributable to DRAM alone.
 
+cost_trace prices a trace in one vectorised call: the run's total, the
+open row carried across layers, and each layer's cost on its own.
+
 Energy defaults are explicit model parameters, not measured values;
 only their ratios carry meaning (a DRAM word is ~100x a MAC, SRAM ~5x).
 """
@@ -13,8 +16,10 @@ only their ratios carry meaning (a DRAM word is ~100x a MAC, SRAM ~5x).
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import Underdetermined
-from .trace import AccessTrace, TAGS
+from .trace import REGIONS, TAGS, AccessTrace
 
 
 @dataclass(frozen=True)
@@ -46,46 +51,56 @@ class MemCostReport:
     energy_pj: float = 0.0
     dram_words_by_tag: dict[str, int] = field(default_factory=lambda: {t: 0 for t in TAGS})
     sram_words_by_tag: dict[str, int] = field(default_factory=lambda: {t: 0 for t in TAGS})
+    layers: list["MemCostReport"] = field(default_factory=list)
+
+
+def _activations(first: np.ndarray, last: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Row activations of each DRAM run: the row boundaries it crosses, plus
+    one unless it starts in the row the previous run of its group left open."""
+    opens = np.ones(first.size, dtype=np.int64)
+    opens[1:] = (first[1:] != last[:-1]) | (group[1:] != group[:-1])
+    return opens + last - first
+
+
+def _report(row_activations: int, words: np.ndarray, cfg: MemConfig) -> MemCostReport:
+    """Costs from a row activation count and (region, tag) word counts."""
+    dram, sram = (dict(zip(TAGS, w)) for w in words.tolist())
+    dram_words, sram_words = sum(dram.values()), sum(sram.values())
+    return MemCostReport(
+        cycles=(dram_words + row_activations * cfg.row_change_factor) * cfg.cycles_seq_word,
+        row_activations=row_activations, dram_words=dram_words, sram_words=sram_words,
+        energy_pj=dram_words * cfg.e_dram_word + sram_words * cfg.e_sram_word,
+        dram_words_by_tag=dram, sram_words_by_tag=sram)
 
 
 def cost_trace(trace: AccessTrace, cfg: MemConfig) -> MemCostReport:
-    """Walk the trace with one open DRAM row and accumulate costs.
-
-    Runs are costed arithmetically: a run of n words starting at
-    address a crosses (last_row - first_row) row boundaries, plus one
-    activation if it does not start in the currently open row.
-    """
-    rep = MemCostReport()
-    open_row = None
-    wpr = cfg.words_per_row
-    for e in trace:
-        if e.nwords == 0:
-            continue
-        if e.region == "SRAM":
-            rep.sram_words += e.nwords
-            rep.sram_words_by_tag[e.tag] += e.nwords
-            continue
-        first_row = e.address // wpr
-        last_row = (e.address + e.nwords - 1) // wpr
-        if open_row != first_row:
-            rep.row_activations += 1
-        rep.row_activations += last_row - first_row
-        open_row = last_row
-        rep.dram_words += e.nwords
-        rep.dram_words_by_tag[e.tag] += e.nwords
-    rep.cycles = (rep.dram_words * cfg.cycles_seq_word
-                  + rep.row_activations * cfg.row_change_factor * cfg.cycles_seq_word)
-    rep.energy_pj = rep.dram_words * cfg.e_dram_word + rep.sram_words * cfg.e_sram_word
+    """Cost the whole trace, walking every DRAM run in order, and in
+    `layers[l]` the runs of layer l alone, the open row starting empty.
+    Each run is costed arithmetically (see _activations)."""
+    region, _, tag, layer, address, nwords = trace.table.T
+    n_layers = int(layer.max(initial=-1)) + 1
+    words = np.zeros((n_layers, len(REGIONS), len(TAGS)), dtype=np.int64)
+    np.add.at(words, (layer, region, tag), nwords)
+    dram = region == REGIONS.index("DRAM")
+    first = address[dram] // cfg.words_per_row
+    last = (address[dram] + nwords[dram] - 1) // cfg.words_per_row
+    group = layer[dram]
+    total = int(_activations(first, last, np.zeros_like(group)).sum())
+    # A stable sort by layer puts each layer's runs together, in trace order.
+    order = np.argsort(group, kind="stable")
+    activations = np.zeros(n_layers, dtype=np.int64)
+    np.add.at(activations, group[order],
+              _activations(first[order], last[order], group[order]))
+    rep = _report(total, words.sum(axis=0), cfg)
+    rep.layers = [_report(int(a), w, cfg) for a, w in zip(activations, words)]
     return rep
 
 
 def schedule_dense_weight_stream(dims: tuple[int, ...], cfg: MemConfig,
                                  base_address: int = 0) -> AccessTrace:
     """Fully sequential read of a contiguously laid-out weight region."""
-    n = math.prod(dims) if dims else 0
     trace = AccessTrace()
-    if n > 0:
-        trace.add("DRAM", "read", "weights", base_address, n)
+    trace.add("DRAM", "read", "weights", base_address, math.prod(dims) if dims else 0)
     return trace
 
 

@@ -53,7 +53,6 @@ class NetworkDesc:
     conv_layers: list[ConvLayerSpec] = field(default_factory=list)
     gru_layers: list[GruLayerSpec] = field(default_factory=list)
     mem: MemConfig = field(default_factory=MemConfig)
-    mem_overridden: bool = False  # True when the file sets any [mem] key
 
 
 def parse_uri(value: str) -> tuple[str, dict]:
@@ -262,13 +261,11 @@ def load_network(path: str) -> NetworkDesc:
     name = top.get("name", os.path.splitext(os.path.basename(path))[0])
 
     mem = MemConfig()
-    mem_overridden = False
     conv_layers: list[ConvLayerSpec] = []
     gru_layers: list[GruLayerSpec] = []
     for section, pairs in blocks:
         if section == "mem":
             mem = parse_mem_config(pairs)
-            mem_overridden = True
         elif section == "conv":
             conv_layers.append(_conv_layer(pairs, base_dir, path, len(conv_layers)))
         elif section == "gru":
@@ -293,4 +290,4 @@ def load_network(path: str) -> NetworkDesc:
                 raise ShapeMismatch(
                     f"{path}: gru chain breaks: {a.hidden_size} -> {b.input_size}")
         kind = "gru"
-    return NetworkDesc(name, kind, conv_layers, gru_layers, mem, mem_overridden)
+    return NetworkDesc(name, kind, conv_layers, gru_layers, mem)

@@ -15,12 +15,12 @@ import numpy as np
 
 from . import synth
 from .codec import decode_sm, load_smfm
-from .conv import ConvNetRun, LayerRunResult, run_network
+from .conv import ConvNetRun, run_network
 from .errors import MalformedStream
 from .fxp import OpCounter, Q8_8, QTensor, load_qt, quantize, to_qt_bytes
 from .gru import ACT_FMT, GruSeqRun, run_sequence
-from .memmodel import (MemConfig, cost_trace, effective_gops, energy_breakdown,
-                       gops_per_watt)
+from .memmodel import (MemConfig, MemCostReport, cost_trace, effective_gops,
+                       energy_breakdown, gops_per_watt)
 from .netdesc import NetworkDesc, parse_uri
 from .report import LayerReport, RunReport, config_dict
 from .trace import AccessTrace
@@ -33,21 +33,22 @@ def hash_tensors(tensors: list[QTensor]) -> str:
     return h.hexdigest()
 
 
-def load_conv_input(uri: str, seed: int) -> QTensor:
-    """Resolve a conv input: .qt, .smfm, or synth:map,...
+def _map_generator(uri: str, seed: int):
+    """Draws maps from one seeded stream. synth:map options: c, h, w,
+    sparsity, amp, seed (the URI seed wins over the global one)."""
+    kind, o = parse_uri(uri)
+    if kind != "map":
+        raise MalformedStream(f"unknown conv input generator {kind!r}")
+    rng = synth.make_rng(int(o.get("seed", seed)))
+    dims = (int(o.get("c", 1)), int(o.get("h", 32)), int(o.get("w", 32)))
+    sparsity, amp = float(o.get("sparsity", 0.5)), float(o.get("amp", 1.0))
+    return lambda: synth.sparse_map(*dims, sparsity, rng, amp=amp)
 
-    Synth options: c, h, w, sparsity, amp, seed (URI seed wins over the
-    global one).
-    """
+
+def load_conv_input(uri: str, seed: int) -> QTensor:
+    """Resolve a conv input: .qt, .smfm, or synth:map,... (one draw)."""
     if uri.startswith("synth:"):
-        kind, o = parse_uri(uri)
-        if kind != "map":
-            raise MalformedStream(f"unknown conv input generator {kind!r}")
-        rng = synth.make_rng(int(o.get("seed", seed)))
-        return synth.sparse_map(int(o.get("c", 1)), int(o.get("h", 32)),
-                                int(o.get("w", 32)),
-                                float(o.get("sparsity", 0.5)), rng,
-                                amp=float(o.get("amp", 1.0)))
+        return _map_generator(uri, seed)()
     if uri.endswith(".smfm"):
         return decode_sm(load_smfm(uri))
     t = load_qt(uri)
@@ -83,17 +84,16 @@ def load_seq_input(uri: str, seed: int) -> list[QTensor]:
     return [QTensor((n,), t.fmt, flat[i].copy()) for i in range(steps)]
 
 
-def _tag_bytes(trace: AccessTrace, region: str) -> dict[str, int]:
-    return {t: 2 * w for t, w in trace.words_by_tag(region).items()}
+def _bytes(words_by_tag: dict[str, int]) -> dict[str, int]:
+    return {t: 2 * w for t, w in words_by_tag.items()}
 
 
 def _efficiency(dense_macs: int, macs: int) -> float | None:
     return None if macs == 0 else 100.0 * dense_macs / macs
 
 
-def _fill_totals(report: RunReport, counters: OpCounter, trace: AccessTrace,
+def _fill_totals(report: RunReport, counters: OpCounter, cost: MemCostReport,
                  mem: MemConfig) -> None:
-    cost = cost_trace(trace, mem)
     energy = energy_breakdown(counters.macs_executed, cost.dram_words,
                               cost.sram_words, mem)
     dense_op = counters.dense_equivalent_op
@@ -111,8 +111,8 @@ def _fill_totals(report: RunReport, counters: OpCounter, trace: AccessTrace,
         "row_activations": cost.row_activations,
         "dram_words": cost.dram_words,
         "sram_words": cost.sram_words,
-        "dram_bytes_by_tag": {t: 2 * w for t, w in cost.dram_words_by_tag.items()},
-        "sram_bytes_by_tag": {t: 2 * w for t, w in cost.sram_words_by_tag.items()},
+        "dram_bytes_by_tag": _bytes(cost.dram_words_by_tag),
+        "sram_bytes_by_tag": _bytes(cost.sram_words_by_tag),
         "energy_pj": energy["total_pj"],
         "energy_breakdown_pj": energy,
     }
@@ -126,27 +126,38 @@ def _fill_totals(report: RunReport, counters: OpCounter, trace: AccessTrace,
     }
 
 
-def _conv_layer_report(idx: int, res: LayerRunResult, mem: MemConfig) -> LayerReport:
-    cost = cost_trace(res.accesses, mem)
-    energy = energy_breakdown(res.counters.macs_executed, cost.dram_words,
-                              cost.sram_words, mem)
+def _layer_report(idx: int, kind: str, dense_macs: int, macs: int,
+                  executed_op: int, sparsity: float | None,
+                  cost: MemCostReport, mem: MemConfig) -> LayerReport:
+    """One layer's row, its traffic and cycles from its own cost."""
+    energy = energy_breakdown(macs, cost.dram_words, cost.sram_words, mem)
     return LayerReport(
-        index=idx, kind="conv",
-        dense_equivalent_op=res.counters.dense_equivalent_op,
-        executed_op=res.counters.total_op,
-        efficiency_pct=_efficiency(res.counters.macs_dense_equivalent,
-                                   res.counters.macs_executed),
-        sparsity=res.output_sparsity.sparsity,
-        dram_bytes_by_tag=_tag_bytes(res.accesses, "DRAM"),
-        sram_bytes_by_tag=_tag_bytes(res.accesses, "SRAM"),
-        cycles=cost.cycles,
-        energy_pj=energy["total_pj"],
-    )
+        index=idx, kind=kind, dense_equivalent_op=2 * dense_macs,
+        executed_op=executed_op, efficiency_pct=_efficiency(dense_macs, macs),
+        sparsity=sparsity, dram_bytes_by_tag=_bytes(cost.dram_words_by_tag),
+        sram_bytes_by_tag=_bytes(cost.sram_words_by_tag), cycles=cost.cycles,
+        energy_pj=energy["total_pj"])
 
 
-def execute_conv(desc: NetworkDesc, x: QTensor, mode: str,
-                 mem: MemConfig, seed: int | None = None
-                 ) -> tuple[RunReport, ConvNetRun]:
+def _conv_report(desc: NetworkDesc, mode: str, mem: MemConfig, seed: int | None,
+                 layer_counters: list[OpCounter], sparsity: list[float],
+                 trace: AccessTrace) -> RunReport:
+    """Report layers and totals of a conv run; the trace is costed once."""
+    cost = cost_trace(trace, mem)
+    report = RunReport(desc.name, mode, "conv", seed, config_dict(mem))
+    counters = OpCounter()
+    for i, (c, s, layer_cost) in enumerate(zip(layer_counters, sparsity, cost.layers)):
+        report.layers.append(_layer_report(i, "conv", c.macs_dense_equivalent,
+                                           c.macs_executed, c.total_op, s, layer_cost, mem))
+        counters.merge(c)
+    _fill_totals(report, counters, cost, mem)
+    return report
+
+
+def _checked_conv_run(desc: NetworkDesc, x: QTensor,
+                      mode: str) -> tuple[ConvNetRun, str]:
+    """Run both engines, require equal outputs; return the mode's run and
+    the output hash."""
     sparse_run, sparse_out = run_network(desc.conv_layers, x, "sparse")
     dense_run, dense_out = run_network(desc.conv_layers, x, "dense")
     sparse_hash = decode_sm(sparse_out).sha256()
@@ -154,13 +165,18 @@ def execute_conv(desc: NetworkDesc, x: QTensor, mode: str,
     if sparse_hash != dense_hash:
         raise RuntimeError(
             "sparse and dense conv outputs diverged; this is a bug, not a config error")
-    run = sparse_run if mode == "sparse" else dense_run
-    report = RunReport(desc.name, mode, "conv", seed, config_dict(mem))
-    report.layers = [_conv_layer_report(i, r, mem)
-                     for i, r in enumerate(run.layer_results)]
-    _fill_totals(report, run.counters, run.trace, mem)
+    return (sparse_run if mode == "sparse" else dense_run), sparse_hash
+
+
+def execute_conv(desc: NetworkDesc, x: QTensor, mode: str,
+                 mem: MemConfig, seed: int | None = None
+                 ) -> tuple[RunReport, ConvNetRun]:
+    run, output_hash = _checked_conv_run(desc, x, mode)
+    report = _conv_report(desc, mode, mem, seed,
+                          [r.counters for r in run.layer_results],
+                          run.per_layer_sparsity, run.trace)
     report.extras = {
-        "output_hash": sparse_hash,
+        "output_hash": output_hash,
         "equivalence_checked": True,
         "peak_live_bytes": run.peak_live_bytes,
         "per_layer_sparsity": run.per_layer_sparsity,
@@ -180,52 +196,24 @@ def execute_conv_averaged(desc: NetworkDesc, uri: str, mode: str,
     """
     if not uri.startswith("synth:"):
         raise MalformedStream("averaging over --count needs a synth: input")
-    kind, o = parse_uri(uri)
-    if kind != "map":
-        raise MalformedStream(f"unknown conv input generator {kind!r}")
-    rng = synth.make_rng(int(o.get("seed", seed)))
-    dims = (int(o.get("c", 1)), int(o.get("h", 32)), int(o.get("w", 32)))
-    sparsity = float(o.get("sparsity", 0.5))
-    amp = float(o.get("amp", 1.0))
-
-    counters = OpCounter()
+    draw = _map_generator(uri, seed)
     trace = AccessTrace()
     n_layers = len(desc.conv_layers)
     per_layer: list[list[float]] = [[] for _ in range(n_layers)]
     layer_counters = [OpCounter() for _ in range(n_layers)]
-    layer_traces = [AccessTrace() for _ in range(n_layers)]
     peak = 0
-    report = RunReport(desc.name, mode, "conv", seed, config_dict(mem))
     for _ in range(count):
-        x = synth.sparse_map(*dims, sparsity, rng, amp=amp)
-        _, run_i = execute_conv(desc, x, mode, mem, seed)
-        counters.merge(run_i.counters)
-        trace.extend(run_i.trace)
+        run_i, _ = _checked_conv_run(desc, draw(), mode)
         peak = max(peak, run_i.peak_live_bytes)
         for l, r in enumerate(run_i.layer_results):
             per_layer[l].append(r.output_sparsity.sparsity)
             layer_counters[l].merge(r.counters)
-            layer_traces[l].extend(r.accesses)
+            trace.layer = l
+            trace.extend(r.accesses)
     means = [float(np.mean(v)) for v in per_layer]
     stderr = [float(np.std(v, ddof=1) / math.sqrt(len(v))) if len(v) > 1 else 0.0
               for v in per_layer]
-    for l in range(n_layers):
-        cost = cost_trace(layer_traces[l], mem)
-        energy = energy_breakdown(layer_counters[l].macs_executed,
-                                  cost.dram_words, cost.sram_words, mem)
-        report.layers.append(LayerReport(
-            index=l, kind="conv",
-            dense_equivalent_op=layer_counters[l].dense_equivalent_op,
-            executed_op=layer_counters[l].total_op,
-            efficiency_pct=_efficiency(layer_counters[l].macs_dense_equivalent,
-                                       layer_counters[l].macs_executed),
-            sparsity=means[l],
-            dram_bytes_by_tag=_tag_bytes(layer_traces[l], "DRAM"),
-            sram_bytes_by_tag=_tag_bytes(layer_traces[l], "SRAM"),
-            cycles=cost.cycles,
-            energy_pj=energy["total_pj"],
-        ))
-    _fill_totals(report, counters, trace, mem)
+    report = _conv_report(desc, mode, mem, seed, layer_counters, means, trace)
     report.extras = {
         "averaged_over": count,
         "per_layer_sparsity_mean": means,
@@ -237,7 +225,8 @@ def execute_conv_averaged(desc: NetworkDesc, uri: str, mode: str,
 
 
 def _gru_layer_report(idx: int, run: GruSeqRun, desc: NetworkDesc,
-                      mem: MemConfig, mode: str) -> LayerReport:
+                      cost: MemCostReport, mem: MemConfig,
+                      mode: str) -> LayerReport:
     spec = desc.gru_layers[idx]
     stats = run.step_stats[idx]
     steps = len(stats)
@@ -249,20 +238,9 @@ def _gru_layer_report(idx: int, run: GruSeqRun, desc: NetworkDesc,
         executed_op = 2 * macs + steps * (6 * h + i + h)
     else:
         executed_op = 2 * macs + steps * 9 * h
-    lt = run.layer_traces[idx]
-    cost = cost_trace(lt, mem)
-    energy = energy_breakdown(macs, cost.dram_words, cost.sram_words, mem)
-    return LayerReport(
-        index=idx, kind="gru",
-        dense_equivalent_op=2 * dense_macs,
-        executed_op=executed_op,
-        efficiency_pct=_efficiency(dense_macs, macs),
-        sparsity=(1.0 - events / (steps * (i + h))) if steps else None,
-        dram_bytes_by_tag=_tag_bytes(lt, "DRAM"),
-        sram_bytes_by_tag=_tag_bytes(lt, "SRAM"),
-        cycles=cost.cycles,
-        energy_pj=energy["total_pj"],
-    )
+    sparsity = (1.0 - events / (steps * (i + h))) if steps else None
+    return _layer_report(idx, "gru", dense_macs, macs, executed_op, sparsity,
+                         cost, mem)
 
 
 def apply_theta(desc: NetworkDesc, theta: float) -> NetworkDesc:
@@ -286,13 +264,16 @@ def execute_gru(desc: NetworkDesc, x_seq: list[QTensor], mode: str,
         raise RuntimeError(
             "delta and dense GRU outputs diverged at theta 0; this is a bug")
     run = sparse_run if mode == "sparse" else dense_run
+    cost = cost_trace(run.trace, mem)
+    # A layer with no traffic (a dense run of no steps) has no rows.
+    n_layers = len(desc.gru_layers)
+    layer_costs = cost.layers + [MemCostReport()] * (n_layers - len(cost.layers))
     report = RunReport(desc.name, mode, "gru", seed, config_dict(mem))
-    report.layers = [_gru_layer_report(i, run, desc, mem, mode)
-                     for i in range(len(desc.gru_layers))]
-    _fill_totals(report, run.counters, run.trace, mem)
-    dense_total_words = (dense_run.trace.word_count("DRAM")
-                         + dense_run.trace.word_count("SRAM"))
-    total_words = run.trace.word_count("DRAM") + run.trace.word_count("SRAM")
+    report.layers = [_gru_layer_report(i, run, desc, layer_costs[i], mem, mode)
+                     for i in range(n_layers)]
+    _fill_totals(report, run.counters, cost, mem)
+    dense_total_words = dense_run.trace.word_count()
+    total_words = cost.dram_words + cost.sram_words
     report.extras = {
         "output_hash": hash_tensors(run.outputs),
         "equivalence_checked": checked,

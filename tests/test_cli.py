@@ -139,6 +139,13 @@ def test_run_flag_combinations_rejected(conv_net, gru_net):
     assert main(conv_args + ["--count", "2", "--trace-csv", "t.csv"]) == 2
 
 
+def test_run_count_below_one_exits_2(conv_net, capsys):
+    for count in ("0", "-3"):
+        assert main(["run", "--net", conv_net, "--input", "synth:map,c=2,h=8,w=8",
+                     "--count", count]) == 2
+        assert "--count" in capsys.readouterr().err
+
+
 def test_run_averaged_conv(conv_net, capsys):
     code = main(["run", "--net", conv_net,
                  "--input", "synth:map,c=2,h=8,w=8,sparsity=0.5",
@@ -195,8 +202,20 @@ def test_mem_sim_three_probes(tmp_path, gru_net, capsys):
     assert costs["cycles"] > 0 and costs["energy_pj"] > 0
 
 
+def test_mem_sim_rejects_addresses_outside_int64(tmp_path, capsys):
+    for address in ("99999999999999999999", "9223372036854775807", "-1"):
+        trace = tmp_path / "t.csv"
+        trace.write_text(f"region,address,kind,tag\nDRAM,{address},read,weights\n")
+        assert main(["mem-sim", "--trace", str(trace)]) == 2
+        assert "address" in capsys.readouterr().err
+    trace.write_text("region,address,kind,tag\nDRAM,9223372036854775806,read,weights\n")
+    assert main(["mem-sim", "--trace", str(trace)]) == 0
+    assert json.loads(capsys.readouterr().out)["row_activations"] == 1
+
+
 def test_mem_sim_requires_exactly_one_probe(tmp_path):
     assert main(["mem-sim"]) == 2
+    assert main(["mem-sim", "--stream", "5x-3"]) == 2
     assert main(["mem-sim", "--ratio", "10", "--stream", "4x4"]) == 2
 
 

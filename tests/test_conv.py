@@ -275,13 +275,13 @@ def test_pooled_layer_never_writes_full_resolution():
     h_out, w_out = spec.out_dims(h, w)
     full_res_words = spec.out_channels * h_out * w_out
     res = conv_zeroskip(spec, encode_sm(x))
-    writes = [e for e in res.accesses if e.kind == "write" and e.tag == "activations"]
+    writes = [(region, nwords) for region, kind, tag, _, _, nwords in res.accesses.runs()
+              if kind == "write" and tag == "activations"]
     assert writes, "layer must write its output"
-    assert all(e.nwords < full_res_words for e in writes)
+    assert all(nwords < full_res_words for _, nwords in writes)
     pooled_words = res.output.total_pixels
-    assert any(e.region == "SRAM" and e.nwords == pooled_words for e in writes)
-    assert any(e.region == "DRAM" and e.nwords == res.output.payload_words
-               for e in writes)
+    assert ("SRAM", pooled_words) in writes
+    assert ("DRAM", res.output.payload_words) in writes
 
 
 def test_traffic_scales_with_compression():
@@ -290,8 +290,11 @@ def test_traffic_scales_with_compression():
     sfm = encode_sm(x)
     sparse = conv_zeroskip(spec, sfm)
     dense = conv_dense_run(spec, sfm)
-    s_in = sparse.accesses.word_count(region="DRAM", tag="activations", kind="read")
-    d_in = dense.accesses.word_count(region="DRAM", tag="activations", kind="read")
+    def dram_input_words(trace):
+        return sum(r[5] for r in trace.runs() if r[:3] == ("DRAM", "read", "activations"))
+
+    s_in = dram_input_words(sparse.accesses)
+    d_in = dram_input_words(dense.accesses)
     assert s_in == sfm.payload_words
     assert d_in == x.size
     assert s_in < d_in
@@ -343,10 +346,15 @@ def test_network_modes_agree_and_advance_weight_base():
     assert decode_sm(sparse_out) == decode_sm(dense_out)
     assert sparse_run.counters.macs_executed <= dense_run.counters.macs_executed
 
-    bases = [e.address for e in sparse_run.trace
-             if e.region == "DRAM" and e.tag == "weights" and e.kind == "read"]
+    weight_reads = [(r[3], r[4]) for r in sparse_run.trace.runs()
+                    if r[:3] == ("DRAM", "read", "weights")]
     sizes = [l.weight_words + l.bias_words for l in layers]
-    assert bases == [0, sizes[0], sizes[0] + sizes[1]]
+    assert weight_reads == [(0, 0), (1, sizes[0]), (2, sizes[0] + sizes[1])]
+    # every row carries its layer's index, in layer order
+    layer_col = [r[3] for r in sparse_run.trace.runs()]
+    assert layer_col == sorted(layer_col)
+    assert [len(sparse_run.trace.select_layer(i)) for i in range(3)] == [
+        len(r.accesses) for r in sparse_run.layer_results]
     assert sparse_run.peak_live_bytes == max(
         r.live_bytes for r in sparse_run.layer_results)
     assert len(sparse_run.per_layer_sparsity) == 3

@@ -90,7 +90,12 @@ def test_delta_mxv_traces_one_column_burst_per_event():
                          np.array([7, -2], dtype=np.int32))
     delta_mxv_accumulate(spec.w_xr, stream, np.zeros(4, dtype=np.int32),
                          trace=trace, weight_base=100)
-    assert [(e.address, e.nwords) for e in trace] == [(100, 4), (112, 4)]
+    assert trace.runs() == [("DRAM", "read", "weights", 0, 100, 4),
+                            ("DRAM", "read", "weights", 0, 112, 4)]
+    empty = DeltaStream(5, np.array([], dtype=np.int64), np.array([], dtype=np.int32))
+    delta_mxv_accumulate(spec.w_xr, empty, np.zeros(4, dtype=np.int32),
+                         trace=trace, weight_base=100)
+    assert len(trace) == 2
 
 
 def test_delta_mxv_bounds_checks():
@@ -317,7 +322,7 @@ def test_sparse_mode_fetches_only_event_columns():
     assert run.weight_reduction_factor > 1.0
     fetched = sum(s.weight_words for layer in run.step_stats for s in layer)
     assert fetched == run.weight_words_fetched
-    traced = run.trace.word_count(region="DRAM", tag="weights", kind="read")
+    traced = sum(r[5] for r in run.trace.runs() if r[:3] == ("DRAM", "read", "weights"))
     assert traced == run.weight_words_fetched + run.init_words
 
 
@@ -328,8 +333,8 @@ def test_event_columns_hit_expected_addresses():
     x = np.zeros(i, dtype=np.int16)
     x[2] = 256
     run = run_sequence([spec], [QTensor((i,), Q8_8, x)], "sparse")
-    reads = [(e.address, e.nwords) for e in run.trace
-             if e.region == "DRAM" and e.tag == "weights"]
+    reads = [(r[4], r[5]) for r in run.trace.runs()
+             if r[0] == "DRAM" and r[2] == "weights"]
     # bias preload burst, then column 2 of each input-side matrix
     assert reads[0] == (spec.weight_words, layer_bias_words(spec))
     assert reads[1:4] == [(2 * h, h), (h * i + 2 * h, h), (2 * h * i + 2 * h, h)]
@@ -354,6 +359,9 @@ def test_per_layer_traces_partition_the_run_trace():
     run = run_sequence(specs, xs, "sparse")
     merged_words = run.trace.word_count()
     assert merged_words == sum(t.word_count() for t in run.layer_traces)
+    assert sum(len(t) for t in run.layer_traces) == len(run.trace)
+    for l, t in enumerate(run.layer_traces):
+        assert len(t) > 0 and {r[3] for r in t.runs()} == {l}
 
 
 def test_sequence_validation():

@@ -141,6 +141,49 @@ def test_concatenation_additivity(runs_a, runs_b):
     assert a.row_activations + b.row_activations - ab.row_activations in (0, 1)
 
 
+def _per_word_walk(runs, cfg):
+    """Reference: expand runs to words and walk them with one open row."""
+    open_row, acts, dram, sram = None, 0, 0, 0
+    for region, address, nwords in runs:
+        for word in range(address, address + nwords):
+            if region == "SRAM":
+                sram += 1
+                continue
+            dram += 1
+            if word // cfg.words_per_row != open_row:
+                open_row = word // cfg.words_per_row
+                acts += 1
+    return (acts, dram, sram,
+            dram * cfg.cycles_seq_word + acts * cfg.row_change_factor * cfg.cycles_seq_word)
+
+
+@st.composite
+def layered_runs(draw):
+    n = draw(st.integers(0, 30))
+    return [(draw(st.integers(0, 3)), draw(st.sampled_from(("DRAM", "SRAM"))),
+             draw(st.integers(0, 200)), draw(st.integers(0, 40))) for _ in range(n)]
+
+
+@given(layered_runs(), st.sampled_from((4, 16, 64)))
+def test_total_and_each_layer_match_a_per_word_walk(runs, wpr):
+    cfg = MemConfig(words_per_row=wpr)
+    t = AccessTrace()
+    for layer, region, address, nwords in runs:
+        t.layer = layer
+        t.add(region, "read", "weights", address, nwords)
+    rep = cost_trace(t, cfg)
+
+    def key(r):
+        return (r.row_activations, r.dram_words, r.sram_words, r.cycles)
+
+    assert key(rep) == _per_word_walk([r[1:] for r in runs], cfg)
+    assert len(rep.layers) == (max((r[0] for r in runs if r[3]), default=-1) + 1)
+    for l, layer_rep in enumerate(rep.layers):
+        assert key(layer_rep) == _per_word_walk([r[1:] for r in runs if r[0] == l], cfg)
+        assert layer_rep.layers == []
+    assert sum(r.dram_words for r in rep.layers) == rep.dram_words
+
+
 def test_sorted_order_minimizes_cost_exhaustively():
     cfg = MemConfig(words_per_row=4)
     addresses = [13, 2, 7, 2, 9, 5]

@@ -60,7 +60,7 @@ def test_conv_network_loads(tmp_path):
     assert (layer.in_channels, layer.out_channels) == (2, 3)
     assert layer.pool == "max2x2" and layer.relu
     assert layer.weights.dims == (3, 2, 3, 3)
-    assert not desc.mem_overridden
+    assert desc.mem == MemConfig()
 
 
 def test_name_defaults_to_file_stem(tmp_path):
@@ -83,7 +83,7 @@ def test_gru_network_loads_with_generated_weights(tmp_path):
 def test_mem_section_overrides(tmp_path):
     text = "[mem]\nrow_change_factor = 10\nclock_hz = 2e9\n" + CONV_BLOCK
     desc = load_network(_write(tmp_path, "m.net", text))
-    assert desc.mem_overridden
+    assert desc.mem != MemConfig()
     assert desc.mem.row_change_factor == 10
     assert desc.mem.clock_hz == 2e9
     assert desc.mem.words_per_row == 1024  # untouched default

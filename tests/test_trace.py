@@ -1,23 +1,51 @@
-"""Access-trace recording, filtering, and CSV round-tripping."""
+"""Access-trace recording, layer views, and CSV round-tripping."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sparsebench.trace import AccessEvent, AccessTrace, TeeTrace, trace_from_csv
+from sparsebench.memmodel import MemConfig, cost_trace
+from sparsebench.trace import COLUMNS, INT64_MAX, AccessTrace, trace_from_csv
+
+
+def _add_one(region, kind, tag, address, nwords=1):
+    t = AccessTrace()
+    t.add(region, kind, tag, address, nwords)
+    return t
+
+
+def _add_array(region, kind, tag, address, nwords=1):
+    t = AccessTrace()
+    t.add(region, kind, tag, np.array([5, address]), np.array([1, nwords]))
+    return t
 
 
 def test_event_field_validation():
-    with pytest.raises(ValueError, match="region"):
-        AccessEvent("L2", "read", "weights", 0)
-    with pytest.raises(ValueError, match="kind"):
-        AccessEvent("DRAM", "fetch", "weights", 0)
-    with pytest.raises(ValueError, match="tag"):
-        AccessEvent("DRAM", "read", "gradients", 0)
-    with pytest.raises(ValueError, match="address"):
-        AccessEvent("DRAM", "read", "weights", -1)
-    with pytest.raises(ValueError, match="run length"):
-        AccessEvent("DRAM", "read", "weights", 0, -2)
+    for add in (_add_one, _add_array):
+        with pytest.raises(ValueError, match="region"):
+            add("L2", "read", "weights", 0)
+        with pytest.raises(ValueError, match="kind"):
+            add("DRAM", "fetch", "weights", 0)
+        with pytest.raises(ValueError, match="tag"):
+            add("DRAM", "read", "gradients", 0)
+        with pytest.raises(ValueError, match="address"):
+            add("DRAM", "read", "weights", -1)
+        with pytest.raises(ValueError, match="run length"):
+            add("DRAM", "read", "weights", 0, -2)
+        with pytest.raises(ValueError, match="int64"):
+            add("DRAM", "read", "weights", INT64_MAX - 1, 2)
+        # a run may end (exclusive) at the largest int64
+        assert add("DRAM", "read", "weights", INT64_MAX - 2, 2).runs()[-1][4] == INT64_MAX - 2
+
+
+def test_add_rejects_unequal_arrays_and_huge_ints():
+    t = AccessTrace()
+    with pytest.raises(ValueError, match="run lengths"):
+        t.add("DRAM", "read", "weights", np.array([1, 2]), np.array([1]))
+    with pytest.raises(ValueError, match="int64"):
+        t.add("DRAM", "read", "weights", 10**20)
+    assert len(t) == 0
 
 
 def test_add_skips_empty_runs():
@@ -25,7 +53,31 @@ def test_add_skips_empty_runs():
     t.add("DRAM", "read", "weights", 0, 0)
     assert len(t) == 0
     t.add("DRAM", "read", "weights", 0, 3)
-    assert len(t) == 1 and t.events[0].nwords == 3
+    assert len(t) == 1 and t.runs()[0][5] == 3
+
+
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 40)), max_size=20),
+       st.integers(0, 3))
+def test_array_add_equals_one_add_per_run(runs, layer):
+    one, many = AccessTrace(), AccessTrace()
+    one.layer = many.layer = layer
+    address = np.array([a for a, _ in runs], dtype=np.int64)
+    nwords = np.array([n for _, n in runs], dtype=np.int64)
+    one.add("SRAM", "write", "state", address, nwords)
+    for a, n in runs:
+        many.add("SRAM", "write", "state", a, n)
+    assert np.array_equal(one.table, many.table)
+    assert one.table.dtype == np.int64 and one.table.shape[1] == len(COLUMNS)
+    assert [r[4:] for r in one.runs()] == [(a, n) for a, n in runs if n]
+    assert all(r[:4] == ("SRAM", "write", "state", layer) for r in one.runs())
+
+
+def test_array_add_with_a_scalar_run_length():
+    t = AccessTrace()
+    t.add("DRAM", "read", "weights", 7)
+    t.add("DRAM", "read", "weights", np.array([100, 112]), 4)
+    t.add("DRAM", "read", "weights", np.array([], dtype=np.int64), 4)
+    assert [r[4:] for r in t.runs()] == [(7, 1), (100, 4), (112, 4)]
 
 
 def _sample_trace():
@@ -37,20 +89,17 @@ def _sample_trace():
     return t
 
 
-def test_word_count_filters():
+def test_word_count_sums_every_run():
     t = _sample_trace()
     assert t.word_count() == 10
-    assert t.word_count(region="DRAM") == 6
-    assert t.word_count(region="SRAM") == 4
-    assert t.word_count(region="DRAM", kind="read") == 4
-    assert t.word_count(tag="activations") == 5
-    assert t.word_count(region="SRAM", tag="state", kind="write") == 1
+    assert AccessTrace().word_count() == 0
 
 
 def test_words_by_tag():
-    t = _sample_trace()
-    assert t.words_by_tag("DRAM") == {"weights": 4, "activations": 2, "state": 0}
-    assert t.words_by_tag("SRAM") == {"weights": 0, "activations": 3, "state": 1}
+    cost = cost_trace(_sample_trace(), MemConfig())
+    assert (cost.dram_words, cost.sram_words) == (6, 4)
+    assert cost.dram_words_by_tag == {"weights": 4, "activations": 2, "state": 0}
+    assert cost.sram_words_by_tag == {"weights": 0, "activations": 3, "state": 1}
 
 
 def test_csv_expands_runs():
@@ -66,9 +115,9 @@ def test_csv_expands_runs():
 
 def _word_list(t: AccessTrace) -> list[tuple]:
     out = []
-    for e in t:
-        for off in range(e.nwords):
-            out.append((e.region, e.address + off, e.kind, e.tag))
+    for region, kind, tag, _, address, nwords in t.runs():
+        for off in range(nwords):
+            out.append((region, address + off, kind, tag))
     return out
 
 
@@ -108,20 +157,32 @@ def test_csv_parse_rejects_garbage():
         trace_from_csv("region,address,kind,tag\nDRAM,1,read\n")
     with pytest.raises(ValueError, match="region"):
         trace_from_csv("region,address,kind,tag\nCACHE,1,read,weights\n")
+    with pytest.raises(ValueError, match="address"):
+        trace_from_csv("region,address,kind,tag\nDRAM,-1,read,weights\n")
+    with pytest.raises(ValueError, match="int64"):
+        trace_from_csv("region,address,kind,tag\nDRAM,99999999999999999999,read,weights\n")
 
 
-def test_tee_forwards_to_all_targets():
-    a, b = AccessTrace(), AccessTrace()
-    tee = TeeTrace(a, b)
-    tee.add("DRAM", "read", "weights", 7, 2)
-    tee.add("SRAM", "write", "state", 1)
-    assert _word_list(a) == _word_list(b)
-    assert a.word_count() == 3
+def test_layer_views_partition_the_trace():
+    t = AccessTrace()
+    for layer, address in ((0, 7), (1, 40), (0, 9), (2, 3), (1, 41)):
+        t.layer = layer
+        t.add("DRAM", "read", "weights", address, 2)
+    views = [t.select_layer(l) for l in range(3)]
+    assert [[r[4] for r in v.runs()] for v in views] == [[7, 9], [40, 41], [3]]
+    assert sum(len(v) for v in views) == len(t)
+    assert sum(v.word_count() for v in views) == t.word_count() == 10
+    assert len(t.select_layer(3)) == 0
 
 
 def test_extend_concatenates_in_order():
     a, b = AccessTrace(), AccessTrace()
     a.add("DRAM", "read", "weights", 0)
     b.add("SRAM", "write", "state", 9)
+    b.add("DRAM", "read", "weights", 4, 2)
+    a.layer = 1
     a.extend(b)
-    assert [e.region for e in a] == ["DRAM", "SRAM"]
+    a.add("SRAM", "read", "activations", 3)
+    assert [(r[0], r[3]) for r in a.runs()] == [
+        ("DRAM", 0), ("SRAM", 1), ("DRAM", 1), ("SRAM", 1)]
+    assert len(b) == 2 and b.runs()[0][3] == 0
