@@ -11,8 +11,9 @@ from .codec import (DeltaStream, SparseFeatureMap, SparsityStats, decode_sm,
                     save_smfm)
 from .conv import (ConvLayerSpec, LayerRunResult, conv_dense_oracle,
                    conv_zeroskip, fused_relu_pool, run_network)
-from .errors import (IndexOutOfRange, MalformedStream, MissingArtifact,
-                     ShapeMismatch, SparseBenchError, Underdetermined)
+from .errors import (EquivalenceFailure, IndexOutOfRange, MalformedStream,
+                     MissingArtifact, ShapeMismatch, SparseBenchError,
+                     Underdetermined)
 from .fxp import (OpCounter, Q2_14, Q8_8, QFormat, QScalar, QTensor,
                   dequantize, load_qt, mac_accumulate, quantize, renormalize,
                   save_qt)

@@ -2,7 +2,8 @@
 
 Subcommands: encode, decode, stats, run, sweep-theta, mem-sim, report,
 brain-budget. Exit codes: 0 ok, 2 input or format error, 3 shape error,
-4 missing artifact.
+4 missing artifact, 5 the sparse and dense engines disagreed where they
+must agree (an internal invariant failure, a bug).
 """
 
 import argparse
@@ -11,8 +12,8 @@ import sys
 
 from ._binio import atomic_write_text
 from .codec import decode_sm, encode_sm, load_smfm, measure_sparsity, save_smfm
-from .errors import (IndexOutOfRange, MalformedStream, MissingArtifact,
-                     ShapeMismatch, Underdetermined)
+from .errors import (EquivalenceFailure, IndexOutOfRange, MalformedStream,
+                     MissingArtifact, ShapeMismatch, Underdetermined)
 from .fxp import load_qt, save_qt
 from .memmodel import (MemConfig, brain_budget, cost_trace,
                        random_vs_burst_ratio, schedule_dense_weight_stream,
@@ -311,6 +312,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except EquivalenceFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

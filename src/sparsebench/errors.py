@@ -32,3 +32,8 @@ class Underdetermined(SparseBenchError):
 
 class MissingArtifact(SparseBenchError):
     """A referenced weight/input file does not exist."""
+
+
+class EquivalenceFailure(SparseBenchError):
+    """The sparse and dense engines disagreed where they must agree; a bug
+    in the engines, not in the input."""

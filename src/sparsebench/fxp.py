@@ -178,7 +178,13 @@ def quantize(value: float, fmt: QFormat, counter: OpCounter | None = None) -> QS
 
 
 def quantize_array(values: np.ndarray, fmt: QFormat, counter: OpCounter | None = None) -> np.ndarray:
-    scaled = np.rint(np.asarray(values, dtype=np.float64) * fmt.scale)
+    """Round to nearest even and saturate to 16 bits; a NaN or infinite
+    value has no fixed-point meaning and raises ``MalformedStream``."""
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise MalformedStream(f"cannot quantize a non-finite value to {fmt}")
+    with np.errstate(over="ignore"):  # a product past float64 range saturates like any other
+        scaled = np.rint(arr * fmt.scale)
     if counter is not None:
         counter.saturations += int(np.count_nonzero((scaled < INT16_MIN) | (scaled > INT16_MAX)))
     return np.clip(scaled, INT16_MIN, INT16_MAX).astype(np.int16)
@@ -205,9 +211,12 @@ def mac_accumulate(acc: int, a_raw: int, b_raw: int, counter: OpCounter | None =
 # is its terms added in a fixed order, clamped to int32 after each one
 # (the ordered step). If |acc| + sum |terms| <= INT32_MAX, no prefix of
 # that order can leave int32: every clamp is the identity, term order no
-# longer matters, and one int64 sum is bit-identical (the proven fast
-# path). Dense oracles use the ordered step only, so the equivalence
-# checks never compare the fast path with itself.
+# longer matters, and one plain sum is bit-identical (the proven fast
+# path). The dense conv oracle runs the ordered step only. The dense GRU
+# oracle takes the fast path too, but over full matrices and full
+# vectors, while the delta engine's products are over sparse deltas;
+# so the theta-0 check still tests that the accumulated deltas
+# telescope to the direct products, not the fast path against itself.
 
 def sat_add(acc: np.ndarray, term) -> int:
     """Ordered step: ``acc += term`` in place, clamped to int32.
@@ -241,6 +250,7 @@ def no_clip(acc: np.ndarray, w: np.ndarray, x: np.ndarray) -> bool:
 def sat_columns(acc: np.ndarray, w: np.ndarray, x: np.ndarray) -> int:
     """``acc += w @ x`` as ordered steps ``w[:, j] * x[j]``, j ascending.
 
+    ``w`` holds integer values (any dtype) and ``x`` is an integer vector.
     Zero entries of ``x`` are skipped: adding zero to an in-range
     accumulator is the identity. Returns the number of clips.
     """
@@ -249,15 +259,36 @@ def sat_columns(acc: np.ndarray, w: np.ndarray, x: np.ndarray) -> int:
     return sum(sat_add(acc, col * v) for col, v in zip(cols, x[nz].tolist()))
 
 
-def sat_matvec(acc: np.ndarray, w: np.ndarray, x: np.ndarray) -> int:
-    """``sat_columns`` with the proven fast path: one int64 matvec when
-    ``no_clip`` holds, the ordered loop otherwise. Same result and clip
-    count either way."""
-    w64, x64 = w.astype(np.int64), x.astype(np.int64)
-    if no_clip(acc, w64, x64):
-        acc[...] = acc.astype(np.int64) + w64 @ x64
+def sat_matvec(acc: np.ndarray, w: np.ndarray, w_abs: np.ndarray,
+               x: np.ndarray) -> int:
+    """``sat_columns`` with the proven fast path; same result and clip
+    count either way.
+
+    ``w`` is an integer-valued float64 matrix, ``w_abs`` its ``|w|``, and
+    ``x`` an integer vector. The ``no_clip`` bound is computed here in
+    float64, as one BLAS matvec, and is exact whenever it passes. Its
+    terms are non-negative and rounding to nearest is monotone, so each
+    computed partial sum, in any summation order the BLAS picks (fused
+    multiply-adds included), is at least each term or partial sum it
+    adds up; a computed bound at or below INT32_MAX caps every computed
+    step there. Step by step, from exact integer inputs: an exact value
+    of 2**31 or more would round to at least 2**31, so each exact value
+    is an integer below 2**31 < 2**53 and is represented exactly. An
+    ``x`` entry of 2**53 or more is rounded when converted, but against
+    a non-zero weight its term is at least 2**53 and fails the bound;
+    against a zero weight the term is 0 either way.
+
+    When the bound holds, ``w @ x`` is one float64 matvec and exact too:
+    every partial sum of its signed terms, in any order, is bounded in
+    magnitude by the exact bound, so it is an integer below 2**31.
+    Otherwise the ordered int64 ``sat_columns`` loop runs.
+    """
+    xf = x.astype(np.float64)
+    bound = np.abs(acc.astype(np.float64)) + w_abs @ np.abs(xf)
+    if bound.max(initial=0) <= INT32_MAX:
+        acc += (w @ xf).astype(np.int64)
         return 0
-    return sat_columns(acc, w64, x64)
+    return sat_columns(acc, w, x)
 
 
 def round_shift_even(values: np.ndarray, shift: int) -> np.ndarray:
@@ -269,10 +300,11 @@ def round_shift_even(values: np.ndarray, shift: int) -> np.ndarray:
     if shift <= 0:
         return v << (-shift)
     q = v >> shift
-    r = v & ((np.int64(1) << shift) - 1)
-    half = np.int64(1) << (shift - 1)
-    up = (r > half) | ((r == half) & ((q & 1) == 1))
-    return q + up
+    # Round up past half, or at half when q is odd: remainder + (q & 1) > half.
+    r = v & ((1 << shift) - 1)
+    r += q & 1
+    q += r > (1 << (shift - 1))
+    return q
 
 
 def renormalize(acc: int, in_fmt_a: QFormat, in_fmt_b: QFormat, out_fmt: QFormat,

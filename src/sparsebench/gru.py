@@ -17,15 +17,24 @@ Gate math, entirely in fixed point with shared lookup tables:
 
 Activations are Q8.8; sigmoid and tanh are piecewise-linear lookups
 over 1024 intervals on [-8, 8] with Q2.14 knot values, interpolated and
-rounded ties-to-even, so every platform computes identical bits.
+rounded ties-to-even, so every platform computes identical bits. The
+interpolation is tabulated once, at import, for each of the 4096
+arguments the Q8.8 domain clamp leaves.
+
+Each layer's six matrices are used as two gate stacks, one per input
+side, so a step makes one bound-checked matvec per side. The four
+pre-activation accumulators live in one int64 vector laid out
+[xc, r, u, hc]: the input side [W_xc; W_xr; W_xu] updates its first
+three quarters and the hidden side [W_hr; W_hu; W_hc] its last three.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .codec import DeltaStream, encode_delta
-from .errors import IndexOutOfRange, ShapeMismatch
+from .errors import IndexOutOfRange, MalformedStream, ShapeMismatch
 from .fxp import (OpCounter, Q8_8, QScalar, QTensor, round_shift_even,
                   sat_add, sat_matvec)
 from .trace import AccessTrace
@@ -48,21 +57,52 @@ SIGMOID_TABLE = _build_table(lambda x: 1.0 / (1.0 + np.exp(-x)))
 TANH_TABLE = _build_table(np.tanh)
 
 
-def act_lookup(acc: np.ndarray, acc_frac: int, table: np.ndarray) -> np.ndarray:
+def _interpolate(knots: np.ndarray) -> np.ndarray:
+    """The activation at every Q8.8 argument from ACT_IN_MIN to ACT_IN_MAX:
+    linear between adjacent knots, four arguments to a knot interval,
+    rounded ties-to-even."""
+    off = np.arange(ACT_IN_MAX - ACT_IN_MIN + 1, dtype=np.int64)
+    idx, frac = off >> 2, off & 3
+    t = knots.astype(np.int64)
+    return round_shift_even(t[idx] * (4 - frac) + t[idx + 1] * frac, 8).astype(np.int16)
+
+
+SIGMOID_LUT = _interpolate(SIGMOID_TABLE)
+TANH_LUT = _interpolate(TANH_TABLE)
+
+
+def act_lookup(acc: np.ndarray, acc_frac: int, lut: np.ndarray) -> np.ndarray:
     """Evaluate a lookup activation on 32-bit accumulators, yielding Q8.8.
 
-    The accumulator is renormalized to a Q8.8 raw argument, clamped to
-    the table domain, and linearly interpolated between adjacent knots;
-    both roundings are ties-to-even.
+    The accumulator is renormalized to a Q8.8 raw argument (ties-to-even),
+    clamped to the table domain, and looked up in ``lut`` (SIGMOID_LUT
+    or TANH_LUT).
     """
-    x_raw = round_shift_even(np.asarray(acc, dtype=np.int64), acc_frac - 8)
-    x_raw = np.clip(x_raw, ACT_IN_MIN, ACT_IN_MAX)
-    off = (x_raw + 2048).astype(np.int64)
-    idx = off >> 2
-    frac = off & 3
-    t = table.astype(np.int64)
-    interp = t[idx] * (4 - frac) + t[idx + 1] * frac
-    return round_shift_even(interp, 8).astype(np.int16)
+    x_raw = round_shift_even(acc, acc_frac - 8)
+    return lut[np.maximum(np.minimum(x_raw, ACT_IN_MAX), ACT_IN_MIN) - ACT_IN_MIN]
+
+
+@dataclass(frozen=True)
+class GateStack:
+    """One input side of a layer's weights, its matrices stacked by rows
+    for one matvec: float64 ``w`` (exact, the values are int16) and
+    ``w_abs`` = |w| for the no-clip bound.
+
+    In memory the side's ``blocks`` matrices of h rows and n columns lie
+    one after another, each column-major, so column j of block m is a
+    burst of h words at offset (m * n + j) * h from the side's base. The
+    order of the stacked rows is the accumulator layout; it does not
+    move the addresses.
+    """
+
+    w: np.ndarray
+    w_abs: np.ndarray
+    blocks: int
+
+    @classmethod
+    def of(cls, mats) -> "GateStack":
+        w = np.concatenate([m.data for m in mats]).astype(np.float64)
+        return cls(w, np.abs(w), len(mats))
 
 
 @dataclass
@@ -108,18 +148,34 @@ class GruLayerSpec:
         i, h = self.input_size, self.hidden_size
         return 3 * h * i + 3 * h * h
 
+    # The gate stacks are built on first use, once per spec; the weight
+    # tensors must not change after that.
+    @cached_property
+    def x_side(self) -> GateStack:
+        """[W_xc; W_xr; W_xu]: updates accumulator rows [xc, r, u]."""
+        return GateStack.of((self.w_xc, self.w_xr, self.w_xu))
+
+    @cached_property
+    def h_side(self) -> GateStack:
+        """[W_hr; W_hu; W_hc]: updates accumulator rows [r, u, hc]."""
+        return GateStack.of((self.w_hr, self.w_hu, self.w_hc))
+
+    @property
+    def acc_bias(self) -> np.ndarray:
+        """A fresh accumulator before any product: [b_c, b_r, b_u, 0]."""
+        zero = np.zeros(self.hidden_size, dtype=np.int32)
+        return np.concatenate([self.b_c, self.b_r, self.b_u, zero]).astype(np.int64)
+
 
 @dataclass
 class DeltaState:
-    """Per-sequence run state: transmitted memories and pre-activations."""
+    """Per-sequence run state: transmitted memories and the int64
+    pre-activation accumulator, laid out [xc, r, u, hc]."""
 
     x_mem: QTensor
     h_mem: QTensor
     h_prev: QTensor
-    a_r: np.ndarray
-    a_u: np.ndarray
-    a_xc: np.ndarray
-    a_hc: np.ndarray
+    acc: np.ndarray
 
     @classmethod
     def initial(cls, spec: GruLayerSpec) -> "DeltaState":
@@ -128,10 +184,7 @@ class DeltaState:
             x_mem=QTensor.zeros((i,), ACT_FMT),
             h_mem=QTensor.zeros((h,), ACT_FMT),
             h_prev=QTensor.zeros((h,), ACT_FMT),
-            a_r=spec.b_r.copy(),
-            a_u=spec.b_u.copy(),
-            a_xc=spec.b_c.copy(),
-            a_hc=np.zeros(h, dtype=np.int32),
+            acc=spec.acc_bias,
         )
 
 
@@ -144,44 +197,56 @@ class StepStats:
     saturations: int = 0
 
 
-def delta_mxv_accumulate(w: QTensor, deltas: DeltaStream, acc: np.ndarray,
+def delta_mxv_accumulate(side: GateStack, deltas: DeltaStream, acc: np.ndarray,
                          counter: OpCounter | None = None,
                          trace: AccessTrace | None = None,
                          weight_base: int = 0) -> np.ndarray:
     """acc[j] += sum over events of W[j, idx] * val, saturating per event.
 
-    The events are accumulated in stream order, clamping after each, or
-    as one matvec over the fetched columns when no prefix can clip. One
-    event reads one matrix column. Columns are stored column-major, so
-    the read is a single burst of H contiguous words, which is what
-    keeps delta-driven fetches DRAM-friendly.
+    The events are scattered into a zero vector of the input width and
+    go through one ``sat_matvec``: one float64 matvec when no prefix can
+    clip, else the ordered loop over the events in index order, which
+    is stream order because stream indices are strictly increasing
+    (checked). Zero entries add nothing in either route. One event
+    reads one column of each stacked matrix; columns are stored
+    column-major, so each read is a single burst of contiguous words,
+    which is what keeps delta-driven fetches DRAM-friendly.
     """
-    h, n = w.dims
+    rows, n = side.w.shape
     if deltas.length != n:
         raise ShapeMismatch(f"stream length {deltas.length} vs {n} columns")
     idx = deltas.indices
     bad = idx[(idx < 0) | (idx >= n)]
     if bad.size:
         raise IndexOutOfRange(f"event index {int(bad[0])} outside [0, {n}) columns")
-    sats = sat_matvec(acc, w.data.reshape(h, n)[:, idx], deltas.values) if idx.size else 0
-    if trace is not None and idx.size:
-        trace.add("DRAM", "read", "weights", weight_base + idx * h, h)
+    if np.any(idx[1:] <= idx[:-1]):
+        raise MalformedStream("event indices are not strictly increasing")
+    sats = 0
+    if idx.size:
+        x = np.zeros(n, dtype=np.int64)
+        x[idx] = deltas.values
+        sats = sat_matvec(acc, side.w, side.w_abs, x)
+        if trace is not None:
+            words = rows // side.blocks
+            cols = np.arange(side.blocks)[:, None] * n + idx
+            trace.add("DRAM", "read", "weights", (weight_base + cols * words).ravel(), words)
     if counter is not None:
-        counter.macs_executed += h * deltas.event_count
+        counter.macs_executed += rows * deltas.event_count
         counter.saturations += sats
     return acc
 
 
-def _gates(spec: GruLayerSpec, a_r, a_u, a_xc, a_hc, h_prev_raw,
-           counter: OpCounter | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Shared elementwise tail; returns (h_raw int16, saturation count)."""
+def _gates(spec: GruLayerSpec, acc: np.ndarray, h_prev_raw,
+           counter: OpCounter | None = None) -> tuple[np.ndarray, int]:
+    """Shared elementwise tail on an [xc, r, u, hc] accumulator; returns
+    (h_raw int16, saturation count)."""
     h = spec.hidden_size
     acc_frac = spec.acc_frac
-    r = act_lookup(a_r, acc_frac, SIGMOID_TABLE).astype(np.int64)
-    u = act_lookup(a_u, acc_frac, SIGMOID_TABLE).astype(np.int64)
-    c_acc = a_xc.astype(np.int64)
-    sats = sat_add(c_acc, round_shift_even(r * a_hc.astype(np.int64), 8))
-    c = act_lookup(c_acc, acc_frac, TANH_TABLE).astype(np.int64)
+    ru = act_lookup(acc[h:3 * h], acc_frac, SIGMOID_LUT).astype(np.int64)
+    r, u = ru[:h], ru[h:]
+    c_acc = acc[:h].copy()
+    sats = sat_add(c_acc, round_shift_even(r * acc[3 * h:], 8))
+    c = act_lookup(c_acc, acc_frac, TANH_LUT).astype(np.int64)
     one = 1 << ACT_FMT.frac_bits
     mix = (one - u) * c + u * h_prev_raw.astype(np.int64)
     h_raw = round_shift_even(mix, ACT_FMT.frac_bits).astype(np.int16)
@@ -195,29 +260,22 @@ def _dense_step(spec: GruLayerSpec, h_prev: np.ndarray, xv: np.ndarray,
                 counter: OpCounter | None = None) -> np.ndarray:
     """One dense GRU step from raw vectors; returns the new raw hidden.
 
-    Each product is a bound-checked ``sat_matvec`` over a full matrix;
-    the delta engine's products are over column subsets and deltas, so
-    the theta-0 check still compares two different computations.
+    Each side is one bound-checked ``sat_matvec`` over its full gate
+    stack and full vector; the delta engine's products are over sparse
+    deltas, so the theta-0 check still compares two different
+    computations.
     """
     h = spec.hidden_size
-    sats = 0
-    accs = []
-    for wx, wh, b in ((spec.w_xr, spec.w_hr, spec.b_r),
-                      (spec.w_xu, spec.w_hu, spec.b_u)):
-        a = b.copy()
-        sats += sat_matvec(a, wx.data, xv)
-        sats += sat_matvec(a, wh.data, h_prev)
-        accs.append(a)
-    a_xc = spec.b_c.copy()
-    sats += sat_matvec(a_xc, spec.w_xc.data, xv)
-    a_hc = np.zeros(h, dtype=np.int32)
-    sats += sat_matvec(a_hc, spec.w_hc.data, h_prev)
+    acc = spec.acc_bias
+    xs, hs = spec.x_side, spec.h_side
+    sats = sat_matvec(acc[:3 * h], xs.w, xs.w_abs, xv)
+    sats += sat_matvec(acc[h:], hs.w, hs.w_abs, h_prev)
     if counter is not None:
         counter.macs_executed += 3 * h * (spec.input_size + h)
         counter.macs_dense_equivalent += 3 * h * (spec.input_size + h)
         counter.adds += 3 * h
         counter.saturations += sats
-    h_new, _ = _gates(spec, accs[0], accs[1], a_xc, a_hc, h_prev, counter)
+    h_new, _ = _gates(spec, acc, h_prev, counter)
     return h_new
 
 
@@ -252,16 +310,11 @@ def deltagru_step(spec: GruLayerSpec, state: DeltaState, x: QTensor,
         counter.comparisons += i + h
         counter.macs_dense_equivalent += 3 * h * (i + h)
 
-    a_r, a_u = state.a_r.copy(), state.a_u.copy()
-    a_xc, a_hc = state.a_xc.copy(), state.a_hc.copy()
+    acc = state.acc.copy()
     step_counter = OpCounter()
-    base = weight_base
-    for w, d, acc in ((spec.w_xr, dx, a_r), (spec.w_xu, dx, a_u), (spec.w_xc, dx, a_xc)):
-        delta_mxv_accumulate(w, d, acc, step_counter, trace, base)
-        base += h * i
-    for w, d, acc in ((spec.w_hr, dh, a_r), (spec.w_hu, dh, a_u), (spec.w_hc, dh, a_hc)):
-        delta_mxv_accumulate(w, d, acc, step_counter, trace, base)
-        base += h * h
+    delta_mxv_accumulate(spec.x_side, dx, acc[:3 * h], step_counter, trace, weight_base)
+    delta_mxv_accumulate(spec.h_side, dh, acc[h:], step_counter, trace,
+                         weight_base + 3 * h * i)
 
     stats.macs_executed = step_counter.macs_executed
     stats.weight_words = step_counter.macs_executed
@@ -270,10 +323,10 @@ def deltagru_step(spec: GruLayerSpec, state: DeltaState, x: QTensor,
         counter.macs_executed += step_counter.macs_executed
         counter.saturations += step_counter.saturations
 
-    h_raw, gate_sats = _gates(spec, a_r, a_u, a_xc, a_hc, state.h_prev.data, counter)
+    h_raw, gate_sats = _gates(spec, acc, state.h_prev.data, counter)
     stats.saturations += gate_sats
     h_out = QTensor((h,), ACT_FMT, h_raw.copy())
-    new_state = DeltaState(x_mem, h_mem, h_out, a_r, a_u, a_xc, a_hc)
+    new_state = DeltaState(x_mem, h_mem, h_out, acc)
     if trace is not None:
         trace.add("SRAM", "read", "activations", 0, i)
         trace.add("SRAM", "read", "state", 0, 5 * h)

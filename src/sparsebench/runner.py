@@ -16,7 +16,7 @@ import numpy as np
 from . import synth
 from .codec import decode_sm, load_smfm
 from .conv import ConvNetRun, run_network
-from .errors import MalformedStream
+from .errors import EquivalenceFailure, MalformedStream
 from .fxp import OpCounter, Q8_8, QTensor, load_qt, quantize, to_qt_bytes
 from .gru import ACT_FMT, GruSeqRun, run_sequence
 from .memmodel import (MemConfig, MemCostReport, cost_trace, effective_gops,
@@ -67,6 +67,8 @@ def load_seq_input(uri: str, seed: int) -> list[QTensor]:
         kind, o = parse_uri(uri)
         rng = synth.make_rng(int(o.get("seed", seed)))
         t, n = int(o.get("t", 50)), int(o.get("n", 32))
+        if t < 1:
+            raise MalformedStream(f"sequence generator needs t of at least 1, got {t}")
         amp = float(o.get("amp", 0.5))
         if kind == "uniform":
             return synth.uniform_seq(t, n, rng, amp=amp)
@@ -163,7 +165,7 @@ def _checked_conv_run(desc: NetworkDesc, x: QTensor,
     sparse_hash = decode_sm(sparse_out).sha256()
     dense_hash = decode_sm(dense_out).sha256()
     if sparse_hash != dense_hash:
-        raise RuntimeError(
+        raise EquivalenceFailure(
             "sparse and dense conv outputs diverged; this is a bug, not a config error")
     return (sparse_run if mode == "sparse" else dense_run), sparse_hash
 
@@ -261,7 +263,7 @@ def execute_gru(desc: NetworkDesc, x_seq: list[QTensor], mode: str,
                        and dense_run.counters.saturations == 0)
     checked = all_zero_theta and saturation_free
     if checked and hash_tensors(sparse_run.outputs) != hash_tensors(dense_run.outputs):
-        raise RuntimeError(
+        raise EquivalenceFailure(
             "delta and dense GRU outputs diverged at theta 0; this is a bug")
     run = sparse_run if mode == "sparse" else dense_run
     cost = cost_trace(run.trace, mem)

@@ -8,7 +8,7 @@ sparsity-dependent assertions tight.
 
 import numpy as np
 
-from .fxp import INT16_MAX, INT16_MIN, Q2_14, Q8_8, QFormat, QTensor
+from .fxp import Q2_14, Q8_8, QFormat, QTensor, quantize_array
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -16,8 +16,7 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def _amp_raw(amp: float, fmt: QFormat) -> int:
-    raw = int(round(amp * fmt.scale))
-    return max(1, min(raw, INT16_MAX))
+    return max(1, int(quantize_array(np.float64(amp), fmt)))
 
 
 def sparse_map(c: int, h: int, w: int, sparsity: float,
@@ -81,8 +80,7 @@ def ar1_seq(steps: int, size: int, rho: float, rng: np.random.Generator,
     drive = amp * np.sqrt(1.0 - rho * rho)
     out: list[QTensor] = []
     for _ in range(steps):
-        raw = np.clip(np.rint(state * fmt.scale), INT16_MIN, INT16_MAX)
-        out.append(QTensor((size,), fmt, raw.astype(np.int16)))
+        out.append(QTensor((size,), fmt, quantize_array(state, fmt)))
         state = rho * state + rng.normal(0.0, drive, size=size)
     return out
 
@@ -91,8 +89,7 @@ def random_weights(dims: tuple[int, ...], rng: np.random.Generator,
                    fmt: QFormat = Q2_14, amp: float = 0.1) -> QTensor:
     """Uniform random weight tensor in [-amp, amp]."""
     vals = rng.uniform(-amp, amp, size=int(np.prod(dims)))
-    raw = np.clip(np.rint(vals * fmt.scale), INT16_MIN, INT16_MAX)
-    return QTensor(dims, fmt, raw.astype(np.int16))
+    return QTensor(dims, fmt, quantize_array(vals, fmt))
 
 
 def random_bias(n: int, rng: np.random.Generator, acc_frac: int,

@@ -74,11 +74,16 @@ class AccessTrace:
     @property
     def table(self) -> np.ndarray:
         """The (runs, len(COLUMNS)) int64 table, in append order."""
-        triples, layers, addresses, lengths = self._pending
-        if triples:
-            rows = np.column_stack([_TRIPLE_CODES[triples], layers, addresses, lengths])
-            self._table = np.concatenate([self._table, rows[rows[:, 5] > 0]])
-            self._pending = ([], [], [], [])
+        if self._pending[0]:
+            pending, self._pending = self._pending, ([], [], [], [])
+            rows = np.empty((len(pending[0]), len(COLUMNS)), np.int64)
+            rows[:, :3] = _TRIPLE_CODES[pending[0]]
+            for j, values in enumerate(pending[1:], start=3):
+                rows[:, j] = values
+            del pending
+            if not rows[:, 5].all():
+                rows = rows[rows[:, 5] > 0]
+            self._table = np.concatenate([self._table, rows]) if len(self._table) else rows
         return self._table
 
     def extend(self, other: "AccessTrace") -> None:

@@ -162,6 +162,66 @@ def test_run_mismatched_input_exits_3(conv_net, gru_net):
                  "--input", "synth:uniform,t=5,n=11"]) == 3
 
 
+def test_run_non_finite_theta_exits_2(gru_net, capsys):
+    # nan was cast to theta 0 (with a numpy warning) and reported as
+    # checked; inf was silently saturated
+    for theta in ("nan", "inf", "-inf"):
+        assert main(["run", "--net", gru_net, "--input", "synth:ar1,t=5,n=6",
+                     f"--theta={theta}"]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+
+def test_non_finite_generator_amplitude_exits_2(gru_net, capsys):
+    # ar1 with amp=nan cast NaN to int16 (exit 0, a numpy warning); hold
+    # and uniform with amp=inf escaped as an OverflowError traceback
+    for uri in ("synth:ar1,t=5,n=6,amp=nan", "synth:ar1,t=5,n=6,amp=inf",
+                "synth:hold,t=5,n=6,amp=inf", "synth:uniform,t=5,n=6,amp=nan"):
+        assert main(["run", "--net", gru_net, "--input", uri]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep-theta"])
+def test_zero_step_sequence_exits_2(gru_net, capsys, command):
+    # exited 0 with steps 0 and a traffic reduction factor of 0.0
+    extra = ["--thetas", "0"] if command == "sweep-theta" else []
+    for kind in ("hold", "uniform", "ar1"):
+        for mode in (["--mode", "dense"], []) if command == "run" else ([],):
+            assert main([command, "--net", gru_net, "--input", f"synth:{kind},t=0,n=6"]
+                        + extra + mode) == 2
+            assert "t of at least 1" in capsys.readouterr().err
+
+
+def test_engine_divergence_exits_5(conv_net, gru_net, monkeypatch, capsys):
+    # one bit of the dense engine's output flipped: a divergence is an
+    # internal invariant failure with its own exit code, not a traceback
+    from sparsebench import runner
+    from sparsebench.codec import encode_sm
+
+    run_network, run_sequence = runner.run_network, runner.run_sequence
+
+    def conv_flipped(layers, x, mode):
+        run, out = run_network(layers, x, mode)
+        if mode == "dense":
+            t = runner.decode_sm(out)
+            t.data.reshape(-1)[0] ^= 1
+            out = encode_sm(t)
+        return run, out
+
+    def gru_flipped(layers, x_seq, mode):
+        run = run_sequence(layers, x_seq, mode)
+        if mode == "dense":
+            run.outputs[0].data[0] ^= 1
+        return run
+
+    monkeypatch.setattr(runner, "run_network", conv_flipped)
+    monkeypatch.setattr(runner, "run_sequence", gru_flipped)
+    assert main(["run", "--net", conv_net, "--input", "synth:map,c=2,h=8,w=8"]) == 5
+    assert "conv outputs diverged" in capsys.readouterr().err
+    assert main(["run", "--net", gru_net, "--input", "synth:ar1,t=5,n=6",
+                 "--theta", "0"]) == 5
+    assert "GRU outputs diverged" in capsys.readouterr().err
+
+
 # --- sweep-theta -------------------------------------------------------------------
 
 def test_sweep_theta_writes_csv(tmp_path, gru_net, capsys):

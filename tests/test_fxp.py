@@ -76,6 +76,21 @@ def test_quantize_counts_saturations():
     c = OpCounter()
     quantize_array(np.array([0.5, 300.0, -300.0]), Q8_8, c)
     assert c.saturations == 2
+    # a finite value whose scaled product leaves float64 saturates too,
+    # without an overflow warning
+    assert quantize_array(np.array([1e308, -1e308]), Q8_8, c).tolist() == [32767, -32768]
+    assert c.saturations == 4
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_quantize_rejects_non_finite(bad):
+    # nan used to be cast to 0 and inf saturated, with no error
+    with pytest.raises(MalformedStream, match="non-finite"):
+        quantize(bad, Q8_8)
+    c = OpCounter()
+    with pytest.raises(MalformedStream, match="non-finite"):
+        quantize_array(np.array([0.5, bad]), Q8_8, c)
+    assert c.saturations == 0
 
 
 @given(formats, st.floats(min_value=-0.99, max_value=0.99))

@@ -1,20 +1,28 @@
 """Delta-gated GRU: lookup tables, event accounting, dense equivalence."""
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _synthcases import gru_spec
-from sparsebench.codec import DeltaStream
-from sparsebench.errors import IndexOutOfRange, ShapeMismatch
+from sparsebench.codec import DeltaStream, encode_delta
+from sparsebench.errors import IndexOutOfRange, MalformedStream, ShapeMismatch
 from sparsebench import fxp
-from sparsebench.fxp import (INT32_MAX, Q8_8, OpCounter, QScalar, QTensor,
-                             sat_columns, sat_matvec)
+from sparsebench.fxp import (INT32_MAX, INT32_MIN, Q8_8, OpCounter, QScalar,
+                             QTensor, sat_columns, sat_matvec)
 from sparsebench.gru import (
+    ACT_IN_MAX,
+    ACT_IN_MIN,
+    SIGMOID_LUT,
     SIGMOID_TABLE,
+    TANH_LUT,
     TANH_TABLE,
     DeltaState,
+    GateStack,
     act_lookup,
     delta_mxv_accumulate,
     deltagru_step,
@@ -29,6 +37,21 @@ def _vec(vals):
     return QTensor((len(vals),), Q8_8, np.array(vals, dtype=np.int16))
 
 
+def _half_even(v: int, shift: int) -> int:
+    """v / 2**shift in Python ints, rounded to nearest, ties to even."""
+    q, r = divmod(v, 1 << shift)
+    half = 1 << (shift - 1)
+    return q + (r > half or (r == half and q % 2 == 1))
+
+
+def _interpolated(x_raw: int, knots) -> int:
+    """The lookup formula for one clamped Q8.8 argument: linear between
+    the knots around it, rounded ties-to-even."""
+    off = x_raw - ACT_IN_MIN
+    idx, frac = off // 4, off % 4
+    return _half_even(int(knots[idx]) * (4 - frac) + int(knots[idx + 1]) * frac, 8)
+
+
 # --- activation tables ------------------------------------------------------------
 
 def test_tables_have_expected_shape_and_symmetry():
@@ -40,22 +63,38 @@ def test_tables_have_expected_shape_and_symmetry():
     assert np.all(np.diff(TANH_TABLE.astype(np.int32)) >= 0)
 
 
+def test_output_tables_equal_the_interpolation_formula():
+    # every clamped Q8.8 argument, against the per-argument formula
+    assert SIGMOID_LUT.shape == TANH_LUT.shape == (ACT_IN_MAX - ACT_IN_MIN + 1,)
+    for lut, knots in ((SIGMOID_LUT, SIGMOID_TABLE), (TANH_LUT, TANH_TABLE)):
+        want = [_interpolated(x, knots) for x in range(ACT_IN_MIN, ACT_IN_MAX + 1)]
+        assert lut.tolist() == want
+
+
+@given(st.integers(-(1 << 31), (1 << 31) - 1), st.sampled_from((16, 22)))
+def test_lookup_renormalizes_clamps_and_interpolates(acc, acc_frac):
+    x_raw = min(max(_half_even(acc, acc_frac - 8), ACT_IN_MIN), ACT_IN_MAX)
+    for lut, knots in ((SIGMOID_LUT, SIGMOID_TABLE), (TANH_LUT, TANH_TABLE)):
+        got = act_lookup(np.array([acc], dtype=np.int64), acc_frac, lut)
+        assert got.dtype == np.int16 and int(got[0]) == _interpolated(x_raw, knots)
+
+
 def test_lookup_reference_points():
     zero = np.zeros(1, dtype=np.int64)
-    assert act_lookup(zero, 22, SIGMOID_TABLE)[0] == 128  # 0.5 in Q8.8
-    assert act_lookup(zero, 22, TANH_TABLE)[0] == 0
+    assert act_lookup(zero, 22, SIGMOID_LUT)[0] == 128  # 0.5 in Q8.8
+    assert act_lookup(zero, 22, TANH_LUT)[0] == 0
     big = np.array([1 << 40], dtype=np.int64)
-    assert act_lookup(big, 22, SIGMOID_TABLE)[0] == 256  # saturated domain
-    assert act_lookup(-big, 22, SIGMOID_TABLE)[0] == 0
-    assert act_lookup(big, 22, TANH_TABLE)[0] == 256
-    assert act_lookup(-big, 22, TANH_TABLE)[0] == -256
+    assert act_lookup(big, 22, SIGMOID_LUT)[0] == 256  # saturated domain
+    assert act_lookup(-big, 22, SIGMOID_LUT)[0] == 0
+    assert act_lookup(big, 22, TANH_LUT)[0] == 256
+    assert act_lookup(-big, 22, TANH_LUT)[0] == -256
 
 
 @given(st.integers(-(1 << 30), 1 << 30), st.sampled_from((16, 22)))
 def test_lookup_tracks_float_reference(acc, acc_frac):
     x = max(-8.0, min(8.0, acc / (1 << acc_frac)))
-    sig = act_lookup(np.array([acc], dtype=np.int64), acc_frac, SIGMOID_TABLE)[0]
-    tan = act_lookup(np.array([acc], dtype=np.int64), acc_frac, TANH_TABLE)[0]
+    sig = act_lookup(np.array([acc], dtype=np.int64), acc_frac, SIGMOID_LUT)[0]
+    tan = act_lookup(np.array([acc], dtype=np.int64), acc_frac, TANH_LUT)[0]
     assert abs(sig / 256 - 1 / (1 + np.exp(-x))) <= 1.5 / 256
     assert abs(tan / 256 - np.tanh(x)) <= 1.5 / 256
 
@@ -63,21 +102,29 @@ def test_lookup_tracks_float_reference(acc, acc_frac):
 @given(st.integers(-(1 << 25), 1 << 25))
 def test_lookup_is_monotone(acc):
     a = np.array([acc, acc + 1], dtype=np.int64)
-    for table in (SIGMOID_TABLE, TANH_TABLE):
-        lo, hi = act_lookup(a, 16, table)
+    for lut in (SIGMOID_LUT, TANH_LUT):
+        lo, hi = act_lookup(a, 16, lut)
         assert lo <= hi
 
 
 # --- event-driven matrix accumulation ------------------------------------------------
 
+def _stream(n, idx, vals):
+    return DeltaStream(n, np.array(idx, dtype=np.int64), np.array(vals, dtype=np.int32))
+
+
 def test_delta_mxv_adds_scaled_columns():
     rng = make_rng(0)
-    w = gru_spec(rng, 3, 4).w_xr
-    acc = np.zeros(4, dtype=np.int32)
-    stream = DeltaStream(3, np.array([1], dtype=np.int64),
-                         np.array([10], dtype=np.int32))
-    delta_mxv_accumulate(w, stream, acc)
-    assert np.array_equal(acc, w.data[:, 1].astype(np.int32) * 10)
+    spec = gru_spec(rng, 3, 4)
+    acc = np.zeros(4, dtype=np.int64)
+    delta_mxv_accumulate(GateStack.of([spec.w_xr]), _stream(3, [1], [10]), acc)
+    assert np.array_equal(acc, spec.w_xr.data[:, 1].astype(np.int64) * 10)
+    # a stack updates each block's rows with its own matrix
+    stacked = np.zeros(8, dtype=np.int64)
+    delta_mxv_accumulate(GateStack.of([spec.w_xc, spec.w_xr]), _stream(3, [1], [10]),
+                         stacked)
+    assert np.array_equal(stacked, np.concatenate([spec.w_xc.data[:, 1],
+                                                   spec.w_xr.data[:, 1]]) * 10)
 
 
 def test_delta_mxv_traces_one_column_burst_per_event():
@@ -86,33 +133,40 @@ def test_delta_mxv_traces_one_column_burst_per_event():
     rng = make_rng(1)
     spec = gru_spec(rng, 5, 4)
     trace = AccessTrace()
-    stream = DeltaStream(5, np.array([0, 3], dtype=np.int64),
-                         np.array([7, -2], dtype=np.int32))
-    delta_mxv_accumulate(spec.w_xr, stream, np.zeros(4, dtype=np.int32),
+    stream = _stream(5, [0, 3], [7, -2])
+    delta_mxv_accumulate(GateStack.of([spec.w_xr]), stream, np.zeros(4, dtype=np.int64),
                          trace=trace, weight_base=100)
     assert trace.runs() == [("DRAM", "read", "weights", 0, 100, 4),
                             ("DRAM", "read", "weights", 0, 112, 4)]
-    empty = DeltaStream(5, np.array([], dtype=np.int64), np.array([], dtype=np.int32))
-    delta_mxv_accumulate(spec.w_xr, empty, np.zeros(4, dtype=np.int32),
+    empty = _stream(5, [], [])
+    delta_mxv_accumulate(GateStack.of([spec.w_xr]), empty, np.zeros(4, dtype=np.int64),
                          trace=trace, weight_base=100)
     assert len(trace) == 2
+    # a stack of two 4x5 matrices: every event of block 0, then of block 1
+    # at the next matrix, 20 words on
+    trace = AccessTrace()
+    delta_mxv_accumulate(GateStack.of([spec.w_xr, spec.w_xu]), stream,
+                         np.zeros(8, dtype=np.int64), trace=trace, weight_base=100)
+    assert [(r[4], r[5]) for r in trace.runs()] == [(100, 4), (112, 4), (120, 4), (132, 4)]
 
 
 def test_delta_mxv_bounds_checks():
     rng = make_rng(2)
-    w = gru_spec(rng, 3, 4).w_xr
-    bad_len = DeltaStream(5, np.array([], dtype=np.int64),
-                          np.array([], dtype=np.int32))
+    side = GateStack.of([gru_spec(rng, 3, 4).w_xr])
     with pytest.raises(ShapeMismatch):
-        delta_mxv_accumulate(w, bad_len, np.zeros(4, dtype=np.int32))
+        delta_mxv_accumulate(side, _stream(5, [], []), np.zeros(4, dtype=np.int64))
     for bad in (3, -1):
         # numpy would wrap -1 to the last column; the check must come
         # before any accumulator is touched
-        oob = DeltaStream(3, np.array([0, bad], dtype=np.int64),
-                          np.array([1, 1], dtype=np.int32))
-        acc = np.zeros(4, dtype=np.int32)
+        acc = np.zeros(4, dtype=np.int64)
         with pytest.raises(IndexOutOfRange):
-            delta_mxv_accumulate(w, oob, acc)
+            delta_mxv_accumulate(side, _stream(3, [0, bad], [1, 1]), acc)
+        assert not acc.any()
+    for idx in ([1, 1], [2, 0]):
+        # the scatter would drop a repeated index and reorder the events
+        acc = np.zeros(4, dtype=np.int64)
+        with pytest.raises(MalformedStream, match="strictly increasing"):
+            delta_mxv_accumulate(side, _stream(3, idx, [5, 7]), acc)
         assert not acc.any()
 
 
@@ -127,6 +181,11 @@ def _matvec_reference(acc, w2d, xvec):
     return out.astype(np.int32)
 
 
+def _float_operands(w):
+    wf = w.astype(np.float64)
+    return wf, np.abs(wf)
+
+
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_guarded_matvec_matches_column_loop(seed, stress):
     rng = make_rng(seed)
@@ -137,7 +196,7 @@ def test_guarded_matvec_matches_column_loop(seed, stress):
     acc0 = rng.integers(-(1 << 30), 1 << 30, size=h).astype(np.int32)
     want = _matvec_reference(acc0, w, x)
     got = acc0.copy()
-    clips = sat_matvec(got, w, x)
+    clips = sat_matvec(got, *_float_operands(w), x)
     assert np.array_equal(got, want)
     ordered = acc0.copy()
     assert sat_columns(ordered, w, x) == clips
@@ -151,8 +210,64 @@ def test_guarded_matvec_saturating_prefix():
     x = np.array([32767, 32767], dtype=np.int16)
     acc = np.array([INT32_MAX - 5], dtype=np.int32)
     want = _matvec_reference(acc, w, x)
-    assert sat_matvec(acc, w, x) == 1
+    assert sat_matvec(acc, *_float_operands(w), x) == 1
     assert np.array_equal(acc, want)
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("int16", "delta17", "huge")),
+       st.sampled_from((0, 1, None)))
+def test_float_bound_takes_the_fast_path_exactly_when_it_holds(seed, x_kind, over):
+    # full-scale weights; 17-bit deltas; or int64 entries of 2**53 and up,
+    # which float64 rounds. `over` puts one row's exact bound at INT32_MAX
+    # (0) or INT32_MAX + 1 (1). The ordered fallback must run exactly when
+    # the exact integer bound exceeds INT32_MAX, and either route must
+    # match the per-column reference.
+    rng = make_rng(seed)
+    h, n = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+    scale = 500 if x_kind == "huge" else 32767  # huge products must fit int64
+    w = rng.integers(-scale, scale + 1, size=(h, n)).astype(np.int16)
+    if x_kind == "huge":
+        x = (rng.integers(1 << 53, (1 << 53) + (1 << 20), size=n)
+             * rng.choice((-1, 1), size=n)).astype(np.int64)
+    else:
+        top = 65535 if x_kind == "delta17" else 32767
+        x = rng.integers(-top, top + 1, size=n).astype(np.int64)
+        x //= int(rng.choice((1, n, 1 << 8)))  # makes a passing bound reachable
+    acc0 = rng.integers(-(1 << 20), 1 << 20, size=h).astype(np.int64)
+    terms = [sum(abs(int(w[r, j])) * abs(int(x[j])) for j in range(n)) for r in range(h)]
+    row = int(rng.integers(h))
+    if over is not None and terms[row] <= INT32_MAX:
+        acc0[row] = (INT32_MAX - terms[row] + over) * int(rng.choice((-1, 1)))
+    exact = [abs(int(a)) + t for a, t in zip(acc0, terms)]
+    want = _matvec_reference(acc0, w, x)
+    got = acc0.copy()
+    with mock.patch.object(fxp, "sat_columns", wraps=fxp.sat_columns) as ordered:
+        clips = sat_matvec(got, *_float_operands(w), x)
+    assert ordered.called == (max(exact) > INT32_MAX)
+    assert np.array_equal(got, want)
+    if not ordered.called:
+        assert clips == 0
+
+
+def test_float_bound_edge_cases():
+    w = np.array([[32767], [-32767]], dtype=np.int16)
+    x = np.array([65537], dtype=np.int64)  # |w| @ |x| = INT32_MAX - 32768
+    for acc0, fallback, clips in (([32768, -32768], False, 0),    # bound == INT32_MAX
+                                  ([32769, 0], True, 1),          # INT32_MAX + 1, clips
+                                  ([-32769, 0], True, 0)):        # INT32_MAX + 1, no clip
+        acc = np.array(acc0, dtype=np.int64)
+        with mock.patch.object(fxp, "sat_columns", wraps=fxp.sat_columns) as ordered:
+            assert sat_matvec(acc, *_float_operands(w), x) == clips
+        assert ordered.called == fallback
+        assert np.array_equal(acc, _matvec_reference(np.array(acc0), w, x))
+    # 2**53 + 1 rounds to 2**53 in float64; against a non-zero weight the
+    # bound fails and the ordered loop runs on the exact int64 values
+    acc = np.array([0], dtype=np.int64)
+    big = np.array([(1 << 53) + 1, 1], dtype=np.int64)
+    with mock.patch.object(fxp, "sat_columns", wraps=fxp.sat_columns) as ordered:
+        assert sat_matvec(acc, *_float_operands(np.array([[1, -1]])), big) == 1
+    assert ordered.called and acc[0] == INT32_MAX - 1
 
 
 @settings(deadline=None, max_examples=60)
@@ -161,33 +276,35 @@ def test_delta_mxv_matches_per_event_reference(seed, full_scale):
     # full-scale weights and 17-bit deltas make the bound fail, so the
     # ordered per-event loop runs and must clip exactly as the reference
     rng = make_rng(seed)
-    h, n = int(rng.integers(1, 10)), int(rng.integers(1, 12))
+    h, n, blocks = int(rng.integers(1, 10)), int(rng.integers(1, 12)), int(rng.integers(1, 4))
     scale = 32767 if full_scale else 300
-    w = QTensor((h, n), Q8_8,
-                rng.integers(-scale, scale + 1, size=(h, n)).astype(np.int16))
+    mats = [QTensor((h, n), Q8_8,
+                    rng.integers(-scale, scale + 1, size=(h, n)).astype(np.int16))
+            for _ in range(blocks)]
+    w = np.concatenate([m.data for m in mats])
     idx = np.flatnonzero(rng.random(n) < 0.6).astype(np.int64)
     vals = rng.integers(1, 2 * scale + 2, size=idx.size) * rng.choice((-1, 1), size=idx.size)
     stream = DeltaStream(n, idx, vals.astype(np.int32))
-    acc0 = rng.integers(-(1 << 31), 1 << 31, size=h).astype(np.int32)
+    acc0 = rng.integers(-(1 << 31), 1 << 31, size=blocks * h).astype(np.int64)
     if not full_scale:
         acc0 >>= 8
-    want = acc0.astype(np.int64)
+    want = acc0.copy()
     want_sats = 0
     for i, v in zip(idx.tolist(), stream.values.tolist()):
-        wide = want + w.data[:, i].astype(np.int64) * v
-        want = np.clip(wide, -(1 << 31), (1 << 31) - 1)
+        wide = want + w[:, i].astype(np.int64) * v
+        want = np.clip(wide, INT32_MIN, INT32_MAX)
         want_sats += int(np.count_nonzero(want != wide))
     got = acc0.copy()
     counter = OpCounter()
-    delta_mxv_accumulate(w, stream, got, counter)
+    delta_mxv_accumulate(GateStack.of(mats), stream, got, counter)
     assert np.array_equal(got, want)
     assert counter.saturations == want_sats
-    assert counter.macs_executed == h * idx.size
+    assert counter.macs_executed == blocks * h * idx.size
 
 
 def test_fast_path_taken_at_bench_scale(monkeypatch):
     # the bench's GRU layer shape and input scale never reach the ordered
-    # fallback, so every matrix step is one bound-checked matvec
+    # fallback, so every gate-stack step is one bound-checked matvec
     def refuse(*args):
         raise AssertionError("ordered fallback ran")
 
@@ -198,6 +315,95 @@ def test_fast_path_taken_at_bench_scale(monkeypatch):
     run = run_sequence([spec], xs, "sparse")
     assert run.outputs == gru_dense_oracle(spec, xs)
     assert run.counters.saturations == 0
+
+
+def _clamped_add(acc, term):
+    """acc += term in place, clamped to int32; returns the clips."""
+    wide = acc + term
+    acc[...] = np.clip(wide, INT32_MIN, INT32_MAX)
+    return int(np.count_nonzero(acc != wide))
+
+
+def _ordered_columns(acc, w, events):
+    """acc += w[:, j] * v for (j, v) in order, clamping after each; clips."""
+    return sum(_clamped_add(acc, w[:, j].astype(np.int64) * v) for j, v in events)
+
+
+def _act(acc, acc_frac, knots):
+    return np.array([_interpolated(min(max(_half_even(int(a), acc_frac - 8), ACT_IN_MIN),
+                                       ACT_IN_MAX), knots) for a in acc], dtype=np.int64)
+
+
+def _reference_gru(specs, xs, mode):
+    """Per-gate GRU in Python: six matrices, four int64 accumulators and
+    ordered column steps; in sparse mode the accumulators persist and
+    take only threshold-crossing deltas. Returns (outputs, clips)."""
+    clips = 0
+    layers = []
+    for s in specs:
+        b = [s.b_r.astype(np.int64), s.b_u.astype(np.int64), s.b_c.astype(np.int64),
+             np.zeros(s.hidden_size, dtype=np.int64)]
+        layers.append({"acc": b, "x_mem": np.zeros(s.input_size, np.int16),
+                       "h_mem": np.zeros(s.hidden_size, np.int16),
+                       "h": np.zeros(s.hidden_size, np.int16)})
+    outs = []
+    for x in xs:
+        cur = x
+        for s, st_ in zip(specs, layers):
+            h_prev = st_["h"]
+            if mode == "dense":
+                a_r, a_u, a_xc = s.b_r.astype(np.int64), s.b_u.astype(np.int64), s.b_c.astype(np.int64)
+                a_hc = np.zeros(s.hidden_size, dtype=np.int64)
+                x_ev = list(enumerate(cur.data.tolist()))
+                h_ev = list(enumerate(h_prev.tolist()))
+            else:
+                a_r, a_u, a_xc, a_hc = st_["acc"]
+                dx, mem = encode_delta(QTensor(cur.dims, Q8_8, st_["x_mem"]), cur, s.theta)
+                dh, hmem = encode_delta(QTensor(h_prev.shape, Q8_8, st_["h_mem"]),
+                                        QTensor(h_prev.shape, Q8_8, h_prev), s.theta)
+                st_["x_mem"], st_["h_mem"] = mem.data, hmem.data
+                x_ev, h_ev = dx.events(), dh.events()
+            for acc, w in ((a_r, s.w_xr), (a_u, s.w_xu), (a_xc, s.w_xc)):
+                clips += _ordered_columns(acc, w.data, x_ev)
+            for acc, w in ((a_r, s.w_hr), (a_u, s.w_hu), (a_hc, s.w_hc)):
+                clips += _ordered_columns(acc, w.data, h_ev)
+            r = _act(a_r, s.acc_frac, SIGMOID_TABLE)
+            u = _act(a_u, s.acc_frac, SIGMOID_TABLE)
+            c_acc = a_xc.copy()
+            clips += _clamped_add(c_acc, [_half_even(int(v), 8) for v in r * a_hc])
+            c = _act(c_acc, s.acc_frac, TANH_TABLE)
+            mix = (256 - u) * c + u * h_prev.astype(np.int64)
+            st_["h"] = np.array([_half_even(int(v), 8) for v in mix], dtype=np.int16)
+            cur = QTensor((s.hidden_size,), Q8_8, st_["h"].copy())
+        outs.append(cur)
+    return outs, clips
+
+
+def _edge_biases(spec, rng):
+    """The spec with every bias within 16 (in value units) of the int32 edge."""
+    h = spec.hidden_size
+
+    def edge():
+        return (rng.choice((-1, 1), size=h)
+                * (INT32_MAX - rng.integers(0, 16 << spec.acc_frac, size=h))).astype(np.int32)
+
+    return replace(spec, b_r=edge(), b_u=edge(), b_c=edge())
+
+
+@settings(deadline=None, max_examples=8)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((0.0, 0.05)))
+def test_saturating_two_layer_gru_matches_per_gate_reference(seed, theta):
+    # near-full-scale weights, large inputs and biases at the int32 edge
+    # clip in both layers, in the gate products and in the candidate sum
+    rng = make_rng(seed)
+    specs = [_edge_biases(gru_spec(rng, 6, 8, theta=theta, w_amp=1.9), rng),
+             _edge_biases(gru_spec(rng, 8, 5, theta=theta, w_amp=1.9), rng)]
+    xs = uniform_seq(10, 6, rng, amp=100.0)
+    for mode in ("sparse", "dense"):
+        want, want_clips = _reference_gru(specs, xs, mode)
+        run = run_sequence(specs, xs, mode)
+        assert run.outputs == want
+        assert run.counters.saturations == want_clips > 0
 
 
 # --- single-step semantics ------------------------------------------------------------
@@ -260,12 +466,11 @@ def test_preactivations_telescope_to_memory_product(seed, theta):
     def w64(m):
         return m.data.astype(np.int64)
 
-    assert np.array_equal(state.a_r, spec.b_r + w64(spec.w_xr) @ xm
-                          + w64(spec.w_hr) @ hm)
-    assert np.array_equal(state.a_u, spec.b_u + w64(spec.w_xu) @ xm
-                          + w64(spec.w_hu) @ hm)
-    assert np.array_equal(state.a_xc, spec.b_c + w64(spec.w_xc) @ xm)
-    assert np.array_equal(state.a_hc, w64(spec.w_hc) @ hm)
+    a_xc, a_r, a_u, a_hc = np.split(state.acc, 4)  # the [xc, r, u, hc] layout
+    assert np.array_equal(a_r, spec.b_r + w64(spec.w_xr) @ xm + w64(spec.w_hr) @ hm)
+    assert np.array_equal(a_u, spec.b_u + w64(spec.w_xu) @ xm + w64(spec.w_hu) @ hm)
+    assert np.array_equal(a_xc, spec.b_c + w64(spec.w_xc) @ xm)
+    assert np.array_equal(a_hc, w64(spec.w_hc) @ hm)
 
 
 # --- dense equivalence ------------------------------------------------------------------
