@@ -15,7 +15,6 @@ import numpy as np
 
 from sparsebench.fxp import Q2_14, Q8_8, quantize
 from sparsebench.gru import GruLayerSpec
-from sparsebench.memmodel import MemConfig
 from sparsebench.netdesc import NetworkDesc, load_network
 from sparsebench.runner import load_seq_input, sweep_rows_csv, sweep_theta
 from sparsebench.synth import make_rng, random_weights
@@ -55,7 +54,7 @@ def main(argv=None) -> int:
         return 3
     x_seq = load_seq_input(args.input, args.seed)
     thetas = [float(s) for s in args.thetas.split(",") if s.strip()]
-    header, rows = sweep_theta(desc, x_seq, thetas, MemConfig())
+    header, rows = sweep_theta(desc, x_seq, thetas)
     text = sweep_rows_csv(header, rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

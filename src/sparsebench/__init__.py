@@ -14,11 +14,10 @@ from .conv import (ConvLayerSpec, LayerRunResult, conv_dense_oracle,
 from .errors import (EquivalenceFailure, IndexOutOfRange, MalformedStream,
                      MissingArtifact, ShapeMismatch, SparseBenchError,
                      Underdetermined)
-from .fxp import (OpCounter, Q2_14, Q8_8, QFormat, QScalar, QTensor,
-                  dequantize, load_qt, mac_accumulate, quantize, renormalize,
-                  save_qt)
+from .fxp import (OpCounter, Q2_14, Q8_8, QFormat, QScalar, QTensor, load_qt,
+                  quantize, save_qt)
 from .gru import (DeltaState, GruLayerSpec, StepStats, delta_mxv_accumulate,
-                  deltagru_step, gru_dense_oracle, run_sequence)
+                  deltagru_step, dense_step, run_sequence)
 from .memmodel import (MemConfig, MemCostReport, brain_budget, cost_trace,
                        random_vs_burst_ratio, schedule_dense_weight_stream,
                        solve_for)

@@ -119,12 +119,11 @@ def cmd_sweep_theta(args) -> int:
     desc = load_network(args.net)
     if desc.kind != "gru":
         raise ShapeMismatch("sweep-theta needs a gru network")
-    mem = _resolve_mem(args, desc)
     thetas = [float(s) for s in args.thetas.split(",") if s.strip()]
     if not thetas:
         raise MalformedStream("empty theta list")
     x_seq = load_seq_input(args.input, args.seed)
-    header, rows = sweep_theta(desc, x_seq, thetas, mem)
+    header, rows = sweep_theta(desc, x_seq, thetas)
     text = sweep_rows_csv(header, rows)
     if args.out:
         atomic_write_text(args.out, text)
@@ -293,31 +292,27 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Exit code by exception type, in match order: the first row the error
+# is an instance of wins, so the catch-all ValueError comes last.
+EXIT_CODES = (
+    (MalformedStream, 2),
+    (Underdetermined, 2),
+    (ShapeMismatch, 3),
+    (IndexOutOfRange, 3),
+    (MissingArtifact, 4),
+    (FileNotFoundError, 4),
+    (EquivalenceFailure, 5),
+    (ValueError, 2),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MalformedStream as exc:
+    except tuple(t for t, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Underdetermined as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ShapeMismatch, IndexOutOfRange) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except MissingArtifact as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except EquivalenceFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for t, code in EXIT_CODES if isinstance(exc, t))
 
 
 if __name__ == "__main__":

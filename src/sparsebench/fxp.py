@@ -12,8 +12,9 @@ Saturation never raises: the clamp is applied silently and counted on the
 stayed inside range.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -140,11 +141,6 @@ class QTensor:
     def zeros(cls, dims: tuple[int, ...], fmt: QFormat) -> "QTensor":
         return cls(dims, fmt, np.zeros(dims, dtype=np.int16))
 
-    @classmethod
-    def from_float(cls, values, fmt: QFormat, counter: OpCounter | None = None) -> "QTensor":
-        arr = np.asarray(values, dtype=np.float64)
-        return cls(arr.shape, fmt, quantize_array(arr, fmt, counter))
-
     @property
     def flat(self) -> np.ndarray:
         return self.data.reshape(-1)
@@ -190,22 +186,7 @@ def quantize_array(values: np.ndarray, fmt: QFormat, counter: OpCounter | None =
     return np.clip(scaled, INT16_MIN, INT16_MAX).astype(np.int16)
 
 
-def dequantize(q: QScalar) -> float:
-    """Exact real value of a fixed-point scalar."""
-    return q.raw / q.fmt.scale
-
-
 # --- accumulator arithmetic ---------------------------------------------------
-
-def mac_accumulate(acc: int, a_raw: int, b_raw: int, counter: OpCounter | None = None) -> int:
-    """One multiply-accumulate into a 32-bit saturating accumulator."""
-    result = acc + a_raw * b_raw
-    if counter is not None:
-        counter.macs_executed += 1
-        if not INT32_MIN <= result <= INT32_MAX:
-            counter.saturations += 1
-    return min(max(result, INT32_MIN), INT32_MAX)
-
 
 # The saturating accumulator every engine uses. An engine's exact result
 # is its terms added in a fixed order, clamped to int32 after each one
@@ -307,21 +288,11 @@ def round_shift_even(values: np.ndarray, shift: int) -> np.ndarray:
     return q
 
 
-def renormalize(acc: int, in_fmt_a: QFormat, in_fmt_b: QFormat, out_fmt: QFormat,
-                counter: OpCounter | None = None) -> QScalar:
-    """Round a 32-bit product-scale accumulator down to a 16-bit value.
-
-    The accumulator holds sums of a*b products, i.e. it lives at scale
-    2**(fa+fb); the result is rounded (ties to even) and saturated into
-    ``out_fmt``.
-    """
-    raw = renormalize_array(np.asarray(acc, dtype=np.int64),
-                            in_fmt_a.frac_bits + in_fmt_b.frac_bits, out_fmt, counter)
-    return QScalar(int(raw), out_fmt)
-
-
 def renormalize_array(acc: np.ndarray, frac_in: int, out_fmt: QFormat,
                       counter: OpCounter | None = None) -> np.ndarray:
+    """Round accumulators at scale 2**frac_in (sums of products whose
+    fractional bits add up to frac_in) to ``out_fmt``: ties to even, then
+    saturated to 16 bits."""
     shifted = round_shift_even(acc, frac_in - out_fmt.frac_bits)
     if counter is not None:
         counter.saturations += int(np.count_nonzero((shifted < INT16_MIN) | (shifted > INT16_MAX)))
@@ -361,7 +332,7 @@ def from_qt_bytes(data: bytes) -> QTensor:
     dims = tuple(r.u32(f"dim {i}") for i in range(rank))
     if any(d == 0 for d in dims):
         raise MalformedStream(f"zero dimension in {dims}", r.pos - 4)
-    n = int(np.prod(dims))
+    n = math.prod(dims)  # Python ints: a huge header cannot wrap
     values = np.frombuffer(r.take(2 * n, "values"), dtype="<i2").astype(np.int16)
     r.expect_end()
     return QTensor(dims, fmt, values)

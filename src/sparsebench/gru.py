@@ -28,7 +28,7 @@ pre-activation accumulators live in one int64 vector laid out
 three quarters and the hidden side [W_hr; W_hu; W_hc] its last three.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -170,7 +170,8 @@ class GruLayerSpec:
 @dataclass
 class DeltaState:
     """Per-sequence run state: transmitted memories and the int64
-    pre-activation accumulator, laid out [xc, r, u, hc]."""
+    pre-activation accumulator, laid out [xc, r, u, hc]. A dense step
+    reads and replaces ``h_prev`` only."""
 
     x_mem: QTensor
     h_mem: QTensor
@@ -190,11 +191,11 @@ class DeltaState:
 
 @dataclass
 class StepStats:
+    """One layer-step's event counts: input and hidden components sent on
+    (all of them in dense mode)."""
+
     x_events: int = 0
     h_events: int = 0
-    macs_executed: int = 0
-    weight_words: int = 0
-    saturations: int = 0
 
 
 def delta_mxv_accumulate(side: GateStack, deltas: DeltaStream, acc: np.ndarray,
@@ -237,9 +238,9 @@ def delta_mxv_accumulate(side: GateStack, deltas: DeltaStream, acc: np.ndarray,
 
 
 def _gates(spec: GruLayerSpec, acc: np.ndarray, h_prev_raw,
-           counter: OpCounter | None = None) -> tuple[np.ndarray, int]:
+           counter: OpCounter | None = None) -> np.ndarray:
     """Shared elementwise tail on an [xc, r, u, hc] accumulator; returns
-    (h_raw int16, saturation count)."""
+    the new hidden state, raw int16."""
     h = spec.hidden_size
     acc_frac = spec.acc_frac
     ru = act_lookup(acc[h:3 * h], acc_frac, SIGMOID_LUT).astype(np.int64)
@@ -249,48 +250,15 @@ def _gates(spec: GruLayerSpec, acc: np.ndarray, h_prev_raw,
     c = act_lookup(c_acc, acc_frac, TANH_LUT).astype(np.int64)
     one = 1 << ACT_FMT.frac_bits
     mix = (one - u) * c + u * h_prev_raw.astype(np.int64)
-    h_raw = round_shift_even(mix, ACT_FMT.frac_bits).astype(np.int16)
     if counter is not None:
         counter.adds += 6 * h
         counter.saturations += sats
-    return h_raw, sats
+    return round_shift_even(mix, ACT_FMT.frac_bits).astype(np.int16)
 
 
-def _dense_step(spec: GruLayerSpec, h_prev: np.ndarray, xv: np.ndarray,
-                counter: OpCounter | None = None) -> np.ndarray:
-    """One dense GRU step from raw vectors; returns the new raw hidden.
-
-    Each side is one bound-checked ``sat_matvec`` over its full gate
-    stack and full vector; the delta engine's products are over sparse
-    deltas, so the theta-0 check still compares two different
-    computations.
-    """
-    h = spec.hidden_size
-    acc = spec.acc_bias
-    xs, hs = spec.x_side, spec.h_side
-    sats = sat_matvec(acc[:3 * h], xs.w, xs.w_abs, xv)
-    sats += sat_matvec(acc[h:], hs.w, hs.w_abs, h_prev)
-    if counter is not None:
-        counter.macs_executed += 3 * h * (spec.input_size + h)
-        counter.macs_dense_equivalent += 3 * h * (spec.input_size + h)
-        counter.adds += 3 * h
-        counter.saturations += sats
-    h_new, _ = _gates(spec, acc, h_prev, counter)
-    return h_new
-
-
-def gru_dense_oracle(spec: GruLayerSpec, x_seq: list[QTensor],
-                     counter: OpCounter | None = None) -> list[QTensor]:
-    """Reference GRU: gate pre-activations recomputed densely every step."""
-    h = spec.hidden_size
-    h_prev = np.zeros(h, dtype=np.int16)
-    outs: list[QTensor] = []
-    for x in x_seq:
-        if x.dims != (spec.input_size,) or x.fmt != ACT_FMT:
-            raise ShapeMismatch(f"input dims {x.dims}, expected ({spec.input_size},) Q8.8")
-        h_prev = _dense_step(spec, h_prev, x.data, counter)
-        outs.append(QTensor((h,), ACT_FMT, h_prev.copy()))
-    return outs
+def _check_input(spec: GruLayerSpec, x: QTensor) -> None:
+    if x.dims != (spec.input_size,) or x.fmt != ACT_FMT:
+        raise ShapeMismatch(f"input dims {x.dims}, expected ({spec.input_size},) Q8.8")
 
 
 def deltagru_step(spec: GruLayerSpec, state: DeltaState, x: QTensor,
@@ -298,41 +266,58 @@ def deltagru_step(spec: GruLayerSpec, state: DeltaState, x: QTensor,
                   trace: AccessTrace | None = None,
                   weight_base: int = 0) -> tuple[QTensor, DeltaState, StepStats]:
     """One delta-gated step: threshold, accumulate events, apply gates."""
-    if x.dims != (spec.input_size,) or x.fmt != ACT_FMT:
-        raise ShapeMismatch(f"input dims {x.dims}, expected ({spec.input_size},) Q8.8")
+    _check_input(spec, x)
     i, h = spec.input_size, spec.hidden_size
-    stats = StepStats()
     dx, x_mem = encode_delta(state.x_mem, x, spec.theta)
     dh, h_mem = encode_delta(state.h_mem, state.h_prev, spec.theta)
-    stats.x_events = dx.event_count
-    stats.h_events = dh.event_count
     if counter is not None:
         counter.comparisons += i + h
         counter.macs_dense_equivalent += 3 * h * (i + h)
-
     acc = state.acc.copy()
-    step_counter = OpCounter()
-    delta_mxv_accumulate(spec.x_side, dx, acc[:3 * h], step_counter, trace, weight_base)
-    delta_mxv_accumulate(spec.h_side, dh, acc[h:], step_counter, trace,
+    delta_mxv_accumulate(spec.x_side, dx, acc[:3 * h], counter, trace, weight_base)
+    delta_mxv_accumulate(spec.h_side, dh, acc[h:], counter, trace,
                          weight_base + 3 * h * i)
-
-    stats.macs_executed = step_counter.macs_executed
-    stats.weight_words = step_counter.macs_executed
-    stats.saturations = step_counter.saturations
-    if counter is not None:
-        counter.macs_executed += step_counter.macs_executed
-        counter.saturations += step_counter.saturations
-
-    h_raw, gate_sats = _gates(spec, acc, state.h_prev.data, counter)
-    stats.saturations += gate_sats
-    h_out = QTensor((h,), ACT_FMT, h_raw.copy())
-    new_state = DeltaState(x_mem, h_mem, h_out, acc)
+    h_out = QTensor((h,), ACT_FMT, _gates(spec, acc, state.h_prev.data, counter))
+    stats = StepStats(dx.event_count, dh.event_count)
     if trace is not None:
         trace.add("SRAM", "read", "activations", 0, i)
         trace.add("SRAM", "read", "state", 0, 5 * h)
         trace.add("SRAM", "write", "state", 0,
                   stats.x_events + stats.h_events + 5 * h)
-    return h_out, new_state, stats
+    return h_out, DeltaState(x_mem, h_mem, h_out, acc), stats
+
+
+def dense_step(spec: GruLayerSpec, state: DeltaState, x: QTensor,
+               counter: OpCounter | None = None,
+               trace: AccessTrace | None = None,
+               weight_base: int = 0) -> tuple[QTensor, DeltaState, StepStats]:
+    """One dense step: every weight and bias word fetched, the
+    pre-activations recomputed from ``state.h_prev`` alone.
+
+    Each side is one bound-checked ``sat_matvec`` over its full gate
+    stack and full vector; the delta engine's products are over sparse
+    deltas, so the theta-0 check still compares two different
+    computations.
+    """
+    _check_input(spec, x)
+    i, h = spec.input_size, spec.hidden_size
+    if trace is not None:
+        trace.add("DRAM", "read", "weights", weight_base,
+                  spec.weight_words + layer_bias_words(spec))
+        trace.add("SRAM", "read", "activations", 0, i)
+        trace.add("SRAM", "read", "state", 0, h)
+        trace.add("SRAM", "write", "state", 0, h)
+    acc = spec.acc_bias
+    xs, hs = spec.x_side, spec.h_side
+    sats = sat_matvec(acc[:3 * h], xs.w, xs.w_abs, x.data)
+    sats += sat_matvec(acc[h:], hs.w, hs.w_abs, state.h_prev.data)
+    if counter is not None:
+        counter.macs_executed += spec.weight_words
+        counter.macs_dense_equivalent += spec.weight_words
+        counter.adds += 3 * h
+        counter.saturations += sats
+    h_out = QTensor((h,), ACT_FMT, _gates(spec, acc, state.h_prev.data, counter))
+    return h_out, replace(state, h_prev=h_out), StepStats(i, h)
 
 
 def layer_bias_words(spec: GruLayerSpec) -> int:
@@ -341,20 +326,43 @@ def layer_bias_words(spec: GruLayerSpec) -> int:
 
 @dataclass
 class GruSeqRun:
+    """A sequence run: final-layer outputs, per-layer step stats and op
+    counters, and the access trace.
+
+    Every executed MAC reads one weight word, so the weight words
+    fetched are the executed MACs and the dense-equivalent weight words
+    the dense-equivalent MACs.
+    """
+
     outputs: list[QTensor] = field(default_factory=list)
     step_stats: list[list[StepStats]] = field(default_factory=list)
-    counters: OpCounter = field(default_factory=OpCounter)
+    layer_counters: list[OpCounter] = field(default_factory=list)
     trace: AccessTrace = field(default_factory=AccessTrace)
-    weight_words_fetched: int = 0
-    dense_weight_words: int = 0
     init_words: int = 0
+
+    @property
+    def counters(self) -> OpCounter:
+        """The layer counters summed."""
+        total = OpCounter()
+        for c in self.layer_counters:
+            total.merge(c)
+        return total
+
+    @property
+    def weight_words_fetched(self) -> int:
+        return self.counters.macs_executed
+
+    @property
+    def dense_weight_words(self) -> int:
+        return self.counters.macs_dense_equivalent
 
     @property
     def weight_reduction_factor(self) -> float:
         """Dense-equivalent weight words over actually fetched ones."""
-        if self.weight_words_fetched == 0:
+        fetched = self.weight_words_fetched
+        if fetched == 0:
             return float("inf") if self.dense_weight_words else 1.0
-        return self.dense_weight_words / self.weight_words_fetched
+        return self.dense_weight_words / fetched
 
     @property
     def layer_traces(self) -> list[AccessTrace]:
@@ -363,15 +371,8 @@ class GruSeqRun:
 
     def event_timeline(self) -> list[tuple[int, int]]:
         """Per step: (input events, hidden events) summed over layers."""
-        if not self.step_stats:
-            return []
-        steps = len(self.step_stats[0])
-        out = []
-        for t in range(steps):
-            ex = sum(layer[t].x_events for layer in self.step_stats)
-            eh = sum(layer[t].h_events for layer in self.step_stats)
-            out.append((ex, eh))
-        return out
+        return [(sum(s.x_events for s in step), sum(s.h_events for s in step))
+                for step in zip(*self.step_stats)]
 
 
 def run_sequence(specs: list[GruLayerSpec], x_seq: list[QTensor],
@@ -379,9 +380,11 @@ def run_sequence(specs: list[GruLayerSpec], x_seq: list[QTensor],
     """Run stacked GRU layers over a sequence, counting work and traffic.
 
     Sparse mode threshold-gates inputs and hidden states and fetches
-    only the weight columns that events touch; dense mode streams every
-    matrix fully each step. Dense-equivalent weight words are reported
-    either way so the reduction factor is a straight ratio.
+    only the weight columns that events touch, after preloading each
+    layer's biases once; dense mode streams every matrix fully each
+    step. Both run the same step-by-layer loop with the mode's step
+    function, and both count dense-equivalent MACs, so the reduction
+    factor is a straight ratio.
     """
     if mode not in ("sparse", "dense"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -390,57 +393,32 @@ def run_sequence(specs: list[GruLayerSpec], x_seq: list[QTensor],
             raise ShapeMismatch(
                 f"layer {l} input {specs[l].input_size} != "
                 f"layer {l - 1} hidden {specs[l - 1].hidden_size}")
+    if not x_seq:
+        raise MalformedStream("empty input sequence: a run needs at least one step")
 
-    run = GruSeqRun()
-    run.step_stats = [[] for _ in specs]
+    step = deltagru_step if mode == "sparse" else dense_step
+    run = GruSeqRun(step_stats=[[] for _ in specs],
+                    layer_counters=[OpCounter() for _ in specs])
     bases = []
     base = 0
     for spec in specs:
         bases.append(base)
         base += spec.weight_words + layer_bias_words(spec)
 
-    steps = len(x_seq)
-    run.dense_weight_words = steps * sum(s.weight_words for s in specs)
-
     trace = run.trace  # each layer sets its layer column before adding
     if mode == "sparse":
-        states = [DeltaState.initial(s) for s in specs]
         for l, (spec, b) in enumerate(zip(specs, bases)):
             trace.layer = l
             trace.add("DRAM", "read", "weights",
                       b + spec.weight_words, layer_bias_words(spec))
             run.init_words += layer_bias_words(spec)
-        for x in x_seq:
-            cur = x
-            for l, spec in enumerate(specs):
-                trace.layer = l
-                cur, states[l], stats = deltagru_step(
-                    spec, states[l], cur, run.counters, trace, bases[l])
-                run.step_stats[l].append(stats)
-                run.weight_words_fetched += stats.weight_words
-            run.outputs.append(cur)
-    else:
-        h_prevs = [np.zeros(s.hidden_size, dtype=np.int16) for s in specs]
-        for x in x_seq:
-            if x.dims != (specs[0].input_size,) or x.fmt != ACT_FMT:
-                raise ShapeMismatch(
-                    f"input dims {x.dims}, expected ({specs[0].input_size},) Q8.8")
-            cur = x.data
-            for l, spec in enumerate(specs):
-                i, h = spec.input_size, spec.hidden_size
-                trace.layer = l
-                trace.add("DRAM", "read", "weights", bases[l],
-                          spec.weight_words + layer_bias_words(spec))
-                trace.add("SRAM", "read", "activations", 0, i)
-                trace.add("SRAM", "read", "state", 0, h)
-                trace.add("SRAM", "write", "state", 0, h)
-                h_prevs[l] = _dense_step(spec, h_prevs[l], cur, run.counters)
-                cur = h_prevs[l]
-                run.step_stats[l].append(StepStats(
-                    x_events=i, h_events=h,
-                    macs_executed=3 * h * (i + h),
-                    weight_words=spec.weight_words))
-                run.weight_words_fetched += spec.weight_words
-            run.outputs.append(QTensor((specs[-1].hidden_size,), ACT_FMT,
-                                       h_prevs[-1].copy()))
+    states = [DeltaState.initial(s) for s in specs]
+    for x in x_seq:
+        cur = x
+        for l, spec in enumerate(specs):
+            trace.layer = l
+            cur, states[l], stats = step(spec, states[l], cur,
+                                         run.layer_counters[l], trace, bases[l])
+            run.step_stats[l].append(stats)
+        run.outputs.append(cur)
     return run

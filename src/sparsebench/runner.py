@@ -128,29 +128,29 @@ def _fill_totals(report: RunReport, counters: OpCounter, cost: MemCostReport,
     }
 
 
-def _layer_report(idx: int, kind: str, dense_macs: int, macs: int,
-                  executed_op: int, sparsity: float | None,
+def _layer_report(idx: int, kind: str, c: OpCounter, sparsity: float,
                   cost: MemCostReport, mem: MemConfig) -> LayerReport:
     """One layer's row, its traffic and cycles from its own cost."""
-    energy = energy_breakdown(macs, cost.dram_words, cost.sram_words, mem)
+    energy = energy_breakdown(c.macs_executed, cost.dram_words, cost.sram_words, mem)
     return LayerReport(
-        index=idx, kind=kind, dense_equivalent_op=2 * dense_macs,
-        executed_op=executed_op, efficiency_pct=_efficiency(dense_macs, macs),
+        index=idx, kind=kind, dense_equivalent_op=c.dense_equivalent_op,
+        executed_op=c.total_op,
+        efficiency_pct=_efficiency(c.macs_dense_equivalent, c.macs_executed),
         sparsity=sparsity, dram_bytes_by_tag=_bytes(cost.dram_words_by_tag),
         sram_bytes_by_tag=_bytes(cost.sram_words_by_tag), cycles=cost.cycles,
         energy_pj=energy["total_pj"])
 
 
-def _conv_report(desc: NetworkDesc, mode: str, mem: MemConfig, seed: int | None,
-                 layer_counters: list[OpCounter], sparsity: list[float],
-                 trace: AccessTrace) -> RunReport:
-    """Report layers and totals of a conv run; the trace is costed once."""
+def _report(desc: NetworkDesc, mode: str, mem: MemConfig, seed: int | None,
+            layer_counters: list[OpCounter], sparsity: list[float],
+            trace: AccessTrace) -> RunReport:
+    """Report layers and totals of a run from each layer's op counter and
+    sparsity; the trace is costed once."""
     cost = cost_trace(trace, mem)
-    report = RunReport(desc.name, mode, "conv", seed, config_dict(mem))
+    report = RunReport(desc.name, mode, desc.kind, seed, config_dict(mem))
     counters = OpCounter()
     for i, (c, s, layer_cost) in enumerate(zip(layer_counters, sparsity, cost.layers)):
-        report.layers.append(_layer_report(i, "conv", c.macs_dense_equivalent,
-                                           c.macs_executed, c.total_op, s, layer_cost, mem))
+        report.layers.append(_layer_report(i, desc.kind, c, s, layer_cost, mem))
         counters.merge(c)
     _fill_totals(report, counters, cost, mem)
     return report
@@ -174,9 +174,8 @@ def execute_conv(desc: NetworkDesc, x: QTensor, mode: str,
                  mem: MemConfig, seed: int | None = None
                  ) -> tuple[RunReport, ConvNetRun]:
     run, output_hash = _checked_conv_run(desc, x, mode)
-    report = _conv_report(desc, mode, mem, seed,
-                          [r.counters for r in run.layer_results],
-                          run.per_layer_sparsity, run.trace)
+    report = _report(desc, mode, mem, seed, [r.counters for r in run.layer_results],
+                     run.per_layer_sparsity, run.trace)
     report.extras = {
         "output_hash": output_hash,
         "equivalence_checked": True,
@@ -215,7 +214,7 @@ def execute_conv_averaged(desc: NetworkDesc, uri: str, mode: str,
     means = [float(np.mean(v)) for v in per_layer]
     stderr = [float(np.std(v, ddof=1) / math.sqrt(len(v))) if len(v) > 1 else 0.0
               for v in per_layer]
-    report = _conv_report(desc, mode, mem, seed, layer_counters, means, trace)
+    report = _report(desc, mode, mem, seed, layer_counters, means, trace)
     report.extras = {
         "averaged_over": count,
         "per_layer_sparsity_mean": means,
@@ -224,25 +223,6 @@ def execute_conv_averaged(desc: NetworkDesc, uri: str, mode: str,
         "equivalence_checked": True,
     }
     return report
-
-
-def _gru_layer_report(idx: int, run: GruSeqRun, desc: NetworkDesc,
-                      cost: MemCostReport, mem: MemConfig,
-                      mode: str) -> LayerReport:
-    spec = desc.gru_layers[idx]
-    stats = run.step_stats[idx]
-    steps = len(stats)
-    i, h = spec.input_size, spec.hidden_size
-    macs = sum(s.macs_executed for s in stats)
-    dense_macs = steps * 3 * h * (i + h)
-    events = sum(s.x_events + s.h_events for s in stats)
-    if mode == "sparse":
-        executed_op = 2 * macs + steps * (6 * h + i + h)
-    else:
-        executed_op = 2 * macs + steps * 9 * h
-    sparsity = (1.0 - events / (steps * (i + h))) if steps else None
-    return _layer_report(idx, "gru", dense_macs, macs, executed_op, sparsity,
-                         cost, mem)
 
 
 def apply_theta(desc: NetworkDesc, theta: float) -> NetworkDesc:
@@ -266,16 +246,12 @@ def execute_gru(desc: NetworkDesc, x_seq: list[QTensor], mode: str,
         raise EquivalenceFailure(
             "delta and dense GRU outputs diverged at theta 0; this is a bug")
     run = sparse_run if mode == "sparse" else dense_run
-    cost = cost_trace(run.trace, mem)
-    # A layer with no traffic (a dense run of no steps) has no rows.
-    n_layers = len(desc.gru_layers)
-    layer_costs = cost.layers + [MemCostReport()] * (n_layers - len(cost.layers))
-    report = RunReport(desc.name, mode, "gru", seed, config_dict(mem))
-    report.layers = [_gru_layer_report(i, run, desc, layer_costs[i], mem, mode)
-                     for i in range(n_layers)]
-    _fill_totals(report, run.counters, cost, mem)
+    sparsity = [1.0 - sum(s.x_events + s.h_events for s in stats)
+                / (len(stats) * (spec.input_size + spec.hidden_size))
+                for spec, stats in zip(desc.gru_layers, run.step_stats)]
+    report = _report(desc, mode, mem, seed, run.layer_counters, sparsity, run.trace)
     dense_total_words = dense_run.trace.word_count()
-    total_words = cost.dram_words + cost.sram_words
+    total_words = report.totals["dram_words"] + report.totals["sram_words"]
     report.extras = {
         "output_hash": hash_tensors(run.outputs),
         "equivalence_checked": checked,
@@ -286,17 +262,14 @@ def execute_gru(desc: NetworkDesc, x_seq: list[QTensor], mode: str,
         "weight_reduction_factor": run.weight_reduction_factor,
         "total_words": total_words,
         "dense_total_words": dense_total_words,
-        "total_traffic_reduction_factor": (
-            dense_total_words / total_words if total_words else float("inf")),
+        "total_traffic_reduction_factor": dense_total_words / total_words,
         "mean_event_rate": _mean_event_rate(run, desc),
     }
     return report, run
 
 
 def _mean_event_rate(run: GruSeqRun, desc: NetworkDesc) -> float:
-    steps = len(run.step_stats[0]) if run.step_stats else 0
-    if steps == 0:
-        return 0.0
+    steps = len(run.step_stats[0])
     units = sum(s.input_size + s.hidden_size for s in desc.gru_layers)
     events = sum(s.x_events + s.h_events
                  for layer in run.step_stats for s in layer)
@@ -305,14 +278,12 @@ def _mean_event_rate(run: GruSeqRun, desc: NetworkDesc) -> float:
 
 def output_values(run: GruSeqRun) -> np.ndarray:
     """Final-layer outputs as a (steps, hidden) float array."""
-    if not run.outputs:
-        return np.zeros((0, 0))
     scale = float(ACT_FMT.scale)
     return np.stack([t.data.astype(np.float64) / scale for t in run.outputs])
 
 
-def sweep_theta(desc: NetworkDesc, x_seq: list[QTensor], thetas: list[float],
-                mem: MemConfig) -> tuple[list[str], list[dict]]:
+def sweep_theta(desc: NetworkDesc, x_seq: list[QTensor],
+                thetas: list[float]) -> tuple[list[str], list[dict]]:
     """One sparse run per theta, measured against the theta-0 run.
 
     Deviations are in activation value units; rms_dev_pct is relative to
@@ -320,16 +291,16 @@ def sweep_theta(desc: NetworkDesc, x_seq: list[QTensor], thetas: list[float],
     """
     ref_run = run_sequence(apply_theta(desc, 0.0).gru_layers, x_seq, "sparse")
     ref = output_values(ref_run)
-    rms_ref = float(np.sqrt(np.mean(ref ** 2))) if ref.size else 0.0
+    rms_ref = float(np.sqrt(np.mean(ref ** 2)))
     rows = []
     for theta in thetas:
         run = run_sequence(apply_theta(desc, theta).gru_layers, x_seq, "sparse")
         vals = output_values(run)
         dev = vals - ref
-        rms = float(np.sqrt(np.mean(dev ** 2))) if dev.size else 0.0
+        rms = float(np.sqrt(np.mean(dev ** 2)))
         rows.append({
             "theta": theta,
-            "max_abs_dev": float(np.max(np.abs(dev))) if dev.size else 0.0,
+            "max_abs_dev": float(np.max(np.abs(dev))),
             "rms_dev": rms,
             "rms_dev_pct": (100.0 * rms / rms_ref) if rms_ref > 0 else
                            (0.0 if rms == 0 else float("inf")),

@@ -6,9 +6,12 @@ reproducible from a single seed. Sparse maps get an exact zero count
 sparsity-dependent assertions tight.
 """
 
+import math
+
 import numpy as np
 
-from .fxp import Q2_14, Q8_8, QFormat, QTensor, quantize_array
+from .errors import MalformedStream
+from .fxp import INT32_MAX, Q2_14, Q8_8, QFormat, QTensor, quantize_array
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -85,15 +88,29 @@ def ar1_seq(steps: int, size: int, rho: float, rng: np.random.Generator,
     return out
 
 
+def _check_finite_amp(amp: float) -> None:
+    if not math.isfinite(amp):
+        raise MalformedStream(f"non-finite generator amplitude {amp}")
+
+
 def random_weights(dims: tuple[int, ...], rng: np.random.Generator,
                    fmt: QFormat = Q2_14, amp: float = 0.1) -> QTensor:
-    """Uniform random weight tensor in [-amp, amp]."""
+    """Uniform random weight tensor in [-amp, amp], saturated to 16 bits."""
+    _check_finite_amp(amp)
     vals = rng.uniform(-amp, amp, size=int(np.prod(dims)))
     return QTensor(dims, fmt, quantize_array(vals, fmt))
 
 
 def random_bias(n: int, rng: np.random.Generator, acc_frac: int,
                 amp: float = 0.1) -> np.ndarray:
-    """Uniform random bias vector already at accumulator scale (int32)."""
+    """Uniform random bias vector already at accumulator scale (int32).
+
+    Every value must fit int32, so ``|amp| * 2**acc_frac`` may not pass
+    INT32_MAX.
+    """
+    _check_finite_amp(amp)
+    if abs(amp) * (1 << acc_frac) > INT32_MAX:
+        raise MalformedStream(
+            f"bias amplitude {amp} overflows the int32 accumulator at 2**{acc_frac}")
     vals = rng.uniform(-amp, amp, size=n)
     return np.rint(vals * (1 << acc_frac)).astype(np.int32)

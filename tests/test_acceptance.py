@@ -29,7 +29,7 @@ from sparsebench.codec import (decode_sm, encode_sm, from_smfm_bytes,
 from sparsebench.conv import (ConvLayerSpec, conv_dense_oracle, conv_zeroskip,
                               fused_relu_pool)
 from sparsebench.fxp import Q2_14, Q8_8, quantize
-from sparsebench.gru import GruLayerSpec, gru_dense_oracle, run_sequence
+from sparsebench.gru import GruLayerSpec, run_sequence
 from sparsebench.memmodel import (MemConfig, brain_budget, cost_trace,
                                   random_vs_burst_ratio, solve_for)
 from sparsebench.netdesc import NetworkDesc
@@ -89,7 +89,7 @@ def test_zero_threshold_gru_matches_dense_oracle_on_100_specs():
         steps = int(rng.integers(1, 51))
         spec = gru_spec(rng, input_size, hidden_size)
         xs = uniform_seq(steps, input_size, rng, amp=1.0)
-        want = gru_dense_oracle(spec, xs)
+        want = run_sequence([spec], xs, "dense").outputs
         run = run_sequence([spec], xs, "sparse")
         for t, (a, b) in enumerate(zip(run.outputs, want)):
             assert (a.data == b.data).all(), (
@@ -119,10 +119,9 @@ def _slow_input_gru() -> NetworkDesc:
 
 def test_weight_traffic_reduction_on_slowly_changing_inputs():
     desc = _slow_input_gru()
-    mem = MemConfig()
 
     hold = load_seq_input("synth:hold,t=200,n=32,hold=10,amp=1.0,seed=11", 0)
-    _, rows = sweep_theta(desc, hold, [2 / 256], mem)
+    _, rows = sweep_theta(desc, hold, [2 / 256])
     r = rows[0]
     assert r["rms_dev_pct"] < 1.0, f"hold-10 rms dev {r['rms_dev_pct']:.3f}%"
     assert r["weight_reduction_factor"] >= 5.0
@@ -130,7 +129,7 @@ def test_weight_traffic_reduction_on_slowly_changing_inputs():
     hold_rms = r["rms_dev_pct"]
 
     drift = load_seq_input("synth:ar1,t=200,n=32,rho=0.99,amp=1.0,seed=12", 0)
-    _, rows = sweep_theta(desc, drift, [0.25], mem)
+    _, rows = sweep_theta(desc, drift, [0.25])
     r = rows[0]
     assert 5.0 <= r["weight_reduction_factor"] <= 100.0, (
         f"slow-noise reduction {r['weight_reduction_factor']:.2f}x")

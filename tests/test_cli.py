@@ -180,6 +180,30 @@ def test_non_finite_generator_amplitude_exits_2(gru_net, capsys):
         assert "non-finite" in capsys.readouterr().err
 
 
+def _gru_net_with_files(tmp_path, files):
+    p = tmp_path / "amp.net"
+    p.write_text(f"name = amp\n[gru]\ninput = 32\nhidden = 8\nfiles = {files}\n")
+    return str(p)
+
+
+def test_non_finite_weight_amplitude_exits_2(tmp_path, capsys):
+    # escaped from the weight generator as an OverflowError traceback
+    for amp in ("nan", "inf"):
+        net = _gru_net_with_files(tmp_path, f"synth:uniform,amp={amp}")
+        assert main(["run", "--net", net, "--input", "synth:ar1,t=3,n=32"]) == 2
+        assert "non-finite generator amplitude" in capsys.readouterr().err
+
+
+def test_bias_amplitude_past_int32_exits_2(tmp_path, capsys):
+    # amp=1000 at accumulator scale 2**22 wrapped the int32 biases with a
+    # cast warning and exited 0; 511 * 2**22 still fits
+    net = _gru_net_with_files(tmp_path, "synth:uniform,amp=1000")
+    assert main(["run", "--net", net, "--input", "synth:ar1,t=3,n=32"]) == 2
+    assert "overflows the int32 accumulator" in capsys.readouterr().err
+    net = _gru_net_with_files(tmp_path, "synth:uniform,amp=511")
+    assert main(["run", "--net", net, "--input", "synth:ar1,t=3,n=32"]) == 0
+
+
 @pytest.mark.parametrize("command", ["run", "sweep-theta"])
 def test_zero_step_sequence_exits_2(gru_net, capsys, command):
     # exited 0 with steps 0 and a traffic reduction factor of 0.0

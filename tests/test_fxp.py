@@ -1,5 +1,7 @@
 """Fixed-point scalar/tensor arithmetic and the .qt container."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,13 +15,10 @@ from sparsebench.fxp import (
     QFormat,
     QScalar,
     QTensor,
-    dequantize,
     from_qt_bytes,
     load_qt,
-    mac_accumulate,
     quantize,
     quantize_array,
-    renormalize,
     renormalize_array,
     round_shift_even,
     save_qt,
@@ -57,7 +56,7 @@ def test_format_scale():
     assert Q2_14.scale == 16384
 
 
-# --- quantize / dequantize ----------------------------------------------------
+# --- quantize / QScalar.value ----------------------------------------------------
 
 def test_quantize_reference_values():
     assert quantize(1.5, Q8_8).raw == 384
@@ -97,12 +96,14 @@ def test_quantize_rejects_non_finite(bad):
 def test_quantize_roundtrip_error_within_half_step(fmt, frac_of_range):
     v = frac_of_range * (INT16_MAX - 1) / fmt.scale
     q = quantize(v, fmt)
-    assert abs(dequantize(q) - v) <= 0.5 / fmt.scale + 1e-12
+    assert abs(q.value - v) <= 0.5 / fmt.scale + 1e-12
 
 
 @given(formats, raw16)
 def test_dequantize_quantize_is_identity_on_grid(fmt, raw):
-    assert quantize(raw / fmt.scale, fmt).raw == raw
+    q = quantize(raw / fmt.scale, fmt)
+    assert q.raw == raw and q.value == raw / fmt.scale
+    assert quantize_array(np.array([q.value]), fmt).tolist() == [raw]
 
 
 def test_qscalar_range_check():
@@ -112,24 +113,30 @@ def test_qscalar_range_check():
 
 # --- accumulator ops ----------------------------------------------------------
 
+# A MAC is one sat_add of a product into a 32-bit accumulator.
+
 def test_mac_reference_value():
-    c = OpCounter()
-    assert mac_accumulate(0, 256, 256, c) == 65536  # 1.0 * 1.0 in Q8.8
-    assert c.macs_executed == 1
-    assert c.saturations == 0
+    acc = np.zeros(1, dtype=np.int64)
+    assert sat_add(acc, 256 * 256) == 0  # 1.0 * 1.0 in Q8.8
+    assert acc.tolist() == [65536]
 
 
 def test_mac_saturates_and_flags():
-    c = OpCounter()
-    assert mac_accumulate(INT32_MAX, 32767, 32767, c) == INT32_MAX
-    assert mac_accumulate(INT32_MIN, -32768, 32767, c) == INT32_MIN
-    assert c.saturations == 2
+    acc = np.array([INT32_MAX, INT32_MIN], dtype=np.int64)
+    assert sat_add(acc, np.array([32767 * 32767, -32768 * 32767])) == 2
+    assert acc.tolist() == [INT32_MAX, INT32_MIN]
+    # landing exactly on either edge is not a clip
+    acc = np.array([INT32_MAX - 1, INT32_MIN + 1], dtype=np.int64)
+    assert sat_add(acc, np.array([1, -1])) == 0
+    assert acc.tolist() == [INT32_MAX, INT32_MIN]
 
 
 @given(st.integers(INT32_MIN, INT32_MAX), raw16, raw16)
 def test_mac_matches_clamped_integer_math(acc, a, b):
     want = min(max(acc + a * b, INT32_MIN), INT32_MAX)
-    assert mac_accumulate(acc, a, b) == want
+    arr = np.array([acc], dtype=np.int32)
+    assert sat_add(arr, np.int64(a * b)) == int(want != acc + a * b)
+    assert arr.tolist() == [want]
 
 
 def test_sat_add_counts():
@@ -175,28 +182,32 @@ def test_round_shift_nonpositive_multiplies(v, shift):
 # --- renormalize ----------------------------------------------------------------
 
 def test_renormalize_reference_values():
-    assert renormalize(65536, Q8_8, Q8_8, Q8_8).raw == 256
-    assert renormalize(32768, Q8_8, Q8_8, Q8_8).raw == 128
-    assert renormalize(196736, Q8_8, Q8_8, Q8_8).raw == 768
+    # Q8.8 x Q8.8 products are at scale 2**16; 768.5 and -1.5 tie to even
+    acc = np.array([65536, 32768, 196736, 196737, -384], dtype=np.int64)
+    assert renormalize_array(acc, 16, Q8_8).tolist() == [256, 128, 768, 769, -2]
 
 
 def test_renormalize_saturates_to_16_bits():
     c = OpCounter()
-    assert renormalize(INT32_MAX, Q8_8, Q8_8, Q8_8, c).raw == 32767
-    assert renormalize(INT32_MIN, Q8_8, Q8_8, Q8_8, c).raw == -32768
+    got = renormalize_array(np.array([INT32_MAX, INT32_MIN, 0]), 16, Q8_8, c)
+    assert got.tolist() == [32767, -32768, 0]
+    assert got.dtype == np.int16
     assert c.saturations == 2
 
 
 def test_renormalize_widening_format():
     # Q8.8 x Q2.14 accumulator is at scale 2**22; out in Q8.8 shifts by 14.
-    assert renormalize(1 << 22, Q8_8, Q2_14, Q8_8).raw == 256
+    assert renormalize_array(np.array([1 << 22]), 22, Q8_8).tolist() == [256]
 
 
-@given(raw16, st.integers(1, 14))
-def test_renormalize_array_matches_scalar(raw, frac_lost):
-    acc = np.array([raw << frac_lost], dtype=np.int64)
-    got = renormalize_array(acc, 8 + frac_lost, Q8_8)
-    assert int(got[0]) == raw
+@given(st.integers(INT32_MIN, INT32_MAX), st.integers(1, 22))
+def test_renormalize_array_matches_scalar(acc, frac_lost):
+    # ties to even, then saturation, against the scalar reference
+    want = min(max(_round_half_even(acc, frac_lost), INT16_MIN), INT16_MAX)
+    c = OpCounter()
+    got = renormalize_array(np.array([acc], dtype=np.int64), 8 + frac_lost, Q8_8, c)
+    assert got.tolist() == [want]
+    assert c.saturations == int(want != _round_half_even(acc, frac_lost))
 
 
 # --- OpCounter ------------------------------------------------------------------
@@ -252,7 +263,7 @@ def test_qt_bytes_roundtrip(t):
 
 
 def test_qt_file_roundtrip(tmp_path):
-    t = QTensor.from_float([[1.5, -2.0], [0.25, 100.0]], Q8_8)
+    t = QTensor((2, 2), Q8_8, quantize_array(np.array([[1.5, -2.0], [0.25, 100.0]]), Q8_8))
     path = str(tmp_path / "t.qt")
     save_qt(t, path)
     assert load_qt(path) == t
@@ -273,6 +284,17 @@ def test_qt_bytes_rejects_malformed(mutate, msg):
     blob = to_qt_bytes(QTensor.zeros((2, 3), Q8_8))
     with pytest.raises(MalformedStream, match=msg):
         from_qt_bytes(mutate(blob))
+
+
+@pytest.mark.parametrize("dims", [(65536,) * 4, (2**32 - 1, 2**32 - 1, 3, 1)])
+def test_qt_huge_header_reports_truncated_values(dims):
+    # the element count wrapped in int64: 65536**4 became 0 ("trailing
+    # data", then a bare reshape error), the other a negative byte offset
+    head = b"QTSR" + struct.pack("<BBBB", 1, 8, 8, len(dims))
+    blob = head + struct.pack("<4I", *dims) + b"\x00" * 8
+    with pytest.raises(MalformedStream, match="truncated stream while reading values") as exc:
+        from_qt_bytes(blob)
+    assert exc.value.offset == len(head) + 16
 
 
 def test_malformed_error_reports_offset():

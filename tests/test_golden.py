@@ -1,7 +1,7 @@
 """Pinned report bytes for small CLI runs.
 
-Each case runs the CLI in-process and hashes what it writes. The hashes
-were recorded before the access trace became a columnar table; any
+Each case runs the CLI in-process and hashes what it writes. Each hash
+was recorded on the code before the change that added its case; any
 change to a modeled number, a report field or the trace export changes
 them, and must come with a note saying why.
 """
@@ -69,6 +69,14 @@ CASES = {
     "gru-theta0.03": (
         "gru", ["--input", "synth:hold,t=40,n=6,hold=5", "--theta", "0.03"], "report.json",
         "706a08bd8ce76b8a21cba586bd5a2c84fa8f795f788046379b2ae643bf86eeca"),
+    "gru-theta0-dense": (
+        "gru", ["--input", "synth:ar1,t=30,n=6,rho=0.99", "--theta", "0", "--mode", "dense"],
+        "report.json",
+        "a2b86127a4053a31a4662f2598a6b720da07857abbefea5bd14c6a19e73d67bd"),
+    "gru-theta0.03-dense": (
+        "gru", ["--input", "synth:hold,t=40,n=6,hold=5", "--theta", "0.03", "--mode", "dense"],
+        "report.json",
+        "9b481d4860d3addb5713ecbdf8c6a5486a9b5df70f032986e26c58dffd020e58"),
     "gru-trace-csv": (
         "gru", ["--input", "synth:hold,t=10,n=6,hold=5", "--theta", "0.03"], "trace.csv",
         "ddcbf216cb3de8b279feac511127d958cd71413ddf622b06856dea57d5c0a451"),

@@ -26,7 +26,7 @@ from sparsebench.gru import (
     act_lookup,
     delta_mxv_accumulate,
     deltagru_step,
-    gru_dense_oracle,
+    dense_step,
     layer_bias_words,
     run_sequence,
 )
@@ -313,7 +313,7 @@ def test_fast_path_taken_at_bench_scale(monkeypatch):
     xs = ar1_seq(20, 32, 0.99, rng)
     monkeypatch.setattr(fxp, "sat_columns", refuse)
     run = run_sequence([spec], xs, "sparse")
-    assert run.outputs == gru_dense_oracle(spec, xs)
+    assert run.outputs == run_sequence([spec], xs, "dense").outputs
     assert run.counters.saturations == 0
 
 
@@ -412,21 +412,24 @@ def test_zero_everything_stays_zero():
     rng = make_rng(3)
     spec = gru_spec(rng, 4, 4, w_amp=0.0, bias_amp=0.0)
     state = DeltaState.initial(spec)
-    h, state, stats = deltagru_step(spec, state, _vec([0, 0, 0, 0]))
+    counter = OpCounter()
+    h, state, stats = deltagru_step(spec, state, _vec([0, 0, 0, 0]), counter)
     assert list(h.data) == [0, 0, 0, 0]
     assert stats.x_events == stats.h_events == 0
-    assert stats.macs_executed == 0
+    assert counter.macs_executed == 0
 
 
 def test_step_counts_events_and_macs():
     rng = make_rng(4)
     spec = gru_spec(rng, 3, 5)
     state = DeltaState.initial(spec)
-    h, state, stats = deltagru_step(spec, state, _vec([256, 0, -128]))
+    counter = OpCounter()
+    h, state, stats = deltagru_step(spec, state, _vec([256, 0, -128]), counter)
     assert stats.x_events == 2  # two non-zero inputs vs zero memory
     assert stats.h_events == 0
-    assert stats.macs_executed == 3 * 5 * 2  # three matrices x H per event
-    assert stats.weight_words == stats.macs_executed
+    assert counter.macs_executed == 3 * 5 * 2  # three matrices x H per event
+    assert counter.macs_dense_equivalent == 3 * 5 * (3 + 5)
+    assert counter.comparisons == 3 + 5 and counter.adds == 6 * 5
 
 
 def test_memory_stays_within_theta_of_stream():
@@ -482,7 +485,7 @@ def test_zero_theta_matches_dense_oracle_every_step(seed):
     i, h = int(rng.integers(1, 16)), int(rng.integers(1, 16))
     spec = gru_spec(rng, i, h, theta=0.0)
     xs = uniform_seq(int(rng.integers(1, 25)), i, rng, amp=1.0)
-    oracle = gru_dense_oracle(spec, xs)
+    oracle = run_sequence([spec], xs, "dense").outputs
     state = DeltaState.initial(spec)
     counter = OpCounter()
     for t, x in enumerate(xs):
@@ -500,8 +503,9 @@ def test_run_sequence_modes_agree_at_zero_theta():
     assert len(sparse.outputs) == len(dense.outputs) == 30
     for a, b in zip(sparse.outputs, dense.outputs):
         assert a == b
-    assert dense.outputs[-1] == gru_dense_oracle(
-        specs[1], gru_dense_oracle(specs[0], xs))[-1]
+    # the stack equals its layers run one after another
+    first = run_sequence(specs[:1], xs, "dense").outputs
+    assert dense.outputs == run_sequence(specs[1:], first, "dense").outputs
 
 
 # --- sequence-level accounting ------------------------------------------------------------
@@ -516,6 +520,8 @@ def test_dense_mode_fetches_every_weight_every_step():
     assert run.weight_words_fetched == 12 * per_step
     assert run.weight_reduction_factor == 1.0
     assert run.counters.macs_executed == 12 * 3 * 7 * (5 + 7)
+    # per step: 3h adds for the biases, 6h in the gates
+    assert run.counters.total_op == 2 * run.counters.macs_executed + 12 * 9 * 7
 
 
 def test_sparse_mode_fetches_only_event_columns():
@@ -525,10 +531,13 @@ def test_sparse_mode_fetches_only_event_columns():
     run = run_sequence(specs, xs, "sparse")
     assert run.weight_words_fetched < run.dense_weight_words
     assert run.weight_reduction_factor > 1.0
-    fetched = sum(s.weight_words for layer in run.step_stats for s in layer)
-    assert fetched == run.weight_words_fetched
+    # one event fetches one column of each of the three gate matrices
+    events = sum(s.x_events + s.h_events for layer in run.step_stats for s in layer)
+    assert run.weight_words_fetched == 3 * 7 * events
     traced = sum(r[5] for r in run.trace.runs() if r[:3] == ("DRAM", "read", "weights"))
     assert traced == run.weight_words_fetched + run.init_words
+    # per step: i + h threshold compares, 6h adds in the gates
+    assert run.counters.total_op == 2 * run.counters.macs_executed + 40 * (6 * 7 + 5 + 7)
 
 
 def test_event_columns_hit_expected_addresses():
@@ -575,9 +584,14 @@ def test_sequence_validation():
         run_sequence([gru_spec(rng, 4, 5), gru_spec(rng, 6, 4)], [])
     with pytest.raises(ValueError, match="mode"):
         run_sequence([gru_spec(rng, 4, 5)], [], "eager")
+    for mode in ("sparse", "dense"):
+        with pytest.raises(MalformedStream, match="empty input sequence"):
+            run_sequence([gru_spec(rng, 4, 5)], [], mode)
     spec = gru_spec(rng, 4, 5)
     with pytest.raises(ShapeMismatch, match="input dims"):
         deltagru_step(spec, DeltaState.initial(spec), _vec([0, 0]))
+    with pytest.raises(ShapeMismatch, match="input dims"):
+        dense_step(spec, DeltaState.initial(spec), _vec([0, 0]))
 
 
 def test_spec_validation():

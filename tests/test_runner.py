@@ -200,7 +200,7 @@ def test_apply_theta_is_non_destructive(gru_desc):
 
 def test_sweep_reference_row_and_monotone_traffic(gru_desc):
     xs = load_seq_input("synth:hold,t=40,n=6,hold=10,seed=5", 0)
-    header, rows = sweep_theta(gru_desc, xs, [0.0, 0.05, 0.2], MEM)
+    header, rows = sweep_theta(gru_desc, xs, [0.0, 0.05, 0.2])
     assert all(h.startswith("#") for h in header)
     assert rows[0]["theta"] == 0.0
     assert rows[0]["max_abs_dev"] == 0.0
