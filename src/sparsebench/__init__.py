@@ -16,8 +16,8 @@ from .errors import (EquivalenceFailure, IndexOutOfRange, MalformedStream,
                      Underdetermined)
 from .fxp import (OpCounter, Q2_14, Q8_8, QFormat, QScalar, QTensor, load_qt,
                   quantize, save_qt)
-from .gru import (DeltaState, GruLayerSpec, StepStats, delta_mxv_accumulate,
-                  deltagru_step, dense_step, run_sequence)
+from .gru import (GruLayerSpec, LayerState, StepStats, delta_mxv_accumulate,
+                  run_layer, run_sequence)
 from .memmodel import (MemConfig, MemCostReport, brain_budget, cost_trace,
                        random_vs_burst_ratio, schedule_dense_weight_stream,
                        solve_for)

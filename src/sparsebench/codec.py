@@ -18,7 +18,7 @@ import struct
 import numpy as np
 
 from ._binio import Reader, atomic_write
-from .errors import MalformedStream, ShapeMismatch
+from .errors import IndexOutOfRange, MalformedStream, ShapeMismatch
 from .fxp import QFormat, QScalar, QTensor
 
 SMFM_MAGIC = b"SMFM"
@@ -85,6 +85,18 @@ class DeltaStream:
     length: int
     indices: np.ndarray  # int64, strictly increasing
     values: np.ndarray   # int32 raw deltas, all non-zero
+
+    def __post_init__(self):
+        idx = self.indices
+        if idx.ndim != 1 or idx.shape != self.values.shape:
+            raise ShapeMismatch(
+                f"{idx.size} event indices but {self.values.size} values")
+        bad = idx[(idx < 0) | (idx >= self.length)]
+        if bad.size:
+            raise IndexOutOfRange(
+                f"event index {int(bad[0])} outside [0, {self.length})")
+        if np.any(idx[1:] <= idx[:-1]):
+            raise MalformedStream("event indices are not strictly increasing")
 
     @property
     def event_count(self) -> int:
@@ -153,26 +165,33 @@ def measure_sparsity(t: QTensor) -> SparsityStats:
     return SparsityStats(total, zeros, per_channel)
 
 
-def encode_delta(prev: QTensor, cur: QTensor, theta: QScalar) -> tuple[DeltaStream, QTensor]:
-    """Threshold the change of each component against the last transmitted value.
+def delta_events(mem: np.ndarray, cur: np.ndarray, theta_raw: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The threshold step on raw int16 vectors: components with
+    |cur - mem| strictly greater than ``theta_raw`` (>= 0) fire. Their
+    memory advances to cur in place; the rest keep their old memory, so
+    sub-threshold drift accumulates until it crosses the threshold.
 
-    Components with |cur - prev| strictly greater than theta emit an
-    (index, delta) event and advance the memory to cur; the rest keep
-    their old memory, so sub-threshold drift accumulates until it
-    crosses the threshold.
+    Returns the events as (indices, int32 deltas), indices increasing.
     """
+    d = cur.astype(np.int32)
+    d -= mem
+    idx = (np.abs(d) > theta_raw).nonzero()[0]
+    mem[idx] = cur[idx]
+    return idx, d[idx]
+
+
+def encode_delta(prev: QTensor, cur: QTensor, theta: QScalar) -> tuple[DeltaStream, QTensor]:
+    """Threshold the change of each component against the last transmitted
+    value (`delta_events`); returns the event stream and the new memory."""
     if prev.dims != cur.dims or len(prev.dims) != 1:
         raise ShapeMismatch(f"delta encoding needs matching vectors, got {prev.dims} vs {cur.dims}")
     if prev.fmt != cur.fmt or theta.fmt != cur.fmt:
         raise ShapeMismatch("delta encoding needs a shared Q-format")
     if theta.raw < 0:
         raise ValueError("theta must be non-negative")
-    d = cur.data.astype(np.int32) - prev.data.astype(np.int32)
-    fire = np.abs(d) > theta.raw
-    indices = np.flatnonzero(fire).astype(np.int64)
-    values = d[fire].astype(np.int32)
     new_mem = prev.data.copy()
-    new_mem[fire] = cur.data[fire]
+    indices, values = delta_events(new_mem, cur.data, theta.raw)
     return DeltaStream(prev.size, indices, values), QTensor(prev.dims, prev.fmt, new_mem)
 
 

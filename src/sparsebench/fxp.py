@@ -26,6 +26,7 @@ INT16_MIN = -(1 << 15)
 INT16_MAX = (1 << 15) - 1
 INT32_MIN = -(1 << 31)
 INT32_MAX = (1 << 31) - 1
+INT64_MAX = (1 << 63) - 1
 
 QT_MAGIC = b"QTSR"
 QT_VERSION = 0x01
@@ -131,7 +132,7 @@ class QTensor:
             raise ShapeMismatch(f"non-positive dimension in {dims}")
         if data.dtype != np.int16:
             raise ValueError("QTensor data must be int16")
-        if data.size != int(np.prod(dims)):
+        if data.size != math.prod(dims):
             raise ShapeMismatch(f"data length {data.size} != product of {dims}")
         self.dims = dims
         self.fmt = fmt
@@ -234,10 +235,22 @@ def sat_columns(acc: np.ndarray, w: np.ndarray, x: np.ndarray) -> int:
     ``w`` holds integer values (any dtype) and ``x`` is an integer vector.
     Zero entries of ``x`` are skipped: adding zero to an in-range
     accumulator is the identity. Returns the number of clips.
+
+    The steps are int64, so each term plus the accumulator must fit:
+    with A = max(max|acc|, 2**31), an upper bound on |acc| before every
+    step (each step clamps it into int32), every column must have
+    A + max|w[:, j]| * |x[j]| <= INT64_MAX, checked in Python ints.
+    Otherwise ``ValueError`` is raised before ``acc`` is touched.
     """
     nz = np.flatnonzero(x)
     cols = w.T[nz].astype(np.int64)
-    return sum(sat_add(acc, col * v) for col, v in zip(cols, x[nz].tolist()))
+    xs = x[nz].tolist()
+    if xs:
+        room = INT64_MAX - max(-int(acc.min(initial=0)), int(acc.max(initial=0)), 1 << 31)
+        for lo, hi, v in zip(cols.min(axis=1).tolist(), cols.max(axis=1).tolist(), xs):
+            if max(-lo, hi) * abs(v) > room:
+                raise ValueError(f"a term {max(-lo, hi)} * {v} overflows the int64 step")
+    return sum(sat_add(acc, col * v) for col, v in zip(cols, xs))
 
 
 def sat_matvec(acc: np.ndarray, w: np.ndarray, w_abs: np.ndarray,
@@ -265,9 +278,9 @@ def sat_matvec(acc: np.ndarray, w: np.ndarray, w_abs: np.ndarray,
     Otherwise the ordered int64 ``sat_columns`` loop runs.
     """
     xf = x.astype(np.float64)
-    bound = np.abs(acc.astype(np.float64)) + w_abs @ np.abs(xf)
+    bound = np.abs(acc, dtype=np.float64) + w_abs @ np.abs(xf)
     if bound.max(initial=0) <= INT32_MAX:
-        acc += (w @ xf).astype(np.int64)
+        np.add(acc, w @ xf, out=acc, casting="unsafe")
         return 0
     return sat_columns(acc, w, x)
 

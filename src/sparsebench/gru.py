@@ -28,16 +28,17 @@ pre-activation accumulators live in one int64 vector laid out
 three quarters and the hidden side [W_hr; W_hu; W_hc] its last three.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .codec import DeltaStream, encode_delta
-from .errors import IndexOutOfRange, MalformedStream, ShapeMismatch
+from .codec import delta_events
+from .errors import MalformedStream, ShapeMismatch
 from .fxp import (OpCounter, Q8_8, QScalar, QTensor, round_shift_even,
                   sat_add, sat_matvec)
-from .trace import AccessTrace
+from .trace import AccessTrace, triple_code
 
 ACT_FMT = Q8_8
 TABLE_LO = -8.0
@@ -71,6 +72,18 @@ SIGMOID_LUT = _interpolate(SIGMOID_TABLE)
 TANH_LUT = _interpolate(TANH_TABLE)
 
 
+def _rint_shift(values: np.ndarray, shift: int) -> np.ndarray:
+    """values / 2**shift rounded to nearest, ties to even, as float64.
+
+    For |values| < 2**53 the scaling by a power of two is exact and
+    ``np.rint`` rounds ties to even, so this equals
+    ``round_shift_even(values, shift)`` in fewer numpy calls. The gate
+    tail only rounds int32 accumulators and products of them with Q8.8
+    values (below 2**40).
+    """
+    return np.rint(values * 2.0 ** -shift)
+
+
 def act_lookup(acc: np.ndarray, acc_frac: int, lut: np.ndarray) -> np.ndarray:
     """Evaluate a lookup activation on 32-bit accumulators, yielding Q8.8.
 
@@ -78,31 +91,34 @@ def act_lookup(acc: np.ndarray, acc_frac: int, lut: np.ndarray) -> np.ndarray:
     clamped to the table domain, and looked up in ``lut`` (SIGMOID_LUT
     or TANH_LUT).
     """
-    x_raw = round_shift_even(acc, acc_frac - 8)
-    return lut[np.maximum(np.minimum(x_raw, ACT_IN_MAX), ACT_IN_MIN) - ACT_IN_MIN]
+    x = _rint_shift(acc, acc_frac - 8)
+    x -= ACT_IN_MIN
+    np.minimum(x, ACT_IN_MAX - ACT_IN_MIN, out=x)
+    np.maximum(x, 0, out=x)
+    return lut[x.astype(np.intp)]
 
 
 @dataclass(frozen=True)
 class GateStack:
     """One input side of a layer's weights, its matrices stacked by rows
-    for one matvec: float64 ``w`` (exact, the values are int16) and
-    ``w_abs`` = |w| for the no-clip bound.
+    for one matvec, stored by column: row j of ``cols`` is column j of
+    the stacked matrix, in float64 (exact, the values are int16), and
+    ``cols_abs`` = |cols| for the no-clip bound.
 
-    In memory the side's ``blocks`` matrices of h rows and n columns lie
-    one after another, each column-major, so column j of block m is a
-    burst of h words at offset (m * n + j) * h from the side's base. The
-    order of the stacked rows is the accumulator layout; it does not
-    move the addresses.
+    In memory the side's matrices of h rows and n columns lie one after
+    another, each column-major, so column j of block m is a burst of h
+    words at offset (m * n + j) * h from the side's base. The order of
+    the stacked rows is the accumulator layout; it does not move the
+    addresses.
     """
 
-    w: np.ndarray
-    w_abs: np.ndarray
-    blocks: int
+    cols: np.ndarray
+    cols_abs: np.ndarray
 
     @classmethod
     def of(cls, mats) -> "GateStack":
-        w = np.concatenate([m.data for m in mats]).astype(np.float64)
-        return cls(w, np.abs(w), len(mats))
+        cols = np.ascontiguousarray(np.concatenate([m.data for m in mats]).T, np.float64)
+        return cls(cols, np.abs(cols))
 
 
 @dataclass
@@ -137,7 +153,7 @@ class GruLayerSpec:
         if self.theta.fmt != ACT_FMT:
             raise ShapeMismatch("theta must be Q8.8")
         if self.theta.raw < 0:
-            raise ShapeMismatch("theta must be non-negative")
+            raise MalformedStream("theta must be non-negative")
 
     @property
     def acc_frac(self) -> int:
@@ -167,26 +183,22 @@ class GruLayerSpec:
         return np.concatenate([self.b_c, self.b_r, self.b_u, zero]).astype(np.int64)
 
 
-@dataclass
-class DeltaState:
-    """Per-sequence run state: transmitted memories and the int64
-    pre-activation accumulator, laid out [xc, r, u, hc]. A dense step
-    reads and replaces ``h_prev`` only."""
+class LayerState(NamedTuple):
+    """One layer's run state on raw arrays: the transmitted input and
+    hidden memories, the last output, and the int64 pre-activation
+    accumulator laid out [xc, r, u, hc]. Dense mode reads and replaces
+    ``h`` only."""
 
-    x_mem: QTensor
-    h_mem: QTensor
-    h_prev: QTensor
+    x_mem: np.ndarray
+    h_mem: np.ndarray
+    h: np.ndarray
     acc: np.ndarray
 
     @classmethod
-    def initial(cls, spec: GruLayerSpec) -> "DeltaState":
+    def initial(cls, spec: GruLayerSpec) -> "LayerState":
         i, h = spec.input_size, spec.hidden_size
-        return cls(
-            x_mem=QTensor.zeros((i,), ACT_FMT),
-            h_mem=QTensor.zeros((h,), ACT_FMT),
-            h_prev=QTensor.zeros((h,), ACT_FMT),
-            acc=spec.acc_bias,
-        )
+        return cls(np.zeros(i, np.int16), np.zeros(h, np.int16), np.zeros(h, np.int16),
+                   spec.acc_bias)
 
 
 @dataclass
@@ -198,126 +210,148 @@ class StepStats:
     h_events: int = 0
 
 
-def delta_mxv_accumulate(side: GateStack, deltas: DeltaStream, acc: np.ndarray,
-                         counter: OpCounter | None = None,
-                         trace: AccessTrace | None = None,
-                         weight_base: int = 0) -> np.ndarray:
-    """acc[j] += sum over events of W[j, idx] * val, saturating per event.
+def delta_mxv_accumulate(side: GateStack, idx: np.ndarray, vals: np.ndarray,
+                         acc: np.ndarray) -> int:
+    """acc[j] += sum over events of W[j, idx] * val, saturating per
+    event; returns the clips.
 
-    The events are scattered into a zero vector of the input width and
-    go through one ``sat_matvec``: one float64 matvec when no prefix can
-    clip, else the ordered loop over the events in index order, which
-    is stream order because stream indices are strictly increasing
-    (checked). Zero entries add nothing in either route. One event
+    ``idx`` must be a valid event stream's indices: strictly increasing
+    and inside the side's columns (`DeltaStream` checks both). The event
+    columns of W and |W| are gathered and go through one ``sat_matvec``:
+    one float64 matvec when no prefix can clip, else the ordered loop
+    over the events in index order, which is stream order. One event
     reads one column of each stacked matrix; columns are stored
     column-major, so each read is a single burst of contiguous words,
     which is what keeps delta-driven fetches DRAM-friendly.
     """
-    rows, n = side.w.shape
-    if deltas.length != n:
-        raise ShapeMismatch(f"stream length {deltas.length} vs {n} columns")
-    idx = deltas.indices
-    bad = idx[(idx < 0) | (idx >= n)]
-    if bad.size:
-        raise IndexOutOfRange(f"event index {int(bad[0])} outside [0, {n}) columns")
-    if np.any(idx[1:] <= idx[:-1]):
-        raise MalformedStream("event indices are not strictly increasing")
-    sats = 0
-    if idx.size:
-        x = np.zeros(n, dtype=np.int64)
-        x[idx] = deltas.values
-        sats = sat_matvec(acc, side.w, side.w_abs, x)
-        if trace is not None:
-            words = rows // side.blocks
-            cols = np.arange(side.blocks)[:, None] * n + idx
-            trace.add("DRAM", "read", "weights", (weight_base + cols * words).ravel(), words)
-    if counter is not None:
-        counter.macs_executed += rows * deltas.event_count
-        counter.saturations += sats
-    return acc
+    if not idx.size:
+        return 0
+    return sat_matvec(acc, side.cols[idx].T, side.cols_abs[idx].T, vals)
 
 
-def _gates(spec: GruLayerSpec, acc: np.ndarray, h_prev_raw,
-           counter: OpCounter | None = None) -> np.ndarray:
+def _gates(spec: GruLayerSpec, acc: np.ndarray, h_prev: np.ndarray
+           ) -> tuple[np.ndarray, int]:
     """Shared elementwise tail on an [xc, r, u, hc] accumulator; returns
-    the new hidden state, raw int16."""
+    the new hidden state, raw int16, and the clips of the candidate sum."""
     h = spec.hidden_size
     acc_frac = spec.acc_frac
-    ru = act_lookup(acc[h:3 * h], acc_frac, SIGMOID_LUT).astype(np.int64)
+    ru = act_lookup(acc[h:3 * h], acc_frac, SIGMOID_LUT)  # int16; products widen
     r, u = ru[:h], ru[h:]
     c_acc = acc[:h].copy()
-    sats = sat_add(c_acc, round_shift_even(r * acc[3 * h:], 8))
+    sats = sat_add(c_acc, _rint_shift(r * acc[3 * h:], 8).astype(np.int64))
     c = act_lookup(c_acc, acc_frac, TANH_LUT).astype(np.int64)
     one = 1 << ACT_FMT.frac_bits
-    mix = (one - u) * c + u * h_prev_raw.astype(np.int64)
-    if counter is not None:
-        counter.adds += 6 * h
-        counter.saturations += sats
-    return round_shift_even(mix, ACT_FMT.frac_bits).astype(np.int16)
+    mix = (one - u) * c + u * h_prev.astype(np.int64)
+    return _rint_shift(mix, ACT_FMT.frac_bits).astype(np.int16), sats
 
 
-def _check_input(spec: GruLayerSpec, x: QTensor) -> None:
-    if x.dims != (spec.input_size,) or x.fmt != ACT_FMT:
-        raise ShapeMismatch(f"input dims {x.dims}, expected ({spec.input_size},) Q8.8")
+@dataclass
+class LayerRecord:
+    """What one layer did over a block of steps: its op counter, the
+    events per step, and its access rows as int64 columns (step, triple
+    code, address, nwords), in order within each step. A step of -1 is
+    the sparse bias preload, before every step."""
+
+    counter: OpCounter
+    x_events: np.ndarray
+    h_events: np.ndarray
+    rows: np.ndarray
 
 
-def deltagru_step(spec: GruLayerSpec, state: DeltaState, x: QTensor,
-                  counter: OpCounter | None = None,
-                  trace: AccessTrace | None = None,
-                  weight_base: int = 0) -> tuple[QTensor, DeltaState, StepStats]:
-    """One delta-gated step: threshold, accumulate events, apply gates."""
-    _check_input(spec, x)
-    i, h = spec.input_size, spec.hidden_size
-    dx, x_mem = encode_delta(state.x_mem, x, spec.theta)
-    dh, h_mem = encode_delta(state.h_mem, state.h_prev, spec.theta)
-    if counter is not None:
-        counter.comparisons += i + h
-        counter.macs_dense_equivalent += 3 * h * (i + h)
-    acc = state.acc.copy()
-    delta_mxv_accumulate(spec.x_side, dx, acc[:3 * h], counter, trace, weight_base)
-    delta_mxv_accumulate(spec.h_side, dh, acc[h:], counter, trace,
-                         weight_base + 3 * h * i)
-    h_out = QTensor((h,), ACT_FMT, _gates(spec, acc, state.h_prev.data, counter))
-    stats = StepStats(dx.event_count, dh.event_count)
-    if trace is not None:
-        trace.add("SRAM", "read", "activations", 0, i)
-        trace.add("SRAM", "read", "state", 0, 5 * h)
-        trace.add("SRAM", "write", "state", 0,
-                  stats.x_events + stats.h_events + 5 * h)
-    return h_out, DeltaState(x_mem, h_mem, h_out, acc), stats
+def _row_block(groups) -> np.ndarray:
+    """(step, triple code, address, nwords) groups laid end to end as
+    one (4, rows) int64 block; each group is in step order, and a stable
+    sort by step puts each step's rows in group order."""
+    sizes = [np.size(g[0]) for g in groups]
+    rows = np.empty((4, sum(sizes)), np.int64)
+    pos = 0
+    for group, n in zip(groups, sizes):
+        for column, values in zip(rows, group):
+            column[pos:pos + n] = values
+        pos += n
+    return rows
 
 
-def dense_step(spec: GruLayerSpec, state: DeltaState, x: QTensor,
-               counter: OpCounter | None = None,
-               trace: AccessTrace | None = None,
-               weight_base: int = 0) -> tuple[QTensor, DeltaState, StepStats]:
-    """One dense step: every weight and bias word fetched, the
-    pre-activations recomputed from ``state.h_prev`` alone.
+_WEIGHTS = triple_code("DRAM", "read", "weights")
+_ACT_READ = triple_code("SRAM", "read", "activations")
+_STATE_READ = triple_code("SRAM", "read", "state")
+_STATE_WRITE = triple_code("SRAM", "write", "state")
 
-    Each side is one bound-checked ``sat_matvec`` over its full gate
-    stack and full vector; the delta engine's products are over sparse
-    deltas, so the theta-0 check still compares two different
-    computations.
+
+def run_layer(spec: GruLayerSpec, xs: np.ndarray, state: LayerState,
+              mode: str = "sparse", weight_base: int = 0
+              ) -> tuple[np.ndarray, LayerState, LayerRecord]:
+    """Run one layer over a (steps, input_size) int16 block; returns its
+    (steps, hidden_size) int16 outputs, the state after the last step
+    and the layer's record. ``state`` is updated in place.
+
+    Sparse: each step thresholds the input and the previous output
+    against their memories (`delta_events`), adds the event columns of
+    each side through `delta_mxv_accumulate`, and applies the gates.
+    The bias preload is the one row before the first step.
+    Dense: each step recomputes the pre-activations from the biases
+    with one bound-checked ``sat_matvec`` per side over its full gate
+    stack and full vector, and fetches every weight and bias word; the
+    delta engine's products are over sparse deltas, so the theta-0
+    check compares two different computations.
     """
-    _check_input(spec, x)
+    if mode not in ("sparse", "dense"):
+        raise ValueError(f"unknown mode {mode!r}")
+    steps = len(xs)
     i, h = spec.input_size, spec.hidden_size
-    if trace is not None:
-        trace.add("DRAM", "read", "weights", weight_base,
-                  spec.weight_words + layer_bias_words(spec))
-        trace.add("SRAM", "read", "activations", 0, i)
-        trace.add("SRAM", "read", "state", 0, h)
-        trace.add("SRAM", "write", "state", 0, h)
-    acc = spec.acc_bias
-    xs, hs = spec.x_side, spec.h_side
-    sats = sat_matvec(acc[:3 * h], xs.w, xs.w_abs, x.data)
-    sats += sat_matvec(acc[h:], hs.w, hs.w_abs, state.h_prev.data)
-    if counter is not None:
-        counter.macs_executed += spec.weight_words
-        counter.macs_dense_equivalent += spec.weight_words
-        counter.adds += 3 * h
-        counter.saturations += sats
-    h_out = QTensor((h,), ACT_FMT, _gates(spec, acc, state.h_prev.data, counter))
-    return h_out, replace(state, h_prev=h_out), StepStats(i, h)
+    xside, hside = spec.x_side, spec.h_side
+    x_mem, h_mem, h_prev, acc = state
+    out = np.empty((steps, h), np.int16)
+    sats = 0
+    counter = OpCounter(adds=6 * h * steps)
+    t_all = np.arange(steps)
+    if mode == "sparse":
+        theta = spec.theta.raw
+        acc_x, acc_h = acc[:3 * h], acc[h:]
+        x_idx, h_idx = [], []
+        for t in range(steps):
+            xi, xv = delta_events(x_mem, xs[t], theta)
+            hi, hv = delta_events(h_mem, h_prev, theta)
+            sats += delta_mxv_accumulate(xside, xi, xv, acc_x)
+            sats += delta_mxv_accumulate(hside, hi, hv, acc_h)
+            out[t], clips = _gates(spec, acc, h_prev)
+            sats += clips
+            h_prev = out[t]
+            x_idx.append(xi)
+            h_idx.append(hi)
+        ex = np.array([a.size for a in x_idx], np.int64)
+        eh = np.array([a.size for a in h_idx], np.int64)
+        x_idx, h_idx = np.concatenate(x_idx), np.concatenate(h_idx)
+        x_step, h_step = np.repeat(t_all, ex), np.repeat(t_all, eh)
+        counter.macs_executed = 3 * h * (x_idx.size + h_idx.size)
+        counter.comparisons = (i + h) * steps
+        h_base = weight_base + 3 * h * i
+        rows = _row_block(
+            [(-1, _WEIGHTS, weight_base + spec.weight_words, layer_bias_words(spec))]
+            + [(x_step, _WEIGHTS, weight_base + (m * i + x_idx) * h, h) for m in range(3)]
+            + [(h_step, _WEIGHTS, h_base + (m * h + h_idx) * h, h) for m in range(3)]
+            + [(t_all, _ACT_READ, 0, i), (t_all, _STATE_READ, 0, 5 * h),
+               (t_all, _STATE_WRITE, 0, ex + eh + 5 * h)])
+    else:
+        bias = spec.acc_bias
+        for t in range(steps):
+            pre = bias.copy()
+            sats += sat_matvec(pre[:3 * h], xside.cols.T, xside.cols_abs.T, xs[t])
+            sats += sat_matvec(pre[h:], hside.cols.T, hside.cols_abs.T, h_prev)
+            out[t], clips = _gates(spec, pre, h_prev)
+            sats += clips
+            h_prev = out[t]
+        ex, eh = np.full(steps, i), np.full(steps, h)
+        counter.macs_executed = spec.weight_words * steps
+        counter.adds += 3 * h * steps
+        rows = _row_block([
+            (t_all, _WEIGHTS, weight_base, spec.weight_words + layer_bias_words(spec)),
+            (t_all, _ACT_READ, 0, i), (t_all, _STATE_READ, 0, h),
+            (t_all, _STATE_WRITE, 0, h)])
+    counter.macs_dense_equivalent = spec.weight_words * steps
+    counter.saturations = sats
+    state = LayerState(x_mem, h_mem, h_prev.copy(), acc)
+    return out, state, LayerRecord(counter, ex, eh, rows)
 
 
 def layer_bias_words(spec: GruLayerSpec) -> int:
@@ -326,7 +360,7 @@ def layer_bias_words(spec: GruLayerSpec) -> int:
 
 @dataclass
 class GruSeqRun:
-    """A sequence run: final-layer outputs, per-layer step stats and op
+    """A sequence run: final-layer outputs, per-layer event counts and op
     counters, and the access trace.
 
     Every executed MAC reads one weight word, so the weight words
@@ -334,10 +368,11 @@ class GruSeqRun:
     the dense-equivalent MACs.
     """
 
-    outputs: list[QTensor] = field(default_factory=list)
-    step_stats: list[list[StepStats]] = field(default_factory=list)
-    layer_counters: list[OpCounter] = field(default_factory=list)
-    trace: AccessTrace = field(default_factory=AccessTrace)
+    outputs: list[QTensor]
+    x_events: np.ndarray  # (layers, steps): input components sent on
+    h_events: np.ndarray  # (layers, steps): hidden components sent on
+    layer_counters: list[OpCounter]
+    trace: AccessTrace
     init_words: int = 0
 
     @property
@@ -364,15 +399,21 @@ class GruSeqRun:
             return float("inf") if self.dense_weight_words else 1.0
         return self.dense_weight_words / fetched
 
+    @cached_property
+    def step_stats(self) -> list[list[StepStats]]:
+        """Per layer, per step: the event counts."""
+        return [[StepStats(x, h) for x, h in zip(xl.tolist(), hl.tolist())]
+                for xl, hl in zip(self.x_events, self.h_events)]
+
     @property
     def layer_traces(self) -> list[AccessTrace]:
         """Each layer's rows of the run trace, in run order."""
-        return [self.trace.select_layer(l) for l in range(len(self.step_stats))]
+        return [self.trace.select_layer(l) for l in range(len(self.layer_counters))]
 
     def event_timeline(self) -> list[tuple[int, int]]:
         """Per step: (input events, hidden events) summed over layers."""
-        return [(sum(s.x_events for s in step), sum(s.h_events for s in step))
-                for step in zip(*self.step_stats)]
+        return list(zip(self.x_events.sum(axis=0).tolist(),
+                        self.h_events.sum(axis=0).tolist()))
 
 
 def run_sequence(specs: list[GruLayerSpec], x_seq: list[QTensor],
@@ -382,9 +423,13 @@ def run_sequence(specs: list[GruLayerSpec], x_seq: list[QTensor],
     Sparse mode threshold-gates inputs and hidden states and fetches
     only the weight columns that events touch, after preloading each
     layer's biases once; dense mode streams every matrix fully each
-    step. Both run the same step-by-layer loop with the mode's step
-    function, and both count dense-equivalent MACs, so the reduction
-    factor is a straight ratio.
+    step. Both count dense-equivalent MACs, so the reduction factor is a
+    straight ratio.
+
+    The layers only feed forward, so each runs over the whole sequence
+    before the next (`run_layer`). The trace stays step-major: each
+    layer's rows are keyed by step and interleaved by one stable sort,
+    bias preloads first, then by (step, layer).
     """
     if mode not in ("sparse", "dense"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -395,30 +440,28 @@ def run_sequence(specs: list[GruLayerSpec], x_seq: list[QTensor],
                 f"layer {l - 1} hidden {specs[l - 1].hidden_size}")
     if not x_seq:
         raise MalformedStream("empty input sequence: a run needs at least one step")
+    want = (specs[0].input_size,)
+    for x in x_seq:
+        if x.dims != want or x.fmt != ACT_FMT:
+            raise ShapeMismatch(f"input dims {x.dims}, expected {want} Q8.8")
 
-    step = deltagru_step if mode == "sparse" else dense_step
-    run = GruSeqRun(step_stats=[[] for _ in specs],
-                    layer_counters=[OpCounter() for _ in specs])
-    bases = []
+    block = np.stack([x.data for x in x_seq])
+    records = []
     base = 0
     for spec in specs:
-        bases.append(base)
+        block, _, record = run_layer(spec, block, LayerState.initial(spec), mode, base)
+        records.append(record)
         base += spec.weight_words + layer_bias_words(spec)
 
-    trace = run.trace  # each layer sets its layer column before adding
-    if mode == "sparse":
-        for l, (spec, b) in enumerate(zip(specs, bases)):
-            trace.layer = l
-            trace.add("DRAM", "read", "weights",
-                      b + spec.weight_words, layer_bias_words(spec))
-            run.init_words += layer_bias_words(spec)
-    states = [DeltaState.initial(s) for s in specs]
-    for x in x_seq:
-        cur = x
-        for l, spec in enumerate(specs):
-            trace.layer = l
-            cur, states[l], stats = step(spec, states[l], cur,
-                                         run.layer_counters[l], trace, bases[l])
-            run.step_stats[l].append(stats)
-        run.outputs.append(cur)
-    return run
+    layer = np.repeat(np.arange(len(specs)), [r.rows.shape[1] for r in records])
+    step, triple, address, nwords = np.concatenate([r.rows for r in records], axis=1)
+    trace = AccessTrace.from_columns(triple, layer, address, nwords,
+                                     key=(step + 1) * len(specs) + layer)
+    h = specs[-1].hidden_size
+    return GruSeqRun(
+        outputs=[QTensor((h,), ACT_FMT, y) for y in block],
+        x_events=np.stack([r.x_events for r in records]),
+        h_events=np.stack([r.h_events for r in records]),
+        layer_counters=[r.counter for r in records],
+        trace=trace,
+        init_words=sum(map(layer_bias_words, specs)) if mode == "sparse" else 0)

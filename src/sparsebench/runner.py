@@ -246,9 +246,9 @@ def execute_gru(desc: NetworkDesc, x_seq: list[QTensor], mode: str,
         raise EquivalenceFailure(
             "delta and dense GRU outputs diverged at theta 0; this is a bug")
     run = sparse_run if mode == "sparse" else dense_run
-    sparsity = [1.0 - sum(s.x_events + s.h_events for s in stats)
-                / (len(stats) * (spec.input_size + spec.hidden_size))
-                for spec, stats in zip(desc.gru_layers, run.step_stats)]
+    steps = len(x_seq)
+    sparsity = [1.0 - int(xe.sum() + he.sum()) / (steps * (spec.input_size + spec.hidden_size))
+                for spec, xe, he in zip(desc.gru_layers, run.x_events, run.h_events)]
     report = _report(desc, mode, mem, seed, run.layer_counters, sparsity, run.trace)
     dense_total_words = dense_run.trace.word_count()
     total_words = report.totals["dram_words"] + report.totals["sram_words"]
@@ -256,7 +256,7 @@ def execute_gru(desc: NetworkDesc, x_seq: list[QTensor], mode: str,
         "output_hash": hash_tensors(run.outputs),
         "equivalence_checked": checked,
         "theta": [s.theta.value for s in desc.gru_layers],
-        "steps": len(x_seq),
+        "steps": steps,
         "weight_words_fetched": run.weight_words_fetched,
         "dense_weight_words": run.dense_weight_words,
         "weight_reduction_factor": run.weight_reduction_factor,
@@ -269,11 +269,9 @@ def execute_gru(desc: NetworkDesc, x_seq: list[QTensor], mode: str,
 
 
 def _mean_event_rate(run: GruSeqRun, desc: NetworkDesc) -> float:
-    steps = len(run.step_stats[0])
     units = sum(s.input_size + s.hidden_size for s in desc.gru_layers)
-    events = sum(s.x_events + s.h_events
-                 for layer in run.step_stats for s in layer)
-    return events / (steps * units)
+    events = int(run.x_events.sum() + run.h_events.sum())
+    return events / (run.x_events.shape[1] * units)
 
 
 def output_values(run: GruSeqRun) -> np.ndarray:

@@ -28,12 +28,40 @@ _TRIPLE_CODES = np.array([(REGIONS.index(r), KINDS.index(k), TAGS.index(t))
                           for r, k, t in _TRIPLES], dtype=np.int64)
 
 
-def _triple(region: str, kind: str, tag: str) -> int:
+def triple_code(region: str, kind: str, tag: str) -> int:
+    """The index of a (region, kind, tag) triple, the code the columnar
+    entry points take."""
     for what, value, names in (("region", region, REGIONS),
                                ("access kind", kind, KINDS), ("tag", tag, TAGS)):
         if value not in names:
             raise ValueError(f"unknown {what} {value!r}")
     return _TRIPLE_INDEX[region, kind, tag]
+
+
+def _rows(triple, layer, address: np.ndarray, nwords: np.ndarray,
+          order: np.ndarray | None = None) -> np.ndarray:
+    """Checked table rows from whole columns, taken in ``order`` (default:
+    as given); zero-length runs are dropped. ``triple`` and ``layer`` may
+    be ints shared by every row."""
+    if address.min(initial=0) < 0:
+        raise ValueError(f"negative address {address.min()}")
+    if nwords.min(initial=0) < 0:
+        raise ValueError(f"negative run length {nwords.min()}")
+    if np.any(address > INT64_MAX - nwords):  # both non-negative: no wrap here
+        raise ValueError("address run end (address + nwords) does not fit int64")
+    if order is None:
+        keep = nwords > 0
+        order = slice(None) if keep.all() else keep.nonzero()[0]
+    else:
+        order = order[nwords[order] > 0]
+    rows = np.empty((address[order].size, len(COLUMNS)), np.int64)
+    codes = triple[order] if np.ndim(triple) else triple
+    for j in range(3):  # column by column: no (rows, 3) temporary
+        rows[:, j] = _TRIPLE_CODES[codes, j]
+    rows[:, 3] = layer[order] if np.ndim(layer) else layer
+    rows[:, 4] = address[order]
+    rows[:, 5] = nwords[order]
+    return rows
 
 
 class AccessTrace:
@@ -45,11 +73,21 @@ class AccessTrace:
         self._table = np.empty((0, len(COLUMNS)), np.int64) if table is None else table
         self._pending = ([], [], [], [])  # triple, layer, address, nwords
 
+    @classmethod
+    def from_columns(cls, triple: np.ndarray, layer: np.ndarray, address: np.ndarray,
+                     nwords: np.ndarray, key: np.ndarray) -> "AccessTrace":
+        """A trace from whole int64 columns, one entry per run: triple
+        codes (`triple_code`), layer, address and run length. The rows
+        are ordered by a stable sort on ``key``, so rows with equal keys
+        keep their order. The checks are `add`'s; zero-length runs are
+        dropped."""
+        return cls(_rows(triple, layer, address, nwords, np.argsort(key, kind="stable")))
+
     def add(self, region: str, kind: str, tag: str, address, nwords=1) -> None:
         """Append runs of nwords words at address: ints, or a 1-D int array
         of addresses (one row each, in order) with an int or an equally
         long array of run lengths. Zero-length runs are dropped."""
-        triple = _triple(region, kind, tag)
+        triple = triple_code(region, kind, tag)
         if isinstance(address, np.ndarray):
             address = address.tolist()
             nwords = (nwords.tolist() if isinstance(nwords, np.ndarray)
@@ -58,16 +96,14 @@ class AccessTrace:
                 raise ValueError(f"{len(address)} addresses but {len(nwords)} run lengths")
         else:
             address, nwords = [address], [nwords]
-        self._append([triple] * len(address), address, nwords)
-
-    def _append(self, triples: list, address: list, nwords: list) -> None:
         if min(address, default=0) < 0:
             raise ValueError(f"negative address {min(address)}")
         if min(nwords, default=0) < 0:
             raise ValueError(f"negative run length {min(nwords)}")
         if max(map(operator.add, address, nwords), default=0) > INT64_MAX:
             raise ValueError("address run end (address + nwords) does not fit int64")
-        for column, values in zip(self._pending, (triples, [self.layer] * len(address),
+        for column, values in zip(self._pending, ([triple] * len(address),
+                                                  [self.layer] * len(address),
                                                   address, nwords)):
             column += values
 
@@ -76,13 +112,8 @@ class AccessTrace:
         """The (runs, len(COLUMNS)) int64 table, in append order."""
         if self._pending[0]:
             pending, self._pending = self._pending, ([], [], [], [])
-            rows = np.empty((len(pending[0]), len(COLUMNS)), np.int64)
-            rows[:, :3] = _TRIPLE_CODES[pending[0]]
-            for j, values in enumerate(pending[1:], start=3):
-                rows[:, j] = values
+            rows = _rows(*(np.array(column, dtype=np.int64) for column in pending))
             del pending
-            if not rows[:, 5].all():
-                rows = rows[rows[:, 5] > 0]
             self._table = np.concatenate([self._table, rows]) if len(self._table) else rows
         return self._table
 
@@ -130,8 +161,13 @@ def trace_from_csv(text: str) -> AccessTrace:
         if len(parts) != 4:
             raise ValueError(f"bad trace row {ln!r}")
         region, address, kind, tag = map(str.strip, parts)
-        triples.append(_triple(region, kind, tag))
+        triples.append(triple_code(region, kind, tag))
         addresses.append(int(address))
-    trace = AccessTrace()
-    trace._append(triples, addresses, [1] * len(addresses))
-    return trace
+    del lines  # the parsed text can go before the table is built
+    try:
+        address = np.array(addresses, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("address run end (address + nwords) does not fit int64") from None
+    del addresses
+    return AccessTrace(_rows(np.array(triples, dtype=np.int64), 0, address,
+                             np.ones_like(address)))

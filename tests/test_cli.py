@@ -171,6 +171,26 @@ def test_run_non_finite_theta_exits_2(gru_net, capsys):
         assert "non-finite" in capsys.readouterr().err
 
 
+def test_run_negative_theta_exits_2(gru_net, capsys):
+    # a bad flag value is an input error, not a shape error (exit 3)
+    assert main(["run", "--net", gru_net, "--input", "synth:ar1,t=3,n=6",
+                 "--theta", "-0.5"]) == 2
+    assert "theta must be non-negative" in capsys.readouterr().err
+
+
+def test_sweep_negative_theta_exits_2(gru_net, capsys):
+    assert main(["sweep-theta", "--net", gru_net, "--input", "synth:ar1,t=3,n=6",
+                 "--thetas", "0,-0.5"]) == 2
+    assert "theta must be non-negative" in capsys.readouterr().err
+
+
+def test_net_file_negative_theta_exits_2(tmp_path, capsys):
+    net = tmp_path / "neg.net"
+    net.write_text(GRU_NET.replace("theta = 0.0", "theta = -1"))
+    assert main(["run", "--net", str(net), "--input", "synth:ar1,t=3,n=6"]) == 2
+    assert "theta must be non-negative" in capsys.readouterr().err
+
+
 def test_non_finite_generator_amplitude_exits_2(gru_net, capsys):
     # ar1 with amp=nan cast NaN to int16 (exit 0, a numpy warning); hold
     # and uniform with amp=inf escaped as an OverflowError traceback

@@ -23,6 +23,7 @@ from sparsebench.fxp import (
     round_shift_even,
     save_qt,
     sat_add,
+    sat_columns,
     to_qt_bytes,
 )
 
@@ -149,6 +150,36 @@ def test_sat_add_counts():
     assert sat_add(wide[:, 1], np.array([INT32_MAX, 1], dtype=np.int64)) == 0
     assert sat_add(wide[:, 1], np.array([1, -2], dtype=np.int64)) == 1
     assert wide.tolist() == [[0, INT32_MAX, 0], [0, -1, 0]]
+
+
+def test_sat_columns_refuses_a_term_that_would_wrap_int64():
+    # |acc| can reach 2**31 before any step, so a term fits the int64 step
+    # up to INT64_MAX - 2**31; the largest such term matches Python ints
+    room = (1 << 63) - 1 - (1 << 31)
+    for w in (1, 32767, -32768):
+        x = room // abs(w)
+        acc = np.array([5, -5], dtype=np.int64)
+        clips = sat_columns(acc, np.array([[w], [-w]], dtype=np.int64),
+                            np.array([x], dtype=np.int64))
+        want = [max(INT32_MIN, min(INT32_MAX, a + s * w * x)) for a, s in ((5, 1), (-5, -1))]
+        assert acc.tolist() == want and clips == 2
+        acc = np.array([5, -5], dtype=np.int64)
+        with pytest.raises(ValueError, match="overflows"):
+            sat_columns(acc, np.array([[w], [-w]], dtype=np.int64),
+                        np.array([x + 1], dtype=np.int64))
+        assert acc.tolist() == [5, -5]
+    # a wider accumulator leaves less room
+    acc = np.array([1 << 40], dtype=np.int64)
+    with pytest.raises(ValueError, match="overflows"):
+        sat_columns(acc, np.array([[1]]), np.array([(1 << 63) - (1 << 40)], dtype=np.int64))
+    assert sat_columns(acc, np.array([[1]]), np.array([(1 << 63) - 1 - (1 << 40)])) == 1
+    assert acc[0] == INT32_MAX
+    # a full-scale weight against 2**49 + 12345 used to wrap to INT32_MIN
+    acc = np.zeros(1, dtype=np.int64)
+    with pytest.raises(ValueError, match="overflows"):
+        sat_columns(acc, np.array([[32767]], dtype=np.int16),
+                    np.array([(1 << 49) + 12345], dtype=np.int64))
+    assert acc[0] == 0
 
 
 # --- rounding shift -----------------------------------------------------------

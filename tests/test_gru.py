@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from _synthcases import gru_spec
 from sparsebench.codec import DeltaStream, encode_delta
 from sparsebench.errors import IndexOutOfRange, MalformedStream, ShapeMismatch
-from sparsebench import fxp
+from sparsebench import fxp, gru
 from sparsebench.fxp import (INT32_MAX, INT32_MIN, Q8_8, OpCounter, QScalar,
                              QTensor, sat_columns, sat_matvec)
 from sparsebench.gru import (
@@ -21,13 +21,12 @@ from sparsebench.gru import (
     SIGMOID_TABLE,
     TANH_LUT,
     TANH_TABLE,
-    DeltaState,
     GateStack,
+    LayerState,
     act_lookup,
     delta_mxv_accumulate,
-    deltagru_step,
-    dense_step,
     layer_bias_words,
+    run_layer,
     run_sequence,
 )
 from sparsebench.synth import ar1_seq, make_rng, piecewise_constant_seq, uniform_seq
@@ -109,65 +108,76 @@ def test_lookup_is_monotone(acc):
 
 # --- event-driven matrix accumulation ------------------------------------------------
 
-def _stream(n, idx, vals):
-    return DeltaStream(n, np.array(idx, dtype=np.int64), np.array(vals, dtype=np.int32))
+def _events(idx, vals):
+    return np.array(idx, dtype=np.int64), np.array(vals, dtype=np.int32)
 
 
 def test_delta_mxv_adds_scaled_columns():
     rng = make_rng(0)
     spec = gru_spec(rng, 3, 4)
     acc = np.zeros(4, dtype=np.int64)
-    delta_mxv_accumulate(GateStack.of([spec.w_xr]), _stream(3, [1], [10]), acc)
+    assert delta_mxv_accumulate(GateStack.of([spec.w_xr]), *_events([1], [10]), acc) == 0
     assert np.array_equal(acc, spec.w_xr.data[:, 1].astype(np.int64) * 10)
     # a stack updates each block's rows with its own matrix
     stacked = np.zeros(8, dtype=np.int64)
-    delta_mxv_accumulate(GateStack.of([spec.w_xc, spec.w_xr]), _stream(3, [1], [10]),
+    delta_mxv_accumulate(GateStack.of([spec.w_xc, spec.w_xr]), *_events([1], [10]),
                          stacked)
     assert np.array_equal(stacked, np.concatenate([spec.w_xc.data[:, 1],
                                                    spec.w_xr.data[:, 1]]) * 10)
 
 
+def _weight_reads_by_step(trace):
+    """A one-layer trace's DRAM weight reads, (address, nwords), split
+    into the bias preload and then one list per step (each step ends
+    with its SRAM state write)."""
+    runs = trace.runs()
+    steps, cur = [], []
+    for region, kind, tag, _, address, nwords in runs[1:]:
+        if region == "DRAM":
+            cur.append((address, nwords))
+        elif (kind, tag) == ("write", "state"):
+            steps.append(cur)
+            cur = []
+    return (runs[0][4], runs[0][5]), steps
+
+
 def test_delta_mxv_traces_one_column_burst_per_event():
-    from sparsebench.trace import AccessTrace
-
+    # each event reads one h-word column burst of each stacked matrix:
+    # every event of block 0, then of block 1 one matrix on, then block 2
     rng = make_rng(1)
-    spec = gru_spec(rng, 5, 4)
-    trace = AccessTrace()
-    stream = _stream(5, [0, 3], [7, -2])
-    delta_mxv_accumulate(GateStack.of([spec.w_xr]), stream, np.zeros(4, dtype=np.int64),
-                         trace=trace, weight_base=100)
-    assert trace.runs() == [("DRAM", "read", "weights", 0, 100, 4),
-                            ("DRAM", "read", "weights", 0, 112, 4)]
-    empty = _stream(5, [], [])
-    delta_mxv_accumulate(GateStack.of([spec.w_xr]), empty, np.zeros(4, dtype=np.int64),
-                         trace=trace, weight_base=100)
-    assert len(trace) == 2
-    # a stack of two 4x5 matrices: every event of block 0, then of block 1
-    # at the next matrix, 20 words on
-    trace = AccessTrace()
-    delta_mxv_accumulate(GateStack.of([spec.w_xr, spec.w_xu]), stream,
-                         np.zeros(8, dtype=np.int64), trace=trace, weight_base=100)
-    assert [(r[4], r[5]) for r in trace.runs()] == [(100, 4), (112, 4), (120, 4), (132, 4)]
+    specs = [gru_spec(rng, 5, 4), gru_spec(rng, 4, 3)]
+    x = np.zeros(5, dtype=np.int16)
+    x[[0, 3]] = [7, -2]
+    xs = [QTensor((5,), Q8_8, x)] * 2
+    run = run_sequence(specs, xs, "sparse")
+    first = run_sequence(specs[:1], xs, "sparse").outputs
+    layer0, layer1 = run.layer_traces
+    preload, steps = _weight_reads_by_step(layer0)
+    assert preload == (specs[0].weight_words, layer_bias_words(specs[0]))
+    assert steps[0] == [(0, 4), (12, 4), (20, 4), (32, 4), (40, 4), (52, 4)]
+    # an unchanged input fetches nothing on the input side; the hidden
+    # side of [W_hr; W_hu; W_hc] starts after the three 4x5 input matrices
+    h_idx = np.flatnonzero(first[0].data)
+    assert steps[1] == [(60 + (m * 4 + j) * 4, 4) for m in range(3) for j in h_idx]
+    # the next layer's weights start after this layer's weights and biases
+    base = specs[0].weight_words + layer_bias_words(specs[0])
+    preload, steps = _weight_reads_by_step(layer1)
+    assert preload == (base + specs[1].weight_words, layer_bias_words(specs[1]))
+    assert steps[0] == [(base + (m * 4 + j) * 3, 3) for m in range(3) for j in h_idx]
 
 
-def test_delta_mxv_bounds_checks():
-    rng = make_rng(2)
-    side = GateStack.of([gru_spec(rng, 3, 4).w_xr])
+def test_delta_stream_bounds_checks():
+    # the checks a stream's indices pass before any accumulator can see
+    # them: numpy would wrap -1 to the last column, and the ordered
+    # fallback runs in index order
     with pytest.raises(ShapeMismatch):
-        delta_mxv_accumulate(side, _stream(5, [], []), np.zeros(4, dtype=np.int64))
+        DeltaStream(3, *_events([0, 1], [5]))
     for bad in (3, -1):
-        # numpy would wrap -1 to the last column; the check must come
-        # before any accumulator is touched
-        acc = np.zeros(4, dtype=np.int64)
         with pytest.raises(IndexOutOfRange):
-            delta_mxv_accumulate(side, _stream(3, [0, bad], [1, 1]), acc)
-        assert not acc.any()
+            DeltaStream(3, *_events([0, bad], [1, 1]))
     for idx in ([1, 1], [2, 0]):
-        # the scatter would drop a repeated index and reorder the events
-        acc = np.zeros(4, dtype=np.int64)
         with pytest.raises(MalformedStream, match="strictly increasing"):
-            delta_mxv_accumulate(side, _stream(3, idx, [5, 7]), acc)
-        assert not acc.any()
+            DeltaStream(3, *_events(idx, [5, 7]))
 
 
 def _matvec_reference(acc, w2d, xvec):
@@ -295,11 +305,9 @@ def test_delta_mxv_matches_per_event_reference(seed, full_scale):
         want = np.clip(wide, INT32_MIN, INT32_MAX)
         want_sats += int(np.count_nonzero(want != wide))
     got = acc0.copy()
-    counter = OpCounter()
-    delta_mxv_accumulate(GateStack.of(mats), stream, got, counter)
+    clips = delta_mxv_accumulate(GateStack.of(mats), stream.indices, stream.values, got)
     assert np.array_equal(got, want)
-    assert counter.saturations == want_sats
-    assert counter.macs_executed == blocks * h * idx.size
+    assert clips == want_sats
 
 
 def test_fast_path_taken_at_bench_scale(monkeypatch):
@@ -406,27 +414,67 @@ def test_saturating_two_layer_gru_matches_per_gate_reference(seed, theta):
         assert run.counters.saturations == want_clips > 0
 
 
+def _margin_biases(spec, rng):
+    """The spec with every bias 2**23 to 2**24 below the int32 edge in
+    magnitude: a few small terms fit under it, one large term does not."""
+    h = spec.hidden_size
+
+    def near():
+        return (rng.choice((-1, 1), size=h)
+                * (INT32_MAX - rng.integers(1 << 23, 1 << 24, size=h))).astype(np.int32)
+
+    return replace(spec, b_r=near(), b_u=near(), b_c=near())
+
+
+@settings(deadline=None, max_examples=8)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((0.0, 0.05)))
+def test_fast_and_ordered_routes_mix_within_one_run(seed, theta):
+    # a quiet step, a step of small changes (20 raw, above theta) and then
+    # large inputs: the bound holds at the early steps (dense: the zero
+    # step; sparse: the small input deltas) and fails later, so both
+    # routes run in one sequence and must agree with the per-gate reference
+    rng = make_rng(seed)
+    specs = [_margin_biases(gru_spec(rng, 6, 8, theta=theta, w_amp=1.9), rng),
+             _margin_biases(gru_spec(rng, 8, 5, theta=theta, w_amp=1.9), rng)]
+    small = (rng.choice((-1, 1), size=6) * 20).astype(np.int16)
+    xs = ([QTensor((6,), Q8_8, np.zeros(6, dtype=np.int16)), QTensor((6,), Q8_8, small)]
+          + uniform_seq(8, 6, rng, amp=100.0))
+    for mode in ("sparse", "dense"):
+        want, want_clips = _reference_gru(specs, xs, mode)
+        with mock.patch.object(gru, "sat_matvec", wraps=fxp.sat_matvec) as routed, \
+                mock.patch.object(fxp, "sat_columns", wraps=fxp.sat_columns) as ordered:
+            run = run_sequence(specs, xs, mode)
+        assert run.outputs == want
+        assert run.counters.saturations == want_clips
+        assert 0 < ordered.call_count < routed.call_count
+
+
 # --- single-step semantics ------------------------------------------------------------
+
+def _step(spec, state, x, mode="sparse"):
+    """One step of `run_layer`: a one-row block."""
+    ys, state, record = run_layer(spec, x.data[None], state, mode)
+    return ys[0], state, record
+
 
 def test_zero_everything_stays_zero():
     rng = make_rng(3)
     spec = gru_spec(rng, 4, 4, w_amp=0.0, bias_amp=0.0)
-    state = DeltaState.initial(spec)
-    counter = OpCounter()
-    h, state, stats = deltagru_step(spec, state, _vec([0, 0, 0, 0]), counter)
-    assert list(h.data) == [0, 0, 0, 0]
-    assert stats.x_events == stats.h_events == 0
-    assert counter.macs_executed == 0
+    state = LayerState.initial(spec)
+    h, state, record = _step(spec, state, _vec([0, 0, 0, 0]))
+    assert list(h) == [0, 0, 0, 0]
+    assert record.x_events[0] == record.h_events[0] == 0
+    assert record.counter.macs_executed == 0
 
 
 def test_step_counts_events_and_macs():
     rng = make_rng(4)
     spec = gru_spec(rng, 3, 5)
-    state = DeltaState.initial(spec)
-    counter = OpCounter()
-    h, state, stats = deltagru_step(spec, state, _vec([256, 0, -128]), counter)
-    assert stats.x_events == 2  # two non-zero inputs vs zero memory
-    assert stats.h_events == 0
+    state = LayerState.initial(spec)
+    h, state, record = _step(spec, state, _vec([256, 0, -128]))
+    counter = record.counter
+    assert record.x_events[0] == 2  # two non-zero inputs vs zero memory
+    assert record.h_events[0] == 0
     assert counter.macs_executed == 3 * 5 * 2  # three matrices x H per event
     assert counter.macs_dense_equivalent == 3 * 5 * (3 + 5)
     assert counter.comparisons == 3 + 5 and counter.adds == 6 * 5
@@ -436,16 +484,16 @@ def test_memory_stays_within_theta_of_stream():
     rng = make_rng(5)
     spec = gru_spec(rng, 6, 5, theta=0.1)
     xs = uniform_seq(40, 6, rng, amp=0.8)
-    state = DeltaState.initial(spec)
+    state = LayerState.initial(spec)
     for x in xs:
-        h_entering = state.h_prev.data.astype(np.int32)
-        _, state, _ = deltagru_step(spec, state, x)
-        drift = np.abs(state.x_mem.data.astype(np.int32)
+        h_entering = state.h.astype(np.int32)
+        _, state, _ = _step(spec, state, x)
+        drift = np.abs(state.x_mem.astype(np.int32)
                        - x.data.astype(np.int32))
         assert drift.max(initial=0) <= spec.theta.raw
         # the hidden memory tracks the value that entered this step; the
         # fresh output is not thresholded until the next step begins
-        h_drift = np.abs(state.h_mem.data.astype(np.int32) - h_entering)
+        h_drift = np.abs(state.h_mem.astype(np.int32) - h_entering)
         assert h_drift.max(initial=0) <= spec.theta.raw
 
 
@@ -458,13 +506,14 @@ def test_preactivations_telescope_to_memory_product(seed, theta):
     i, h = int(rng.integers(1, 12)), int(rng.integers(1, 12))
     spec = gru_spec(rng, i, h, theta=theta)
     xs = uniform_seq(15, i, rng, amp=0.9)
-    state = DeltaState.initial(spec)
+    state = LayerState.initial(spec)
     counter = OpCounter()
     for x in xs:
-        _, state, _ = deltagru_step(spec, state, x, counter)
+        _, state, record = _step(spec, state, x)
+        counter.merge(record.counter)
     assert counter.saturations == 0  # equality below assumes no clipping
-    xm = state.x_mem.data.astype(np.int64)
-    hm = state.h_mem.data.astype(np.int64)
+    xm = state.x_mem.astype(np.int64)
+    hm = state.h_mem.astype(np.int64)
 
     def w64(m):
         return m.data.astype(np.int64)
@@ -486,11 +535,12 @@ def test_zero_theta_matches_dense_oracle_every_step(seed):
     spec = gru_spec(rng, i, h, theta=0.0)
     xs = uniform_seq(int(rng.integers(1, 25)), i, rng, amp=1.0)
     oracle = run_sequence([spec], xs, "dense").outputs
-    state = DeltaState.initial(spec)
+    state = LayerState.initial(spec)
     counter = OpCounter()
     for t, x in enumerate(xs):
-        h_out, state, _ = deltagru_step(spec, state, x, counter)
-        assert h_out == oracle[t], f"diverged at step {t}"
+        h_out, state, record = _step(spec, state, x)
+        counter.merge(record.counter)
+        assert np.array_equal(h_out, oracle[t].data), f"diverged at step {t}"
     assert counter.saturations == 0
 
 
@@ -578,20 +628,35 @@ def test_per_layer_traces_partition_the_run_trace():
         assert len(t) > 0 and {r[3] for r in t.runs()} == {l}
 
 
+@pytest.mark.parametrize("mode", ["sparse", "dense"])
+def test_run_trace_is_step_major_across_layers(mode):
+    # each layer runs over the whole sequence before the next, but the
+    # trace interleaves them step by step: per step, layer 0, 1, 2
+    rng = make_rng(18)
+    specs = [gru_spec(rng, 4, 5), gru_spec(rng, 5, 6), gru_spec(rng, 6, 3)]
+    run = run_sequence(specs, uniform_seq(7, 4, rng), mode)
+    writes = [r[3] for r in run.trace.runs() if r[:3] == ("SRAM", "write", "state")]
+    assert writes == [n % 3 for n in range(3 * 7)]
+
+
 def test_sequence_validation():
     rng = make_rng(14)
     with pytest.raises(ShapeMismatch, match="layer 1"):
         run_sequence([gru_spec(rng, 4, 5), gru_spec(rng, 6, 4)], [])
     with pytest.raises(ValueError, match="mode"):
         run_sequence([gru_spec(rng, 4, 5)], [], "eager")
+    spec = gru_spec(rng, 4, 5)
+    with pytest.raises(ValueError, match="mode"):
+        run_layer(spec, np.zeros((1, 4), np.int16), LayerState.initial(spec), "Sparse")
     for mode in ("sparse", "dense"):
         with pytest.raises(MalformedStream, match="empty input sequence"):
             run_sequence([gru_spec(rng, 4, 5)], [], mode)
-    spec = gru_spec(rng, 4, 5)
-    with pytest.raises(ShapeMismatch, match="input dims"):
-        deltagru_step(spec, DeltaState.initial(spec), _vec([0, 0]))
-    with pytest.raises(ShapeMismatch, match="input dims"):
-        dense_step(spec, DeltaState.initial(spec), _vec([0, 0]))
+    for mode in ("sparse", "dense"):
+        with pytest.raises(ShapeMismatch, match="input dims"):
+            run_sequence([spec], [_vec([0, 0, 0, 0]), _vec([0, 0])], mode)
+        bad_fmt = QTensor((4,), fxp.Q2_14, np.zeros(4, dtype=np.int16))
+        with pytest.raises(ShapeMismatch, match="input dims"):
+            run_sequence([spec], [bad_fmt], mode)
 
 
 def test_spec_validation():
@@ -602,7 +667,7 @@ def test_spec_validation():
             3, 4, good.w_xr, good.w_xu, good.w_xc,
             good.w_xr, good.w_hu, good.w_hc,  # (4,3) where (4,4) expected
             good.b_r, good.b_u, good.b_c, good.theta)
-    with pytest.raises(ShapeMismatch, match="non-negative"):
+    with pytest.raises(MalformedStream, match="non-negative"):
         gru_spec(rng, 3, 4).__class__(
             3, 4, good.w_xr, good.w_xu, good.w_xc, good.w_hr, good.w_hu,
             good.w_hc, good.b_r, good.b_u, good.b_c, QScalar(-1, Q8_8))
