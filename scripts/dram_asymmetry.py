@@ -14,7 +14,7 @@ import numpy as np
 
 from sparsebench.memmodel import MemConfig, cost_trace, random_vs_burst_ratio
 from sparsebench.synth import make_rng
-from sparsebench.trace import AccessTrace
+from sparsebench.trace import AccessTrace, triple_code
 
 
 def main(argv=None) -> int:
@@ -33,8 +33,8 @@ def main(argv=None) -> int:
     addrs = rng.integers(0, 64 * cfg.words_per_row, args.words)
 
     def cycles(order):
-        t = AccessTrace()
-        t.add("DRAM", "read", "weights", order, 1)
+        t = AccessTrace.from_columns(triple_code("DRAM", "read", "weights"), 0, order,
+                                     np.ones_like(order))
         return cost_trace(t, cfg)
 
     scattered = cycles(addrs)

@@ -8,6 +8,7 @@ must agree (an internal invariant failure, a bug).
 
 import argparse
 import json
+import math
 import sys
 
 from ._binio import atomic_write_text
@@ -212,6 +213,8 @@ def cmd_brain_budget(args) -> int:
                 vals[k] = float(v)
             except ValueError as exc:
                 raise MalformedStream(f"--{k}: not a number: {v!r}") from exc
+            if not math.isfinite(vals[k]):
+                raise MalformedStream(f"--{k}: non-finite value {v!r}")
     unknown = unknowns[0]
     if unknown == "power":
         solved = brain_budget(vals["rate"], vals["fanout"], vals["neurons"],

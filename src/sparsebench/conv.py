@@ -21,7 +21,7 @@ is taken on the 32-bit plane and clamped once, so no full-resolution
 post-activation map is ever written to the modeled memory.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +29,15 @@ from .codec import (SparseFeatureMap, SparsityStats, decode_sm, encode_sm,
                     measure_sparsity, nonzero_arrays)
 from .errors import ShapeMismatch
 from .fxp import OpCounter, QFormat, QTensor, no_clip, renormalize_array, sat_add
-from .trace import AccessTrace
+from .trace import AccessTrace, triple_code
 
 POOL_MODES = ("none", "max2x2")
+
+# A layer run's six trace rows, in order (see _layer_result).
+_LAYER_TRIPLES = np.array([triple_code(*t) for t in (
+    ("DRAM", "read", "weights"), ("DRAM", "read", "activations"),
+    ("SRAM", "read", "weights"), ("SRAM", "read", "activations"),
+    ("SRAM", "write", "activations"), ("DRAM", "write", "activations"))])
 
 
 @dataclass
@@ -140,22 +146,19 @@ def fused_relu_pool(acc: np.ndarray, relu: bool, pool: str,
     return out[0] if squeeze else out
 
 
-def _layer_result(spec: ConvLayerSpec, weight_base: int, counter: OpCounter,
-                  out_tensor: QTensor, out_sfm: SparseFeatureMap, in_words: int,
-                  out_words: int, values_read: int) -> LayerRunResult:
-    """A layer run and its traffic: weights and input stream in from DRAM,
-    SRAM serves values_read input values and a weight per MAC, output
-    values land in SRAM and stream out to DRAM. Accumulators are untraced."""
-    trace = AccessTrace()
-    in_base = weight_base + spec.weight_words + spec.bias_words
-    trace.add("DRAM", "read", "weights", weight_base,
-              spec.weight_words + spec.bias_words)
-    trace.add("DRAM", "read", "activations", in_base, in_words)
-    trace.add("SRAM", "read", "weights", 0, counter.macs_executed)
-    trace.add("SRAM", "read", "activations", 0, values_read)
-    trace.add("SRAM", "write", "activations", 0, out_tensor.size)
-    trace.add("DRAM", "write", "activations", in_base + in_words, out_words)
-    live = 2 * (in_words + out_words + spec.weight_words + spec.bias_words)
+def _layer_result(spec: ConvLayerSpec, layer: int, weight_base: int,
+                  counter: OpCounter, out_tensor: QTensor, out_sfm: SparseFeatureMap,
+                  in_words: int, out_words: int, values_read: int) -> LayerRunResult:
+    """A layer run and its traffic, rows in the given layer: weights and
+    input stream in from DRAM, SRAM serves values_read input values and a
+    weight per MAC, output values land in SRAM and stream out to DRAM.
+    Accumulators are untraced."""
+    params = spec.weight_words + spec.bias_words
+    in_base = weight_base + params
+    trace = AccessTrace.from_columns(
+        _LAYER_TRIPLES, layer, [weight_base, in_base, 0, 0, 0, in_base + in_words],
+        [params, in_words, counter.macs_executed, values_read, out_tensor.size, out_words])
+    live = 2 * (in_words + out_words + params)
     return LayerRunResult(out_sfm, counter, trace, measure_sparsity(out_tensor),
                           values_read, live)
 
@@ -224,7 +227,7 @@ def _tap_targets(pos: np.ndarray, k: int, pad: int, stride: int,
 
 
 def conv_zeroskip(spec: ConvLayerSpec, sfm: SparseFeatureMap,
-                  weight_base: int = 0) -> LayerRunResult:
+                  weight_base: int = 0, layer: int = 0) -> LayerRunResult:
     """Scatter-accumulate from the non-zero pixels of a compressed input.
 
     Each non-zero pixel updates exactly the output positions whose
@@ -235,7 +238,7 @@ def conv_zeroskip(spec: ConvLayerSpec, sfm: SparseFeatureMap,
     Steps run in (channel, kernel row, kernel column) order, the
     oracle's term order, clamping after each, unless the no-clip bound
     holds. The result is bit-identical to the dense oracle on the
-    decoded input.
+    decoded input. Its trace rows carry ``layer``.
     """
     if sfm.dims[0] != spec.in_channels:
         raise ShapeMismatch(
@@ -285,26 +288,43 @@ def conv_zeroskip(spec: ConvLayerSpec, sfm: SparseFeatureMap,
     out_tensor = _finish_layer(spec, acc, h, w, sfm.fmt, counter)
     out_sfm = encode_sm(out_tensor)
     # The input and the pooled output travel compressed.
-    return _layer_result(spec, weight_base, counter, out_tensor, out_sfm,
+    return _layer_result(spec, layer, weight_base, counter, out_tensor, out_sfm,
                          sfm.payload_words, out_sfm.payload_words, sfm.nnz)
 
 
 def conv_dense_run(spec: ConvLayerSpec, sfm: SparseFeatureMap,
-                   weight_base: int = 0) -> LayerRunResult:
+                   weight_base: int = 0, layer: int = 0) -> LayerRunResult:
     """Dense-mode layer run: same math, no skipping, uncompressed traffic."""
     x = decode_sm(sfm)
     counter = OpCounter()
     out_tensor = conv_dense_oracle(spec, x, counter)
-    return _layer_result(spec, weight_base, counter, out_tensor, encode_sm(out_tensor),
-                         x.size, out_tensor.size, x.size)
+    return _layer_result(spec, layer, weight_base, counter, out_tensor,
+                         encode_sm(out_tensor), x.size, out_tensor.size, x.size)
 
 
 @dataclass
 class ConvNetRun:
-    layer_results: list[LayerRunResult] = field(default_factory=list)
-    counters: OpCounter = field(default_factory=OpCounter)
-    trace: AccessTrace = field(default_factory=AccessTrace)
-    peak_live_bytes: int = 0
+    """A network run: each layer's result. The run's counters, trace and
+    peak buffer footprint are derived from them."""
+
+    layer_results: list[LayerRunResult]
+
+    @property
+    def counters(self) -> OpCounter:
+        """The layer counters summed."""
+        total = OpCounter()
+        for r in self.layer_results:
+            total.merge(r.counters)
+        return total
+
+    @property
+    def trace(self) -> AccessTrace:
+        """Every layer's rows, layer after layer."""
+        return AccessTrace.concat(r.accesses for r in self.layer_results)
+
+    @property
+    def peak_live_bytes(self) -> int:
+        return max((r.live_bytes for r in self.layer_results), default=0)
 
     @property
     def per_layer_sparsity(self) -> list[float]:
@@ -315,8 +335,7 @@ def run_network(layers: list[ConvLayerSpec], x: QTensor,
                 mode: str = "sparse") -> tuple[ConvNetRun, SparseFeatureMap]:
     """Run stacked conv layers; only one layer's buffers are live at a time.
 
-    The run trace holds every layer's rows in order, each stamped with
-    its layer's index.
+    Each layer's trace rows carry its index.
     """
     if mode not in ("sparse", "dense"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -328,19 +347,13 @@ def run_network(layers: list[ConvLayerSpec], x: QTensor,
         ph, pw = spec.pooled_dims(dims[1], dims[2])
         dims = (spec.out_channels, ph, pw)
 
-    run = ConvNetRun()
+    engine = conv_zeroskip if mode == "sparse" else conv_dense_run
+    results = []
     cur = encode_sm(x)
     weight_base = 0
     for i, spec in enumerate(layers):
-        if mode == "sparse":
-            res = conv_zeroskip(spec, cur, weight_base)
-        else:
-            res = conv_dense_run(spec, cur, weight_base)
+        res = engine(spec, cur, weight_base, i)
         weight_base += spec.weight_words + spec.bias_words
-        run.layer_results.append(res)
-        run.counters.merge(res.counters)
-        run.trace.layer = i
-        run.trace.extend(res.accesses)
-        run.peak_live_bytes = max(run.peak_live_bytes, res.live_bytes)
+        results.append(res)
         cur = res.output
-    return run, cur
+    return ConvNetRun(results), cur

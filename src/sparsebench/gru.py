@@ -373,7 +373,6 @@ class GruSeqRun:
     h_events: np.ndarray  # (layers, steps): hidden components sent on
     layer_counters: list[OpCounter]
     trace: AccessTrace
-    init_words: int = 0
 
     @property
     def counters(self) -> OpCounter:
@@ -463,5 +462,4 @@ def run_sequence(specs: list[GruLayerSpec], x_seq: list[QTensor],
         x_events=np.stack([r.x_events for r in records]),
         h_events=np.stack([r.h_events for r in records]),
         layer_counters=[r.counter for r in records],
-        trace=trace,
-        init_words=sum(map(layer_bias_words, specs)) if mode == "sparse" else 0)
+        trace=trace)

@@ -14,12 +14,12 @@ only their ratios carry meaning (a DRAM word is ~100x a MAC, SRAM ~5x).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import Underdetermined
-from .trace import REGIONS, TAGS, AccessTrace
+from .trace import REGIONS, TAGS, AccessTrace, triple_code
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,10 @@ class MemConfig:
     clock_hz: float = 1e9
 
     def __post_init__(self):
-        for name in ("words_per_row", "burst_len", "cycles_seq_word",
-                     "e_dram_word", "e_sram_word", "e_mac", "clock_hz"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0 < value < math.inf:  # NaN fails both comparisons
+                raise ValueError(f"{f.name} must be positive and finite, got {value}")
         if self.row_change_factor < 1:
             raise ValueError("row_change_factor must be >= 1")
 
@@ -99,9 +99,8 @@ def cost_trace(trace: AccessTrace, cfg: MemConfig) -> MemCostReport:
 def schedule_dense_weight_stream(dims: tuple[int, ...], cfg: MemConfig,
                                  base_address: int = 0) -> AccessTrace:
     """Fully sequential read of a contiguously laid-out weight region."""
-    trace = AccessTrace()
-    trace.add("DRAM", "read", "weights", base_address, math.prod(dims) if dims else 0)
-    return trace
+    return AccessTrace.from_columns(triple_code("DRAM", "read", "weights"), 0,
+                                    [base_address], [math.prod(dims) if dims else 0])
 
 
 def random_vs_burst_ratio(n_words: int, cfg: MemConfig) -> float:

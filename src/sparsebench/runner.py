@@ -198,23 +198,23 @@ def execute_conv_averaged(desc: NetworkDesc, uri: str, mode: str,
     if not uri.startswith("synth:"):
         raise MalformedStream("averaging over --count needs a synth: input")
     draw = _map_generator(uri, seed)
-    trace = AccessTrace()
     n_layers = len(desc.conv_layers)
     per_layer: list[list[float]] = [[] for _ in range(n_layers)]
     layer_counters = [OpCounter() for _ in range(n_layers)]
+    traces = []
     peak = 0
-    for _ in range(count):
+    for _ in range(count):  # one input's run alive at a time
         run_i, _ = _checked_conv_run(desc, draw(), mode)
         peak = max(peak, run_i.peak_live_bytes)
+        traces.append(run_i.trace)
         for l, r in enumerate(run_i.layer_results):
             per_layer[l].append(r.output_sparsity.sparsity)
             layer_counters[l].merge(r.counters)
-            trace.layer = l
-            trace.extend(r.accesses)
     means = [float(np.mean(v)) for v in per_layer]
     stderr = [float(np.std(v, ddof=1) / math.sqrt(len(v))) if len(v) > 1 else 0.0
               for v in per_layer]
-    report = _report(desc, mode, mem, seed, layer_counters, means, trace)
+    report = _report(desc, mode, mem, seed, layer_counters, means,
+                     AccessTrace.concat(traces))
     report.extras = {
         "averaged_over": count,
         "per_layer_sparsity_mean": means,

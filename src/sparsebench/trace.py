@@ -9,7 +9,6 @@ address+nwords-1), which is what the CSV export produces.
 """
 
 import itertools
-import operator
 
 import numpy as np
 
@@ -38,90 +37,77 @@ def triple_code(region: str, kind: str, tag: str) -> int:
     return _TRIPLE_INDEX[region, kind, tag]
 
 
-def _rows(triple, layer, address: np.ndarray, nwords: np.ndarray,
-          order: np.ndarray | None = None) -> np.ndarray:
-    """Checked table rows from whole columns, taken in ``order`` (default:
-    as given); zero-length runs are dropped. ``triple`` and ``layer`` may
-    be ints shared by every row."""
+def _int64(values) -> np.ndarray:
+    """An int64 array of addresses or run lengths; a value outside int64 is
+    a ValueError, like an address run that ends past it."""
+    try:
+        return np.asarray(values, np.int64)
+    except OverflowError:
+        raise ValueError("address run end (address + nwords) does not fit int64") from None
+
+
+def _rows(triple, layer, address, nwords, key=None) -> np.ndarray:
+    """Checked table rows from whole columns, one entry per run; zero-length
+    runs are dropped. ``triple`` and ``layer`` may be ints shared by every
+    row; every other column is 1-D and as long as ``address``. With a
+    ``key``, the rows are ordered by a stable sort on it."""
+    address, nwords = _int64(address), _int64(nwords)
+    triple, layer = np.asarray(triple, np.int64), np.asarray(layer, np.int64)
+    if address.ndim != 1:
+        raise ValueError(f"address column must be 1-D, got shape {address.shape}")
+    columns = [("run length", nwords)] + [
+        (what, c) for what, c in (("triple", triple), ("layer", layer)) if c.ndim]
+    if key is not None:
+        columns.append(("key", key))
+    for what, column in columns:
+        if np.shape(column) != address.shape:
+            raise ValueError(f"{what} column of shape {np.shape(column)} "
+                             f"for {address.size} addresses")
     if address.min(initial=0) < 0:
         raise ValueError(f"negative address {address.min()}")
     if nwords.min(initial=0) < 0:
         raise ValueError(f"negative run length {nwords.min()}")
     if np.any(address > INT64_MAX - nwords):  # both non-negative: no wrap here
         raise ValueError("address run end (address + nwords) does not fit int64")
-    if order is None:
+    if key is None:
         keep = nwords > 0
         order = slice(None) if keep.all() else keep.nonzero()[0]
     else:
+        order = np.argsort(key, kind="stable")
         order = order[nwords[order] > 0]
     rows = np.empty((address[order].size, len(COLUMNS)), np.int64)
-    codes = triple[order] if np.ndim(triple) else triple
+    codes = triple[order] if triple.ndim else triple
     for j in range(3):  # column by column: no (rows, 3) temporary
         rows[:, j] = _TRIPLE_CODES[codes, j]
-    rows[:, 3] = layer[order] if np.ndim(layer) else layer
+    rows[:, 3] = layer[order] if layer.ndim else layer
     rows[:, 4] = address[order]
     rows[:, 5] = nwords[order]
     return rows
 
 
 class AccessTrace:
-    """An ordered table of access runs. Rows that `add` appends wait in
-    Python lists until `table` is read, so a small append makes no numpy call."""
+    """An ordered, checked table of access runs. Build one from columns
+    (`from_columns`) or from traces laid end to end (`concat`)."""
 
-    def __init__(self, table: np.ndarray | None = None):
-        self.layer = 0  # the layer column of every row appended from now on
-        self._table = np.empty((0, len(COLUMNS)), np.int64) if table is None else table
-        self._pending = ([], [], [], [])  # triple, layer, address, nwords
+    def __init__(self, table: np.ndarray):
+        self.table = table  # (runs, len(COLUMNS)) int64, in trace order
 
     @classmethod
-    def from_columns(cls, triple: np.ndarray, layer: np.ndarray, address: np.ndarray,
-                     nwords: np.ndarray, key: np.ndarray) -> "AccessTrace":
+    def from_columns(cls, triple, layer, address, nwords, key=None) -> "AccessTrace":
         """A trace from whole int64 columns, one entry per run: triple
-        codes (`triple_code`), layer, address and run length. The rows
-        are ordered by a stable sort on ``key``, so rows with equal keys
-        keep their order. The checks are `add`'s; zero-length runs are
-        dropped."""
-        return cls(_rows(triple, layer, address, nwords, np.argsort(key, kind="stable")))
+        codes (`triple_code`), layer, address and run length; ``triple``
+        and ``layer`` may be ints shared by every row. Rows keep the order
+        given, or with a ``key`` are ordered by a stable sort on it, so rows
+        with equal keys keep their order. Zero-length runs are dropped; a
+        malformed column raises ValueError."""
+        return cls(_rows(triple, layer, address, nwords, key))
 
-    def add(self, region: str, kind: str, tag: str, address, nwords=1) -> None:
-        """Append runs of nwords words at address: ints, or a 1-D int array
-        of addresses (one row each, in order) with an int or an equally
-        long array of run lengths. Zero-length runs are dropped."""
-        triple = triple_code(region, kind, tag)
-        if isinstance(address, np.ndarray):
-            address = address.tolist()
-            nwords = (nwords.tolist() if isinstance(nwords, np.ndarray)
-                      else [nwords] * len(address))
-            if len(nwords) != len(address):
-                raise ValueError(f"{len(address)} addresses but {len(nwords)} run lengths")
-        else:
-            address, nwords = [address], [nwords]
-        if min(address, default=0) < 0:
-            raise ValueError(f"negative address {min(address)}")
-        if min(nwords, default=0) < 0:
-            raise ValueError(f"negative run length {min(nwords)}")
-        if max(map(operator.add, address, nwords), default=0) > INT64_MAX:
-            raise ValueError("address run end (address + nwords) does not fit int64")
-        for column, values in zip(self._pending, ([triple] * len(address),
-                                                  [self.layer] * len(address),
-                                                  address, nwords)):
-            column += values
-
-    @property
-    def table(self) -> np.ndarray:
-        """The (runs, len(COLUMNS)) int64 table, in append order."""
-        if self._pending[0]:
-            pending, self._pending = self._pending, ([], [], [], [])
-            rows = _rows(*(np.array(column, dtype=np.int64) for column in pending))
-            del pending
-            self._table = np.concatenate([self._table, rows]) if len(self._table) else rows
-        return self._table
-
-    def extend(self, other: "AccessTrace") -> None:
-        """Append other's rows in order, in this trace's current layer."""
-        rows = other.table.copy()
-        rows[:, 3] = self.layer
-        self._table = np.concatenate([self.table, rows])
+    @classmethod
+    def concat(cls, traces) -> "AccessTrace":
+        """The rows of already-built traces, end to end, layers as they are."""
+        tables = [t.table for t in traces]
+        return cls(np.concatenate(tables) if tables
+                   else np.empty((0, len(COLUMNS)), np.int64))
 
     def select_layer(self, layer: int) -> "AccessTrace":
         """The rows of one layer, in order."""
@@ -164,10 +150,7 @@ def trace_from_csv(text: str) -> AccessTrace:
         triples.append(triple_code(region, kind, tag))
         addresses.append(int(address))
     del lines  # the parsed text can go before the table is built
-    try:
-        address = np.array(addresses, dtype=np.int64)
-    except OverflowError:
-        raise ValueError("address run end (address + nwords) does not fit int64") from None
+    address = _int64(addresses)
     del addresses
-    return AccessTrace(_rows(np.array(triples, dtype=np.int64), 0, address,
-                             np.ones_like(address)))
+    return AccessTrace.from_columns(np.array(triples, dtype=np.int64), 0, address,
+                                    np.ones_like(address))

@@ -1,9 +1,12 @@
-"""Shared random-case builders for the engine test suites."""
+"""Shared case builders for the engine and trace test suites."""
+
+import numpy as np
 
 from sparsebench.conv import ConvLayerSpec
 from sparsebench.fxp import Q8_8, QTensor, quantize
 from sparsebench.gru import GruLayerSpec
 from sparsebench.synth import random_bias, random_weights, sparse_map
+from sparsebench.trace import AccessTrace, triple_code
 
 KERNELS = (1, 3, 5)
 STRIDES = (1, 2)
@@ -45,3 +48,12 @@ def gru_spec(rng, input_size, hidden_size, *, theta=0.0,
     acc_frac = Q8_8.frac_bits + mats[0].fmt.frac_bits
     biases = [random_bias(h, rng, acc_frac, bias_amp) for _ in range(3)]
     return GruLayerSpec(i, h, *mats, *biases, theta=quantize(theta, Q8_8))
+
+
+def trace_of(runs, layer=0) -> AccessTrace:
+    """A trace of (region, kind, tag, address, nwords) runs, in order, from
+    one `AccessTrace.from_columns` call; ``layer`` is an int or a list with
+    one entry per run."""
+    triple = np.array([triple_code(*r[:3]) for r in runs], dtype=np.int64)
+    return AccessTrace.from_columns(triple, layer, [r[3] for r in runs],
+                                    [r[4] for r in runs])

@@ -36,7 +36,7 @@ from sparsebench.netdesc import NetworkDesc
 from sparsebench.runner import load_seq_input, sweep_theta
 from sparsebench.synth import (make_rng, random_bias, random_weights,
                                sparse_map, uniform_seq)
-from sparsebench.trace import AccessTrace
+from sparsebench.trace import AccessTrace, triple_code
 
 
 def test_zero_skip_bit_identical_on_500_conv_configs():
@@ -146,14 +146,13 @@ def test_dram_scattered_vs_burst_cost_asymmetry():
 
     # exhaustive: no ordering of a small address set beats sorted order
     small = MemConfig(words_per_row=4)
+    read = triple_code("DRAM", "read", "activations")
     rng = make_rng(5)
     checked = 0
     for size in range(2, 9):
         addrs = [int(a) for a in rng.integers(0, 40, size)]
         def cost(order):
-            t = AccessTrace()
-            for a in order:
-                t.add("DRAM", "read", "activations", a, 1)
+            t = AccessTrace.from_columns(read, 0, order, np.ones(len(order), np.int64))
             return cost_trace(t, small).cycles
         best = cost(sorted(addrs))
         for perm in itertools.permutations(addrs):

@@ -330,6 +330,30 @@ def test_mem_sim_config_override(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1.9998"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_mem_config_file_exits_2(tmp_path, gru_net, capsys, value):
+    # e_dram_word = nan printed "energy_pj": NaN (not JSON) and exited 0;
+    # clock_hz = inf died in a ZeroDivisionError traceback
+    cfg = tmp_path / "mem.cfg"
+    for key in ("e_dram_word", "clock_hz"):
+        cfg.write_text(f"{key} = {value}\n")
+        assert main(["--config", str(cfg), "mem-sim", "--stream", "4x4"]) == 2
+        assert main(["--config", str(cfg), "run", "--net", gru_net,
+                     "--input", "synth:ar1,t=3,n=6"]) == 2
+        assert f"{key} must be positive and finite" in capsys.readouterr().err
+
+
+def test_non_finite_net_mem_section_exits_2(tmp_path, capsys):
+    # a [mem] e_mac = nan wrote NaN watts and GOp/s/W into the report, exit 0
+    net = tmp_path / "mem.net"
+    for key, value in (("e_mac", "nan"), ("e_sram_word", "-inf"), ("clock_hz", "inf")):
+        net.write_text(GRU_NET + f"[mem]\n{key} = {value}\n")
+        assert main(["run", "--net", str(net), "--input", "synth:ar1,t=3,n=6",
+                     "--report", str(tmp_path / "r.json")]) == 2
+        assert f"{key} must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 # --- report (scatter) ------------------------------------------------------------------
 
 def test_report_scatter_outputs(tmp_path, conv_net, gru_net, capsys):
@@ -374,6 +398,14 @@ def test_brain_budget_solves_each_unknown(capsys):
     for args, expected in cases:
         assert main(["brain-budget"] + args) == 0
         assert capsys.readouterr().out.strip() == expected
+
+
+def test_brain_budget_rejects_non_finite_numbers(capsys):
+    # printed "nan W", "inf W" and "inf Hz" and exited 0
+    for args in (["--rate", "nan"], ["--neurons", "inf"], ["--power", "inf", "--rate", "?"],
+                 ["--esyn=-inf"]):
+        assert main(["brain-budget"] + args) == 2
+        assert "non-finite value" in capsys.readouterr().err
 
 
 def test_brain_budget_requires_one_unknown():

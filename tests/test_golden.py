@@ -77,6 +77,9 @@ CASES = {
         "gru", ["--input", "synth:hold,t=40,n=6,hold=5", "--theta", "0.03", "--mode", "dense"],
         "report.json",
         "9b481d4860d3addb5713ecbdf8c6a5486a9b5df70f032986e26c58dffd020e58"),
+    "conv-trace-csv": (
+        "conv", ["--input", MAP], "trace.csv",
+        "20846048dfa265a1d1b1c7ef117bf3884ed4e1d027a35cabfb324a0bd139570e"),
     "gru-trace-csv": (
         "gru", ["--input", "synth:hold,t=10,n=6,hold=5", "--theta", "0.03"], "trace.csv",
         "ddcbf216cb3de8b279feac511127d958cd71413ddf622b06856dea57d5c0a451"),

@@ -585,7 +585,8 @@ def test_sparse_mode_fetches_only_event_columns():
     events = sum(s.x_events + s.h_events for layer in run.step_stats for s in layer)
     assert run.weight_words_fetched == 3 * 7 * events
     traced = sum(r[5] for r in run.trace.runs() if r[:3] == ("DRAM", "read", "weights"))
-    assert traced == run.weight_words_fetched + run.init_words
+    # plus the one bias preload
+    assert traced == run.weight_words_fetched + layer_bias_words(specs[0])
     # per step: i + h threshold compares, 6h adds in the gates
     assert run.counters.total_op == 2 * run.counters.macs_executed + 40 * (6 * 7 + 5 + 7)
 

@@ -2,10 +2,12 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _synthcases import trace_of
 from sparsebench.errors import Underdetermined
 from sparsebench.memmodel import (
     MemConfig,
@@ -18,7 +20,7 @@ from sparsebench.memmodel import (
     schedule_dense_weight_stream,
     solve_for,
 )
-from sparsebench.trace import AccessTrace
+from sparsebench.trace import AccessTrace, triple_code
 
 CFG = MemConfig()
 
@@ -37,18 +39,15 @@ def test_config_defaults_and_validation():
 # --- open-row walk ---------------------------------------------------------------
 
 def test_sequential_burst_costs_one_activation():
-    t = AccessTrace()
-    t.add("DRAM", "read", "weights", 0, 64)
-    rep = cost_trace(t, CFG)
+    rep = cost_trace(trace_of([("DRAM", "read", "weights", 0, 64)]), CFG)
     assert rep.row_activations == 1
     assert rep.cycles == 64 + 50 == 114
     assert rep.dram_words == 64
 
 
 def test_scattered_words_cost_one_activation_each():
-    t = AccessTrace()
-    for i in range(64):
-        t.add("DRAM", "read", "activations", i * CFG.words_per_row)
+    t = trace_of([("DRAM", "read", "activations", i * CFG.words_per_row, 1)
+                  for i in range(64)])
     rep = cost_trace(t, CFG)
     assert rep.row_activations == 64
     assert rep.cycles == 64 + 64 * 50 == 3264
@@ -68,36 +67,31 @@ def test_empty_stream_is_free():
 
 
 def test_run_crossing_a_row_boundary():
-    t = AccessTrace()
-    t.add("DRAM", "read", "weights", CFG.words_per_row - 4, 8)
-    rep = cost_trace(t, CFG)
+    rep = cost_trace(trace_of([("DRAM", "read", "weights", CFG.words_per_row - 4, 8)]), CFG)
     assert rep.row_activations == 2  # initial open plus one crossing
 
 
 def test_open_row_persists_between_events():
-    t = AccessTrace()
-    t.add("DRAM", "read", "weights", 0, 4)
-    t.add("DRAM", "read", "weights", 4, 4)            # same row, still open
-    t.add("DRAM", "read", "activations", CFG.words_per_row, 1)
-    t.add("DRAM", "read", "weights", 8, 1)            # back: row 0 re-opened
+    t = trace_of([
+        ("DRAM", "read", "weights", 0, 4),
+        ("DRAM", "read", "weights", 4, 4),            # same row, still open
+        ("DRAM", "read", "activations", CFG.words_per_row, 1),
+        ("DRAM", "read", "weights", 8, 1)])           # back: row 0 re-opened
     rep = cost_trace(t, CFG)
     assert rep.row_activations == 3
 
 
 def test_sram_costs_energy_but_no_cycles():
-    t = AccessTrace()
-    t.add("SRAM", "read", "activations", 0, 10)
-    rep = cost_trace(t, CFG)
+    rep = cost_trace(trace_of([("SRAM", "read", "activations", 0, 10)]), CFG)
     assert rep.cycles == 0
     assert rep.sram_words == 10
     assert rep.energy_pj == 10 * CFG.e_sram_word
 
 
 def test_by_tag_breakdown():
-    t = AccessTrace()
-    t.add("DRAM", "read", "weights", 0, 5)
-    t.add("DRAM", "write", "activations", 5, 2)
-    t.add("SRAM", "read", "state", 0, 3)
+    t = trace_of([("DRAM", "read", "weights", 0, 5),
+                  ("DRAM", "write", "activations", 5, 2),
+                  ("SRAM", "read", "state", 0, 3)])
     rep = cost_trace(t, CFG)
     assert rep.dram_words_by_tag["weights"] == 5
     assert rep.dram_words_by_tag["activations"] == 2
@@ -114,11 +108,9 @@ def dram_runs(draw):
 
 @given(dram_runs())
 def test_cost_is_invariant_to_run_chunking(runs):
-    bulk, single = AccessTrace(), AccessTrace()
-    for addr, n in runs:
-        bulk.add("DRAM", "read", "weights", addr, n)
-        for off in range(n):
-            single.add("DRAM", "read", "weights", addr + off)
+    bulk = trace_of([("DRAM", "read", "weights", addr, n) for addr, n in runs])
+    single = trace_of([("DRAM", "read", "weights", addr + off, 1)
+                       for addr, n in runs for off in range(n)])
     small = MemConfig(words_per_row=16)
     a, b = cost_trace(bulk, small), cost_trace(single, small)
     assert (a.cycles, a.row_activations, a.dram_words, a.energy_pj) == (
@@ -127,13 +119,8 @@ def test_cost_is_invariant_to_run_chunking(runs):
 
 @given(dram_runs(), dram_runs())
 def test_concatenation_additivity(runs_a, runs_b):
-    ta, tb, tab = AccessTrace(), AccessTrace(), AccessTrace()
-    for addr, n in runs_a:
-        ta.add("DRAM", "read", "weights", addr, n)
-        tab.add("DRAM", "read", "weights", addr, n)
-    for addr, n in runs_b:
-        tb.add("DRAM", "read", "weights", addr, n)
-        tab.add("DRAM", "read", "weights", addr, n)
+    ta, tb, tab = (trace_of([("DRAM", "read", "weights", addr, n) for addr, n in runs])
+                   for runs in (runs_a, runs_b, runs_a + runs_b))
     small = MemConfig(words_per_row=16)
     a, b, ab = cost_trace(ta, small), cost_trace(tb, small), cost_trace(tab, small)
     assert ab.dram_words == a.dram_words + b.dram_words
@@ -167,10 +154,8 @@ def layered_runs(draw):
 @given(layered_runs(), st.sampled_from((4, 16, 64)))
 def test_total_and_each_layer_match_a_per_word_walk(runs, wpr):
     cfg = MemConfig(words_per_row=wpr)
-    t = AccessTrace()
-    for layer, region, address, nwords in runs:
-        t.layer = layer
-        t.add(region, "read", "weights", address, nwords)
+    t = trace_of([(region, "read", "weights", address, nwords)
+                  for _, region, address, nwords in runs], layer=[r[0] for r in runs])
     rep = cost_trace(t, cfg)
 
     def key(r):
@@ -184,14 +169,17 @@ def test_total_and_each_layer_match_a_per_word_walk(runs, wpr):
     assert sum(r.dram_words for r in rep.layers) == rep.dram_words
 
 
+def _single_reads(addresses) -> AccessTrace:
+    """One-word DRAM activation reads at each address, in order."""
+    return AccessTrace.from_columns(triple_code("DRAM", "read", "activations"), 0,
+                                    addresses, np.ones(len(addresses), np.int64))
+
+
 def test_sorted_order_minimizes_cost_exhaustively():
     cfg = MemConfig(words_per_row=4)
     addresses = [13, 2, 7, 2, 9, 5]
     def cost(order):
-        t = AccessTrace()
-        for a in order:
-            t.add("DRAM", "read", "activations", a)
-        return cost_trace(t, cfg).cycles
+        return cost_trace(_single_reads(order), cfg).cycles
     best = cost(sorted(addresses))
     assert all(cost(p) >= best for p in itertools.permutations(addresses))
 
@@ -219,10 +207,8 @@ def test_ratio_bounded_by_asymmetry_factor(n, f):
 
 @given(st.integers(1, 10**4))
 def test_ratio_matches_explicit_cost_model(n):
-    scattered, burst = AccessTrace(), AccessTrace()
-    for i in range(n):
-        scattered.add("DRAM", "read", "activations", i * CFG.words_per_row)
-    burst.add("DRAM", "read", "activations", 0, n)
+    scattered = _single_reads(np.arange(n) * CFG.words_per_row)
+    burst = trace_of([("DRAM", "read", "activations", 0, n)])
     got = random_vs_burst_ratio(n, CFG)
     # the analytic burst baseline charges exactly one activation; the
     # walked trace agrees as long as the run stays inside one row

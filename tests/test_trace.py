@@ -1,98 +1,109 @@
-"""Access-trace recording, layer views, and CSV round-tripping."""
+"""Access-trace building, layer views, and CSV round-tripping."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _synthcases import trace_of
 from sparsebench.memmodel import MemConfig, cost_trace
-from sparsebench.trace import COLUMNS, INT64_MAX, AccessTrace, trace_from_csv
+from sparsebench.trace import (COLUMNS, INT64_MAX, AccessTrace, trace_from_csv,
+                               triple_code)
+
+WEIGHTS = triple_code("DRAM", "read", "weights")
 
 
-def _add_one(region, kind, tag, address, nwords=1):
-    t = AccessTrace()
-    t.add(region, kind, tag, address, nwords)
-    return t
+def _one_run(region, kind, tag, address, nwords=1):
+    return trace_of([(region, kind, tag, address, nwords)])
 
 
-def _add_array(region, kind, tag, address, nwords=1):
-    t = AccessTrace()
-    t.add(region, kind, tag, np.array([5, address]), np.array([1, nwords]))
-    return t
+def _two_runs(region, kind, tag, address, nwords=1):
+    return trace_of([(region, kind, tag, 5, 1), (region, kind, tag, address, nwords)])
 
 
 def test_event_field_validation():
-    for add in (_add_one, _add_array):
+    for build in (_one_run, _two_runs):
         with pytest.raises(ValueError, match="region"):
-            add("L2", "read", "weights", 0)
+            build("L2", "read", "weights", 0)
         with pytest.raises(ValueError, match="kind"):
-            add("DRAM", "fetch", "weights", 0)
+            build("DRAM", "fetch", "weights", 0)
         with pytest.raises(ValueError, match="tag"):
-            add("DRAM", "read", "gradients", 0)
+            build("DRAM", "read", "gradients", 0)
         with pytest.raises(ValueError, match="address"):
-            add("DRAM", "read", "weights", -1)
+            build("DRAM", "read", "weights", -1)
         with pytest.raises(ValueError, match="run length"):
-            add("DRAM", "read", "weights", 0, -2)
+            build("DRAM", "read", "weights", 0, -2)
         with pytest.raises(ValueError, match="int64"):
-            add("DRAM", "read", "weights", INT64_MAX - 1, 2)
+            build("DRAM", "read", "weights", INT64_MAX - 1, 2)
+        with pytest.raises(ValueError, match="int64"):
+            build("DRAM", "read", "weights", 10**20)
         # a run may end (exclusive) at the largest int64
-        assert add("DRAM", "read", "weights", INT64_MAX - 2, 2).runs()[-1][4] == INT64_MAX - 2
+        assert build("DRAM", "read", "weights", INT64_MAX - 2, 2).runs()[-1][4] == INT64_MAX - 2
 
 
-def test_add_rejects_unequal_arrays_and_huge_ints():
-    t = AccessTrace()
-    with pytest.raises(ValueError, match="run lengths"):
-        t.add("DRAM", "read", "weights", np.array([1, 2]), np.array([1]))
-    with pytest.raises(ValueError, match="int64"):
-        t.add("DRAM", "read", "weights", 10**20)
-    assert len(t) == 0
+def test_from_columns_rejects_unequal_columns():
+    # a one-entry run length column was broadcast to every address
+    with pytest.raises(ValueError, match="run length column"):
+        AccessTrace.from_columns(0, 0, np.array([1, 2, 3]), np.array([5]))
+    # with a key, a short column was an IndexError
+    key = np.arange(3)
+    with pytest.raises(ValueError, match="triple column"):
+        AccessTrace.from_columns(np.zeros(2, np.int64), 0, np.arange(3), np.ones(3), key)
+    with pytest.raises(ValueError, match="run length column"):
+        AccessTrace.from_columns(0, 0, np.arange(3), np.ones(2, np.int64), key)
+    with pytest.raises(ValueError, match="layer column"):
+        AccessTrace.from_columns(0, np.zeros(4, np.int64), np.arange(3), np.ones(3))
+    with pytest.raises(ValueError, match="key column"):
+        AccessTrace.from_columns(0, 0, np.arange(3), np.ones(3), key[:2])
+    with pytest.raises(ValueError, match="run length column"):
+        AccessTrace.from_columns(0, 0, np.arange(3), 1)
+    with pytest.raises(ValueError, match="1-D"):
+        AccessTrace.from_columns(0, 0, np.zeros((2, 2), np.int64), np.ones((2, 2)))
 
 
-def test_add_skips_empty_runs():
-    t = AccessTrace()
-    t.add("DRAM", "read", "weights", 0, 0)
-    assert len(t) == 0
-    t.add("DRAM", "read", "weights", 0, 3)
+def test_from_columns_skips_empty_runs():
+    assert len(_one_run("DRAM", "read", "weights", 0, 0)) == 0
+    t = _two_runs("DRAM", "read", "weights", 0, 0)
+    assert [r[4:] for r in t.runs()] == [(5, 1)]
+    t = trace_of([("DRAM", "read", "weights", 0, 0), ("DRAM", "read", "weights", 0, 3)])
     assert len(t) == 1 and t.runs()[0][5] == 3
 
 
 @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 40)), max_size=20),
        st.integers(0, 3))
-def test_array_add_equals_one_add_per_run(runs, layer):
-    one, many = AccessTrace(), AccessTrace()
-    one.layer = many.layer = layer
+def test_concat_of_one_run_traces_equals_one_from_columns_call(runs, layer):
+    triple = triple_code("SRAM", "write", "state")
     address = np.array([a for a, _ in runs], dtype=np.int64)
     nwords = np.array([n for _, n in runs], dtype=np.int64)
-    one.add("SRAM", "write", "state", address, nwords)
-    for a, n in runs:
-        many.add("SRAM", "write", "state", a, n)
+    one = AccessTrace.from_columns(triple, layer, address, nwords)
+    many = AccessTrace.concat(AccessTrace.from_columns(triple, layer, [a], [n])
+                              for a, n in runs)
     assert np.array_equal(one.table, many.table)
     assert one.table.dtype == np.int64 and one.table.shape[1] == len(COLUMNS)
     assert [r[4:] for r in one.runs()] == [(a, n) for a, n in runs if n]
     assert all(r[:4] == ("SRAM", "write", "state", layer) for r in one.runs())
 
 
-def test_array_add_with_a_scalar_run_length():
-    t = AccessTrace()
-    t.add("DRAM", "read", "weights", 7)
-    t.add("DRAM", "read", "weights", np.array([100, 112]), 4)
-    t.add("DRAM", "read", "weights", np.array([], dtype=np.int64), 4)
-    assert [r[4:] for r in t.runs()] == [(7, 1), (100, 4), (112, 4)]
+def test_from_columns_shares_a_scalar_triple_and_layer():
+    t = AccessTrace.concat([
+        AccessTrace.from_columns(WEIGHTS, 0, [7], [1]),
+        AccessTrace.from_columns(WEIGHTS, 2, np.array([100, 112]), np.array([4, 4])),
+        AccessTrace.from_columns(WEIGHTS, 2, np.array([], dtype=np.int64),
+                                 np.array([], dtype=np.int64))])
+    assert [r[3:] for r in t.runs()] == [(0, 7, 1), (2, 100, 4), (2, 112, 4)]
 
 
 def _sample_trace():
-    t = AccessTrace()
-    t.add("DRAM", "read", "weights", 0, 4)
-    t.add("DRAM", "write", "activations", 100, 2)
-    t.add("SRAM", "read", "activations", 8, 3)
-    t.add("SRAM", "write", "state", 50)
-    return t
+    return trace_of([("DRAM", "read", "weights", 0, 4),
+                     ("DRAM", "write", "activations", 100, 2),
+                     ("SRAM", "read", "activations", 8, 3),
+                     ("SRAM", "write", "state", 50, 1)])
 
 
 def test_word_count_sums_every_run():
     t = _sample_trace()
     assert t.word_count() == 10
-    assert AccessTrace().word_count() == 0
+    assert AccessTrace.concat([]).word_count() == 0
 
 
 def test_words_by_tag():
@@ -103,8 +114,7 @@ def test_words_by_tag():
 
 
 def test_csv_expands_runs():
-    t = AccessTrace()
-    t.add("DRAM", "read", "weights", 5, 3)
+    t = _one_run("DRAM", "read", "weights", 5, 3)
     assert t.to_csv() == (
         "region,address,kind,tag\n"
         "DRAM,5,read,weights\n"
@@ -121,22 +131,19 @@ def _word_list(t: AccessTrace) -> list[tuple]:
     return out
 
 
-@st.composite
-def traces(draw):
-    t = AccessTrace()
-    for _ in range(draw(st.integers(0, 12))):
-        t.add(
-            draw(st.sampled_from(("DRAM", "SRAM"))),
-            draw(st.sampled_from(("read", "write"))),
-            draw(st.sampled_from(("weights", "activations", "state"))),
-            draw(st.integers(0, 5000)),
-            draw(st.integers(1, 20)),
-        )
-    return t
+def run_lists(min_nwords=1):
+    """Lists of (region, kind, tag, address, nwords) runs."""
+    return st.lists(st.tuples(
+        st.sampled_from(("DRAM", "SRAM")),
+        st.sampled_from(("read", "write")),
+        st.sampled_from(("weights", "activations", "state")),
+        st.integers(0, 5000),
+        st.integers(min_nwords, 20)), max_size=12)
 
 
-@given(traces())
-def test_csv_roundtrip_preserves_word_sequence(t):
+@given(run_lists())
+def test_csv_roundtrip_preserves_word_sequence(runs):
+    t = trace_of(runs)
     back = trace_from_csv(t.to_csv())
     assert _word_list(back) == _word_list(t)
 
@@ -164,10 +171,9 @@ def test_csv_parse_rejects_garbage():
 
 
 def test_layer_views_partition_the_trace():
-    t = AccessTrace()
-    for layer, address in ((0, 7), (1, 40), (0, 9), (2, 3), (1, 41)):
-        t.layer = layer
-        t.add("DRAM", "read", "weights", address, 2)
+    rows = ((0, 7), (1, 40), (0, 9), (2, 3), (1, 41))
+    t = trace_of([("DRAM", "read", "weights", address, 2) for _, address in rows],
+                 layer=[layer for layer, _ in rows])
     views = [t.select_layer(l) for l in range(3)]
     assert [[r[4] for r in v.runs()] for v in views] == [[7, 9], [40, 41], [3]]
     assert sum(len(v) for v in views) == len(t)
@@ -175,14 +181,13 @@ def test_layer_views_partition_the_trace():
     assert len(t.select_layer(3)) == 0
 
 
-def test_extend_concatenates_in_order():
-    a, b = AccessTrace(), AccessTrace()
-    a.add("DRAM", "read", "weights", 0)
-    b.add("SRAM", "write", "state", 9)
-    b.add("DRAM", "read", "weights", 4, 2)
-    a.layer = 1
-    a.extend(b)
-    a.add("SRAM", "read", "activations", 3)
-    assert [(r[0], r[3]) for r in a.runs()] == [
-        ("DRAM", 0), ("SRAM", 1), ("DRAM", 1), ("SRAM", 1)]
-    assert len(b) == 2 and b.runs()[0][3] == 0
+@given(st.lists(st.tuples(run_lists(min_nwords=0), st.integers(0, 3)), max_size=5))
+def test_concat_keeps_order_and_layers(parts):
+    traces = [trace_of(runs, layer) for runs, layer in parts]
+    before = [t.runs() for t in traces]
+    joined = AccessTrace.concat(traces)
+    assert [t.runs() for t in traces] == before
+    assert joined.runs() == [r for t in traces for r in t.runs()]
+    assert joined.runs() == [(*run[:3], layer, *run[3:])
+                             for runs, layer in parts for run in runs if run[4]]
+    assert [len(t) for t in traces] == [sum(1 for r in runs if r[4]) for runs, _ in parts]
