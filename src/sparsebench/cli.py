@@ -223,6 +223,9 @@ def cmd_brain_budget(args) -> int:
         kw = {"rate_hz": vals.get("rate"), "fanout": vals.get("fanout"),
               "neurons": vals.get("neurons"), "energy_per_syn_j": vals.get("esyn")}
         solved = solve_for(vals["power"], **kw)
+    if not 0 < solved < math.inf:  # finite inputs whose product left the float range
+        raise MalformedStream(f"--{unknown}: {solved:.6g} {_BRAIN_UNITS[unknown]}: "
+                              "the computation left the float range")
     print(f"{solved:.6g} {_BRAIN_UNITS[unknown]}")
     return 0
 

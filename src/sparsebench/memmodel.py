@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import Underdetermined
-from .trace import REGIONS, TAGS, AccessTrace, triple_code
+from .trace import INT64_MAX, REGIONS, TAGS, AccessTrace, triple_code
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,8 @@ class MemConfig:
             value = getattr(self, f.name)
             if not 0 < value < math.inf:  # NaN fails both comparisons
                 raise ValueError(f"{f.name} must be positive and finite, got {value}")
+            if isinstance(value, int) and value > INT64_MAX:  # costed as int64
+                raise ValueError(f"{f.name} must fit int64, got {value}")
         if self.row_change_factor < 1:
             raise ValueError("row_change_factor must be >= 1")
 

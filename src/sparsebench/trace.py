@@ -19,6 +19,7 @@ KINDS = ("read", "write")
 TAGS = ("weights", "activations", "state")
 COLUMNS = ("region", "kind", "tag", "layer", "address", "nwords")
 INT64_MAX = 2**63 - 1
+_HEADER = "region,address,kind,tag"  # of the per-word CSV, one line per word
 
 # Every (region, kind, tag) triple: its index, and its three column codes.
 _TRIPLES = list(itertools.product(REGIONS, KINDS, TAGS))
@@ -126,7 +127,7 @@ class AccessTrace:
 
     def to_csv(self) -> str:
         """One row per word access: region,address,kind,tag."""
-        lines = ["region,address,kind,tag"]
+        lines = [_HEADER]
         for region, kind, tag, _, address, nwords in self.runs():
             lines.extend(f"{region},{a},{kind},{tag}"
                          for a in range(address, address + nwords))
@@ -137,10 +138,22 @@ class AccessTrace:
 
 
 def trace_from_csv(text: str) -> AccessTrace:
-    """Parse the CSV export format back into a trace, one row per word."""
+    """Parse the CSV export format back into a trace. Consecutive words with
+    the same (region, kind, tag) and the next address become one run, which
+    leaves the trace's cost unchanged (it does not depend on run chunking).
+    A text in the canonical export format is parsed as whole columns; any
+    other text goes through the ordered per-row loop."""
+    triple, address = _canonical_columns(text) or _ordered_columns(text)
+    return _merged_runs(triple, address)
+
+
+def _ordered_columns(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-word triple and address columns, one row at a time: blank lines
+    are skipped, fields may carry surrounding whitespace, and a malformed
+    row raises ValueError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "region,address,kind,tag":
-        raise ValueError("expected header 'region,address,kind,tag'")
+    if not lines or lines[0].strip() != _HEADER:
+        raise ValueError(f"expected header {_HEADER!r}")
     triples, addresses = [], []
     for ln in lines[1:]:
         parts = ln.split(",")
@@ -148,9 +161,99 @@ def trace_from_csv(text: str) -> AccessTrace:
             raise ValueError(f"bad trace row {ln!r}")
         region, address, kind, tag = map(str.strip, parts)
         triples.append(triple_code(region, kind, tag))
-        addresses.append(int(address))
-    del lines  # the parsed text can go before the table is built
+        try:
+            addresses.append(int(address))
+        except ValueError:
+            raise ValueError(f"bad trace row {ln!r}") from None
+    del lines  # the parsed text can go before the columns are built
     address = _int64(addresses)
     del addresses
-    return AccessTrace.from_columns(np.array(triples, dtype=np.int64), 0, address,
-                                    np.ones_like(address))
+    return np.array(triples, dtype=np.int64), address
+
+
+def _le_word(b: bytes) -> int:
+    return int.from_bytes(b, "little")
+
+
+# A canonical data line is a region prefix, 1-18 ASCII digits (below 10**18,
+# so int64 holds them) and a ",kind,tag\n" suffix. The six suffixes have
+# distinct lengths, so a line's length past its second comma names the only
+# suffix it can hold; the parse then compares bytes as 8-byte words, three of
+# them (_SPAN bytes) past that comma, enough for the longest suffix.
+_MAX_DIGITS = 18
+_SPAN = 24
+_PREFIX_WORDS = [_le_word(f"{r},".encode()) for r in REGIONS]
+_PREFIX_MASK = _le_word(b"\xff" * len("DRAM,"))
+_SUFFIXES = [f",{k},{t}\n".encode() for k in KINDS for t in TAGS]
+_SUFFIX_BY_LENGTH = np.full(_SPAN + 1, -1, dtype=np.int64)
+_SUFFIX_BY_LENGTH[[len(s) for s in _SUFFIXES]] = range(len(_SUFFIXES))
+# Row w: the word at offset 8w of each suffix, and the mask of the suffix
+# bytes that word holds.
+_SUFFIX_WORDS = np.array([[_le_word(s[i:i + 8]) for s in _SUFFIXES]
+                          for i in range(0, _SPAN, 8)], dtype=np.uint64)
+_SUFFIX_MASKS = np.array([[_le_word(b"\xff" * len(s[i:i + 8])) for s in _SUFFIXES]
+                          for i in range(0, _SPAN, 8)], dtype=np.uint64)
+_CANONICAL_TRIPLE = np.array([[_TRIPLE_INDEX[r, k, t] for k in KINDS for t in TAGS]
+                              for r in REGIONS], dtype=np.int64)
+
+
+def _canonical_columns(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per-word triple and address columns of a text in the canonical export
+    format, parsed as whole columns: the header line, then only lines
+    "DRAM|SRAM,<1-18 digits>,read|write,weights|activations|state", each
+    ending in "\n" (the last newline may be missing). None for any other
+    text, which `_ordered_columns` then parses."""
+    if not text.startswith(_HEADER + "\n") or not text.isascii():
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    buf = text.encode("ascii") + bytes(_SPAN)  # so every word read below is in range
+    data = np.frombuffer(buf, dtype=np.uint8)
+    # The little-endian 8-byte word that starts at each byte: a view, no copy.
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))
+    ends = np.flatnonzero(data == ord("\n"))[1:]  # past the header's
+    commas = np.flatnonzero(data == ord(","))[3:]
+    n = ends.size
+    if commas.size != 3 * n:
+        return None
+    comma = commas[1::3]  # each line's second comma, if each line has three
+    starts = np.empty(n, dtype=np.int64)
+    starts[:1] = len(_HEADER) + 1
+    starts[1:] = ends[:-1] + 1
+    # Each line must be a prefix, then digits up to its `comma`, then the
+    # suffix from there to its newline. A line that passes these three exact
+    # checks is canonical, so it has three commas and `comma` is its second.
+    prefix = words[starts] & _PREFIX_MASK
+    region = prefix == _PREFIX_WORDS[1]
+    if not np.all(region | (prefix == _PREFIX_WORDS[0])):
+        return None
+    suffix = _SUFFIX_BY_LENGTH[np.clip(ends + 1 - comma, 0, _SUFFIX_BY_LENGTH.size - 1)]
+    if np.any(suffix < 0):
+        return None
+    for w, (mask, expected) in enumerate(zip(_SUFFIX_MASKS, _SUFFIX_WORDS)):
+        if np.any(words[comma + 8 * w] & mask[suffix] != expected[suffix]):
+            return None
+    digits = comma - starts - len("DRAM,")
+    if digits.min(initial=1) < 1 or digits.max(initial=1) > _MAX_DIGITS:
+        return None
+    address = np.zeros(n, dtype=np.int64)
+    for k in range(int(digits.max(initial=0)), 0, -1):  # most significant first
+        digit = np.where(digits >= k, data[comma - k] - ord("0"), 0)
+        if digit.max() > 9:  # a byte below "0" wraps past 9 as well
+            return None
+        address *= 10
+        address += digit
+    return _CANONICAL_TRIPLE[region.astype(np.intp), suffix], address
+
+
+def _merged_runs(triple: np.ndarray, address: np.ndarray) -> AccessTrace:
+    """The trace of per-word columns, each word that has its predecessor's
+    triple and the next address merged into its run. A negative address
+    always starts a run, so the subtraction cannot wrap and from_columns
+    rejects it as it is."""
+    starts = np.ones(address.size, dtype=bool)
+    starts[1:] = ((triple[1:] != triple[:-1]) | (address[1:] - 1 != address[:-1])
+                  | (address[1:] < 0))
+    first = np.flatnonzero(starts)
+    return AccessTrace.from_columns(triple[first], 0, address[first],
+                                    np.diff(first, append=address.size))

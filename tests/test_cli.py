@@ -317,6 +317,55 @@ def test_mem_sim_rejects_addresses_outside_int64(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["row_activations"] == 1
 
 
+def test_mem_sim_bad_address_names_the_row(tmp_path, capsys):
+    # ended in "invalid literal for int() with base 10: 'abc'", no row named
+    trace = tmp_path / "t.csv"
+    trace.write_text("region,address,kind,tag\nDRAM,1,read,weights\nDRAM,abc,read,weights\n")
+    assert main(["mem-sim", "--trace", str(trace)]) == 2
+    assert capsys.readouterr().err == "error: bad trace row 'DRAM,abc,read,weights'\n"
+
+
+def test_mem_sim_prices_a_messy_trace_like_its_canonical_form(tmp_path, capsys):
+    words = [("DRAM", 1022, "read", "weights"), ("DRAM", 1023, "read", "weights"),
+             ("DRAM", 1024, "read", "weights"), ("SRAM", 3, "write", "state"),
+             ("DRAM", 4000, "write", "activations"), ("DRAM", 1025, "read", "weights")]
+    canonical = "region,address,kind,tag\n" + "".join(f"{r},{a},{k},{t}\n" for r, a, k, t in words)
+    messy = " region,address,kind,tag\r\n\r\n" + "".join(
+        f" {r} ,\t{a},{k} ,{t}\r\n\n" for r, a, k, t in words)
+    trace = tmp_path / "t.csv"
+    outputs = []
+    for text in (canonical, messy):
+        trace.write_bytes(text.encode())
+        assert main(["mem-sim", "--trace", str(trace)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["row_activations"] == 4
+
+
+GRU_NET_2 = GRU_NET + """[gru]
+input = 8
+hidden = 8
+files = synth:uniform,amp=0.1,seed=5
+"""
+
+
+@pytest.mark.parametrize("net, source", [
+    ("cnn.net", "synth:map,c=2,h=12,w=12,sparsity=0.6"),
+    ("rnn.net", "synth:hold,t=20,n=6,hold=5")])
+def test_exported_trace_replays_to_the_report_costs(tmp_path, capsys, net, source):
+    # a GRU of two layers, so the open row is carried across layers
+    (tmp_path / net).write_text(CONV_NET if net == "cnn.net" else GRU_NET_2)
+    trace = str(tmp_path / "t.csv")
+    assert main(["run", "--net", str(tmp_path / net), "--input", source,
+                 "--trace-csv", trace]) == 0
+    totals = json.loads(capsys.readouterr().out)["totals"]
+    assert main(["mem-sim", "--trace", trace]) == 0
+    costs = json.loads(capsys.readouterr().out)
+    keys = ("cycles", "row_activations", "dram_words", "sram_words")
+    assert {k: costs[k] for k in keys} == {k: totals[k] for k in keys}
+    assert costs["row_activations"] > 0 and costs["sram_words"] > 0
+
+
 def test_mem_sim_requires_exactly_one_probe(tmp_path):
     assert main(["mem-sim"]) == 2
     assert main(["mem-sim", "--stream", "5x-3"]) == 2
@@ -341,6 +390,17 @@ def test_non_finite_mem_config_file_exits_2(tmp_path, gru_net, capsys, value):
         assert main(["--config", str(cfg), "run", "--net", gru_net,
                      "--input", "synth:ar1,t=3,n=6"]) == 2
         assert f"{key} must be positive and finite" in capsys.readouterr().err
+
+
+def test_mem_config_integer_past_int64_exits_2(tmp_path, capsys):
+    # died in an OverflowError traceback (exit 1) costing the trace
+    cfg = tmp_path / "mem.cfg"
+    cfg.write_text(f"words_per_row = {10**30}\n")
+    assert main(["--config", str(cfg), "mem-sim", "--stream", "4x4"]) == 2
+    assert "words_per_row must fit int64" in capsys.readouterr().err
+    cfg.write_text(f"words_per_row = {2**63 - 1}\n")
+    assert main(["--config", str(cfg), "mem-sim", "--stream", "4x4"]) == 0
+    assert json.loads(capsys.readouterr().out)["row_activations"] == 1
 
 
 def test_non_finite_net_mem_section_exits_2(tmp_path, capsys):
@@ -406,6 +466,17 @@ def test_brain_budget_rejects_non_finite_numbers(capsys):
                  ["--esyn=-inf"]):
         assert main(["brain-budget"] + args) == 2
         assert "non-finite value" in capsys.readouterr().err
+
+
+def test_brain_budget_rejects_an_answer_outside_the_float_range(capsys):
+    # printed "inf W" and "0 Hz" and exited 0
+    for args, answer in (
+            (["--power", "?", "--rate", "1e300", "--fanout", "1e300", "--neurons", "1",
+              "--esyn", "1e-13"], "--power: inf W"),
+            (["--rate", "?", "--power", "1e-300", "--fanout", "1e300",
+              "--neurons", "1e300"], "--rate: 0 Hz")):
+        assert main(["brain-budget"] + args) == 2
+        assert f"{answer}: the computation left the float range" in capsys.readouterr().err
 
 
 def test_brain_budget_requires_one_unknown():

@@ -1,5 +1,7 @@
 """Access-trace building, layer views, and CSV round-tripping."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from _synthcases import trace_of
 from sparsebench.memmodel import MemConfig, cost_trace
-from sparsebench.trace import (COLUMNS, INT64_MAX, AccessTrace, trace_from_csv,
-                               triple_code)
+from sparsebench.trace import (COLUMNS, INT64_MAX, AccessTrace, _canonical_columns,
+                               _ordered_columns, trace_from_csv, triple_code)
 
 WEIGHTS = triple_code("DRAM", "read", "weights")
 
@@ -155,19 +157,149 @@ def test_csv_file_roundtrip(tmp_path):
     with open(path) as fh:
         back = trace_from_csv(fh.read())
     assert _word_list(back) == _word_list(t)
+    # no two runs can merge, so the parse gives back the same table
+    assert np.array_equal(back.table, t.table)
+
+
+HEADER = "region,address,kind,tag\n"
 
 
 def test_csv_parse_rejects_garbage():
-    with pytest.raises(ValueError, match="header"):
-        trace_from_csv("address,region\n1,DRAM\n")
-    with pytest.raises(ValueError, match="row"):
-        trace_from_csv("region,address,kind,tag\nDRAM,1,read\n")
-    with pytest.raises(ValueError, match="region"):
-        trace_from_csv("region,address,kind,tag\nCACHE,1,read,weights\n")
-    with pytest.raises(ValueError, match="address"):
-        trace_from_csv("region,address,kind,tag\nDRAM,-1,read,weights\n")
-    with pytest.raises(ValueError, match="int64"):
-        trace_from_csv("region,address,kind,tag\nDRAM,99999999999999999999,read,weights\n")
+    for text, message in (
+            ("address,region\n1,DRAM\n", "expected header 'region,address,kind,tag'"),
+            (HEADER + "DRAM,1,read\n", "bad trace row 'DRAM,1,read'"),
+            (HEADER + "CACHE,1,read,weights\n", "unknown region 'CACHE'"),
+            (HEADER + "DRAM,1,fetch,weights\n", "unknown access kind 'fetch'"),
+            (HEADER + "DRAM,1,read,gradients\n", "unknown tag 'gradients'"),
+            (HEADER + "DRAM,-1,read,weights\n", "negative address -1"),
+            (HEADER + "DRAM,99999999999999999999,read,weights\n",
+             "address run end (address + nwords) does not fit int64"),
+            (HEADER + "DRAM,9999999999999999999,read,weights\n",
+             "address run end (address + nwords) does not fit int64"),
+            # was "invalid literal for int() with base 10: 'abc'", no row named
+            (HEADER + "DRAM,abc,read,weights\n", "bad trace row 'DRAM,abc,read,weights'"),
+            # a merge whose subtraction wrapped would fold the second word into
+            # the first one's run and report the run end instead
+            (HEADER + f"DRAM,{INT64_MAX},read,weights\nDRAM,{-INT64_MAX - 1},read,weights\n",
+             f"negative address {-INT64_MAX - 1}")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            trace_from_csv(text)
+
+
+def _csv(words, line="{},{},{},{}\n"):
+    return HEADER + "".join(line.format(r, a, k, t) for r, a, k, t in words)
+
+
+def _one_word_runs(triple, address):
+    """Per-word columns as a trace of one-word runs."""
+    return AccessTrace.from_columns(triple, 0, address, np.ones_like(address))
+
+
+def test_parse_merges_adjacent_words_into_runs():
+    words = [("DRAM", a, "read", "weights") for a in (5, 6, 7, 9, 9, 8, 10)]
+    words += [("SRAM", 11, "read", "weights"), ("SRAM", 12, "write", "weights"),
+              ("SRAM", 13, "write", "weights")]
+    t = trace_from_csv(_csv(words))
+    assert [(r[0], r[1], r[4], r[5]) for r in t.runs()] == [
+        ("DRAM", "read", 5, 3), ("DRAM", "read", 9, 1), ("DRAM", "read", 9, 1),
+        ("DRAM", "read", 8, 1), ("DRAM", "read", 10, 1), ("SRAM", "read", 11, 1),
+        ("SRAM", "write", 12, 2)]
+    assert _canonical_columns(_csv(words)) is not None
+    # the ordered loop merges the same way
+    messy = _csv(words, " {} , {} ,{},{}\r\n")
+    assert _canonical_columns(messy) is None
+    assert np.array_equal(trace_from_csv(messy).table, t.table)
+
+
+# The texts the whole-column parse must take, and only those.
+CANONICAL = re.compile(r"region,address,kind,tag\n"
+                       r"((DRAM|SRAM),[0-9]{1,18},(read|write),(weights|activations|state)\n)*"
+                       r"((DRAM|SRAM),[0-9]{1,18},(read|write),(weights|activations|state))?")
+
+LINE_STYLES = (
+    "{},{},{},{}\n",
+    "{},00{},{},{}\n",
+    " {} ,\t{} , {},{} \n",
+    "{},{},{},{}\r\n",
+    "\n  \n{},{},{},{}\n",
+    "{},+{},{},{}\n",
+)
+
+
+def word_runs(top):
+    """Runs of words, their addresses near 0 or just below ``top``."""
+    return st.lists(st.tuples(
+        st.sampled_from(("DRAM", "SRAM")),
+        st.sampled_from(("read", "write")),
+        st.sampled_from(("weights", "activations", "state")),
+        st.integers(0, 64) | st.integers(top - 64, top - 4),
+        st.integers(1, 4)), max_size=10)
+
+
+@given(st.booleans(), st.data())
+def test_column_parse_and_ordered_loop_agree(messy, data):
+    # messy texts mix in non-canonical lines and 19-digit addresses
+    runs = data.draw(word_runs(INT64_MAX if messy else 10**18))
+    words = [(r, a + i, k, t) for r, k, t, a, n in runs for i in range(n)]
+    styles = st.sampled_from(LINE_STYLES if messy else LINE_STYLES[:1])
+    lines = data.draw(st.lists(styles, min_size=len(words), max_size=len(words)))
+    text = HEADER + "".join(s.format(*w) for s, w in zip(lines, words))
+    if data.draw(st.booleans()):
+        text = text[:-1]  # no final newline
+    fast, ordered = _canonical_columns(text), _ordered_columns(text)
+    assert (fast is not None) == bool(CANONICAL.fullmatch(text))
+    if fast is not None:
+        assert all(np.array_equal(f, o) and f.dtype == o.dtype for f, o in zip(fast, ordered))
+    t = trace_from_csv(text)
+    assert _word_list(t) == words
+    merged = []  # each word extends the run before it when it can
+    for r, a, k, g in words:
+        if merged and merged[-1][:3] == [r, k, g] and sum(merged[-1][4:]) == a:
+            merged[-1][5] += 1
+        else:
+            merged.append([r, k, g, 0, a, 1])
+    assert t.runs() == [tuple(run) for run in merged]
+    cfg = MemConfig(words_per_row=16)
+    assert cost_trace(t, cfg) == cost_trace(_one_word_runs(*ordered), cfg)
+
+
+def test_leading_zeros_up_to_18_digits_stay_on_the_column_parse():
+    for digits, canonical in ((18, True), (19, False)):
+        text = _csv([("SRAM", "7".zfill(digits), "write", "state"),
+                     ("SRAM", "8".zfill(digits), "write", "state")])
+        assert (_canonical_columns(text) is not None) == canonical
+        assert trace_from_csv(text).runs() == [("SRAM", "write", "state", 0, 7, 2)]
+
+
+def test_non_canonical_texts_take_the_ordered_loop():
+    line = "DRAM,7,read,weights"
+    for text in (
+            HEADER + line + "\n\n",                   # a blank line after the last newline
+            HEADER + "\n" + line + "\n",
+            HEADER.replace("\n", "\r\n") + line + "\n",
+            HEADER + line + "\x00\n",                 # NUL bytes
+            HEADER + "\x00" + line + "\n",
+            HEADER + line + "\n\x00",
+            HEADER + "DRAM,\u0667,read,weights\n",      # a non-ASCII digit int() reads as 7
+            HEADER + "DRAM,1_0,read,weights\n",
+            HEADER + "DRAM,,read,weights\n",
+            HEADER + "DRAM,7,read,weights,\n",
+            HEADER + "DRAM,7,read\n" + line + ",weights\n",
+            HEADER + "dram,7,read,weights\n",
+            HEADER + "DRAM,7,reads,weights\n",
+            HEADER + "DRAM,7,read,Weights\n",
+            HEADER + "DRAM,7,read,activationz\n",      # differs in the suffix's third word
+            HEADER + "DRAM,7,read,weights,\nDRAM,7,read\n",
+            HEADER + "DRAM,7,read,weights\v\n",
+            " " + HEADER + line + "\n"):
+        assert _canonical_columns(text) is None, text
+        try:
+            expected = _word_list(_one_word_runs(*_ordered_columns(text)))
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                trace_from_csv(text)
+        else:
+            assert _word_list(trace_from_csv(text)) == expected
 
 
 def test_layer_views_partition_the_trace():
