@@ -5,16 +5,20 @@ accumulators, ties-to-even renormalization):
 
 * conv_dense_oracle: gather-style reference that multiplies every
   (output position, kernel element) pair, padded zeros included.
-* conv_zeroskip: input-stationary scatter that walks only the non-zero
-  pixels of a compressed input and touches only the accumulators each
-  one feeds. Skipped pixels cost nothing, not even an iteration.
+* conv_zeroskip: input-stationary scatter from the non-zero pixels of a
+  compressed input to only the accumulators each one feeds. Skipped
+  pixels cost no modeled MAC: the MAC count is the (non-zero pixel,
+  tap) hits times the output channels. On the host, below the
+  no-clip bound, the work is one float64 BLAS product per group of
+  input channels, zeros included.
 
-Both accumulate each output in the same term order (input channel, then
-kernel row, then kernel column), and adding zero to a saturating
-accumulator is the identity, so the two paths agree bit-exactly even
-when intermediate sums clip. The zero-skip engine drops the per-term
-clamp only when a bound proves that no prefix of that order can clip;
-the oracle always clamps.
+Both define each output as its terms added in the same order (input
+channel, then kernel row, then kernel column), clamped after each, and
+adding zero to a saturating accumulator is the identity, so the two
+paths agree bit-exactly even when intermediate sums clip. The zero-skip
+engine drops the per-term clamp, and sums in float64, only when a bound
+proves that no prefix of that order can clip, which also makes every
+float64 partial sum an exact integer; the oracle always clamps.
 
 ReLU and 2x2 pooling are fused after accumulation: the window maximum
 is taken on the 32-bit plane and clamped once, so no full-resolution
@@ -38,6 +42,10 @@ _LAYER_TRIPLES = np.array([triple_code(*t) for t in (
     ("DRAM", "read", "weights"), ("DRAM", "read", "activations"),
     ("SRAM", "read", "weights"), ("SRAM", "read", "activations"),
     ("SRAM", "write", "activations"), ("DRAM", "write", "activations"))])
+
+# The zero-skip fast path's float64 slab (see _accumulate_proven) is capped
+# near this size; each channel group holds at least one channel.
+_SLAB_BYTES = 2 << 20
 
 
 @dataclass
@@ -226,19 +234,37 @@ def _tap_targets(pos: np.ndarray, k: int, pad: int, stride: int,
     return o, (r == 0) & (o >= 0) & (o < n_out)
 
 
+def _tap_hits(spec: ConvLayerSpec, ys: np.ndarray, xs: np.ndarray,
+              h_out: int, w_out: int):
+    """For each kernel tap in (row, column) order: its index ky * kw + kx,
+    the pixels (of ``ys``, ``xs``) that feed an output through it, and
+    those outputs' flat positions. Distinct pixels of one channel feed
+    distinct outputs under one tap."""
+    s, p = spec.stride, spec.pad
+    rows = [_tap_targets(ys, ky, p, s, h_out) for ky in range(spec.kernel_h)]
+    cols = [_tap_targets(xs, kx, p, s, w_out) for kx in range(spec.kernel_w)]
+    for ky, (oy, row_ok) in enumerate(rows):
+        row_pos = oy * w_out
+        for kx, (ox, col_ok) in enumerate(cols):
+            hit = np.flatnonzero(row_ok & col_ok)
+            yield ky * spec.kernel_w + kx, hit, row_pos[hit] + ox[hit]
+
+
 def conv_zeroskip(spec: ConvLayerSpec, sfm: SparseFeatureMap,
                   weight_base: int = 0, layer: int = 0) -> LayerRunResult:
-    """Scatter-accumulate from the non-zero pixels of a compressed input.
+    """Accumulate from the non-zero pixels of a compressed input.
 
-    Each non-zero pixel updates exactly the output positions whose
-    receptive field contains it, for every output channel; nothing else
-    is touched. One scatter step covers all pixels of one input channel
-    under one kernel tap; in a step, distinct pixels feed distinct
-    outputs, and each output takes at most one term per (channel, tap).
-    Steps run in (channel, kernel row, kernel column) order, the
-    oracle's term order, clamping after each, unless the no-clip bound
-    holds. The result is bit-identical to the dense oracle on the
-    decoded input. Its trace rows carry ``layer``.
+    Each non-zero pixel feeds exactly the output positions whose
+    receptive field contains it, for every output channel; no other
+    term is formed or counted as a MAC. In one (input channel, kernel
+    tap), distinct pixels feed distinct outputs, so each output takes
+    at most one term per (channel, tap). When the no-clip bound holds,
+    every channel group's terms go into one exact float64 product
+    (`_accumulate_proven`). Otherwise the ordered loop runs: one
+    scatter step per (channel, tap), in (channel, kernel row, kernel
+    column) order, the oracle's term order, clamping after each. The
+    result is bit-identical to the dense oracle on the decoded input.
+    Its trace rows carry ``layer``.
     """
     if sfm.dims[0] != spec.in_channels:
         raise ShapeMismatch(
@@ -246,12 +272,9 @@ def conv_zeroskip(spec: ConvLayerSpec, sfm: SparseFeatureMap,
     counter = OpCounter()
     c, h, w = sfm.dims
     h_out, w_out = spec.out_dims(h, w)
-    s, p = spec.stride, spec.pad
-    kh, kw = spec.kernel_h, spec.kernel_w
-    acc = np.repeat(spec.bias.astype(np.int64)[:, None], h_out * w_out, axis=1)
-    counter.adds += acc.size
+    counter.adds += spec.out_channels * h_out * w_out
 
-    wv = spec.weights.data.reshape(spec.weights.dims)
+    wv = spec.weights.data.reshape(spec.out_channels, -1)
     cs, ys, xs, vals = nonzero_arrays(sfm)
     starts = np.searchsorted(cs, np.arange(c + 1)).tolist()
     peak = np.array([np.abs(vals[a:b]).max(initial=0)
@@ -260,28 +283,9 @@ def conv_zeroskip(spec: ConvLayerSpec, sfm: SparseFeatureMap,
     # times that input channel's largest |value| bounds every prefix sum
     # of its outputs, since each output takes at most one term per
     # (input channel, tap).
-    proven = no_clip(spec.bias, wv.reshape(spec.out_channels, -1),
-                     np.repeat(peak, kh * kw))
-    for ic, (a, b) in enumerate(zip(starts, starts[1:])):
-        if a == b:
-            continue
-        v = vals[a:b]
-        rows = [_tap_targets(ys[a:b], ky, p, s, h_out) for ky in range(kh)]
-        cols = [_tap_targets(xs[a:b], kx, p, s, w_out) for kx in range(kw)]
-        for ky, (oy, row_ok) in enumerate(rows):
-            for kx, (ox, col_ok) in enumerate(cols):
-                hit = np.flatnonzero(row_ok & col_ok)
-                if hit.size == 0:
-                    continue
-                idx = oy[hit] * w_out + ox[hit]
-                term = np.multiply.outer(wv[:, ic, ky, kx].astype(np.int64), v[hit])
-                if proven:
-                    acc[:, idx] += term
-                else:
-                    blk = acc[:, idx]
-                    counter.saturations += sat_add(blk, term)
-                    acc[:, idx] = blk
-                counter.macs_executed += term.size
+    proven = no_clip(spec.bias, wv, np.repeat(peak, spec.kernel_h * spec.kernel_w))
+    accumulate = _accumulate_proven if proven else _accumulate_ordered
+    acc = accumulate(spec, wv, (cs, ys, xs, vals), starts, h_out, w_out, counter)
     acc = acc.reshape(spec.out_channels, h_out, w_out)
 
     counter.macs_dense_equivalent += spec.dense_equivalent_macs(h, w)
@@ -290,6 +294,71 @@ def conv_zeroskip(spec: ConvLayerSpec, sfm: SparseFeatureMap,
     # The input and the pooled output travel compressed.
     return _layer_result(spec, layer, weight_base, counter, out_tensor, out_sfm,
                          sfm.payload_words, out_sfm.payload_words, sfm.nnz)
+
+
+def _accumulate_proven(spec: ConvLayerSpec, wv: np.ndarray, pixels, starts: list[int],
+                       h_out: int, w_out: int, counter: OpCounter) -> np.ndarray:
+    """The (out_c, h_out * w_out) int64 accumulators as float64 BLAS
+    products, one per group of input channels, when the no-clip bound
+    holds.
+
+    A group's (non-zero pixel, tap) hits are scattered into a zeroed
+    slab whose row is (channel, tap) and column the output position;
+    distinct pixels of one channel feed distinct outputs under one tap,
+    so no two hits share a cell. Then ``acc += W2[:, group rows] @ slab``
+    with ``W2`` the weights as (out_c, in_c * kh * kw), ``acc`` starting
+    at the bias. Each output takes at most one term per (channel, tap),
+    and every term is an integer product of 16-bit values, exact in
+    float64. So every partial sum, in any order the BLAS picks (fused
+    multiply-adds included) and across groups, is the bias plus some of
+    one output's terms, bounded in magnitude by the proven bound: an
+    integer below 2**31, which float64 holds exactly (the `sat_matvec`
+    argument). The float64 result therefore equals the clamp-free integer
+    sum, which the bound makes equal to the ordered, clamped one.
+    """
+    cs, ys, xs, vals = pixels
+    taps, n_out = spec.kernel_h * spec.kernel_w, h_out * w_out
+    group = max(1, _SLAB_BYTES // (8 * taps * n_out))
+    w2 = wv.astype(np.float64)
+    acc = np.repeat(spec.bias.astype(np.float64)[:, None], n_out, axis=1)
+    buf = np.empty((min(group, spec.in_channels) * taps, n_out))  # one slab, reused
+    for c0 in range(0, spec.in_channels, group):
+        c1 = min(c0 + group, spec.in_channels)
+        a, b = starts[c0], starts[c1]
+        if a == b:
+            continue
+        v = vals[a:b]
+        cell = (cs[a:b] - c0) * (taps * n_out)  # each pixel's first slab cell
+        slab = buf[:(c1 - c0) * taps]
+        slab.fill(0)
+        flat = slab.reshape(-1)
+        for tap, hit, pos in _tap_hits(spec, ys[a:b], xs[a:b], h_out, w_out):
+            flat[cell[hit] + tap * n_out + pos] = v[hit]
+            counter.macs_executed += hit.size * spec.out_channels
+        acc += w2[:, c0 * taps:c1 * taps] @ slab
+    return acc.astype(np.int64)
+
+
+def _accumulate_ordered(spec: ConvLayerSpec, wv: np.ndarray, pixels, starts: list[int],
+                        h_out: int, w_out: int, counter: OpCounter) -> np.ndarray:
+    """The (out_c, h_out * w_out) int64 accumulators by ordered steps: one
+    clamped scatter per (input channel, tap), in the oracle's term order."""
+    cs, ys, xs, vals = pixels
+    taps = spec.kernel_h * spec.kernel_w
+    acc = np.repeat(spec.bias.astype(np.int64)[:, None], h_out * w_out, axis=1)
+    for ic, (a, b) in enumerate(zip(starts, starts[1:])):
+        if a == b:
+            continue
+        v = vals[a:b]
+        for tap, hit, idx in _tap_hits(spec, ys[a:b], xs[a:b], h_out, w_out):
+            if hit.size == 0:
+                continue
+            term = np.multiply.outer(wv[:, ic * taps + tap].astype(np.int64), v[hit])
+            blk = acc[:, idx]
+            counter.saturations += sat_add(blk, term)
+            acc[:, idx] = blk
+            counter.macs_executed += term.size
+    return acc
 
 
 def conv_dense_run(spec: ConvLayerSpec, sfm: SparseFeatureMap,

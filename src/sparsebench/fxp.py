@@ -194,11 +194,15 @@ def quantize_array(values: np.ndarray, fmt: QFormat, counter: OpCounter | None =
 # (the ordered step). If |acc| + sum |terms| <= INT32_MAX, no prefix of
 # that order can leave int32: every clamp is the identity, term order no
 # longer matters, and one plain sum is bit-identical (the proven fast
-# path). The dense conv oracle runs the ordered step only. The dense GRU
-# oracle takes the fast path too, but over full matrices and full
-# vectors, while the delta engine's products are over sparse deltas;
-# so the theta-0 check still tests that the accumulated deltas
-# telescope to the direct products, not the fast path against itself.
+# path). Below that bound every float64 partial sum is an integer under
+# 2**31, so each fast path sums in float64 on BLAS: both GRU engines
+# through `sat_matvec`, the zero-skip conv as one product per group of
+# input channels (`conv._accumulate_proven`). The dense conv oracle runs
+# the ordered step only. The dense GRU oracle takes the fast path too,
+# but over full matrices and full vectors, while the delta engine's
+# products are over sparse deltas; so the theta-0 check still tests
+# that the accumulated deltas telescope to the direct products, not the
+# fast path against itself.
 
 def sat_add(acc: np.ndarray, term) -> int:
     """Ordered step: ``acc += term`` in place, clamped to int32.

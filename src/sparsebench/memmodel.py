@@ -155,24 +155,51 @@ def gops_per_watt(dense_equivalent_op: int, energy_pj: float) -> float:
     return dense_equivalent_op / joules / 1e9
 
 
+def _frexp_product(values) -> tuple[float, int]:
+    """The product of positive floats as (mantissa, exponent): their
+    `math.frexp` mantissas multiplied left to right, their exponents
+    summed. Each mantissa is in [0.5, 1), so no partial product leaves
+    the float range; and rounding is the same at every power-of-two
+    scale, so the mantissa product is the left-to-right product of the
+    values scaled exactly, whenever that stays in the normal range."""
+    mantissa, exponent = 1.0, 0
+    for v in values:
+        m, e = math.frexp(v)
+        mantissa *= m
+        exponent += e
+    return mantissa, exponent
+
+
+def _ldexp(mantissa: float, exponent: int) -> float:
+    """``mantissa * 2**exponent``, rounded once; inf past the float range."""
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.inf
+
+
 def brain_budget(rate_hz: float, fanout: float, neurons: float,
                  energy_per_syn_j: float) -> float:
     """Total power of an event-driven system: rate * fanout * count * energy.
 
     With 1 Hz mean rate, 1e4 fan-out, 1e10 neurons and 100 fJ per
-    synaptic update this gives the canonical ~10 W brain budget.
+    synaptic update this gives the canonical ~10 W brain budget. No
+    partial product leaves the float range (see `_frexp_product`), so
+    the answer is inf or 0 only when it lies past that range itself.
     """
-    for name, v in (("rate_hz", rate_hz), ("fanout", fanout),
-                    ("neurons", neurons), ("energy_per_syn_j", energy_per_syn_j)):
+    factors = (("rate_hz", rate_hz), ("fanout", fanout),
+               ("neurons", neurons), ("energy_per_syn_j", energy_per_syn_j))
+    for name, v in factors:
         if v <= 0:
             raise ValueError(f"{name} must be positive")
-    return rate_hz * fanout * neurons * energy_per_syn_j
+    return _ldexp(*_frexp_product(v for _, v in factors))
 
 
 def solve_for(power_w: float, rate_hz: float | None = None,
               fanout: float | None = None, neurons: float | None = None,
               energy_per_syn_j: float | None = None) -> float:
-    """Invert the power product for the single missing factor."""
+    """Invert the power product for the single missing factor, on
+    `_frexp_product` mantissas like `brain_budget`."""
     if power_w <= 0:
         raise ValueError("power_w must be positive")
     factors = {"rate_hz": rate_hz, "fanout": fanout, "neurons": neurons,
@@ -181,11 +208,10 @@ def solve_for(power_w: float, rate_hz: float | None = None,
     if len(missing) != 1:
         raise Underdetermined(
             f"need exactly one unknown, got {len(missing)}: {missing or 'none'}")
-    prod = 1.0
-    for k, v in factors.items():
-        if v is None:
-            continue
+    known = {k: v for k, v in factors.items() if v is not None}
+    for k, v in known.items():
         if v <= 0:
             raise ValueError(f"{k} must be positive")
-        prod *= v
-    return power_w / prod
+    m, e = _frexp_product(known.values())
+    power_m, power_e = math.frexp(power_w)
+    return _ldexp(power_m / m, power_e - e)

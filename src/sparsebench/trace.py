@@ -9,6 +9,7 @@ address+nwords-1), which is what the CSV export produces.
 """
 
 import itertools
+import re
 
 import numpy as np
 
@@ -20,6 +21,7 @@ TAGS = ("weights", "activations", "state")
 COLUMNS = ("region", "kind", "tag", "layer", "address", "nwords")
 INT64_MAX = 2**63 - 1
 _HEADER = "region,address,kind,tag"  # of the per-word CSV, one line per word
+_ADDRESS = re.compile("-?[0-9]+")  # a CSV address field; a negative one is named later
 
 # Every (region, kind, tag) triple: its index, and its three column codes.
 _TRIPLES = list(itertools.product(REGIONS, KINDS, TAGS))
@@ -148,10 +150,12 @@ def trace_from_csv(text: str) -> AccessTrace:
 
 
 def _ordered_columns(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Per-word triple and address columns, one row at a time: blank lines
-    are skipped, fields may carry surrounding whitespace, and a malformed
-    row raises ValueError."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Per-word triple and address columns, one row at a time: rows end at
+    "\n" (a "\r" before it is dropped), blank lines are skipped, fields
+    may carry surrounding whitespace, an address is an optional "-" and
+    ASCII digits, and a malformed row raises ValueError."""
+    lines = [ln.removesuffix("\r") for ln in text.split("\n")]
+    lines = [ln for ln in lines if ln.strip()]
     if not lines or lines[0].strip() != _HEADER:
         raise ValueError(f"expected header {_HEADER!r}")
     triples, addresses = [], []
@@ -161,10 +165,9 @@ def _ordered_columns(text: str) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(f"bad trace row {ln!r}")
         region, address, kind, tag = map(str.strip, parts)
         triples.append(triple_code(region, kind, tag))
-        try:
-            addresses.append(int(address))
-        except ValueError:
-            raise ValueError(f"bad trace row {ln!r}") from None
+        if not _ADDRESS.fullmatch(address):
+            raise ValueError(f"bad trace row {ln!r}")
+        addresses.append(int(address))
     del lines  # the parsed text can go before the columns are built
     address = _int64(addresses)
     del addresses

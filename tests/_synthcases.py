@@ -15,7 +15,7 @@ SPARSITIES = (0.0, 0.25, 0.5, 0.8, 1.0)
 
 
 def conv_case(rng, *, k=None, stride=None, pad=None, pool=None, relu=None,
-              sparsity=None, max_hw=10, max_c=4,
+              sparsity=None, max_hw=10, max_c=4, in_c=None,
               w_amp=0.5, x_amp=4.0, bias_amp=2.0):
     """Random conv layer plus an input map sized so the kernel fits."""
     k = int(rng.choice(KERNELS)) if k is None else k
@@ -25,7 +25,7 @@ def conv_case(rng, *, k=None, stride=None, pad=None, pool=None, relu=None,
     relu = bool(rng.integers(2)) if relu is None else relu
     if sparsity is None:
         sparsity = float(rng.choice(SPARSITIES))
-    in_c = int(rng.integers(1, max_c + 1))
+    in_c = int(rng.integers(1, max_c + 1)) if in_c is None else in_c
     out_c = int(rng.integers(1, max_c + 1))
     need_out = 2 if pool else 1
     lo = max(1, (need_out - 1) * stride + k - 2 * pad)

@@ -479,6 +479,19 @@ def test_brain_budget_rejects_an_answer_outside_the_float_range(capsys):
         assert f"{answer}: the computation left the float range" in capsys.readouterr().err
 
 
+def test_brain_budget_answers_inside_the_float_range_past_an_overflowing_product(capsys):
+    # 1e300 * 1e300 overflowed on the way to 1 W (exit 2, "inf W"), and
+    # 1e-300 * 1e-300 underflowed to a zero divisor on the way to 1e300 Hz
+    # (a ZeroDivisionError traceback)
+    for args, answer in (
+            (["--power", "?", "--rate", "1e300", "--fanout", "1e300",
+              "--neurons", "1e-300", "--esyn", "1e-300"], "1 W"),
+            (["--rate", "?", "--power", "1", "--fanout", "1e-300",
+              "--neurons", "1e-300", "--esyn", "1e300"], "1e+300 Hz")):
+        assert main(["brain-budget"] + args) == 0
+        assert capsys.readouterr().out.strip() == answer
+
+
 def test_brain_budget_requires_one_unknown():
     assert main(["brain-budget", "--rate", "?", "--fanout", "?",
                  "--power", "10"]) == 2

@@ -212,6 +212,76 @@ def test_fast_path_taken_at_bench_scale(monkeypatch):
     assert res.counters.saturations == 0
 
 
+def _accumulators(spec, sfm, **patches):
+    """conv_zeroskip's result and the int64 accumulators it renormalized,
+    with the given conv module attributes patched."""
+    with mock.patch.object(conv_mod, "_finish_layer", wraps=conv_mod._finish_layer) as fin, \
+            mock.patch.multiple(conv_mod, **patches):
+        res = conv_zeroskip(spec, sfm)
+    return res, fin.call_args.args[1]
+
+
+def _refuse(*args):
+    raise AssertionError("ordered fallback ran")
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    k=st.sampled_from((1, 3, 5)),
+    stride=st.sampled_from((1, 2)),
+    pad=st.sampled_from((0, 1, 2)),
+    pool=st.booleans(),
+    relu=st.booleans(),
+    sparsity=st.sampled_from((0.0, 0.5, 0.8, 1.0)),
+    in_c=st.integers(1, 7),
+    group=st.integers(1, 3),
+    empty_group=st.integers(-1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fast_path_equals_the_ordered_loop(k, stride, pad, pool, relu, sparsity,
+                                           in_c, group, empty_group, seed):
+    # the slab cap is set so each group holds `group` channels (the last
+    # group fewer when `group` does not divide in_c), and one group's
+    # channels may all be zero
+    rng = make_rng(seed)
+    spec, x = conv_case(rng, k=k, stride=stride, pad=pad, pool=pool, relu=relu,
+                        sparsity=sparsity, in_c=in_c)
+    data = x.data.copy()
+    data[max(0, empty_group * group):(empty_group + 1) * group] = 0
+    sfm = encode_sm(QTensor(x.dims, x.fmt, data))
+    h_out, w_out = spec.out_dims(*x.dims[1:])
+    channel_bytes = 8 * k * k * h_out * w_out
+    slab = group * channel_bytes + int(rng.integers(channel_bytes))
+    fast, fast_acc = _accumulators(spec, sfm, _SLAB_BYTES=slab, sat_add=_refuse)
+    ordered, ordered_acc = _accumulators(spec, sfm, no_clip=lambda *args: False)
+    assert fast_acc.dtype == ordered_acc.dtype == np.int64
+    assert np.array_equal(fast_acc, ordered_acc)
+    assert fast.counters == ordered.counters
+    assert np.array_equal(fast.accesses.table, ordered.accesses.table)
+    assert decode_sm(fast.output) == decode_sm(ordered.output) == conv_dense_oracle(
+        spec, decode_sm(sfm))
+
+
+@pytest.mark.parametrize("over", [0, 1])
+def test_bound_at_int32_max_is_the_last_one_on_the_fast_path(over):
+    # pad 0: each output takes all 18 terms, 18 * 3641 * 32767 = INT32_MAX - 1,
+    # so with bias +-1 the bound and channel 0's sum are INT32_MAX exactly;
+    # one more and the ordered loop runs, channel 0 clipping at every output
+    w = np.full((2, 2, 3, 3), 3641, dtype=np.int16)
+    w[1] = -3641
+    spec = _layer(in_c=2, out_c=2, k=3, w_vals=w,
+                  bias=np.array([1 + over, -1 - over], dtype=np.int32))
+    x = _ones_input(c=2, h=4, w=4, raw=32767)
+    step = mock.Mock(wraps=fxp.sat_add)
+    res, acc = _accumulators(spec, encode_sm(x), sat_add=step)
+    assert step.called == bool(over)
+    assert acc.tolist() == [[[INT32_MAX] * 2] * 2, [[-INT32_MAX - over] * 2] * 2]
+    counter = OpCounter()
+    assert decode_sm(res.output) == conv_dense_oracle(spec, x, counter)
+    assert res.counters == counter  # a full pad-0 map executes every MAC
+    assert res.counters.saturations == 8 + 4 * over  # all 8 outputs clip to 16 bits
+
+
 def test_all_zero_input_executes_nothing():
     rng = make_rng(7)
     spec, x = conv_case(rng, sparsity=1.0)

@@ -272,6 +272,20 @@ def test_budget_rejects_nonpositive_inputs():
         solve_for(10.0, rate_hz=-1.0, fanout=1e4, neurons=1e10)
 
 
+@given(st.lists(st.floats(2.0**-240, 2.0**240), min_size=5, max_size=5),
+       st.sampled_from(("rate_hz", "fanout", "neurons", "energy_per_syn_j")))
+def test_budget_is_bit_identical_to_the_left_to_right_product(values, unknown):
+    # every partial product stays within 2**+-960, in the normal range,
+    # where scaling the factors by powers of two changes no rounding
+    power, rate, fanout, neurons, esyn = values
+    assert brain_budget(rate, fanout, neurons, esyn) == rate * fanout * neurons * esyn
+    factors = {"rate_hz": rate, "fanout": fanout, "neurons": neurons,
+               "energy_per_syn_j": esyn}
+    factors[unknown] = None
+    known = [v for v in factors.values() if v is not None]
+    assert solve_for(power, **factors) == power / (known[0] * known[1] * known[2])
+
+
 @given(
     st.floats(0.1, 100), st.floats(1, 1e6), st.floats(1, 1e12),
     st.floats(1e-15, 1e-9),

@@ -186,6 +186,21 @@ def test_csv_parse_rejects_garbage():
             trace_from_csv(text)
 
 
+@pytest.mark.parametrize("text, row", [
+    # each once parsed as a valid row: a sign int() takes, a digit separator
+    # (address 10), an Arabic-Indic seven (address 7), and a vertical tab
+    # that str.splitlines took for a line break
+    (HEADER + "DRAM,+5,read,weights\n", "DRAM,+5,read,weights"),
+    (HEADER + "DRAM,1_0,read,weights\n", "DRAM,1_0,read,weights"),
+    (HEADER + "DRAM,\u0667,read,weights\n", "DRAM,\u0667,read,weights"),
+    (HEADER + "DRAM,7,read,weights\vDRAM,8,read,weights\n",
+     "DRAM,7,read,weights\vDRAM,8,read,weights"),
+], ids=["plus-sign", "digit-separator", "non-ascii-digit", "vertical-tab"])
+def test_csv_parse_rejects_loose_spellings(text, row):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'bad trace row {row!r}')}$"):
+        trace_from_csv(text)
+
+
 def _csv(words, line="{},{},{},{}\n"):
     return HEADER + "".join(line.format(r, a, k, t) for r, a, k, t in words)
 
@@ -222,7 +237,6 @@ LINE_STYLES = (
     " {} ,\t{} , {},{} \n",
     "{},{},{},{}\r\n",
     "\n  \n{},{},{},{}\n",
-    "{},+{},{},{}\n",
 )
 
 
