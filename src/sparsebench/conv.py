@@ -400,9 +400,10 @@ class ConvNetRun:
         return [r.output_sparsity.sparsity for r in self.layer_results]
 
 
-def run_network(layers: list[ConvLayerSpec], x: QTensor,
+def run_network(layers: list[ConvLayerSpec], x: SparseFeatureMap,
                 mode: str = "sparse") -> tuple[ConvNetRun, SparseFeatureMap]:
-    """Run stacked conv layers; only one layer's buffers are live at a time.
+    """Run stacked conv layers on a compressed map, as given to both
+    engines; only one layer's buffers are live at a time.
 
     Each layer's trace rows carry its index.
     """
@@ -418,7 +419,7 @@ def run_network(layers: list[ConvLayerSpec], x: QTensor,
 
     engine = conv_zeroskip if mode == "sparse" else conv_dense_run
     results = []
-    cur = encode_sm(x)
+    cur = x
     weight_base = 0
     for i, spec in enumerate(layers):
         res = engine(spec, cur, weight_base, i)

@@ -320,13 +320,14 @@ def renormalize_array(acc: np.ndarray, frac_in: int, out_fmt: QFormat,
 # magic "QTSR", version 0x01, u8 int_bits, u8 frac_bits, u8 rank,
 # rank x u32 LE dims, then i16 LE values in canonical order.
 
+def qt_header(dims: tuple[int, ...], fmt: QFormat) -> bytes:
+    """The .qt bytes that come before the values of a tensor."""
+    return QT_MAGIC + struct.pack(
+        f"<BBBB{len(dims)}I", QT_VERSION, fmt.int_bits, fmt.frac_bits, len(dims), *dims)
+
+
 def to_qt_bytes(t: QTensor) -> bytes:
-    head = QT_MAGIC + struct.pack(
-        "<BBBB", QT_VERSION, t.fmt.int_bits, t.fmt.frac_bits, len(t.dims)
-    )
-    dims = struct.pack(f"<{len(t.dims)}I", *t.dims)
-    values = t.flat.astype("<i2").tobytes()
-    return head + dims + values
+    return qt_header(t.dims, t.fmt) + t.flat.astype("<i2").tobytes()
 
 
 def from_qt_bytes(data: bytes) -> QTensor:

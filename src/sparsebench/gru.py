@@ -36,8 +36,8 @@ import numpy as np
 
 from .codec import delta_events
 from .errors import MalformedStream, ShapeMismatch
-from .fxp import (OpCounter, Q8_8, QScalar, QTensor, round_shift_even,
-                  sat_add, sat_matvec)
+from .fxp import (INT16_MAX, OpCounter, Q8_8, QScalar, QTensor, quantize,
+                  round_shift_even, sat_add, sat_matvec)
 from .trace import AccessTrace, triple_code
 
 ACT_FMT = Q8_8
@@ -119,6 +119,17 @@ class GateStack:
     def of(cls, mats) -> "GateStack":
         cols = np.ascontiguousarray(np.concatenate([m.data for m in mats]).T, np.float64)
         return cls(cols, np.abs(cols))
+
+
+def quantize_theta(value: float) -> QScalar:
+    """A delta threshold in Q8.8, rounded to nearest even; a value past
+    the format's range raises ``MalformedStream`` instead of saturating."""
+    over = OpCounter()
+    theta = quantize(value, ACT_FMT, over)
+    if over.saturations:
+        raise MalformedStream(f"theta {value:g} is past the Q8.8 range "
+                              f"(at most {INT16_MAX / ACT_FMT.scale})")
+    return theta
 
 
 @dataclass
@@ -360,15 +371,15 @@ def layer_bias_words(spec: GruLayerSpec) -> int:
 
 @dataclass
 class GruSeqRun:
-    """A sequence run: final-layer outputs, per-layer event counts and op
-    counters, and the access trace.
+    """A sequence run: the final layer's (steps, hidden) Q8.8 outputs,
+    per-layer event counts and op counters, and the access trace.
 
     Every executed MAC reads one weight word, so the weight words
     fetched are the executed MACs and the dense-equivalent weight words
     the dense-equivalent MACs.
     """
 
-    outputs: list[QTensor]
+    outputs: QTensor
     x_events: np.ndarray  # (layers, steps): input components sent on
     h_events: np.ndarray  # (layers, steps): hidden components sent on
     layer_counters: list[OpCounter]
@@ -415,9 +426,10 @@ class GruSeqRun:
                         self.h_events.sum(axis=0).tolist()))
 
 
-def run_sequence(specs: list[GruLayerSpec], x_seq: list[QTensor],
+def run_sequence(specs: list[GruLayerSpec], x_seq: QTensor,
                  mode: str = "sparse") -> GruSeqRun:
-    """Run stacked GRU layers over a sequence, counting work and traffic.
+    """Run stacked GRU layers over a (steps, input_size) Q8.8 sequence,
+    counting work and traffic.
 
     Sparse mode threshold-gates inputs and hidden states and fetches
     only the weight columns that events touch, after preloading each
@@ -437,14 +449,11 @@ def run_sequence(specs: list[GruLayerSpec], x_seq: list[QTensor],
             raise ShapeMismatch(
                 f"layer {l} input {specs[l].input_size} != "
                 f"layer {l - 1} hidden {specs[l - 1].hidden_size}")
-    if not x_seq:
-        raise MalformedStream("empty input sequence: a run needs at least one step")
-    want = (specs[0].input_size,)
-    for x in x_seq:
-        if x.dims != want or x.fmt != ACT_FMT:
-            raise ShapeMismatch(f"input dims {x.dims}, expected {want} Q8.8")
+    if x_seq.dims[1:] != (specs[0].input_size,) or x_seq.fmt != ACT_FMT:
+        raise ShapeMismatch(f"input sequence dims {x_seq.dims} {x_seq.fmt}, "
+                            f"expected (steps, {specs[0].input_size}) Q8.8")
 
-    block = np.stack([x.data for x in x_seq])
+    block = x_seq.data
     records = []
     base = 0
     for spec in specs:
@@ -456,9 +465,8 @@ def run_sequence(specs: list[GruLayerSpec], x_seq: list[QTensor],
     step, triple, address, nwords = np.concatenate([r.rows for r in records], axis=1)
     trace = AccessTrace.from_columns(triple, layer, address, nwords,
                                      key=(step + 1) * len(specs) + layer)
-    h = specs[-1].hidden_size
     return GruSeqRun(
-        outputs=[QTensor((h,), ACT_FMT, y) for y in block],
+        outputs=QTensor(block.shape, ACT_FMT, block),
         x_events=np.stack([r.x_events for r in records]),
         h_events=np.stack([r.h_events for r in records]),
         layer_counters=[r.counter for r in records],

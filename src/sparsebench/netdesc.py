@@ -35,8 +35,8 @@ import numpy as np
 from . import synth
 from .conv import ConvLayerSpec
 from .errors import MalformedStream, MissingArtifact, ShapeMismatch
-from .fxp import Q8_8, QFormat, QTensor, load_qt, quantize
-from .gru import ACT_FMT, GruLayerSpec
+from .fxp import QFormat, QTensor, load_qt
+from .gru import ACT_FMT, GruLayerSpec, quantize_theta
 from .memmodel import MemConfig
 
 _MEM_FIELDS = {
@@ -74,6 +74,16 @@ def parse_uri(value: str) -> tuple[str, dict]:
             except ValueError:
                 opts[k.strip()] = v.strip()
     return kind, opts
+
+
+def int_option(opts: dict, key: str, default: int, uri: str) -> int:
+    """An integer option of a parsed synth URI, or ``default`` when it is
+    absent; any other value (``2.5``, ``1e1``, text) raises
+    ``MalformedStream`` instead of being truncated."""
+    value = opts.get(key, default)
+    if type(value) is not int:
+        raise MalformedStream(f"synth option {key}={value!r} in {uri!r} must be an integer")
+    return value
 
 
 def _parse_blocks(text: str, path: str) -> tuple[dict, list[tuple[str, dict]]]:
@@ -140,7 +150,7 @@ def _load_tensor(value: str, base_dir: str, fmt: QFormat,
         kind, opts = parse_uri(value)
         if kind != "uniform":
             raise MalformedStream(f"{what}: unknown weight generator {kind!r}")
-        rng = synth.make_rng(int(opts.get("seed", 0)))
+        rng = synth.make_rng(int_option(opts, "seed", 0, value))
         return synth.random_weights(dims, rng, fmt, float(opts.get("amp", 0.1)))
     path = os.path.join(base_dir, value)
     if not os.path.exists(path):
@@ -159,7 +169,7 @@ def _load_bias(value: str, base_dir: str, n: int, acc_frac: int, what: str) -> n
         kind, opts = parse_uri(value)
         if kind != "uniform":
             raise MalformedStream(f"{what}: unknown bias generator {kind!r}")
-        rng = synth.make_rng(int(opts.get("seed", 0)))
+        rng = synth.make_rng(int_option(opts, "seed", 0, value))
         return synth.random_bias(n, rng, acc_frac, float(opts.get("amp", 0.1)))
     if value.lower() == "zero":
         return np.zeros(n, dtype=np.int32)
@@ -211,7 +221,7 @@ def _gru_layer(pairs: dict, base_dir: str, path: str, idx: int) -> GruLayerSpec:
     i, h = int(pairs["input"]), int(pairs["hidden"])
     w_fmt = QFormat.parse(pairs.get("w_fmt", "Q2.14"))
     acc_frac = ACT_FMT.frac_bits + w_fmt.frac_bits
-    theta = quantize(float(pairs.get("theta", 0.0)), Q8_8)
+    theta = quantize_theta(float(pairs.get("theta", 0.0)))
     what = f"gru layer {idx}"
     dims = {"wxr": (h, i), "wxu": (h, i), "wxc": (h, i),
             "whr": (h, h), "whu": (h, h), "whc": (h, h)}
@@ -222,7 +232,7 @@ def _gru_layer(pairs: dict, base_dir: str, path: str, idx: int) -> GruLayerSpec:
             kind, opts = parse_uri(base_val)
             if kind != "uniform":
                 raise MalformedStream(f"{what}: unknown generator {kind!r}")
-            seed = int(opts.get("seed", 0))
+            seed = int_option(opts, "seed", 0, base_val)
             amp = float(opts.get("amp", 0.1))
             for j, m in enumerate(_GRU_MATS):
                 vals[m] = synth.random_weights(

@@ -14,66 +14,71 @@ from dataclasses import replace
 import numpy as np
 
 from . import synth
-from .codec import decode_sm, load_smfm
+from .codec import SparseFeatureMap, decode_sm, encode_sm, load_smfm
 from .conv import ConvNetRun, run_network
 from .errors import EquivalenceFailure, MalformedStream
-from .fxp import OpCounter, Q8_8, QTensor, load_qt, quantize, to_qt_bytes
-from .gru import ACT_FMT, GruSeqRun, run_sequence
+from .fxp import OpCounter, QTensor, load_qt, qt_header
+from .gru import ACT_FMT, GruSeqRun, quantize_theta, run_sequence
 from .memmodel import (MemConfig, MemCostReport, cost_trace, effective_gops,
                        energy_breakdown, gops_per_watt)
-from .netdesc import NetworkDesc, parse_uri
+from .netdesc import NetworkDesc, int_option, parse_uri
 from .report import LayerReport, RunReport, config_dict
 from .trace import AccessTrace
 
 
-def hash_tensors(tensors: list[QTensor]) -> str:
+def sequence_hash(seq: QTensor) -> str:
+    """sha256 of a (steps, n) sequence's steps as rank-1 .qt bytes, end to end."""
     h = hashlib.sha256()
-    for t in tensors:
-        h.update(to_qt_bytes(t))
+    head = qt_header(seq.dims[1:], seq.fmt)
+    for row in seq.data.astype("<i2"):
+        h.update(head + row.tobytes())
     return h.hexdigest()
 
 
 def _map_generator(uri: str, seed: int):
-    """Draws maps from one seeded stream. synth:map options: c, h, w,
-    sparsity, amp, seed (the URI seed wins over the global one)."""
+    """Draws compressed maps from one seeded stream. synth:map options:
+    c, h, w, sparsity, amp, seed (the URI seed wins over the global one)."""
     kind, o = parse_uri(uri)
     if kind != "map":
         raise MalformedStream(f"unknown conv input generator {kind!r}")
-    rng = synth.make_rng(int(o.get("seed", seed)))
-    dims = (int(o.get("c", 1)), int(o.get("h", 32)), int(o.get("w", 32)))
+    rng = synth.make_rng(int_option(o, "seed", seed, uri))
+    dims = tuple(int_option(o, k, d, uri) for k, d in (("c", 1), ("h", 32), ("w", 32)))
     sparsity, amp = float(o.get("sparsity", 0.5)), float(o.get("amp", 1.0))
-    return lambda: synth.sparse_map(*dims, sparsity, rng, amp=amp)
+    return lambda: encode_sm(synth.sparse_map(*dims, sparsity, rng, amp=amp))
 
 
-def load_conv_input(uri: str, seed: int) -> QTensor:
-    """Resolve a conv input: .qt, .smfm, or synth:map,... (one draw)."""
+def load_conv_input(uri: str, seed: int) -> SparseFeatureMap:
+    """Resolve a conv input to the compressed map the engines read: a
+    .smfm as loaded, or a rank-3 .qt or one synth:map draw encoded once."""
     if uri.startswith("synth:"):
         return _map_generator(uri, seed)()
     if uri.endswith(".smfm"):
-        return decode_sm(load_smfm(uri))
+        return load_smfm(uri)
     t = load_qt(uri)
     if len(t.dims) != 3:
         raise MalformedStream(f"conv input must be rank 3, got dims {t.dims}")
-    return t
+    return encode_sm(t)
 
 
-def load_seq_input(uri: str, seed: int) -> list[QTensor]:
-    """Resolve a sequence input: rank-2 .qt (steps x size) or a generator.
+def load_seq_input(uri: str, seed: int) -> QTensor:
+    """Resolve a sequence input to one (steps, size) tensor: a rank-2 .qt
+    as loaded, or a generator's draw in Q8.8.
 
     Generators: synth:uniform,t=..,n=..; synth:hold,t=..,n=..,hold=..;
-    synth:ar1,t=..,n=..,rho=..; all take amp and seed.
+    synth:ar1,t=..,n=..,rho=..; all take amp and seed. t, n, hold and
+    seed must be integers.
     """
     if uri.startswith("synth:"):
         kind, o = parse_uri(uri)
-        rng = synth.make_rng(int(o.get("seed", seed)))
-        t, n = int(o.get("t", 50)), int(o.get("n", 32))
+        rng = synth.make_rng(int_option(o, "seed", seed, uri))
+        t, n = int_option(o, "t", 50, uri), int_option(o, "n", 32, uri)
         if t < 1:
             raise MalformedStream(f"sequence generator needs t of at least 1, got {t}")
         amp = float(o.get("amp", 0.5))
         if kind == "uniform":
             return synth.uniform_seq(t, n, rng, amp=amp)
         if kind == "hold":
-            return synth.piecewise_constant_seq(t, n, int(o.get("hold", 10)),
+            return synth.piecewise_constant_seq(t, n, int_option(o, "hold", 10, uri),
                                                 rng, amp=amp)
         if kind == "ar1":
             return synth.ar1_seq(t, n, float(o.get("rho", 0.99)), rng, amp=amp)
@@ -81,9 +86,7 @@ def load_seq_input(uri: str, seed: int) -> list[QTensor]:
     t = load_qt(uri)
     if len(t.dims) != 2:
         raise MalformedStream(f"sequence input must be rank 2, got dims {t.dims}")
-    steps, n = t.dims
-    flat = t.data.reshape(steps, n)
-    return [QTensor((n,), t.fmt, flat[i].copy()) for i in range(steps)]
+    return t
 
 
 def _bytes(words_by_tag: dict[str, int]) -> dict[str, int]:
@@ -156,7 +159,7 @@ def _report(desc: NetworkDesc, mode: str, mem: MemConfig, seed: int | None,
     return report
 
 
-def _checked_conv_run(desc: NetworkDesc, x: QTensor,
+def _checked_conv_run(desc: NetworkDesc, x: SparseFeatureMap,
                       mode: str) -> tuple[ConvNetRun, str]:
     """Run both engines, require equal outputs; return the mode's run and
     the output hash."""
@@ -170,7 +173,7 @@ def _checked_conv_run(desc: NetworkDesc, x: QTensor,
     return (sparse_run if mode == "sparse" else dense_run), sparse_hash
 
 
-def execute_conv(desc: NetworkDesc, x: QTensor, mode: str,
+def execute_conv(desc: NetworkDesc, x: SparseFeatureMap, mode: str,
                  mem: MemConfig, seed: int | None = None
                  ) -> tuple[RunReport, ConvNetRun]:
     run, output_hash = _checked_conv_run(desc, x, mode)
@@ -226,11 +229,11 @@ def execute_conv_averaged(desc: NetworkDesc, uri: str, mode: str,
 
 
 def apply_theta(desc: NetworkDesc, theta: float) -> NetworkDesc:
-    th = quantize(theta, Q8_8)
+    th = quantize_theta(theta)
     return replace(desc, gru_layers=[replace(s, theta=th) for s in desc.gru_layers])
 
 
-def execute_gru(desc: NetworkDesc, x_seq: list[QTensor], mode: str,
+def execute_gru(desc: NetworkDesc, x_seq: QTensor, mode: str,
                 mem: MemConfig, seed: int | None = None,
                 theta_override: float | None = None
                 ) -> tuple[RunReport, GruSeqRun]:
@@ -242,18 +245,18 @@ def execute_gru(desc: NetworkDesc, x_seq: list[QTensor], mode: str,
     saturation_free = (sparse_run.counters.saturations == 0
                        and dense_run.counters.saturations == 0)
     checked = all_zero_theta and saturation_free
-    if checked and hash_tensors(sparse_run.outputs) != hash_tensors(dense_run.outputs):
+    if checked and sparse_run.outputs != dense_run.outputs:
         raise EquivalenceFailure(
             "delta and dense GRU outputs diverged at theta 0; this is a bug")
     run = sparse_run if mode == "sparse" else dense_run
-    steps = len(x_seq)
+    steps = x_seq.dims[0]
     sparsity = [1.0 - int(xe.sum() + he.sum()) / (steps * (spec.input_size + spec.hidden_size))
                 for spec, xe, he in zip(desc.gru_layers, run.x_events, run.h_events)]
     report = _report(desc, mode, mem, seed, run.layer_counters, sparsity, run.trace)
     dense_total_words = dense_run.trace.word_count()
     total_words = report.totals["dram_words"] + report.totals["sram_words"]
     report.extras = {
-        "output_hash": hash_tensors(run.outputs),
+        "output_hash": sequence_hash(run.outputs),
         "equivalence_checked": checked,
         "theta": [s.theta.value for s in desc.gru_layers],
         "steps": steps,
@@ -276,11 +279,10 @@ def _mean_event_rate(run: GruSeqRun, desc: NetworkDesc) -> float:
 
 def output_values(run: GruSeqRun) -> np.ndarray:
     """Final-layer outputs as a (steps, hidden) float array."""
-    scale = float(ACT_FMT.scale)
-    return np.stack([t.data.astype(np.float64) / scale for t in run.outputs])
+    return run.outputs.data / ACT_FMT.scale
 
 
-def sweep_theta(desc: NetworkDesc, x_seq: list[QTensor],
+def sweep_theta(desc: NetworkDesc, x_seq: QTensor,
                 thetas: list[float]) -> tuple[list[str], list[dict]]:
     """One sparse run per theta, measured against the theta-0 run.
 

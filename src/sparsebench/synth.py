@@ -43,35 +43,30 @@ def sparse_map(c: int, h: int, w: int, sparsity: float,
 
 
 def uniform_seq(steps: int, size: int, rng: np.random.Generator,
-                fmt: QFormat = Q8_8, amp: float = 1.0) -> list[QTensor]:
-    """Independent uniform vectors in [-amp, amp]."""
+                fmt: QFormat = Q8_8, amp: float = 1.0) -> QTensor:
+    """A (steps, size) sequence of independent uniform vectors in [-amp, amp]."""
     a = _amp_raw(amp, fmt)
-    return [
-        QTensor((size,), fmt,
-                rng.integers(-a, a + 1, size=size, dtype=np.int64).astype(np.int16))
-        for _ in range(steps)
-    ]
+    data = rng.integers(-a, a + 1, size=(steps, size), dtype=np.int64)
+    return QTensor((steps, size), fmt, data.astype(np.int16))
 
 
 def piecewise_constant_seq(steps: int, size: int, hold: int,
                            rng: np.random.Generator, fmt: QFormat = Q8_8,
-                           amp: float = 1.0) -> list[QTensor]:
-    """A fresh uniform vector every `hold` steps, held constant between."""
+                           amp: float = 1.0) -> QTensor:
+    """A (steps, size) sequence: a fresh uniform vector every `hold`
+    steps, held constant between."""
     if hold < 1:
         raise ValueError("hold must be >= 1")
     a = _amp_raw(amp, fmt)
-    out: list[QTensor] = []
-    cur = None
-    for t in range(steps):
-        if t % hold == 0:
-            cur = rng.integers(-a, a + 1, size=size, dtype=np.int64).astype(np.int16)
-        out.append(QTensor((size,), fmt, cur.copy()))
-    return out
+    fresh = rng.integers(-a, a + 1, size=(-(-steps // hold), size), dtype=np.int64)
+    data = np.repeat(fresh.astype(np.int16), hold, axis=0)[:steps]
+    return QTensor((steps, size), fmt, data)
 
 
 def ar1_seq(steps: int, size: int, rho: float, rng: np.random.Generator,
-            fmt: QFormat = Q8_8, amp: float = 0.5) -> list[QTensor]:
-    """Band-limited slow noise: stationary AR(1) with coefficient rho.
+            fmt: QFormat = Q8_8, amp: float = 0.5) -> QTensor:
+    """A (steps, size) sequence of band-limited slow noise: stationary
+    AR(1) with coefficient rho.
 
     The float state has stationary standard deviation amp; each step is
     quantized independently, so consecutive vectors differ by small
@@ -79,13 +74,14 @@ def ar1_seq(steps: int, size: int, rho: float, rng: np.random.Generator,
     """
     if not 0.0 <= rho < 1.0:
         raise ValueError("rho must be in [0, 1)")
+    _check_finite_amp(amp)
     state = rng.normal(0.0, amp, size=size)
-    drive = amp * np.sqrt(1.0 - rho * rho)
-    out: list[QTensor] = []
-    for _ in range(steps):
-        out.append(QTensor((size,), fmt, quantize_array(state, fmt)))
-        state = rho * state + rng.normal(0.0, drive, size=size)
-    return out
+    noise = rng.normal(0.0, amp * np.sqrt(1.0 - rho * rho), size=(steps, size))
+    states = np.empty((steps, size))
+    for t in range(steps):
+        states[t] = state
+        state = rho * state + noise[t]
+    return QTensor((steps, size), fmt, quantize_array(states, fmt))
 
 
 def _check_finite_amp(amp: float) -> None:

@@ -91,8 +91,9 @@ def test_zero_threshold_gru_matches_dense_oracle_on_100_specs():
         xs = uniform_seq(steps, input_size, rng, amp=1.0)
         want = run_sequence([spec], xs, "dense").outputs
         run = run_sequence([spec], xs, "sparse")
-        for t, (a, b) in enumerate(zip(run.outputs, want)):
-            assert (a.data == b.data).all(), (
+        assert run.outputs.dims == want.dims
+        for t, (a, b) in enumerate(zip(run.outputs.data, want.data)):
+            assert (a == b).all(), (
                 f"spec {i} (I={input_size} H={hidden_size}): "
                 f"first mismatch at step {t}")
     elapsed = time.monotonic() - t0

@@ -191,6 +191,73 @@ def test_net_file_negative_theta_exits_2(tmp_path, capsys):
     assert "theta must be non-negative" in capsys.readouterr().err
 
 
+def test_theta_past_q8_8_range_exits_2(tmp_path, gru_net, capsys):
+    # 1000 was saturated to 127.99609375 and reported as run at that theta
+    for theta in ("1000", "127.999", "1e6"):
+        assert main(["run", "--net", gru_net, "--input", "synth:ar1,t=3,n=6",
+                     "--theta", theta]) == 2
+        assert "past the Q8.8 range" in capsys.readouterr().err
+    # a sweep of three saturating thetas printed three identical rows
+    assert main(["sweep-theta", "--net", gru_net, "--input", "synth:hold,t=8,n=6,hold=2",
+                 "--thetas", "127.99609375,1000,1e6"]) == 2
+    assert "theta 1000 is past the Q8.8 range" in capsys.readouterr().err
+    net = tmp_path / "big.net"
+    net.write_text(GRU_NET.replace("theta = 0.0", "theta = 1000"))
+    assert main(["run", "--net", str(net), "--input", "synth:ar1,t=3,n=6"]) == 2
+    assert "past the Q8.8 range" in capsys.readouterr().err
+
+
+def test_largest_q8_8_theta_runs(tmp_path, gru_net, capsys):
+    assert main(["run", "--net", gru_net, "--input", "synth:ar1,t=3,n=6",
+                 "--theta", "127.99609375"]) == 0
+    assert json.loads(capsys.readouterr().out)["extras"]["theta"] == [127.99609375]
+    net = tmp_path / "top.net"
+    net.write_text(GRU_NET.replace("theta = 0.0", "theta = 127.99609375"))
+    assert main(["sweep-theta", "--net", str(net), "--input", "synth:ar1,t=3,n=6",
+                 "--thetas", "0,127.99609375"]) == 0
+
+
+_EXPLICIT_GRU = ("name = explicit\n[gru]\ninput = 6\nhidden = 8\n"
+                 + "".join(f"{m} = synth:uniform,seed=3\n"
+                           for m in ("wxr", "wxu", "wxc", "whr", "whu", "whc"))
+                 + "br = zero\nbu = zero\nbc = zero\n")
+
+# .net texts whose weight generators carry a non-integer seed
+_SEEDED_NETS = {
+    "files": GRU_NET.replace("seed=4", "seed=4.5"),
+    "matrix": _EXPLICIT_GRU.replace("wxr = synth:uniform,seed=3", "wxr = synth:uniform,seed=1.5"),
+    "bias": _EXPLICIT_GRU.replace("br = zero", "br = synth:uniform,seed=2.5"),
+}
+
+
+@pytest.mark.parametrize("option,net,uri", [
+    ("t", "gru", "synth:hold,t=2.5,n=6"),
+    ("t", "gru", "synth:ar1,t=1e1,n=6"),
+    ("t", "gru", "synth:uniform,t=three,n=6"),
+    ("n", "gru", "synth:uniform,t=3,n=6.0"),
+    ("hold", "gru", "synth:hold,t=4,n=6,hold=2.5"),
+    ("seed", "gru", "synth:hold,t=4,n=6,seed=1.7"),
+    ("c", "conv", "synth:map,c=2.0,h=8,w=8"),
+    ("h", "conv", "synth:map,c=2,h=8.7,w=8"),
+    ("w", "conv", "synth:map,c=2,h=8,w=1e1"),
+    ("seed", "conv", "synth:map,c=2,h=8,w=8,seed=1.7"),
+    ("seed", "files", "synth:ar1,t=3,n=6"),
+    ("seed", "matrix", "synth:ar1,t=3,n=6"),
+    ("seed", "bias", "synth:ar1,t=3,n=6"),
+])
+def test_non_integer_synth_option_exits_2(tmp_path, conv_net, gru_net, capsys,
+                                          option, net, uri):
+    # each was truncated: t=2.5 ran 2 steps, seed=1.7 ran as seed 1
+    path = {"conv": conv_net, "gru": gru_net}.get(net)
+    if path is None:
+        path = str(tmp_path / "seeded.net")
+        with open(path, "w") as fh:
+            fh.write(_SEEDED_NETS[net])
+    assert main(["run", "--net", path, "--input", uri]) == 2
+    err = capsys.readouterr().err
+    assert f"synth option {option}=" in err and "must be an integer" in err
+
+
 def test_non_finite_generator_amplitude_exits_2(gru_net, capsys):
     # ar1 with amp=nan cast NaN to int16 (exit 0, a numpy warning); hold
     # and uniform with amp=inf escaped as an OverflowError traceback
@@ -254,7 +321,7 @@ def test_engine_divergence_exits_5(conv_net, gru_net, monkeypatch, capsys):
     def gru_flipped(layers, x_seq, mode):
         run = run_sequence(layers, x_seq, mode)
         if mode == "dense":
-            run.outputs[0].data[0] ^= 1
+            run.outputs.data[0, 0] ^= 1
         return run
 
     monkeypatch.setattr(runner, "run_network", conv_flipped)

@@ -411,8 +411,8 @@ def test_network_modes_agree_and_advance_weight_base():
         in_c = out_c
     x = sparse_map(2, 10, 10, 0.6, rng, Q8_8, amp=2.0)
 
-    sparse_run, sparse_out = run_network(layers, x, "sparse")
-    dense_run, dense_out = run_network(layers, x, "dense")
+    sparse_run, sparse_out = run_network(layers, encode_sm(x), "sparse")
+    dense_run, dense_out = run_network(layers, encode_sm(x), "dense")
     assert decode_sm(sparse_out) == decode_sm(dense_out)
     assert sparse_run.counters.macs_executed <= dense_run.counters.macs_executed
 
@@ -440,7 +440,7 @@ def test_network_rejects_broken_chain_and_bad_mode():
     l2 = ConvLayerSpec(4, 2, 3, 3, 1, 1,
                        random_weights((2, 4, 3, 3), rng, Q8_8, 0.5),
                        np.zeros(2, dtype=np.int32), False, "none", Q8_8)
-    x = sparse_map(2, 8, 8, 0.5, rng)
+    x = encode_sm(sparse_map(2, 8, 8, 0.5, rng))
     with pytest.raises(ShapeMismatch, match="layer 1"):
         run_network([l1, l2], x)
     with pytest.raises(ValueError, match="mode"):

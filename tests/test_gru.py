@@ -148,7 +148,7 @@ def test_delta_mxv_traces_one_column_burst_per_event():
     specs = [gru_spec(rng, 5, 4), gru_spec(rng, 4, 3)]
     x = np.zeros(5, dtype=np.int16)
     x[[0, 3]] = [7, -2]
-    xs = [QTensor((5,), Q8_8, x)] * 2
+    xs = QTensor((2, 5), Q8_8, np.stack([x, x]))
     run = run_sequence(specs, xs, "sparse")
     first = run_sequence(specs[:1], xs, "sparse").outputs
     layer0, layer1 = run.layer_traces
@@ -157,7 +157,7 @@ def test_delta_mxv_traces_one_column_burst_per_event():
     assert steps[0] == [(0, 4), (12, 4), (20, 4), (32, 4), (40, 4), (52, 4)]
     # an unchanged input fetches nothing on the input side; the hidden
     # side of [W_hr; W_hu; W_hc] starts after the three 4x5 input matrices
-    h_idx = np.flatnonzero(first[0].data)
+    h_idx = np.flatnonzero(first.data[0])
     assert steps[1] == [(60 + (m * 4 + j) * 4, 4) for m in range(3) for j in h_idx]
     # the next layer's weights start after this layer's weights and biases
     base = specs[0].weight_words + layer_bias_words(specs[0])
@@ -355,8 +355,8 @@ def _reference_gru(specs, xs, mode):
                        "h_mem": np.zeros(s.hidden_size, np.int16),
                        "h": np.zeros(s.hidden_size, np.int16)})
     outs = []
-    for x in xs:
-        cur = x
+    for x in xs.data:
+        cur = QTensor(x.shape, Q8_8, x)
         for s, st_ in zip(specs, layers):
             h_prev = st_["h"]
             if mode == "dense":
@@ -383,8 +383,8 @@ def _reference_gru(specs, xs, mode):
             mix = (256 - u) * c + u * h_prev.astype(np.int64)
             st_["h"] = np.array([_half_even(int(v), 8) for v in mix], dtype=np.int16)
             cur = QTensor((s.hidden_size,), Q8_8, st_["h"].copy())
-        outs.append(cur)
-    return outs, clips
+        outs.append(cur.data)
+    return QTensor((len(outs), specs[-1].hidden_size), Q8_8, np.stack(outs)), clips
 
 
 def _edge_biases(spec, rng):
@@ -437,8 +437,8 @@ def test_fast_and_ordered_routes_mix_within_one_run(seed, theta):
     specs = [_margin_biases(gru_spec(rng, 6, 8, theta=theta, w_amp=1.9), rng),
              _margin_biases(gru_spec(rng, 8, 5, theta=theta, w_amp=1.9), rng)]
     small = (rng.choice((-1, 1), size=6) * 20).astype(np.int16)
-    xs = ([QTensor((6,), Q8_8, np.zeros(6, dtype=np.int16)), QTensor((6,), Q8_8, small)]
-          + uniform_seq(8, 6, rng, amp=100.0))
+    xs = QTensor((10, 6), Q8_8, np.vstack([np.zeros(6, np.int16), small,
+                                           uniform_seq(8, 6, rng, amp=100.0).data]))
     for mode in ("sparse", "dense"):
         want, want_clips = _reference_gru(specs, xs, mode)
         with mock.patch.object(gru, "sat_matvec", wraps=fxp.sat_matvec) as routed, \
@@ -452,8 +452,8 @@ def test_fast_and_ordered_routes_mix_within_one_run(seed, theta):
 # --- single-step semantics ------------------------------------------------------------
 
 def _step(spec, state, x, mode="sparse"):
-    """One step of `run_layer`: a one-row block."""
-    ys, state, record = run_layer(spec, x.data[None], state, mode)
+    """One step of `run_layer` on a raw int16 vector: a one-row block."""
+    ys, state, record = run_layer(spec, x[None], state, mode)
     return ys[0], state, record
 
 
@@ -461,7 +461,7 @@ def test_zero_everything_stays_zero():
     rng = make_rng(3)
     spec = gru_spec(rng, 4, 4, w_amp=0.0, bias_amp=0.0)
     state = LayerState.initial(spec)
-    h, state, record = _step(spec, state, _vec([0, 0, 0, 0]))
+    h, state, record = _step(spec, state, _vec([0, 0, 0, 0]).data)
     assert list(h) == [0, 0, 0, 0]
     assert record.x_events[0] == record.h_events[0] == 0
     assert record.counter.macs_executed == 0
@@ -471,7 +471,7 @@ def test_step_counts_events_and_macs():
     rng = make_rng(4)
     spec = gru_spec(rng, 3, 5)
     state = LayerState.initial(spec)
-    h, state, record = _step(spec, state, _vec([256, 0, -128]))
+    h, state, record = _step(spec, state, _vec([256, 0, -128]).data)
     counter = record.counter
     assert record.x_events[0] == 2  # two non-zero inputs vs zero memory
     assert record.h_events[0] == 0
@@ -485,11 +485,10 @@ def test_memory_stays_within_theta_of_stream():
     spec = gru_spec(rng, 6, 5, theta=0.1)
     xs = uniform_seq(40, 6, rng, amp=0.8)
     state = LayerState.initial(spec)
-    for x in xs:
+    for x in xs.data:
         h_entering = state.h.astype(np.int32)
         _, state, _ = _step(spec, state, x)
-        drift = np.abs(state.x_mem.astype(np.int32)
-                       - x.data.astype(np.int32))
+        drift = np.abs(state.x_mem.astype(np.int32) - x.astype(np.int32))
         assert drift.max(initial=0) <= spec.theta.raw
         # the hidden memory tracks the value that entered this step; the
         # fresh output is not thresholded until the next step begins
@@ -508,7 +507,7 @@ def test_preactivations_telescope_to_memory_product(seed, theta):
     xs = uniform_seq(15, i, rng, amp=0.9)
     state = LayerState.initial(spec)
     counter = OpCounter()
-    for x in xs:
+    for x in xs.data:
         _, state, record = _step(spec, state, x)
         counter.merge(record.counter)
     assert counter.saturations == 0  # equality below assumes no clipping
@@ -537,10 +536,10 @@ def test_zero_theta_matches_dense_oracle_every_step(seed):
     oracle = run_sequence([spec], xs, "dense").outputs
     state = LayerState.initial(spec)
     counter = OpCounter()
-    for t, x in enumerate(xs):
+    for t, x in enumerate(xs.data):
         h_out, state, record = _step(spec, state, x)
         counter.merge(record.counter)
-        assert np.array_equal(h_out, oracle[t].data), f"diverged at step {t}"
+        assert np.array_equal(h_out, oracle.data[t]), f"diverged at step {t}"
     assert counter.saturations == 0
 
 
@@ -550,9 +549,9 @@ def test_run_sequence_modes_agree_at_zero_theta():
     xs = uniform_seq(30, 6, rng, amp=1.0)
     sparse = run_sequence(specs, xs, "sparse")
     dense = run_sequence(specs, xs, "dense")
-    assert len(sparse.outputs) == len(dense.outputs) == 30
-    for a, b in zip(sparse.outputs, dense.outputs):
-        assert a == b
+    assert sparse.outputs.dims == dense.outputs.dims == (30, 4)
+    for a, b in zip(sparse.outputs.data, dense.outputs.data):
+        assert (a == b).all()
     # the stack equals its layers run one after another
     first = run_sequence(specs[:1], xs, "dense").outputs
     assert dense.outputs == run_sequence(specs[1:], first, "dense").outputs
@@ -597,7 +596,7 @@ def test_event_columns_hit_expected_addresses():
     spec = gru_spec(rng, i, h, theta=0.0)
     x = np.zeros(i, dtype=np.int16)
     x[2] = 256
-    run = run_sequence([spec], [QTensor((i,), Q8_8, x)], "sparse")
+    run = run_sequence([spec], QTensor((1, i), Q8_8, x), "sparse")
     reads = [(r[4], r[5]) for r in run.trace.runs()
              if r[0] == "DRAM" and r[2] == "weights"]
     # bias preload burst, then column 2 of each input-side matrix
@@ -642,22 +641,22 @@ def test_run_trace_is_step_major_across_layers(mode):
 
 def test_sequence_validation():
     rng = make_rng(14)
+    seq = QTensor.zeros((2, 4), Q8_8)
     with pytest.raises(ShapeMismatch, match="layer 1"):
-        run_sequence([gru_spec(rng, 4, 5), gru_spec(rng, 6, 4)], [])
+        run_sequence([gru_spec(rng, 4, 5), gru_spec(rng, 6, 4)], seq)
     with pytest.raises(ValueError, match="mode"):
-        run_sequence([gru_spec(rng, 4, 5)], [], "eager")
+        run_sequence([gru_spec(rng, 4, 5)], seq, "eager")
     spec = gru_spec(rng, 4, 5)
     with pytest.raises(ValueError, match="mode"):
         run_layer(spec, np.zeros((1, 4), np.int16), LayerState.initial(spec), "Sparse")
+    # a sequence is one (steps, input_size) Q8.8 tensor: a single step
+    # vector, a stack of sequences, a wrong width or format is refused
+    bad = (QTensor.zeros((4,), Q8_8), QTensor.zeros((2, 3, 4), Q8_8),
+           QTensor.zeros((2, 5), Q8_8), QTensor.zeros((2, 4), fxp.Q2_14))
     for mode in ("sparse", "dense"):
-        with pytest.raises(MalformedStream, match="empty input sequence"):
-            run_sequence([gru_spec(rng, 4, 5)], [], mode)
-    for mode in ("sparse", "dense"):
-        with pytest.raises(ShapeMismatch, match="input dims"):
-            run_sequence([spec], [_vec([0, 0, 0, 0]), _vec([0, 0])], mode)
-        bad_fmt = QTensor((4,), fxp.Q2_14, np.zeros(4, dtype=np.int16))
-        with pytest.raises(ShapeMismatch, match="input dims"):
-            run_sequence([spec], [bad_fmt], mode)
+        for x_seq in bad:
+            with pytest.raises(ShapeMismatch, match="input sequence dims"):
+                run_sequence([spec], x_seq, mode)
 
 
 def test_spec_validation():

@@ -1,11 +1,13 @@
 """Run orchestration: input resolution, dual-path checking, report totals."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from sparsebench.codec import encode_sm, save_smfm
 from sparsebench.errors import MalformedStream
-from sparsebench.fxp import Q8_8, QTensor, save_qt
+from sparsebench.fxp import Q8_8, QTensor, save_qt, to_qt_bytes
 from sparsebench.memmodel import MemConfig
 from sparsebench.netdesc import load_network
 from sparsebench.runner import (
@@ -63,18 +65,24 @@ MEM = MemConfig()
 
 # --- input resolution -------------------------------------------------------------
 
+def _same_map(a, b) -> bool:
+    return (a.dims == b.dims and a.fmt == b.fmt and np.array_equal(a.sm, b.sm)
+            and np.array_equal(a.nzvl, b.nzvl))
+
+
 def test_conv_input_from_qt_smfm_and_generator(tmp_path):
     t = sparse_map(2, 6, 6, 0.5, make_rng(1))
     qt = str(tmp_path / "x.qt")
     save_qt(t, qt)
-    assert load_conv_input(qt, 0) == t
+    assert _same_map(load_conv_input(qt, 0), encode_sm(t))
     smfm = str(tmp_path / "x.smfm")
     save_smfm(encode_sm(t), smfm)
-    assert load_conv_input(smfm, 0) == t
+    assert _same_map(load_conv_input(smfm, 0), encode_sm(t))  # the file's bitmap and values
     gen = load_conv_input("synth:map,c=2,h=6,w=6,sparsity=0.5,seed=1", 0)
-    assert gen == t  # same generator, same seed
+    assert _same_map(gen, encode_sm(t))  # same generator, same seed
     # global seed is the fallback, URI seed wins
-    assert load_conv_input("synth:map,c=2,h=6,w=6,sparsity=0.5", 1) == t
+    assert _same_map(load_conv_input("synth:map,c=2,h=6,w=6,sparsity=0.5", 1),
+                     encode_sm(t))
     with pytest.raises(MalformedStream, match="rank 3"):
         save_qt(QTensor.zeros((4,), Q8_8), str(tmp_path / "bad.qt"))
         load_conv_input(str(tmp_path / "bad.qt"), 0)
@@ -84,22 +92,36 @@ def test_conv_input_from_qt_smfm_and_generator(tmp_path):
 
 def test_seq_input_from_qt_and_generators(tmp_path):
     rows = np.arange(12, dtype=np.int16).reshape(3, 4)
-    save_qt(QTensor((3, 4), Q8_8, rows), str(tmp_path / "s.qt"))
+    stored = QTensor((3, 4), Q8_8, rows)
+    save_qt(stored, str(tmp_path / "s.qt"))
     seq = load_seq_input(str(tmp_path / "s.qt"), 0)
-    assert len(seq) == 3
-    assert list(seq[1].data) == [4, 5, 6, 7]
+    assert seq == stored
+    assert list(seq.data[1]) == [4, 5, 6, 7]
     for uri, steps in (("synth:uniform,t=5,n=3", 5),
                        ("synth:hold,t=8,n=3,hold=4", 8),
                        ("synth:ar1,t=6,n=3,rho=0.9", 6)):
         seq = load_seq_input(uri, 9)
-        assert len(seq) == steps and seq[0].dims == (3,)
-    hold = load_seq_input("synth:hold,t=8,n=3,hold=4,seed=2", 0)
-    assert hold[0] == hold[3] and hold[4] == hold[7]
+        assert seq.dims == (steps, 3) and seq.fmt == Q8_8
+    hold = load_seq_input("synth:hold,t=8,n=3,hold=4,seed=2", 0).data
+    assert (hold[0] == hold[3]).all() and (hold[4] == hold[7]).all()
     with pytest.raises(MalformedStream, match="rank 2"):
         save_qt(QTensor.zeros((2, 2, 2), Q8_8), str(tmp_path / "b.qt"))
         load_seq_input(str(tmp_path / "b.qt"), 0)
     with pytest.raises(MalformedStream, match="generator"):
         load_seq_input("synth:sine,t=5", 0)
+
+
+@pytest.mark.parametrize("steps", [1, 7])
+def test_gru_output_hash_is_each_steps_qt_bytes(gru_desc, steps):
+    # the digest that bench/golden.json pins: sha256 over the rank-1 .qt
+    # bytes of each output step, end to end
+    xs = load_seq_input(f"synth:uniform,t={steps},n=6,seed=2", 0)
+    report, run = execute_gru(gru_desc, xs, "sparse", MEM, seed=0)
+    assert run.outputs.dims == (steps, 8) and run.outputs.fmt == Q8_8
+    want = hashlib.sha256()
+    for row in run.outputs.data:
+        want.update(to_qt_bytes(QTensor((8,), Q8_8, row.copy())))
+    assert report.extras["output_hash"] == want.hexdigest()
 
 
 # --- conv execution ------------------------------------------------------------------
