@@ -8,17 +8,17 @@ accumulators, ties-to-even renormalization):
 * conv_zeroskip: input-stationary scatter from the non-zero pixels of a
   compressed input to only the accumulators each one feeds. Skipped
   pixels cost no modeled MAC: the MAC count is the (non-zero pixel,
-  tap) hits times the output channels. On the host, below the
-  no-clip bound, the work is one float64 BLAS product per group of
-  input channels, zeros included.
+  tap) hits times the output channels. On the host, each group of
+  input channels goes through `fxp.sat_matvec`, the one primitive that
+  may drop the per-term clamp: one float64 BLAS product, zeros
+  included, when its bound holds, and the ordered steps otherwise.
 
 Both define each output as its terms added in the same order (input
 channel, then kernel row, then kernel column), clamped after each, and
 adding zero to a saturating accumulator is the identity, so the two
-paths agree bit-exactly even when intermediate sums clip. The zero-skip
-engine drops the per-term clamp, and sums in float64, only when a bound
-proves that no prefix of that order can clip, which also makes every
-float64 partial sum an exact integer; the oracle always clamps.
+paths agree bit-exactly even when intermediate sums clip. The oracle
+always clamps, with its own `sat_add` loop, so the check stays
+independent of `sat_matvec`.
 
 ReLU and 2x2 pooling are fused after accumulation: the window maximum
 is taken on the 32-bit plane and clamped once, so no full-resolution
@@ -32,7 +32,7 @@ import numpy as np
 from .codec import (SparseFeatureMap, SparsityStats, decode_sm, encode_sm,
                     measure_sparsity, nonzero_arrays)
 from .errors import ShapeMismatch
-from .fxp import OpCounter, QFormat, QTensor, no_clip, renormalize_array, sat_add
+from .fxp import OpCounter, QFormat, QTensor, renormalize_array, sat_add, sat_matvec
 from .trace import AccessTrace, triple_code
 
 POOL_MODES = ("none", "max2x2")
@@ -43,8 +43,8 @@ _LAYER_TRIPLES = np.array([triple_code(*t) for t in (
     ("SRAM", "read", "weights"), ("SRAM", "read", "activations"),
     ("SRAM", "write", "activations"), ("DRAM", "write", "activations"))])
 
-# The zero-skip fast path's float64 slab (see _accumulate_proven) is capped
-# near this size; each channel group holds at least one channel.
+# The zero-skip engine's float64 slab (see conv_zeroskip) is capped near
+# this size; each channel group holds at least one channel.
 _SLAB_BYTES = 2 << 20
 
 
@@ -121,37 +121,25 @@ class LayerRunResult:
 
 
 def fused_relu_pool(acc: np.ndarray, relu: bool, pool: str,
-                    counter: OpCounter | None = None) -> np.ndarray:
-    """Reduce a 32-bit accumulator plane by ReLU and/or 2x2 max in one pass.
+                    counter: OpCounter) -> np.ndarray:
+    """Reduce a (C, H, W) 32-bit accumulator plane by 2x2 max and/or ReLU
+    in one pass.
 
     Pooling takes the window maximum first and clamps once: max commutes
     with the monotone clamp, so this equals relu-then-pool while doing a
-    quarter of the clamps. Accepts (H, W) or (C, H, W); returns the same
-    rank. Odd trailing rows or columns are dropped when pooling.
+    quarter of the clamps. Odd trailing rows or columns are dropped when
+    pooling.
     """
-    plane = np.asarray(acc)
-    squeeze = plane.ndim == 2
-    if squeeze:
-        plane = plane[None]
+    out = acc
     if pool == "max2x2":
-        c, h, w = plane.shape
+        c, h, w = acc.shape
         ph, pw = h // 2, w // 2
-        blocks = plane[:, : 2 * ph, : 2 * pw].reshape(c, ph, 2, pw, 2)
-        out = blocks.max(axis=(2, 4))
-        if counter is not None:
-            counter.comparisons += c * ph * pw * 3
-        if relu:
-            out = np.maximum(out, 0)
-            if counter is not None:
-                counter.comparisons += out.size
-    else:
-        out = plane
-        if relu:
-            out = np.maximum(out, 0)
-            if counter is not None:
-                counter.comparisons += out.size
-    out = out.astype(np.int64)
-    return out[0] if squeeze else out
+        out = acc[:, : 2 * ph, : 2 * pw].reshape(c, ph, 2, pw, 2).max(axis=(2, 4))
+        counter.comparisons += 3 * out.size
+    if relu:
+        out = np.maximum(out, 0)
+        counter.comparisons += out.size
+    return out.astype(np.int64)
 
 
 def _layer_result(spec: ConvLayerSpec, layer: int, weight_base: int,
@@ -257,14 +245,16 @@ def conv_zeroskip(spec: ConvLayerSpec, sfm: SparseFeatureMap,
     Each non-zero pixel feeds exactly the output positions whose
     receptive field contains it, for every output channel; no other
     term is formed or counted as a MAC. In one (input channel, kernel
-    tap), distinct pixels feed distinct outputs, so each output takes
-    at most one term per (channel, tap). When the no-clip bound holds,
-    every channel group's terms go into one exact float64 product
-    (`_accumulate_proven`). Otherwise the ordered loop runs: one
-    scatter step per (channel, tap), in (channel, kernel row, kernel
-    column) order, the oracle's term order, clamping after each. The
-    result is bit-identical to the dense oracle on the decoded input.
-    Its trace rows carry ``layer``.
+    tap), distinct pixels feed distinct outputs, so each group of input
+    channels' hits are scattered into a zeroed slab with one row per
+    (channel, tap) and one column per output position, and no two hits
+    share a cell. With ``W2`` the weights as (out_c, in_c * kh * kw), one
+    ``sat_matvec(acc, W2[:, rows], |W2|[:, rows], slab)`` per group adds
+    them to the accumulators, which start at the bias. Rows ascending,
+    over ascending groups, are the oracle's (channel, kernel row, kernel
+    column) term order, so the result is bit-identical to the dense
+    oracle on the decoded input, whether a group takes the proven
+    product or the ordered steps. Its trace rows carry ``layer``.
     """
     if sfm.dims[0] != spec.in_channels:
         raise ShapeMismatch(
@@ -272,58 +262,18 @@ def conv_zeroskip(spec: ConvLayerSpec, sfm: SparseFeatureMap,
     counter = OpCounter()
     c, h, w = sfm.dims
     h_out, w_out = spec.out_dims(h, w)
-    counter.adds += spec.out_channels * h_out * w_out
+    taps, n_out = spec.kernel_h * spec.kernel_w, h_out * w_out
+    counter.adds += spec.out_channels * n_out
 
-    wv = spec.weights.data.reshape(spec.out_channels, -1)
     cs, ys, xs, vals = nonzero_arrays(sfm)
     starts = np.searchsorted(cs, np.arange(c + 1)).tolist()
-    peak = np.array([np.abs(vals[a:b]).max(initial=0)
-                     for a, b in zip(starts, starts[1:])])
-    # Per output channel, |bias| + sum over (input channel, tap) of |w|
-    # times that input channel's largest |value| bounds every prefix sum
-    # of its outputs, since each output takes at most one term per
-    # (input channel, tap).
-    proven = no_clip(spec.bias, wv, np.repeat(peak, spec.kernel_h * spec.kernel_w))
-    accumulate = _accumulate_proven if proven else _accumulate_ordered
-    acc = accumulate(spec, wv, (cs, ys, xs, vals), starts, h_out, w_out, counter)
-    acc = acc.reshape(spec.out_channels, h_out, w_out)
-
-    counter.macs_dense_equivalent += spec.dense_equivalent_macs(h, w)
-    out_tensor = _finish_layer(spec, acc, h, w, sfm.fmt, counter)
-    out_sfm = encode_sm(out_tensor)
-    # The input and the pooled output travel compressed.
-    return _layer_result(spec, layer, weight_base, counter, out_tensor, out_sfm,
-                         sfm.payload_words, out_sfm.payload_words, sfm.nnz)
-
-
-def _accumulate_proven(spec: ConvLayerSpec, wv: np.ndarray, pixels, starts: list[int],
-                       h_out: int, w_out: int, counter: OpCounter) -> np.ndarray:
-    """The (out_c, h_out * w_out) int64 accumulators as float64 BLAS
-    products, one per group of input channels, when the no-clip bound
-    holds.
-
-    A group's (non-zero pixel, tap) hits are scattered into a zeroed
-    slab whose row is (channel, tap) and column the output position;
-    distinct pixels of one channel feed distinct outputs under one tap,
-    so no two hits share a cell. Then ``acc += W2[:, group rows] @ slab``
-    with ``W2`` the weights as (out_c, in_c * kh * kw), ``acc`` starting
-    at the bias. Each output takes at most one term per (channel, tap),
-    and every term is an integer product of 16-bit values, exact in
-    float64. So every partial sum, in any order the BLAS picks (fused
-    multiply-adds included) and across groups, is the bias plus some of
-    one output's terms, bounded in magnitude by the proven bound: an
-    integer below 2**31, which float64 holds exactly (the `sat_matvec`
-    argument). The float64 result therefore equals the clamp-free integer
-    sum, which the bound makes equal to the ordered, clamped one.
-    """
-    cs, ys, xs, vals = pixels
-    taps, n_out = spec.kernel_h * spec.kernel_w, h_out * w_out
+    w2 = spec.weights.data.reshape(spec.out_channels, -1).astype(np.float64)
+    w2_abs = np.abs(w2)
+    acc = np.repeat(spec.bias.astype(np.int64)[:, None], n_out, axis=1)
     group = max(1, _SLAB_BYTES // (8 * taps * n_out))
-    w2 = wv.astype(np.float64)
-    acc = np.repeat(spec.bias.astype(np.float64)[:, None], n_out, axis=1)
-    buf = np.empty((min(group, spec.in_channels) * taps, n_out))  # one slab, reused
-    for c0 in range(0, spec.in_channels, group):
-        c1 = min(c0 + group, spec.in_channels)
+    buf = np.empty((min(group, c) * taps, n_out))  # one slab, reused
+    for c0 in range(0, c, group):
+        c1 = min(c0 + group, c)
         a, b = starts[c0], starts[c1]
         if a == b:
             continue
@@ -335,30 +285,16 @@ def _accumulate_proven(spec: ConvLayerSpec, wv: np.ndarray, pixels, starts: list
         for tap, hit, pos in _tap_hits(spec, ys[a:b], xs[a:b], h_out, w_out):
             flat[cell[hit] + tap * n_out + pos] = v[hit]
             counter.macs_executed += hit.size * spec.out_channels
-        acc += w2[:, c0 * taps:c1 * taps] @ slab
-    return acc.astype(np.int64)
+        rows = slice(c0 * taps, c1 * taps)
+        counter.saturations += sat_matvec(acc, w2[:, rows], w2_abs[:, rows], slab)
 
-
-def _accumulate_ordered(spec: ConvLayerSpec, wv: np.ndarray, pixels, starts: list[int],
-                        h_out: int, w_out: int, counter: OpCounter) -> np.ndarray:
-    """The (out_c, h_out * w_out) int64 accumulators by ordered steps: one
-    clamped scatter per (input channel, tap), in the oracle's term order."""
-    cs, ys, xs, vals = pixels
-    taps = spec.kernel_h * spec.kernel_w
-    acc = np.repeat(spec.bias.astype(np.int64)[:, None], h_out * w_out, axis=1)
-    for ic, (a, b) in enumerate(zip(starts, starts[1:])):
-        if a == b:
-            continue
-        v = vals[a:b]
-        for tap, hit, idx in _tap_hits(spec, ys[a:b], xs[a:b], h_out, w_out):
-            if hit.size == 0:
-                continue
-            term = np.multiply.outer(wv[:, ic * taps + tap].astype(np.int64), v[hit])
-            blk = acc[:, idx]
-            counter.saturations += sat_add(blk, term)
-            acc[:, idx] = blk
-            counter.macs_executed += term.size
-    return acc
+    counter.macs_dense_equivalent += spec.dense_equivalent_macs(h, w)
+    out_tensor = _finish_layer(spec, acc.reshape(spec.out_channels, h_out, w_out),
+                               h, w, sfm.fmt, counter)
+    out_sfm = encode_sm(out_tensor)
+    # The input and the pooled output travel compressed.
+    return _layer_result(spec, layer, weight_base, counter, out_tensor, out_sfm,
+                         sfm.payload_words, out_sfm.payload_words, sfm.nnz)
 
 
 def conv_dense_run(spec: ConvLayerSpec, sfm: SparseFeatureMap,

@@ -191,18 +191,16 @@ def quantize_array(values: np.ndarray, fmt: QFormat, counter: OpCounter | None =
 
 # The saturating accumulator every engine uses. An engine's exact result
 # is its terms added in a fixed order, clamped to int32 after each one
-# (the ordered step). If |acc| + sum |terms| <= INT32_MAX, no prefix of
-# that order can leave int32: every clamp is the identity, term order no
-# longer matters, and one plain sum is bit-identical (the proven fast
-# path). Below that bound every float64 partial sum is an integer under
-# 2**31, so each fast path sums in float64 on BLAS: both GRU engines
-# through `sat_matvec`, the zero-skip conv as one product per group of
-# input channels (`conv._accumulate_proven`). The dense conv oracle runs
-# the ordered step only. The dense GRU oracle takes the fast path too,
-# but over full matrices and full vectors, while the delta engine's
-# products are over sparse deltas; so the theta-0 check still tests
-# that the accumulated deltas telescope to the direct products, not the
-# fast path against itself.
+# (the ordered step, `sat_add`). `sat_matvec` is the one primitive that
+# may drop the clamps: when `no_clip` proves that no prefix of the order
+# can clip, it adds all the terms as one float64 BLAS product, and
+# otherwise runs the ordered steps (`sat_columns`). Both GRU engines call
+# it once per side and step, the zero-skip conv once per group of input
+# channels. The dense conv oracle runs the ordered step only. The dense
+# GRU oracle takes the fast path too, but over full matrices and full
+# vectors, while the delta engine's products are over sparse deltas; so
+# the theta-0 check still tests that the accumulated deltas telescope to
+# the direct products, not the fast path against itself.
 
 def sat_add(acc: np.ndarray, term) -> int:
     """Ordered step: ``acc += term`` in place, clamped to int32.
@@ -220,41 +218,72 @@ def sat_add(acc: np.ndarray, term) -> int:
     return clips
 
 
-def no_clip(acc: np.ndarray, w: np.ndarray, x: np.ndarray) -> bool:
-    """True when ``|acc| + |w| @ |x| <= INT32_MAX`` in every element.
+def no_clip(acc: np.ndarray, w_abs: np.ndarray, x: np.ndarray) -> bool:
+    """True when no ordered prefix of ``acc += w @ x`` can leave int32.
 
-    ``|w| @ |x|`` bounds the sum of the magnitudes of the terms
-    ``w[:, j] * x[j]``, so no ordered prefix of them can clip. An engine
-    whose terms are not materialized passes an upper bound per column
-    in ``x`` (for example a channel's largest value).
+    ``w_abs`` is ``|w|`` in float64 and ``x`` holds integer values. For a
+    vector ``x`` the bound is ``|acc| + w_abs @ |x| <= INT32_MAX`` in
+    every element. For a (rows, cols) matrix ``x`` and (out, cols)
+    ``acc`` it is taken per output row: the row's largest ``|acc|`` plus
+    ``w_abs @`` the largest ``|x|`` of each row of ``x``, which bounds
+    every element of that row.
+
+    It is computed in float64, as one BLAS product, and is exact
+    whenever it passes. Its terms are non-negative and rounding to
+    nearest is monotone, so each computed partial sum, in any summation
+    order the BLAS picks (fused multiply-adds included), is at least
+    each term or partial sum it adds up; a computed bound at or below
+    INT32_MAX caps every computed step there. Step by step, from exact
+    integer inputs: an exact value of 2**31 or more would round to at
+    least 2**31, so each exact value is an integer below 2**31 < 2**53
+    and is represented exactly. An ``acc`` entry of 2**53 or more is
+    rounded when converted but stays at least 2**53 and fails the bound;
+    so does an ``x`` entry of that size against a non-zero weight, and
+    against a zero weight its term is 0 either way.
     """
-    bound = (np.abs(np.asarray(acc, dtype=np.int64))
-             + np.abs(np.asarray(w, dtype=np.int64)) @ np.abs(np.asarray(x, dtype=np.int64)))
-    return bool(bound.max(initial=0) <= INT32_MAX)
+    if np.ndim(x) == 2:
+        a, ax = _row_peaks(acc), _row_peaks(x)
+    else:
+        a, ax = np.abs(acc, dtype=np.float64), np.abs(x, dtype=np.float64)
+    return bool((a + w_abs @ ax).max(initial=0) <= INT32_MAX)
+
+
+def _row_peaks(v: np.ndarray) -> np.ndarray:
+    """The largest ``|v|`` in each row of a matrix, in float64, from two
+    row reductions rather than a full-size ``|v|``."""
+    return np.maximum(v.max(axis=1, initial=0),
+                      np.negative(v.min(axis=1, initial=0), dtype=np.float64))
 
 
 def sat_columns(acc: np.ndarray, w: np.ndarray, x: np.ndarray) -> int:
-    """``acc += w @ x`` as ordered steps ``w[:, j] * x[j]``, j ascending.
+    """``acc += w @ x`` as ordered steps ``outer(w[:, j], x[j])``, j
+    ascending, each one clamped to int32 (`sat_add`).
 
-    ``w`` holds integer values (any dtype) and ``x`` is an integer vector.
-    Zero entries of ``x`` are skipped: adding zero to an in-range
-    accumulator is the identity. Returns the number of clips.
+    ``w`` and ``x`` hold integer values (any dtype); ``x`` is a vector,
+    or a (rows, cols) matrix with ``acc`` (out, cols). Rows of ``x``
+    that are all zero are skipped, and the zero entries of other rows
+    add zero: both are the identity on an accumulator in int32 range.
+    Returns the number of clips.
 
     The steps are int64, so each term plus the accumulator must fit:
     with A = max(max|acc|, 2**31), an upper bound on |acc| before every
-    step (each step clamps it into int32), every column must have
-    A + max|w[:, j]| * |x[j]| <= INT64_MAX, checked in Python ints.
+    step (each step clamps it into int32), every row must have
+    A + max|w[:, j]| * max|x[j]| <= INT64_MAX, checked in Python ints.
     Otherwise ``ValueError`` is raised before ``acc`` is touched.
     """
-    nz = np.flatnonzero(x)
+    acc2 = acc.reshape(len(acc), -1)  # a view; a vector is one column
+    x2 = np.reshape(x, (len(x), -1))
+    peak = [max(-int(lo), int(hi)) for lo, hi in
+            zip(x2.min(axis=1, initial=0).tolist(), x2.max(axis=1, initial=0).tolist())]
+    nz = [j for j, p in enumerate(peak) if p]
     cols = w.T[nz].astype(np.int64)
-    xs = x[nz].tolist()
-    if xs:
+    if nz:
         room = INT64_MAX - max(-int(acc.min(initial=0)), int(acc.max(initial=0)), 1 << 31)
-        for lo, hi, v in zip(cols.min(axis=1).tolist(), cols.max(axis=1).tolist(), xs):
-            if max(-lo, hi) * abs(v) > room:
-                raise ValueError(f"a term {max(-lo, hi)} * {v} overflows the int64 step")
-    return sum(sat_add(acc, col * v) for col, v in zip(cols, xs))
+        for j, lo, hi in zip(nz, cols.min(axis=1).tolist(), cols.max(axis=1).tolist()):
+            if max(-lo, hi) * peak[j] > room:
+                raise ValueError(f"a term {max(-lo, hi)} * {peak[j]} overflows the int64 step")
+    rows = x2[nz].astype(np.int64)
+    return sum(sat_add(acc2, np.multiply.outer(col, row)) for col, row in zip(cols, rows))
 
 
 def sat_matvec(acc: np.ndarray, w: np.ndarray, w_abs: np.ndarray,
@@ -262,28 +291,25 @@ def sat_matvec(acc: np.ndarray, w: np.ndarray, w_abs: np.ndarray,
     """``sat_columns`` with the proven fast path; same result and clip
     count either way.
 
-    ``w`` is an integer-valued float64 matrix, ``w_abs`` its ``|w|``, and
-    ``x`` an integer vector. The ``no_clip`` bound is computed here in
-    float64, as one BLAS matvec, and is exact whenever it passes. Its
-    terms are non-negative and rounding to nearest is monotone, so each
-    computed partial sum, in any summation order the BLAS picks (fused
-    multiply-adds included), is at least each term or partial sum it
-    adds up; a computed bound at or below INT32_MAX caps every computed
-    step there. Step by step, from exact integer inputs: an exact value
-    of 2**31 or more would round to at least 2**31, so each exact value
-    is an integer below 2**31 < 2**53 and is represented exactly. An
-    ``x`` entry of 2**53 or more is rounded when converted, but against
-    a non-zero weight its term is at least 2**53 and fails the bound;
-    against a zero weight the term is 0 either way.
+    ``w`` is an integer-valued float64 matrix and ``w_abs`` its ``|w|``;
+    ``x`` is an integer-valued vector, or a (rows, cols) matrix with
+    ``acc`` (out, cols). When ``no_clip`` holds, ``w @ x`` is one float64
+    BLAS product and exact: every partial sum of an element's signed
+    terms, in any order, is bounded in magnitude by the exact bound, so
+    it is an integer below 2**31. Otherwise the ordered int64
+    ``sat_columns`` loop runs.
 
-    When the bound holds, ``w @ x`` is one float64 matvec and exact too:
-    every partial sum of its signed terms, in any order, is bounded in
-    magnitude by the exact bound, so it is an integer below 2**31.
-    Otherwise the ordered int64 ``sat_columns`` loop runs.
+    The bound is taken on the ``acc`` passed in, so a caller may split
+    one ordered sum over several calls in term order: each call equals
+    its own ordered steps from that state, whichever route it takes, so
+    one call may take the fast path and the next the ordered steps, and
+    the result is still the ordered, clamped sum of all the terms. If
+    one bound over all the terms holds, every call's bound holds too:
+    its ``|acc|`` is at most the first ``|acc|`` plus the magnitudes of
+    the earlier terms.
     """
-    xf = x.astype(np.float64)
-    bound = np.abs(acc, dtype=np.float64) + w_abs @ np.abs(xf)
-    if bound.max(initial=0) <= INT32_MAX:
+    xf = x.astype(np.float64, copy=False)
+    if no_clip(acc, w_abs, xf):
         np.add(acc, w @ xf, out=acc, casting="unsafe")
         return 0
     return sat_columns(acc, w, x)

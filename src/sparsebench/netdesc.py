@@ -28,7 +28,7 @@ all-conv or all-gru; mixing is rejected.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,11 +39,7 @@ from .fxp import QFormat, QTensor, load_qt
 from .gru import ACT_FMT, GruLayerSpec, quantize_theta
 from .memmodel import MemConfig
 
-_MEM_FIELDS = {
-    "words_per_row": int, "burst_len": int, "cycles_seq_word": int,
-    "row_change_factor": int, "e_dram_word": float, "e_sram_word": float,
-    "e_mac": float, "clock_hz": float,
-}
+_MEM_FIELDS = {f.name: type(f.default) for f in fields(MemConfig)}
 
 
 @dataclass
@@ -86,6 +82,27 @@ def int_option(opts: dict, key: str, default: int, uri: str) -> int:
     return value
 
 
+def float_option(opts: dict, key: str, default: float, uri: str) -> float:
+    """A numeric option of a parsed synth URI as a float, or ``default``
+    when it is absent; text raises ``MalformedStream``."""
+    value = opts.get(key, default)
+    if type(value) not in (int, float):
+        raise MalformedStream(f"synth option {key}={value!r} in {uri!r} must be a number")
+    return float(value)
+
+
+def _number(pairs: dict, key: str, kind: type, default, where: str):
+    """``pairs[key]``, or ``default`` when it is absent, as ``kind`` (int
+    or float); text that is not one raises ``MalformedStream`` naming
+    ``where``, the key and the value."""
+    value = pairs.get(key, default)
+    try:
+        return kind(value)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise MalformedStream(f"{where}: {key} = {value!r} is not {noun}") from None
+
+
 def _parse_blocks(text: str, path: str) -> tuple[dict, list[tuple[str, dict]]]:
     """Return (top-level pairs, ordered list of (section, pairs))."""
     top: dict = {}
@@ -119,14 +136,18 @@ def _bool(v: str, what: str) -> bool:
     raise MalformedStream(f"{what}: expected a boolean, got {v!r}")
 
 
-def parse_mem_config(pairs: dict, base: MemConfig | None = None) -> MemConfig:
-    cfg = base or MemConfig()
-    kwargs = {f: getattr(cfg, f) for f in _MEM_FIELDS}
-    for k, v in pairs.items():
+def parse_mem_config(pairs: dict, where: str = "[mem]") -> MemConfig:
+    """A MemConfig from ``key = value`` text pairs, defaults elsewhere; a
+    key, value or config that is not valid raises ``MalformedStream``
+    naming ``where``."""
+    for k in pairs:
         if k not in _MEM_FIELDS:
-            raise MalformedStream(f"unknown mem config key {k!r}")
-        kwargs[k] = _MEM_FIELDS[k](v)
-    return MemConfig(**kwargs)
+            raise MalformedStream(f"{where}: unknown mem config key {k!r}")
+    kwargs = {k: _number(pairs, k, _MEM_FIELDS[k], None, where) for k in pairs}
+    try:
+        return MemConfig(**kwargs)
+    except ValueError as exc:
+        raise MalformedStream(f"{where}: {exc}") from None
 
 
 def load_mem_config(path: str) -> MemConfig:
@@ -140,7 +161,7 @@ def load_mem_config(path: str) -> MemConfig:
         if section != "mem":
             raise MalformedStream(f"{path}: unexpected section [{section}]")
         pairs.update(body)
-    return parse_mem_config(pairs)
+    return parse_mem_config(pairs, path)
 
 
 def _load_tensor(value: str, base_dir: str, fmt: QFormat,
@@ -151,7 +172,7 @@ def _load_tensor(value: str, base_dir: str, fmt: QFormat,
         if kind != "uniform":
             raise MalformedStream(f"{what}: unknown weight generator {kind!r}")
         rng = synth.make_rng(int_option(opts, "seed", 0, value))
-        return synth.random_weights(dims, rng, fmt, float(opts.get("amp", 0.1)))
+        return synth.random_weights(dims, rng, fmt, float_option(opts, "amp", 0.1, value))
     path = os.path.join(base_dir, value)
     if not os.path.exists(path):
         raise MissingArtifact(f"{what}: file not found: {path}")
@@ -170,7 +191,7 @@ def _load_bias(value: str, base_dir: str, n: int, acc_frac: int, what: str) -> n
         if kind != "uniform":
             raise MalformedStream(f"{what}: unknown bias generator {kind!r}")
         rng = synth.make_rng(int_option(opts, "seed", 0, value))
-        return synth.random_bias(n, rng, acc_frac, float(opts.get("amp", 0.1)))
+        return synth.random_bias(n, rng, acc_frac, float_option(opts, "amp", 0.1, value))
     if value.lower() == "zero":
         return np.zeros(n, dtype=np.int32)
     path = os.path.join(base_dir, value)
@@ -193,18 +214,20 @@ def _require(pairs: dict, keys: tuple[str, ...], section: str, path: str) -> Non
 
 def _conv_layer(pairs: dict, base_dir: str, path: str, idx: int) -> ConvLayerSpec:
     _require(pairs, ("in_c", "out_c", "k", "weights", "bias"), "conv", path)
-    in_c, out_c = int(pairs["in_c"]), int(pairs["out_c"])
-    kh = kw = int(pairs["k"])
+    what = f"conv layer {idx}"
+    in_c, out_c, kh = (_number(pairs, k, int, None, f"{path}: {what}")
+                       for k in ("in_c", "out_c", "k"))
+    kw = kh
     act_fmt = QFormat.parse(pairs.get("act_fmt", "Q8.8"))
     w_fmt = QFormat.parse(pairs.get("w_fmt", "Q2.14"))
     acc_frac = act_fmt.frac_bits + w_fmt.frac_bits
-    what = f"conv layer {idx}"
     weights = _load_tensor(pairs["weights"], base_dir, w_fmt,
                            (out_c, in_c, kh, kw), what + " weights")
     bias = _load_bias(pairs["bias"], base_dir, out_c, acc_frac, what + " bias")
     return ConvLayerSpec(
         in_channels=in_c, out_channels=out_c, kernel_h=kh, kernel_w=kw,
-        stride=int(pairs.get("stride", 1)), pad=int(pairs.get("pad", 0)),
+        stride=_number(pairs, "stride", int, 1, f"{path}: {what}"),
+        pad=_number(pairs, "pad", int, 0, f"{path}: {what}"),
         weights=weights, bias=bias,
         relu=_bool(pairs.get("relu", "true"), what + " relu"),
         pool=pairs.get("pool", "none"),
@@ -218,11 +241,11 @@ _GRU_BIASES = ("br", "bu", "bc")
 
 def _gru_layer(pairs: dict, base_dir: str, path: str, idx: int) -> GruLayerSpec:
     _require(pairs, ("input", "hidden"), "gru", path)
-    i, h = int(pairs["input"]), int(pairs["hidden"])
+    what = f"gru layer {idx}"
+    i, h = (_number(pairs, k, int, None, f"{path}: {what}") for k in ("input", "hidden"))
     w_fmt = QFormat.parse(pairs.get("w_fmt", "Q2.14"))
     acc_frac = ACT_FMT.frac_bits + w_fmt.frac_bits
-    theta = quantize_theta(float(pairs.get("theta", 0.0)))
-    what = f"gru layer {idx}"
+    theta = quantize_theta(_number(pairs, "theta", float, 0.0, f"{path}: {what}"))
     dims = {"wxr": (h, i), "wxu": (h, i), "wxc": (h, i),
             "whr": (h, h), "whu": (h, h), "whc": (h, h)}
     vals = {}
@@ -233,7 +256,7 @@ def _gru_layer(pairs: dict, base_dir: str, path: str, idx: int) -> GruLayerSpec:
             if kind != "uniform":
                 raise MalformedStream(f"{what}: unknown generator {kind!r}")
             seed = int_option(opts, "seed", 0, base_val)
-            amp = float(opts.get("amp", 0.1))
+            amp = float_option(opts, "amp", 0.1, base_val)
             for j, m in enumerate(_GRU_MATS):
                 vals[m] = synth.random_weights(
                     dims[m], synth.make_rng(seed * 16 + j), w_fmt, amp)
@@ -275,7 +298,7 @@ def load_network(path: str) -> NetworkDesc:
     gru_layers: list[GruLayerSpec] = []
     for section, pairs in blocks:
         if section == "mem":
-            mem = parse_mem_config(pairs)
+            mem = parse_mem_config(pairs, f"{path}: [mem]")
         elif section == "conv":
             conv_layers.append(_conv_layer(pairs, base_dir, path, len(conv_layers)))
         elif section == "gru":

@@ -1,10 +1,11 @@
 """Run orchestration: input loading, engine dispatch, report assembly.
 
-Every run executes both the sparse and the dense path and compares
-output hashes: for conv networks the equality must hold always; for GRU
-networks it must hold at theta 0 in the saturation-free regime, and is
-skipped (and reported as unchecked) otherwise. A divergence is a hard
-failure, never a warning.
+Every run executes both the sparse and the dense path and compares their
+outputs. Conv runs compare output hashes, and the equality must hold
+always. GRU runs compare output tensors, and the equality must hold at
+theta 0 in the saturation-free regime; otherwise the check is skipped
+(and reported as unchecked). A divergence is a hard failure, never a
+warning.
 """
 
 import hashlib
@@ -21,7 +22,7 @@ from .fxp import OpCounter, QTensor, load_qt, qt_header
 from .gru import ACT_FMT, GruSeqRun, quantize_theta, run_sequence
 from .memmodel import (MemConfig, MemCostReport, cost_trace, effective_gops,
                        energy_breakdown, gops_per_watt)
-from .netdesc import NetworkDesc, int_option, parse_uri
+from .netdesc import NetworkDesc, float_option, int_option, parse_uri
 from .report import LayerReport, RunReport, config_dict
 from .trace import AccessTrace
 
@@ -43,7 +44,7 @@ def _map_generator(uri: str, seed: int):
         raise MalformedStream(f"unknown conv input generator {kind!r}")
     rng = synth.make_rng(int_option(o, "seed", seed, uri))
     dims = tuple(int_option(o, k, d, uri) for k, d in (("c", 1), ("h", 32), ("w", 32)))
-    sparsity, amp = float(o.get("sparsity", 0.5)), float(o.get("amp", 1.0))
+    sparsity, amp = float_option(o, "sparsity", 0.5, uri), float_option(o, "amp", 1.0, uri)
     return lambda: encode_sm(synth.sparse_map(*dims, sparsity, rng, amp=amp))
 
 
@@ -74,14 +75,14 @@ def load_seq_input(uri: str, seed: int) -> QTensor:
         t, n = int_option(o, "t", 50, uri), int_option(o, "n", 32, uri)
         if t < 1:
             raise MalformedStream(f"sequence generator needs t of at least 1, got {t}")
-        amp = float(o.get("amp", 0.5))
+        amp = float_option(o, "amp", 0.5, uri)
         if kind == "uniform":
             return synth.uniform_seq(t, n, rng, amp=amp)
         if kind == "hold":
             return synth.piecewise_constant_seq(t, n, int_option(o, "hold", 10, uri),
                                                 rng, amp=amp)
         if kind == "ar1":
-            return synth.ar1_seq(t, n, float(o.get("rho", 0.99)), rng, amp=amp)
+            return synth.ar1_seq(t, n, float_option(o, "rho", 0.99, uri), rng, amp=amp)
         raise MalformedStream(f"unknown sequence generator {kind!r}")
     t = load_qt(uri)
     if len(t.dims) != 2:

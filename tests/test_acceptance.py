@@ -28,7 +28,7 @@ from sparsebench.codec import (decode_sm, encode_sm, from_smfm_bytes,
                                to_smfm_bytes)
 from sparsebench.conv import (ConvLayerSpec, conv_dense_oracle, conv_zeroskip,
                               fused_relu_pool)
-from sparsebench.fxp import Q2_14, Q8_8, quantize
+from sparsebench.fxp import Q2_14, Q8_8, OpCounter, quantize
 from sparsebench.gru import GruLayerSpec, run_sequence
 from sparsebench.memmodel import (MemConfig, brain_budget, cost_trace,
                                   random_vs_burst_ratio, solve_for)
@@ -226,7 +226,7 @@ def test_pooled_layer_never_writes_full_resolution_activations():
         plane = r.integers(-(1 << 30), 1 << 30,
                            (1, int(r.integers(2, 9)), int(r.integers(2, 9))),
                            dtype=np.int64).astype(np.int32)
-        fused = fused_relu_pool(plane, relu=True, pool="max2x2")
+        fused = fused_relu_pool(plane, relu=True, pool="max2x2", counter=OpCounter())
         two_pass = np.maximum(plane, 0)
         ph, pw = two_pass.shape[1] // 2, two_pass.shape[2] // 2
         two_pass = two_pass[:, :ph * 2, :pw * 2].reshape(1, ph, 2, pw, 2)

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from sparsebench.cli import main
+from sparsebench.errors import MalformedStream
 from sparsebench.fxp import load_qt, save_qt
+from sparsebench.netdesc import load_mem_config, load_network
 from sparsebench.synth import make_rng, sparse_map
 
 CONV_NET = """
@@ -265,6 +267,77 @@ def test_non_finite_generator_amplitude_exits_2(gru_net, capsys):
                 "synth:hold,t=5,n=6,amp=inf", "synth:uniform,t=5,n=6,amp=nan"):
         assert main(["run", "--net", gru_net, "--input", uri]) == 2
         assert "non-finite" in capsys.readouterr().err
+
+
+def _with_value(text, key, value):
+    """A description text with its ``key = ...`` line set to ``value``."""
+    lines = text.splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.split("=")[0].strip() == key)
+    lines[at] = f"{key} = {value}"
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("key,value,net", [
+    ("in_c", "3.0", "conv"), ("out_c", "three", "conv"), ("k", "3.5", "conv"),
+    ("stride", "1e0", "conv"), ("pad", "one", "conv"),
+    ("input", "6.0", "gru"), ("hidden", "eight", "gru"), ("theta", "abc", "gru"),
+])
+def test_non_numeric_net_key_exits_2(tmp_path, capsys, key, value, net):
+    # each ended in a bare "invalid literal for int() with base 10: '3.0'"
+    # or "could not convert string to float: 'abc'", naming neither the
+    # file nor the key
+    path = tmp_path / "bad.net"
+    path.write_text(_with_value(CONV_NET if net == "conv" else GRU_NET, key, value))
+    uri = "synth:map,c=2,h=8,w=8" if net == "conv" else "synth:ar1,t=3,n=6"
+    with pytest.raises(MalformedStream):
+        load_network(str(path))
+    assert main(["run", "--net", str(path), "--input", uri]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and f"{key} = {value!r}" in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("words_per_row", "3.0"), ("burst_len", "eight"), ("cycles_seq_word", "1e0"),
+    ("row_change_factor", "fifty"), ("e_dram_word", "abc"), ("e_sram_word", "1,5"),
+    ("e_mac", "one"), ("clock_hz", "1GHz"),
+])
+def test_non_numeric_mem_key_exits_2(tmp_path, capsys, key, value):
+    # a config file and a .net [mem] section both ended in a bare
+    # "invalid literal for int()" or "could not convert string to float"
+    cfg = tmp_path / "mem.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    net = tmp_path / "mem.net"
+    net.write_text(GRU_NET + f"[mem]\n{key} = {value}\n")
+    for source, argv in ((cfg, ["--config", str(cfg), "mem-sim", "--stream", "4x4"]),
+                         (net, ["run", "--net", str(net), "--input", "synth:ar1,t=3,n=6"])):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(source) in err and f"{key} = {value!r}" in err
+    with pytest.raises(MalformedStream):
+        load_mem_config(str(cfg))
+
+
+@pytest.mark.parametrize("option,where,uri", [
+    ("amp", "input", "synth:ar1,t=3,n=6,amp=abc"),
+    ("rho", "input", "synth:ar1,t=3,n=6,rho=high"),
+    ("amp", "input", "synth:map,c=2,h=8,w=8,amp=big"),
+    ("sparsity", "input", "synth:map,c=2,h=8,w=8,sparsity=most"),
+    ("amp", "files", "synth:uniform,amp=abc,seed=4"),
+    ("amp", "weights", "synth:uniform,amp=abc,seed=3"),
+    ("amp", "bias", "synth:uniform,amp=abc,seed=3"),
+])
+def test_non_numeric_synth_option_exits_2(tmp_path, capsys, option, where, uri):
+    # each ended in a bare "could not convert string to float: 'abc'"
+    net = tmp_path / "x.net"
+    if where == "input":
+        net.write_text(CONV_NET if uri.startswith("synth:map") else GRU_NET)
+        argv = ["run", "--net", str(net), "--input", uri]
+    else:
+        net.write_text(_with_value(GRU_NET if where == "files" else CONV_NET, where, uri))
+        argv = ["run", "--net", str(net), "--input", "synth:ar1,t=3,n=6"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"synth option {option}=" in err and "must be a number" in err and uri in err
 
 
 def _gru_net_with_files(tmp_path, files):

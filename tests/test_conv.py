@@ -70,16 +70,16 @@ def test_output_saturates_at_16_bits():
 # --- fused ReLU + pooling ---------------------------------------------------------
 
 def test_fused_relu_pool_reference():
-    acc = np.array([[1, -2], [3, -4]], dtype=np.int32)
-    out = fused_relu_pool(acc, relu=True, pool="max2x2")
-    assert out.shape == (1, 1) and out[0, 0] == 3
+    acc = np.array([[[1, -2], [3, -4]]], dtype=np.int32)
+    out = fused_relu_pool(acc, relu=True, pool="max2x2", counter=OpCounter())
+    assert out.shape == (1, 1, 1) and out[0, 0, 0] == 3
 
 
 def test_fused_pool_drops_odd_edges():
-    acc = np.arange(15, dtype=np.int32).reshape(3, 5)
-    out = fused_relu_pool(acc, relu=False, pool="max2x2")
-    assert out.shape == (1, 2)
-    assert out.tolist() == [[6, 8]]
+    acc = np.arange(15, dtype=np.int32).reshape(1, 3, 5)
+    out = fused_relu_pool(acc, relu=False, pool="max2x2", counter=OpCounter())
+    assert out.shape == (1, 1, 2)
+    assert out.tolist() == [[[6, 8]]]
 
 
 def test_fused_comparison_counts():
@@ -96,7 +96,7 @@ def test_fused_comparison_counts():
 def test_fused_equals_two_pass_reference(seed, relu, c, h, w):
     rng = make_rng(seed)
     acc = rng.integers(-(2**31), 2**31, size=(c, h, w)).astype(np.int32)
-    fused = fused_relu_pool(acc, relu, "max2x2")
+    fused = fused_relu_pool(acc, relu, "max2x2", OpCounter())
     two_pass = np.maximum(acc, 0) if relu else acc
     ph, pw = h // 2, w // 2
     if ph == 0 or pw == 0:
@@ -153,18 +153,28 @@ def test_zeroskip_bit_exact_under_saturation():
 def test_zeroskip_fallback_bit_exact_at_full_scale(k, stride, pad, pool, relu, seed):
     # full-scale weights and inputs: the no-clip bound almost always
     # fails, so the ordered per-step clamp runs and must still equal the
-    # oracle
+    # oracle; the slab cap is set so all channels form one group
     rng = make_rng(seed)
     spec, x = conv_case(rng, k=k, stride=stride, pad=pad, pool=pool, relu=relu,
                         sparsity=0.5, w_amp=128.0, x_amp=128.0, bias_amp=30000.0)
-    with mock.patch.object(conv_mod, "sat_add", wraps=fxp.sat_add) as step:
+    c, h, w = x.dims
+    h_out, w_out = spec.out_dims(h, w)
+    one_group = 8 * c * k * k * h_out * w_out
+    with mock.patch.object(conv_mod, "_SLAB_BYTES", one_group), \
+            mock.patch.object(fxp, "sat_add", wraps=fxp.sat_add) as step:
         res = conv_zeroskip(spec, encode_sm(x))
     counter = OpCounter()
     assert decode_sm(res.output) == conv_dense_oracle(spec, x, counter)
     assert res.counters.saturations == counter.saturations
-    w = np.abs(spec.weights.data.astype(np.int64)).sum(axis=(2, 3))
-    peak = np.abs(x.data.astype(np.int64)).max(axis=(1, 2))
-    proven = (np.abs(spec.bias.astype(np.int64)) + w @ peak).max() <= INT32_MAX
+    # the group's bound: per output channel, |bias| plus each (channel,
+    # tap) weight's magnitude times the largest |value| that tap reads
+    padded = np.pad(np.abs(x.data.astype(np.int64)), ((0, 0), (pad, pad), (pad, pad)))
+    reach = [padded[:, ky:ky + stride * (h_out - 1) + 1:stride,
+                    kx:kx + stride * (w_out - 1) + 1:stride].max(axis=(1, 2))
+             for ky in range(k) for kx in range(k)]
+    row_peak = np.stack(reach, axis=1).reshape(-1)  # (channel, tap) order
+    w_abs = np.abs(spec.weights.data.astype(np.int64)).reshape(spec.out_channels, -1)
+    proven = (np.abs(spec.bias.astype(np.int64)) + w_abs @ row_peak).max() <= INT32_MAX
     assert step.called == (not proven and res.counters.macs_executed > 0)
 
 
@@ -177,12 +187,13 @@ def test_zeroskip_fallback_without_clipping(monkeypatch):
                   bias=np.array([INT32_MAX - 10, -INT32_MAX + 10], dtype=np.int32))
     x = _ones_input(c=2, h=4, w=4, raw=-300)
     clips = []
+    real_step = fxp.sat_add
 
     def step(acc, term):
-        clips.append(fxp.sat_add(acc, term))
+        clips.append(real_step(acc, term))
         return clips[-1]
 
-    monkeypatch.setattr(conv_mod, "sat_add", step)
+    monkeypatch.setattr(fxp, "sat_add", step)
     res = conv_zeroskip(spec, encode_sm(x))
     monkeypatch.undo()
     assert clips and sum(clips) == 0
@@ -201,28 +212,25 @@ def test_fast_path_taken_at_bench_scale(monkeypatch):
                          random_weights((16, 32, 3, 3), rng, Q2_14, 0.2),
                          np.zeros(16, dtype=np.int32), True, "max2x2", Q8_8)
     x = sparse_map(32, 24, 24, 0.8, rng, Q8_8, amp=1.0)
-
-    def refuse(*args):
-        raise AssertionError("ordered fallback ran")
-
-    monkeypatch.setattr(conv_mod, "sat_add", refuse)
+    monkeypatch.setattr(fxp, "sat_add", _refuse)
     res = conv_zeroskip(spec, encode_sm(x))
     monkeypatch.undo()
     assert decode_sm(res.output) == conv_dense_oracle(spec, x)
     assert res.counters.saturations == 0
 
 
-def _accumulators(spec, sfm, **patches):
-    """conv_zeroskip's result and the int64 accumulators it renormalized,
-    with the given conv module attributes patched."""
-    with mock.patch.object(conv_mod, "_finish_layer", wraps=conv_mod._finish_layer) as fin, \
-            mock.patch.multiple(conv_mod, **patches):
-        res = conv_zeroskip(spec, sfm)
-    return res, fin.call_args.args[1]
-
-
 def _refuse(*args):
     raise AssertionError("ordered fallback ran")
+
+
+def _accumulators(spec, sfm, slab_bytes=conv_mod._SLAB_BYTES, **patches):
+    """conv_zeroskip's result and the int64 accumulators it renormalized,
+    with the slab cap set and the given fxp module attributes patched."""
+    with mock.patch.object(conv_mod, "_finish_layer", wraps=conv_mod._finish_layer) as fin, \
+            mock.patch.object(conv_mod, "_SLAB_BYTES", slab_bytes), \
+            mock.patch.multiple(fxp, **patches):
+        res = conv_zeroskip(spec, sfm)
+    return res, fin.call_args.args[1]
 
 
 @settings(deadline=None, max_examples=80)
@@ -252,7 +260,7 @@ def test_fast_path_equals_the_ordered_loop(k, stride, pad, pool, relu, sparsity,
     h_out, w_out = spec.out_dims(*x.dims[1:])
     channel_bytes = 8 * k * k * h_out * w_out
     slab = group * channel_bytes + int(rng.integers(channel_bytes))
-    fast, fast_acc = _accumulators(spec, sfm, _SLAB_BYTES=slab, sat_add=_refuse)
+    fast, fast_acc = _accumulators(spec, sfm, slab, sat_add=_refuse)
     ordered, ordered_acc = _accumulators(spec, sfm, no_clip=lambda *args: False)
     assert fast_acc.dtype == ordered_acc.dtype == np.int64
     assert np.array_equal(fast_acc, ordered_acc)
@@ -280,6 +288,29 @@ def test_bound_at_int32_max_is_the_last_one_on_the_fast_path(over):
     assert decode_sm(res.output) == conv_dense_oracle(spec, x, counter)
     assert res.counters == counter  # a full pad-0 map executes every MAC
     assert res.counters.saturations == 8 + 4 * over  # all 8 outputs clip to 16 bits
+
+
+def test_one_group_proven_and_the_next_ordered():
+    # one channel per group: channel 0's values are 1, so its group is
+    # proven; channel 1's are 32767, and with the bias and channel 0's
+    # sums in the accumulators its bound fails, so it takes the ordered
+    # steps, clipping where all nine taps land
+    w = np.full((2, 2, 3, 3), 3641, dtype=np.int16)
+    w[1] = -3641
+    spec = _layer(in_c=2, out_c=2, k=3, pad=1, w_vals=w,
+                  bias=np.array([1_200_000_000, -1_200_000_000], dtype=np.int32))
+    data = np.full((2, 4, 4), 32767, dtype=np.int16)
+    data[0] = 1
+    x = QTensor((2, 4, 4), Q8_8, data)
+    ordered = mock.Mock(wraps=fxp.sat_columns)
+    with mock.patch.object(conv_mod, "sat_matvec", wraps=fxp.sat_matvec) as routed:
+        res, acc = _accumulators(spec, encode_sm(x), 8 * 9 * 16, sat_columns=ordered)
+    assert routed.call_count == 2 and ordered.call_count == 1
+    assert ordered.call_args.args[2].max() == 32767  # the second group's slab
+    assert acc[0].max() == INT32_MAX and acc[1].min() == fxp.INT32_MIN
+    counter = OpCounter()
+    assert decode_sm(res.output) == conv_dense_oracle(spec, x, counter)
+    assert res.counters.saturations == counter.saturations
 
 
 def test_all_zero_input_executes_nothing():

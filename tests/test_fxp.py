@@ -1,12 +1,14 @@
 """Fixed-point scalar/tensor arithmetic and the .qt container."""
 
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsebench import fxp
 from sparsebench.errors import MalformedStream, ShapeMismatch
 from sparsebench.fxp import (
     Q2_14,
@@ -24,6 +26,7 @@ from sparsebench.fxp import (
     save_qt,
     sat_add,
     sat_columns,
+    sat_matvec,
     to_qt_bytes,
 )
 
@@ -180,6 +183,66 @@ def test_sat_columns_refuses_a_term_that_would_wrap_int64():
         sat_columns(acc, np.array([[32767]], dtype=np.int16),
                     np.array([(1 << 49) + 12345], dtype=np.int64))
     assert acc[0] == 0
+    # on a matrix the guard takes each row's peak, here in its second column
+    acc = np.zeros((1, 2), dtype=np.int64)
+    with pytest.raises(ValueError, match="overflows"):
+        sat_columns(acc, np.array([[1]]), np.array([[1, room + 1]], dtype=np.int64))
+    assert acc.tolist() == [[0, 0]]
+    assert sat_columns(acc, np.array([[1]]), np.array([[-1, room]], dtype=np.int64)) == 1
+    assert acc.tolist() == [[-1, INT32_MAX]]
+
+
+def _ordered_reference(acc, w, x):
+    """acc += w @ x in Python ints as ordered steps: rows j of x ascending,
+    each term w[i, j] * x[j, k] added to acc[i, k] and clamped to int32.
+    Returns the accumulators and the number of clamps that changed one."""
+    out = [[int(a) for a in row] for row in acc]
+    clips = 0
+    for j in range(len(x)):
+        for i, row in enumerate(out):
+            for k, a in enumerate(row):
+                wide = a + int(w[i][j]) * int(x[j][k])
+                row[k] = min(max(wide, INT32_MIN), INT32_MAX)
+                clips += row[k] != wide
+    return out, clips
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((0, 1, None)), st.booleans(),
+       st.sampled_from(("int32", "int64")), st.booleans())
+def test_sat_matvec_on_a_matrix_is_the_ordered_clamped_sum(seed, over, aligned, acc_type,
+                                                           float_x):
+    # random int16 w (out, n) and x (n, cols). `over` puts one output
+    # row's exact bound, its largest |acc| plus |w| @ the row peaks of
+    # |x|, at INT32_MAX (0) or one past it (1). With `aligned`, one
+    # column holds every row peak of x and that row's weights and
+    # accumulator share its sign, so one element's sum is the bound
+    # itself: exactly INT32_MAX, or clipping once at the last term.
+    rng = np.random.default_rng(seed)
+    out, n, cols = (int(v) for v in rng.integers(1, (5, 7, 5)))
+    w = rng.integers(INT16_MIN, INT16_MAX + 1, size=(out, n))
+    x = rng.integers(INT16_MIN, INT16_MAX + 1, size=(n, cols))
+    x //= int(rng.choice((1, n, 1 << 8)))  # makes a passing bound reachable
+    acc = rng.integers(-(1 << 20), 1 << 20, size=(out, cols))
+    r, k = int(rng.integers(out)), int(rng.integers(cols))
+    peak = [int(v) for v in np.abs(x).max(axis=1)]
+    if aligned:
+        w[r] = np.abs(w[r])
+        x[:, k] = peak
+    terms = [sum(abs(int(a)) * p for a, p in zip(row, peak)) for row in w]
+    if over is not None and 0 < terms[r] <= INT32_MAX:
+        top = INT32_MAX - terms[r] + over
+        acc[r] = rng.integers(-top, top + 1, size=cols)
+        acc[r, k] = top if aligned else top * int(rng.choice((-1, 1)))
+    exact = [max(abs(int(a)) for a in row) + t for row, t in zip(acc, terms)]
+    want, want_clips = _ordered_reference(acc, w, x)
+    got = acc.astype(acc_type)
+    wf = w.astype(np.float64)
+    with mock.patch.object(fxp, "sat_columns", wraps=fxp.sat_columns) as ordered:
+        clips = sat_matvec(got, wf, np.abs(wf), x.astype(np.float64) if float_x else x)
+    assert ordered.called == (max(exact) > INT32_MAX)
+    assert got.tolist() == want
+    assert clips == want_clips
 
 
 # --- rounding shift -----------------------------------------------------------

@@ -2,11 +2,13 @@
 
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
 from sparsebench.memmodel import MemConfig
 from sparsebench.report import (
+    CONFIG_PROVENANCE,
     SVG_H,
     SVG_MARGIN,
     SVG_W,
@@ -75,6 +77,12 @@ def test_config_dict_covers_every_mem_field():
     d = config_dict(MemConfig())
     assert set(d["mem"]) == set(d["provenance"])
     assert d["mem"]["row_change_factor"] == 50
+
+
+def test_config_provenance_names_exactly_the_mem_fields():
+    # a field added to MemConfig without a provenance label would be
+    # missing from every report's config
+    assert sorted(CONFIG_PROVENANCE) == sorted(f.name for f in fields(MemConfig))
 
 
 # --- scatter chart ------------------------------------------------------------------
