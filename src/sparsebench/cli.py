@@ -19,7 +19,7 @@ from .fxp import load_qt, save_qt
 from .memmodel import (MemConfig, brain_budget, cost_trace,
                        random_vs_burst_ratio, schedule_dense_weight_stream,
                        solve_for)
-from .netdesc import load_mem_config, load_network
+from .netdesc import integer, load_mem_config, load_network, number
 from .report import load_report_dict, scatter_csv, scatter_svg
 from .runner import (execute_conv, execute_conv_averaged, execute_gru,
                      load_conv_input, load_seq_input, sweep_rows_csv,
@@ -66,6 +66,15 @@ def cmd_stats(args) -> int:
         t = load_qt(args.input)
     _print_stats(measure_sparsity(t), args.format)
     return 0
+
+
+def _flag(flag: str, parse, text: str):
+    """``parse(text)`` of one entry of a hand-split flag value; a text it
+    refuses is an input error naming the flag and the entry."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise MalformedStream(f"{flag}: {text!r}: {exc}") from None
 
 
 def _resolve_mem(args, desc) -> MemConfig:
@@ -120,7 +129,7 @@ def cmd_sweep_theta(args) -> int:
     desc = load_network(args.net)
     if desc.kind != "gru":
         raise ShapeMismatch("sweep-theta needs a gru network")
-    thetas = [float(s) for s in args.thetas.split(",") if s.strip()]
+    thetas = [_flag("--thetas", number, s.strip()) for s in args.thetas.split(",") if s.strip()]
     if not thetas:
         raise MalformedStream("empty theta list")
     x_seq = load_seq_input(args.input, args.seed)
@@ -162,10 +171,7 @@ def cmd_mem_sim(args) -> int:
             raise MalformedStream("--ratio needs a positive word count")
         print(f"{random_vs_burst_ratio(args.ratio, cfg):.6g}")
     else:
-        try:
-            dims = tuple(int(p) for p in args.stream.lower().split("x"))
-        except ValueError as exc:
-            raise MalformedStream(f"bad --stream {args.stream!r}") from exc
+        dims = tuple(_flag("--stream", integer, p) for p in args.stream.lower().split("x"))
         trace = schedule_dense_weight_stream(dims, cfg)
         _print_cost(cost_trace(trace, cfg), args.format)
     return 0
@@ -209,10 +215,7 @@ def cmd_brain_budget(args) -> int:
     vals = {}
     for k, v in raw.items():
         if v != "?":
-            try:
-                vals[k] = float(v)
-            except ValueError as exc:
-                raise MalformedStream(f"--{k}: not a number: {v!r}") from exc
+            vals[k] = _flag(f"--{k}", number, v)
             if not math.isfinite(vals[k]):
                 raise MalformedStream(f"--{k}: non-finite value {v!r}")
     unknown = unknowns[0]
@@ -236,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fixed-point sparse DNN inference engines with a "
                     "DRAM burst/row cost model")
     p.add_argument("--config", help="memory model config file")
-    p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+    p.add_argument("--seed", type=integer, default=0, help="seed for all randomness")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -259,10 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--input", required=True,
                    help=".qt/.smfm path or synth: generator URI")
     s.add_argument("--mode", choices=("sparse", "dense"), default="sparse")
-    s.add_argument("--theta", type=float, default=None,
+    s.add_argument("--theta", type=number, default=None,
                    help="override every gru layer's delta threshold")
     s.add_argument("--report", help="write the full report here")
-    s.add_argument("--count", type=int, default=1,
+    s.add_argument("--count", type=integer, default=1,
                    help="average over N generated inputs (conv only)")
     s.add_argument("--trace-csv", help="dump the access trace as CSV")
     s.set_defaults(func=cmd_run)
@@ -276,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("mem-sim", help="cost a trace or probe the DRAM model")
     s.add_argument("--trace", help="trace CSV to cost")
-    s.add_argument("--ratio", type=int,
+    s.add_argument("--ratio", type=integer,
                    help="scattered vs streaming cycle ratio for N words")
     s.add_argument("--stream", help="cost a sequential RxC weight stream")
     s.set_defaults(func=cmd_mem_sim)

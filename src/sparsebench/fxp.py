@@ -15,6 +15,7 @@ stayed inside range.
 from dataclasses import dataclass, fields
 import hashlib
 import math
+import re
 import struct
 
 import numpy as np
@@ -51,12 +52,11 @@ class QFormat:
 
     @classmethod
     def parse(cls, text: str) -> "QFormat":
-        """Parse "Q8.8"-style notation."""
-        t = text.strip()
-        if not t.startswith(("Q", "q")) or "." not in t:
+        """Parse "Q8.8"-style notation: `[Qq][0-9]+.[0-9]+`, blanks around it."""
+        m = re.fullmatch(r"[Qq]([0-9]+)\.([0-9]+)", text.strip())
+        if m is None:
             raise ValueError(f"bad Q-format {text!r}, expected e.g. 'Q8.8'")
-        i, f = t[1:].split(".", 1)
-        return cls(int(i), int(f))
+        return cls(int(m[1]), int(m[2]))
 
     def __str__(self) -> str:
         return f"Q{self.int_bits}.{self.frac_bits}"

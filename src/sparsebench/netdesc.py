@@ -1,4 +1,4 @@
-"""Network description files.
+"""Network description files, memory config files and synth: URIs.
 
 A description is a small line-based text format: `key = value` pairs,
 grouped under repeatable `[conv]` / `[gru]` blocks plus an optional
@@ -25,21 +25,94 @@ Weight entries are either a ".qt" path (relative to the description
 file) or a generator URI like `synth:uniform,amp=0.1,seed=7`, which
 makes fully self-contained demo networks possible. A network is either
 all-conv or all-gru; mixing is rejected.
+
+Every block, config file and `synth:` URI is read through one `Fields`:
+numbers by one strict grammar (`integer`, `number`), a key nothing reads
+is an error, and an error names the file or URI, layer, key and value.
 """
 
 import os
+import re
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import synth
 from .conv import ConvLayerSpec
-from .errors import MalformedStream, MissingArtifact, ShapeMismatch
-from .fxp import QFormat, QTensor, load_qt
+from .errors import MalformedStream, MissingArtifact, ShapeMismatch, SparseBenchError
+from .fxp import Q2_14, Q8_8, QFormat, QTensor, load_qt
 from .gru import ACT_FMT, GruLayerSpec, quantize_theta
 from .memmodel import MemConfig
 
-_MEM_FIELDS = {f.name: type(f.default) for f in fields(MemConfig)}
+_INT = re.compile(r"-?[0-9]+")
+_FLOAT = re.compile(r"-?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|inf|nan)")
+
+
+def integer(text: str) -> int:
+    """An integer written `-?[0-9]+`; anything else raises ValueError."""
+    if not _INT.fullmatch(text):
+        raise ValueError("not an integer")
+    return int(text)
+
+
+def number(text: str) -> float:
+    """A float written as a decimal with an optional exponent, or `inf` or
+    `nan`, each with an optional `-`; anything else raises ValueError. No
+    `_`, leading `+`, whitespace or non-ASCII digit is a number."""
+    if not _FLOAT.fullmatch(text):
+        raise ValueError("not a number")
+    return float(text)
+
+
+def _bool(text: str) -> bool:
+    low = text.lower()
+    if low in ("true", "yes", "1", "on"):
+        return True
+    if low in ("false", "no", "0", "off"):
+        return False
+    raise ValueError("expected a boolean")
+
+
+def _at(where: str, exc: Exception) -> SparseBenchError:
+    """``exc`` with ``where`` in front of its message, as the same
+    SparseBenchError type; a ValueError becomes MalformedStream."""
+    kind = type(exc) if isinstance(exc, SparseBenchError) else MalformedStream
+    return kind(f"{where}: {exc}" if where else str(exc))
+
+
+class Fields:
+    """The `key = value` texts of one source (a block, a file or a URI),
+    which errors name as ``where`` ("" when the caller names it). Each
+    value is read once by a parser; ``done`` rejects the keys nothing read."""
+
+    def __init__(self, pairs: dict[str, str], where: str):
+        self.pairs, self.where, self._read = pairs, where, set()
+
+    def read(self, key: str, parse, default=...):
+        """``parse(text)`` of ``key``'s text, or ``default`` when it is
+        absent (a required key without one). An error raised by ``parse``
+        is raised again naming the source, key and value."""
+        self._read.add(key)
+        if key not in self.pairs:
+            if default is ...:
+                raise _at(self.where, MalformedStream(f"missing key {key!r}"))
+            return default
+        text = self.pairs[key]
+        try:
+            return parse(text)
+        except (SparseBenchError, ValueError) as exc:
+            raise _at(self.where, _at(f"{key} = {text!r}", exc)) from None
+
+    def int(self, key: str, default=...):
+        return self.read(key, integer, default)
+
+    def float(self, key: str, default=...):
+        return self.read(key, number, default)
+
+    def done(self) -> None:
+        for key, text in self.pairs.items():
+            if key not in self._read:
+                raise _at(self.where, MalformedStream(f"{key} = {text!r}: unknown key"))
 
 
 @dataclass
@@ -51,60 +124,36 @@ class NetworkDesc:
     mem: MemConfig = field(default_factory=MemConfig)
 
 
-def parse_uri(value: str) -> tuple[str, dict]:
-    """Split `synth:kind,key=val,...` into its kind and typed options."""
-    body = value[len("synth:"):]
-    parts = [p for p in body.split(",") if p]
-    if not parts:
-        raise MalformedStream(f"empty synth URI {value!r}")
-    kind, opts = parts[0], {}
+def parse_uri(uri: str, where: str | None = None) -> tuple[str, Fields]:
+    """Split `synth:kind,key=val,...` into its kind and a Fields of the
+    stripped option texts, named in errors as ``where`` (the URI itself
+    unless the caller names it)."""
+    where = uri if where is None else where
+    parts = [p for p in uri[len("synth:"):].split(",") if p]
+    if not uri.startswith("synth:") or not parts:
+        raise _at(where, MalformedStream("not a synth:kind,key=value,... URI"))
+    pairs: dict[str, str] = {}
     for p in parts[1:]:
-        if "=" not in p:
-            raise MalformedStream(f"bad synth option {p!r} in {value!r}")
-        k, v = p.split("=", 1)
-        try:
-            opts[k.strip()] = int(v)
-        except ValueError:
-            try:
-                opts[k.strip()] = float(v)
-            except ValueError:
-                opts[k.strip()] = v.strip()
-    return kind, opts
+        k, eq, v = p.partition("=")
+        if not eq or k.strip() in pairs:
+            raise _at(where, MalformedStream(f"bad or repeated option {p!r}"))
+        pairs[k.strip()] = v.strip()
+    return parts[0], Fields(pairs, where)
 
 
-def int_option(opts: dict, key: str, default: int, uri: str) -> int:
-    """An integer option of a parsed synth URI, or ``default`` when it is
-    absent; any other value (``2.5``, ``1e1``, text) raises
-    ``MalformedStream`` instead of being truncated."""
-    value = opts.get(key, default)
-    if type(value) is not int:
-        raise MalformedStream(f"synth option {key}={value!r} in {uri!r} must be an integer")
-    return value
-
-
-def float_option(opts: dict, key: str, default: float, uri: str) -> float:
-    """A numeric option of a parsed synth URI as a float, or ``default``
-    when it is absent; text raises ``MalformedStream``."""
-    value = opts.get(key, default)
-    if type(value) not in (int, float):
-        raise MalformedStream(f"synth option {key}={value!r} in {uri!r} must be a number")
-    return float(value)
-
-
-def _number(pairs: dict, key: str, kind: type, default, where: str):
-    """``pairs[key]``, or ``default`` when it is absent, as ``kind`` (int
-    or float); text that is not one raises ``MalformedStream`` naming
-    ``where``, the key and the value."""
-    value = pairs.get(key, default)
-    try:
-        return kind(value)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise MalformedStream(f"{where}: {key} = {value!r} is not {noun}") from None
+def _uniform(uri: str) -> tuple[int, float]:
+    """The seed and amplitude of a `synth:uniform` weight or bias URI."""
+    kind, f = parse_uri(uri, "")
+    if kind != "uniform":
+        raise MalformedStream(f"unknown weight generator {kind!r}")
+    seed, amp = f.int("seed", 0), f.float("amp", 0.1)
+    f.done()
+    return seed, amp
 
 
 def _parse_blocks(text: str, path: str) -> tuple[dict, list[tuple[str, dict]]]:
-    """Return (top-level pairs, ordered list of (section, pairs))."""
+    """Return (top-level pairs, ordered list of (section, pairs)); a
+    section other than a layer may appear once."""
     top: dict = {}
     blocks: list[tuple[str, dict]] = []
     cur = top
@@ -114,6 +163,8 @@ def _parse_blocks(text: str, path: str) -> tuple[dict, list[tuple[str, dict]]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
+            if section not in ("conv", "gru") and any(s == section for s, _ in blocks):
+                raise MalformedStream(f"{path}:{ln}: repeated section [{section}]")
             cur = {}
             blocks.append((section, cur))
             continue
@@ -127,162 +178,116 @@ def _parse_blocks(text: str, path: str) -> tuple[dict, list[tuple[str, dict]]]:
     return top, blocks
 
 
-def _bool(v: str, what: str) -> bool:
-    low = v.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise MalformedStream(f"{what}: expected a boolean, got {v!r}")
-
-
-def parse_mem_config(pairs: dict, where: str = "[mem]") -> MemConfig:
-    """A MemConfig from ``key = value`` text pairs, defaults elsewhere; a
-    key, value or config that is not valid raises ``MalformedStream``
-    naming ``where``."""
-    for k in pairs:
-        if k not in _MEM_FIELDS:
-            raise MalformedStream(f"{where}: unknown mem config key {k!r}")
-    kwargs = {k: _number(pairs, k, _MEM_FIELDS[k], None, where) for k in pairs}
+def _mem_config(f: Fields) -> MemConfig:
+    """A MemConfig from a block's texts, defaults elsewhere."""
+    kwargs = {m.name: f.read(m.name, integer if type(m.default) is int else number,
+                             m.default) for m in fields(MemConfig)}
+    f.done()
     try:
         return MemConfig(**kwargs)
     except ValueError as exc:
-        raise MalformedStream(f"{where}: {exc}") from None
+        raise _at(f.where, exc) from None
 
 
 def load_mem_config(path: str) -> MemConfig:
-    """Standalone config file: bare keys or a [mem] section."""
+    """Standalone config file: bare keys, one [mem] section, or both with
+    no key set twice."""
     if not os.path.exists(path):
         raise MissingArtifact(f"config file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        top, blocks = _parse_blocks(fh.read(), path)
-    pairs = dict(top)
+        pairs, blocks = _parse_blocks(fh.read(), path)
     for section, body in blocks:
         if section != "mem":
             raise MalformedStream(f"{path}: unexpected section [{section}]")
+        if both := sorted(body.keys() & pairs.keys()):
+            raise MalformedStream(f"{path}: {both[0]} is set both at top level and in [mem]")
         pairs.update(body)
-    return parse_mem_config(pairs, path)
+    return _mem_config(Fields(pairs, path))
 
 
-def _load_tensor(value: str, base_dir: str, fmt: QFormat,
-                 dims: tuple[int, ...], what: str) -> QTensor:
-    """Load a weight tensor from a .qt path or generate it from a URI."""
-    if value.startswith("synth:"):
-        kind, opts = parse_uri(value)
-        if kind != "uniform":
-            raise MalformedStream(f"{what}: unknown weight generator {kind!r}")
-        rng = synth.make_rng(int_option(opts, "seed", 0, value))
-        return synth.random_weights(dims, rng, fmt, float_option(opts, "amp", 0.1, value))
+def _qt_file(value: str, base_dir: str) -> QTensor:
     path = os.path.join(base_dir, value)
     if not os.path.exists(path):
-        raise MissingArtifact(f"{what}: file not found: {path}")
-    t = load_qt(path)
+        raise MissingArtifact(f"file not found: {path}")
+    return load_qt(path)
+
+
+def _load_tensor(value: str, base_dir: str, fmt: QFormat, dims: tuple[int, ...]) -> QTensor:
+    """Load a weight tensor from a .qt path or generate it from a URI."""
+    if value.startswith("synth:"):
+        seed, amp = _uniform(value)
+        return synth.random_weights(dims, synth.make_rng(seed), fmt, amp)
+    t = _qt_file(value, base_dir)
     if t.dims != dims:
-        raise ShapeMismatch(f"{what}: dims {t.dims}, expected {dims}")
+        raise ShapeMismatch(f"dims {t.dims}, expected {dims}")
     if t.fmt != fmt:
-        raise ShapeMismatch(f"{what}: format {t.fmt}, declared {fmt}")
+        raise ShapeMismatch(f"format {t.fmt}, declared {fmt}")
     return t
 
 
-def _load_bias(value: str, base_dir: str, n: int, acc_frac: int, what: str) -> np.ndarray:
+def _load_bias(value: str, base_dir: str, n: int, acc_frac: int) -> np.ndarray:
     """Load a bias vector and lift it to accumulator scale."""
     if value.startswith("synth:"):
-        kind, opts = parse_uri(value)
-        if kind != "uniform":
-            raise MalformedStream(f"{what}: unknown bias generator {kind!r}")
-        rng = synth.make_rng(int_option(opts, "seed", 0, value))
-        return synth.random_bias(n, rng, acc_frac, float_option(opts, "amp", 0.1, value))
+        seed, amp = _uniform(value)
+        return synth.random_bias(n, synth.make_rng(seed), acc_frac, amp)
     if value.lower() == "zero":
         return np.zeros(n, dtype=np.int32)
-    path = os.path.join(base_dir, value)
-    if not os.path.exists(path):
-        raise MissingArtifact(f"{what}: file not found: {path}")
-    t = load_qt(path)
+    t = _qt_file(value, base_dir)
     if t.dims != (n,):
-        raise ShapeMismatch(f"{what}: dims {t.dims}, expected ({n},)")
+        raise ShapeMismatch(f"dims {t.dims}, expected ({n},)")
     if t.fmt.frac_bits > acc_frac:
         raise ShapeMismatch(
-            f"{what}: bias frac_bits {t.fmt.frac_bits} exceeds accumulator scale {acc_frac}")
+            f"bias frac_bits {t.fmt.frac_bits} exceeds accumulator scale {acc_frac}")
     return t.data.astype(np.int32) << (acc_frac - t.fmt.frac_bits)
 
 
-def _require(pairs: dict, keys: tuple[str, ...], section: str, path: str) -> None:
-    missing = [k for k in keys if k not in pairs]
-    if missing:
-        raise MalformedStream(f"{path}: [{section}] missing keys {missing}")
-
-
-def _conv_layer(pairs: dict, base_dir: str, path: str, idx: int) -> ConvLayerSpec:
-    _require(pairs, ("in_c", "out_c", "k", "weights", "bias"), "conv", path)
-    what = f"conv layer {idx}"
-    in_c, out_c, kh = (_number(pairs, k, int, None, f"{path}: {what}")
-                       for k in ("in_c", "out_c", "k"))
-    kw = kh
-    act_fmt = QFormat.parse(pairs.get("act_fmt", "Q8.8"))
-    w_fmt = QFormat.parse(pairs.get("w_fmt", "Q2.14"))
+def _conv_layer(f: Fields, base_dir: str) -> ConvLayerSpec:
+    in_c, out_c, k = f.int("in_c"), f.int("out_c"), f.int("k")
+    act_fmt = f.read("act_fmt", QFormat.parse, Q8_8)
+    w_fmt = f.read("w_fmt", QFormat.parse, Q2_14)
     acc_frac = act_fmt.frac_bits + w_fmt.frac_bits
-    weights = _load_tensor(pairs["weights"], base_dir, w_fmt,
-                           (out_c, in_c, kh, kw), what + " weights")
-    bias = _load_bias(pairs["bias"], base_dir, out_c, acc_frac, what + " bias")
-    return ConvLayerSpec(
-        in_channels=in_c, out_channels=out_c, kernel_h=kh, kernel_w=kw,
-        stride=_number(pairs, "stride", int, 1, f"{path}: {what}"),
-        pad=_number(pairs, "pad", int, 0, f"{path}: {what}"),
-        weights=weights, bias=bias,
-        relu=_bool(pairs.get("relu", "true"), what + " relu"),
-        pool=pairs.get("pool", "none"),
+    spec = ConvLayerSpec(
+        in_channels=in_c, out_channels=out_c, kernel_h=k, kernel_w=k,
+        stride=f.int("stride", 1), pad=f.int("pad", 0),
+        weights=f.read("weights", lambda v: _load_tensor(v, base_dir, w_fmt,
+                                                         (out_c, in_c, k, k))),
+        bias=f.read("bias", lambda v: _load_bias(v, base_dir, out_c, acc_frac)),
+        relu=f.read("relu", _bool, True),
+        pool=f.read("pool", str, "none"),
         out_fmt=act_fmt,
     )
+    f.done()
+    return spec
 
 
+# In GruLayerSpec's field order.
 _GRU_MATS = ("wxr", "wxu", "wxc", "whr", "whu", "whc")
 _GRU_BIASES = ("br", "bu", "bc")
 
 
-def _gru_layer(pairs: dict, base_dir: str, path: str, idx: int) -> GruLayerSpec:
-    _require(pairs, ("input", "hidden"), "gru", path)
-    what = f"gru layer {idx}"
-    i, h = (_number(pairs, k, int, None, f"{path}: {what}") for k in ("input", "hidden"))
-    w_fmt = QFormat.parse(pairs.get("w_fmt", "Q2.14"))
+def _gru_layer(f: Fields, base_dir: str) -> GruLayerSpec:
+    i, h = f.int("input"), f.int("hidden")
+    w_fmt = f.read("w_fmt", QFormat.parse, Q2_14)
     acc_frac = ACT_FMT.frac_bits + w_fmt.frac_bits
-    theta = quantize_theta(_number(pairs, "theta", float, 0.0, f"{path}: {what}"))
-    dims = {"wxr": (h, i), "wxu": (h, i), "wxc": (h, i),
-            "whr": (h, h), "whu": (h, h), "whc": (h, h)}
-    vals = {}
-    if "files" in pairs:
-        base_val = pairs["files"]
-        if base_val.startswith("synth:"):
-            kind, opts = parse_uri(base_val)
-            if kind != "uniform":
-                raise MalformedStream(f"{what}: unknown generator {kind!r}")
-            seed = int_option(opts, "seed", 0, base_val)
-            amp = float_option(opts, "amp", 0.1, base_val)
-            for j, m in enumerate(_GRU_MATS):
-                vals[m] = synth.random_weights(
-                    dims[m], synth.make_rng(seed * 16 + j), w_fmt, amp)
-            for j, b in enumerate(_GRU_BIASES):
-                vals[b] = synth.random_bias(
-                    h, synth.make_rng(seed * 16 + 8 + j), acc_frac, amp)
-        else:
-            for m in _GRU_MATS:
-                vals[m] = _load_tensor(base_val + m + ".qt", base_dir, w_fmt,
-                                       dims[m], f"{what} {m}")
-            for b in _GRU_BIASES:
-                vals[b] = _load_bias(base_val + b + ".qt", base_dir, h,
-                                     acc_frac, f"{what} {b}")
-    else:
-        _require(pairs, _GRU_MATS + _GRU_BIASES, "gru", path)
-        for m in _GRU_MATS:
-            vals[m] = _load_tensor(pairs[m], base_dir, w_fmt, dims[m], f"{what} {m}")
-        for b in _GRU_BIASES:
-            vals[b] = _load_bias(pairs[b], base_dir, h, acc_frac, f"{what} {b}")
-    return GruLayerSpec(
-        input_size=i, hidden_size=h,
-        w_xr=vals["wxr"], w_xu=vals["wxu"], w_xc=vals["wxc"],
-        w_hr=vals["whr"], w_hu=vals["whu"], w_hc=vals["whc"],
-        b_r=vals["br"], b_u=vals["bu"], b_c=vals["bc"],
-        theta=theta,
-    )
+    theta = f.read("theta", lambda v: quantize_theta(number(v)), quantize_theta(0.0))
+    dims = dict.fromkeys(_GRU_MATS[:3], (h, i)) | dict.fromkeys(_GRU_MATS[3:], (h, h))
+
+    def generated(uri: str) -> dict:
+        seed, amp = _uniform(uri)
+        vals = {m: synth.random_weights(dims[m], synth.make_rng(seed * 16 + j), w_fmt, amp)
+                for j, m in enumerate(_GRU_MATS)}
+        vals.update({b: synth.random_bias(h, synth.make_rng(seed * 16 + 8 + j), acc_frac, amp)
+                     for j, b in enumerate(_GRU_BIASES)})
+        return vals
+
+    vals = f.read("files", generated, None)
+    if vals is None:
+        vals = {m: f.read(m, lambda v: _load_tensor(v, base_dir, w_fmt, dims[m]))
+                for m in _GRU_MATS}
+        vals.update({b: f.read(b, lambda v: _load_bias(v, base_dir, h, acc_frac))
+                     for b in _GRU_BIASES})
+    f.done()
+    return GruLayerSpec(i, h, *(vals[k] for k in _GRU_MATS + _GRU_BIASES), theta)
 
 
 def load_network(path: str) -> NetworkDesc:
@@ -291,36 +296,33 @@ def load_network(path: str) -> NetworkDesc:
     with open(path, "r", encoding="utf-8") as fh:
         top, blocks = _parse_blocks(fh.read(), path)
     base_dir = os.path.dirname(os.path.abspath(path))
-    name = top.get("name", os.path.splitext(os.path.basename(path))[0])
+    f = Fields(top, path)
+    name = f.read("name", str, os.path.splitext(os.path.basename(path))[0])
+    f.done()
 
     mem = MemConfig()
-    conv_layers: list[ConvLayerSpec] = []
-    gru_layers: list[GruLayerSpec] = []
+    layers: dict[str, list] = {"conv": [], "gru": []}
+    build = {"conv": _conv_layer, "gru": _gru_layer}
     for section, pairs in blocks:
         if section == "mem":
-            mem = parse_mem_config(pairs, f"{path}: [mem]")
-        elif section == "conv":
-            conv_layers.append(_conv_layer(pairs, base_dir, path, len(conv_layers)))
-        elif section == "gru":
-            gru_layers.append(_gru_layer(pairs, base_dir, path, len(gru_layers)))
+            mem = _mem_config(Fields(pairs, f"{path}: [mem]"))
+        elif section in build:
+            where = f"{path}: {section} layer {len(layers[section])}"
+            try:
+                layers[section].append(build[section](Fields(pairs, ""), base_dir))
+            except (SparseBenchError, ValueError) as exc:
+                raise _at(where, exc) from None
         else:
             raise MalformedStream(f"{path}: unknown section [{section}]")
-
+    conv_layers, gru_layers = layers["conv"], layers["gru"]
     if conv_layers and gru_layers:
         raise ShapeMismatch(f"{path}: a network is either all-conv or all-gru")
     if not conv_layers and not gru_layers:
         raise MalformedStream(f"{path}: no layers declared")
-
-    if conv_layers:
-        for a, b in zip(conv_layers, conv_layers[1:]):
-            if b.in_channels != a.out_channels:
-                raise ShapeMismatch(
-                    f"{path}: conv chain breaks: {a.out_channels} -> {b.in_channels}")
-        kind = "conv"
-    else:
-        for a, b in zip(gru_layers, gru_layers[1:]):
-            if b.input_size != a.hidden_size:
-                raise ShapeMismatch(
-                    f"{path}: gru chain breaks: {a.hidden_size} -> {b.input_size}")
-        kind = "gru"
+    kind = "conv" if conv_layers else "gru"
+    widths = ([(s.in_channels, s.out_channels) for s in conv_layers]
+              or [(s.input_size, s.hidden_size) for s in gru_layers])
+    for (_, out), (into, _) in zip(widths, widths[1:]):
+        if into != out:
+            raise ShapeMismatch(f"{path}: {kind} chain breaks: {out} -> {into}")
     return NetworkDesc(name, kind, conv_layers, gru_layers, mem)

@@ -22,7 +22,7 @@ from .fxp import OpCounter, QTensor, load_qt, qt_header
 from .gru import ACT_FMT, GruSeqRun, quantize_theta, run_sequence
 from .memmodel import (MemConfig, MemCostReport, cost_trace, effective_gops,
                        energy_breakdown, gops_per_watt)
-from .netdesc import NetworkDesc, float_option, int_option, parse_uri
+from .netdesc import NetworkDesc, parse_uri
 from .report import LayerReport, RunReport, config_dict
 from .trace import AccessTrace
 
@@ -39,12 +39,13 @@ def sequence_hash(seq: QTensor) -> str:
 def _map_generator(uri: str, seed: int):
     """Draws compressed maps from one seeded stream. synth:map options:
     c, h, w, sparsity, amp, seed (the URI seed wins over the global one)."""
-    kind, o = parse_uri(uri)
+    kind, f = parse_uri(uri)
     if kind != "map":
-        raise MalformedStream(f"unknown conv input generator {kind!r}")
-    rng = synth.make_rng(int_option(o, "seed", seed, uri))
-    dims = tuple(int_option(o, k, d, uri) for k, d in (("c", 1), ("h", 32), ("w", 32)))
-    sparsity, amp = float_option(o, "sparsity", 0.5, uri), float_option(o, "amp", 1.0, uri)
+        raise MalformedStream(f"{uri}: unknown conv input generator {kind!r}")
+    rng = synth.make_rng(f.int("seed", seed))
+    dims = f.int("c", 1), f.int("h", 32), f.int("w", 32)
+    sparsity, amp = f.float("sparsity", 0.5), f.float("amp", 1.0)
+    f.done()
     return lambda: encode_sm(synth.sparse_map(*dims, sparsity, rng, amp=amp))
 
 
@@ -67,23 +68,25 @@ def load_seq_input(uri: str, seed: int) -> QTensor:
 
     Generators: synth:uniform,t=..,n=..; synth:hold,t=..,n=..,hold=..;
     synth:ar1,t=..,n=..,rho=..; all take amp and seed. t, n, hold and
-    seed must be integers.
+    seed are integers; any other key is an error.
     """
     if uri.startswith("synth:"):
-        kind, o = parse_uri(uri)
-        rng = synth.make_rng(int_option(o, "seed", seed, uri))
-        t, n = int_option(o, "t", 50, uri), int_option(o, "n", 32, uri)
+        kind, f = parse_uri(uri)
+        rng = synth.make_rng(f.int("seed", seed))
+        t, n = f.int("t", 50), f.int("n", 32)
         if t < 1:
-            raise MalformedStream(f"sequence generator needs t of at least 1, got {t}")
-        amp = float_option(o, "amp", 0.5, uri)
+            raise MalformedStream(f"{uri}: sequence generator needs t of at least 1, got {t}")
+        amp = f.float("amp", 0.5)
         if kind == "uniform":
-            return synth.uniform_seq(t, n, rng, amp=amp)
-        if kind == "hold":
-            return synth.piecewise_constant_seq(t, n, int_option(o, "hold", 10, uri),
-                                                rng, amp=amp)
-        if kind == "ar1":
-            return synth.ar1_seq(t, n, float_option(o, "rho", 0.99, uri), rng, amp=amp)
-        raise MalformedStream(f"unknown sequence generator {kind!r}")
+            gen, args = synth.uniform_seq, ()
+        elif kind == "hold":
+            gen, args = synth.piecewise_constant_seq, (f.int("hold", 10),)
+        elif kind == "ar1":
+            gen, args = synth.ar1_seq, (f.float("rho", 0.99),)
+        else:
+            raise MalformedStream(f"{uri}: unknown sequence generator {kind!r}")
+        f.done()
+        return gen(t, n, *args, rng, amp=amp)
     t = load_qt(uri)
     if len(t.dims) != 2:
         raise MalformedStream(f"sequence input must be rank 2, got dims {t.dims}")

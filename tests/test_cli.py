@@ -255,9 +255,12 @@ def test_non_integer_synth_option_exits_2(tmp_path, conv_net, gru_net, capsys,
         path = str(tmp_path / "seeded.net")
         with open(path, "w") as fh:
             fh.write(_SEEDED_NETS[net])
+        value, source = {"files": "4.5", "matrix": "1.5", "bias": "2.5"}[net], path
+    else:
+        value, source = _option_value(uri, option), uri
     assert main(["run", "--net", path, "--input", uri]) == 2
     err = capsys.readouterr().err
-    assert f"synth option {option}=" in err and "must be an integer" in err
+    assert f"{source}: " in err and f"{option} = {value!r}: not an integer" in err
 
 
 def test_non_finite_generator_amplitude_exits_2(gru_net, capsys):
@@ -267,6 +270,11 @@ def test_non_finite_generator_amplitude_exits_2(gru_net, capsys):
                 "synth:hold,t=5,n=6,amp=inf", "synth:uniform,t=5,n=6,amp=nan"):
         assert main(["run", "--net", gru_net, "--input", uri]) == 2
         assert "non-finite" in capsys.readouterr().err
+
+
+def _option_value(uri, option):
+    """The text of ``option`` in a ``synth:kind,key=value,...`` URI."""
+    return dict(p.split("=", 1) for p in uri.split(",")[1:])[option]
 
 
 def _with_value(text, key, value):
@@ -319,6 +327,7 @@ def test_non_numeric_mem_key_exits_2(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("option,where,uri", [
     ("amp", "input", "synth:ar1,t=3,n=6,amp=abc"),
+    ("amp", "input", "synth:ar1,t=3,n=6,amp=1_0"),
     ("rho", "input", "synth:ar1,t=3,n=6,rho=high"),
     ("amp", "input", "synth:map,c=2,h=8,w=8,amp=big"),
     ("sparsity", "input", "synth:map,c=2,h=8,w=8,sparsity=most"),
@@ -337,7 +346,137 @@ def test_non_numeric_synth_option_exits_2(tmp_path, capsys, option, where, uri):
         argv = ["run", "--net", str(net), "--input", "synth:ar1,t=3,n=6"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert f"synth option {option}=" in err and "must be a number" in err and uri in err
+    value = _option_value(uri, option)
+    assert uri in err and f"{option} = {value!r}: not a number" in err
+    if where != "input":
+        assert f"{net}: " in err and f"{where} = {uri!r}" in err
+
+
+# One case per source of a value: the key set to a text the number
+# grammar refuses ("1_0" was 10, "+1" and an Arabic-Indic one were 1), or
+# a key nothing reads. Each ran with exit 0, except an unknown [mem] or
+# config key, which was refused in another form.
+_CONV_URI = "synth:map,c=2,h=24,w=24,sparsity=0.5"
+_GRU_URI = "synth:ar1,t=3,n=6,rho=0.9"
+_SOURCES = {
+    # source: (net text, input URI, config text, key to set, unread key, layer)
+    "net-key": (CONV_NET, _CONV_URI, None, "stride", "thetta", "conv layer 0: "),
+    "top-level": (GRU_NET, _GRU_URI, None, None, "seed", ""),
+    "mem": (GRU_NET + "[mem]\nrow_change_factor = 50\n", _GRU_URI, None,
+            "row_change_factor", "row_change", ""),
+    "config": (GRU_NET, _GRU_URI, "words_per_row = 1024\n", "words_per_row", "word_per_row", ""),
+    "map-input": (CONV_NET, _CONV_URI, None, "seed", "sparsty", ""),
+    "seq-input": (GRU_NET, _GRU_URI, None, "t", "rh0", ""),
+    "weight-uri": (CONV_NET, _CONV_URI, None, "seed", "sed", "conv layer 0: "),
+    "bias-uri": (CONV_NET.replace("bias = zero", "bias = synth:uniform,seed=2"), _CONV_URI,
+                 None, "seed", "ampl", "conv layer 0: "),
+    "files-uri": (GRU_NET, _GRU_URI, None, "seed", "sed", "gru layer 0: "),
+}
+
+
+def _set_value(text, key, value, sep):
+    """``text`` with the ``key<sep>...`` entry set to ``value``, or the
+    entry appended to the last line when it has none."""
+    head = f"{key}{sep}"
+    lines = text.rstrip("\n").split("\n")
+    for i, ln in enumerate(lines):
+        at = ln.find(head)
+        if at == 0 or (at > 0 and ln[at - 1] in ",:"):
+            end = ln.find(",", at)
+            lines[i] = ln[:at] + head + value + ("" if end < 0 else ln[end:])
+            return "\n".join(lines) + "\n"
+    lines[-1] += ("," if sep == "=" else "\n") + head + value
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("source", sorted(_SOURCES))
+@pytest.mark.parametrize("value", ["1_0", "+1", "\u0661", "unread"])
+def test_every_value_source_refuses_bad_numbers_and_unread_keys(tmp_path, capsys, source,
+                                                                value):
+    net, uri, cfg, key, unread, layer = _SOURCES[source]
+    if value == "unread" or key is None:
+        key, value = (unread, "0.05") if value == "unread" else ("theta", value)
+    sep = "=" if "uri" in source or "input" in source else " = "
+    if source == "top-level":
+        net = f"{key} = {value}\n" + net
+    elif source in ("net-key", "mem"):
+        net = _set_value(net, key, value, sep)
+    elif source == "config":
+        cfg = _set_value(cfg, key, value, sep)
+    elif "input" in source:
+        uri = _set_value(uri, key, value, sep).rstrip("\n")
+    else:
+        entry = {"weight-uri": "weights", "bias-uri": "bias", "files-uri": "files"}[source]
+        line = next(ln for ln in net.splitlines() if ln.startswith(entry + " = "))
+        net = net.replace(line, _set_value(line, key, value, sep).rstrip("\n"))
+    path = tmp_path / "v.net"
+    path.write_text(net)
+    argv = ["run", "--net", str(path), "--input", uri]
+    where = f"{path}: {layer}"
+    if cfg is not None:
+        (tmp_path / "v.cfg").write_text(cfg)
+        argv = ["--config", str(tmp_path / "v.cfg")] + argv
+        where = f"{tmp_path / 'v.cfg'}: "
+    elif "input" in source:
+        where = f"{uri}: "
+    elif source == "mem":
+        where = f"{path}: [mem]: "
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}") and f"{key} = {value!r}: " in err
+
+
+@pytest.mark.parametrize("key,value", [("in_c", "0"), ("stride", "0"), ("k", "0"),
+                                       ("pool", "max3x3")])
+def test_out_of_range_layer_value_names_file_and_layer(tmp_path, capsys, key, value):
+    # ended in "non-positive dimension in (2, 0, 3, 3)" or "stride must be
+    # >= 1, got 0", naming neither the file nor the layer
+    path = tmp_path / "r.net"
+    second = _with_value(CONV_NET.replace("name = cnn\n", ""), key, value)
+    path.write_text(CONV_NET.replace("out_c = 3", "out_c = 2") + second)
+    assert main(["run", "--net", str(path), "--input", "synth:map,c=2,h=8,w=8"]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {path}: conv layer 1: ")
+
+
+def test_theta_past_range_names_its_layer(tmp_path, capsys):
+    # "theta 1000 is past the Q8.8 range" named no file or layer, so the
+    # bad block of a multi-layer net could not be told from the message
+    path = tmp_path / "t.net"
+    path.write_text(GRU_NET_2.replace("input = 8\n", "input = 8\ntheta = 1000\n"))
+    assert main(["run", "--net", str(path), "--input", "synth:ar1,t=3,n=6"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: gru layer 1: theta = '1000': "
+        "theta 1000 is past the Q8.8 range (at most 127.99609375)\n")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["sweep-theta", "--thetas", "0,1_0"], "--thetas: '1_0'"),
+    (["mem-sim", "--stream", "4x1_0"], "--stream: '1_0'"),
+    (["mem-sim", "--stream", "4x+4"], "--stream: '+4'"),
+    (["brain-budget", "--rate", "1_0"], "--rate: '1_0'"),
+    (["brain-budget", "--fanout", "\u0661"], "--fanout: '\u0661'"),
+])
+def test_hand_split_flag_numbers_use_the_grammar(gru_net, capsys, argv, flag):
+    # --thetas 0,1_0 ran theta 10, --stream 4x1_0 cost 4x10 and
+    # --rate 1_0 printed 100 W, each with exit 0
+    if argv[0] == "sweep-theta":
+        argv = argv[:1] + ["--net", gru_net, "--input", "synth:ar1,t=3,n=6"] + argv[1:]
+    assert main(argv) == 2
+    assert f"{flag}: not a" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "1_0", "mem-sim", "--ratio", "10"],
+    ["mem-sim", "--ratio", "1_0"],
+    ["run", "--net", "x.net", "--input", "synth:ar1", "--count", "+2"],
+    ["run", "--net", "x.net", "--input", "synth:ar1", "--theta", "1_0"],
+])
+def test_typed_flags_use_the_grammar(capsys, argv):
+    # --seed 1_0 ran seed 10 with exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid" in capsys.readouterr().err
 
 
 def _gru_net_with_files(tmp_path, files):

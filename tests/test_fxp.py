@@ -53,6 +53,10 @@ def test_format_rejects_bad_splits():
         QFormat(0, 16)
     with pytest.raises(ValueError):
         QFormat.parse("8.8")
+    # each parsed as Q8.8 (or Q10.6) through int()
+    for text in ("Q+8.8", "Q8.+8", "Q1_0.6", "Q\u0668.8", "Q8 .8", "Q8.8.0"):
+        with pytest.raises(ValueError, match="bad Q-format"):
+            QFormat.parse(text)
 
 
 def test_format_scale():

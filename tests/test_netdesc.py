@@ -1,15 +1,21 @@
 """Network description parsing and tensor/bias resolution."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsebench.errors import MalformedStream, MissingArtifact, ShapeMismatch
 from sparsebench.fxp import Q8_8, QFormat, QTensor, save_qt
 from sparsebench.memmodel import MemConfig
 from sparsebench.netdesc import (
+    integer,
     load_mem_config,
     load_network,
-    parse_mem_config,
+    number,
     parse_uri,
 )
 
@@ -42,14 +48,24 @@ def _write(tmp_path, name, text):
 
 
 def test_parse_uri_types_options():
-    kind, opts = parse_uri("synth:map,c=2,sparsity=0.8,label=x")
+    kind, f = parse_uri("synth:map, c = 2 ,sparsity=0.8,label=x")
     assert kind == "map"
-    assert opts == {"c": 2, "sparsity": 0.8, "label": "x"}
-    assert isinstance(opts["c"], int)
-    with pytest.raises(MalformedStream):
+    assert f.pairs == {"c": "2", "sparsity": "0.8", "label": "x"}
+    c = f.int("c")
+    assert c == 2 and isinstance(c, int)
+    assert f.float("sparsity") == 0.8 and f.read("label", str) == "x"
+    f.done()
+    kind, f = parse_uri("synth:map,c=2.0,amp=1_0")
+    with pytest.raises(MalformedStream, match=r"^synth:map,c=2\.0,amp=1_0: c = '2\.0': not an integer$"):
+        f.int("c")
+    with pytest.raises(MalformedStream, match=r"^synth:map,c=2\.0,amp=1_0: amp = '1_0': unknown key$"):
+        f.done()
+    with pytest.raises(MalformedStream, match=r"^synth:: not a synth:"):
         parse_uri("synth:")
-    with pytest.raises(MalformedStream):
+    with pytest.raises(MalformedStream, match=r"^synth:map,notanoption: bad or repeated option 'notanoption'$"):
         parse_uri("synth:map,notanoption")
+    with pytest.raises(MalformedStream, match=r"^synth:map,c=1,c=2: bad or repeated option 'c=2'$"):
+        parse_uri("synth:map,c=1,c=2")
 
 
 def test_conv_network_loads(tmp_path):
@@ -89,9 +105,10 @@ def test_mem_section_overrides(tmp_path):
     assert desc.mem.words_per_row == 1024  # untouched default
 
 
-def test_parse_mem_config_rejects_unknown_key():
-    with pytest.raises(MalformedStream, match="unknown mem config key"):
-        parse_mem_config({"latency": "3"})
+def test_parse_mem_config_rejects_unknown_key(tmp_path):
+    path = _write(tmp_path, "u.cfg", "latency = 3\n")
+    with pytest.raises(MalformedStream, match=re.escape(f"{path}: latency = '3': unknown key")):
+        load_mem_config(path)
 
 
 def test_mem_config_file_bare_and_sectioned(tmp_path):
@@ -153,15 +170,17 @@ def test_parser_errors(tmp_path):
         load_network(_write(tmp_path, "d.net", CONV_BLOCK + "\n[conv]\nk = 3\nk = 5\n"))
     with pytest.raises(MalformedStream, match="expected key = value"):
         load_network(_write(tmp_path, "e.net", "[conv]\njust words\n"))
-    with pytest.raises(MalformedStream, match="missing keys"):
-        load_network(_write(tmp_path, "f.net", "[conv]\nin_c = 1\n"))
+    path = _write(tmp_path, "f.net", "[conv]\nin_c = 1\n")
+    with pytest.raises(MalformedStream, match=re.escape(f"{path}: conv layer 0: missing key 'out_c'")):
+        load_network(path)
     with pytest.raises(MalformedStream, match="unknown section"):
         load_network(_write(tmp_path, "g.net", "[pool]\nsize = 2\n" + CONV_BLOCK))
     with pytest.raises(MalformedStream, match="no layers"):
         load_network(_write(tmp_path, "h.net", "name = empty\n"))
-    with pytest.raises(MalformedStream, match="boolean"):
-        load_network(_write(tmp_path, "i.net",
-                            CONV_BLOCK.replace("relu = true", "relu = maybe")))
+    path = _write(tmp_path, "i.net", CONV_BLOCK.replace("relu = true", "relu = maybe"))
+    with pytest.raises(MalformedStream,
+                       match=re.escape(f"{path}: conv layer 0: relu = 'maybe': expected a boolean")):
+        load_network(path)
     with pytest.raises(MissingArtifact):
         load_network(str(tmp_path / "missing.net"))
 
@@ -180,3 +199,68 @@ def test_mixed_and_broken_chains_rejected(tmp_path):
 def test_comments_and_blank_lines_ignored(tmp_path):
     text = "# a demo\n\nname = c  # trailing comment\n" + CONV_BLOCK
     assert load_network(_write(tmp_path, "c.net", text)).name == "c"
+
+
+# The number grammar, written out again as the reference: no "_", no
+# leading "+", no whitespace, ASCII digits only.
+_REF_INT = re.compile(r"-?[0-9]+")
+_REF_FLOAT = re.compile(r"-?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][-+]?[0-9]+)?|-?inf|-?nan")
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.text(alphabet="0123456789-+._eE \u0661", max_size=8)
+       | st.sampled_from(["inf", "-inf", "nan", "-nan", "1e+5", "+inf", "Inf", "1_000"]))
+def test_number_grammar_matches_the_reference(text):
+    for parse, ref, convert in ((integer, _REF_INT, int), (number, _REF_FLOAT, float)):
+        if ref.fullmatch(text):
+            value = parse(text)
+            assert type(value) is convert and repr(value) == repr(convert(text))
+        else:
+            with pytest.raises(ValueError):
+                parse(text)
+
+
+def test_readme_net_example_loads(tmp_path):
+    # the README's .net example, so the documented format cannot drift
+    # from the reader
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme[readme.index("**`.net`**"):]
+    block = block[block.index("```ini\n") + len("```ini\n"):]
+    desc = load_network(_write(tmp_path, "demo.net", block[:block.index("```")]))
+    assert (desc.name, desc.kind, len(desc.conv_layers)) == ("demo-cnn", "conv", 1)
+    layer = desc.conv_layers[0]
+    assert (layer.in_channels, layer.out_channels, layer.stride, layer.pad) == (32, 16, 1, 1)
+    assert layer.pool == "max2x2" and layer.relu
+    assert desc.mem.row_change_factor == 50
+
+
+def test_repeated_mem_sources_are_rejected(tmp_path):
+    # a second [mem] block dropped the first whole (row_change_factor came
+    # back as 50), and a config file's [mem] key overrode the same bare key
+    two = _write(tmp_path, "two.net", "[mem]\nrow_change_factor = 10\n[mem]\nclock_hz = 2e9\n"
+                 + CONV_BLOCK)
+    with pytest.raises(MalformedStream, match=re.escape(f"{two}:3: repeated section [mem]")):
+        load_network(two)
+    both = _write(tmp_path, "both.cfg", "row_change_factor = 10\n[mem]\nrow_change_factor = 20\n")
+    with pytest.raises(MalformedStream,
+                       match=re.escape(f"{both}: row_change_factor is set both at top level")):
+        load_mem_config(both)
+    twice = _write(tmp_path, "twice.cfg", "[mem]\nwords_per_row = 8\n[mem]\ne_mac = 2\n")
+    with pytest.raises(MalformedStream, match=re.escape(f"{twice}:3: repeated section [mem]")):
+        load_mem_config(twice)
+    # distinct bare and [mem] keys still combine
+    mixed = load_mem_config(_write(tmp_path, "m.cfg", "words_per_row = 8\n[mem]\ne_mac = 2\n"))
+    assert (mixed.words_per_row, mixed.e_mac) == (8, 2.0)
+
+
+def test_gru_files_takes_only_a_generator(tmp_path):
+    # "files = <prefix>" loaded <prefix>wxr.qt and so on; it was never
+    # documented and is gone
+    path = _write(tmp_path, "p.net", GRU_BLOCK.replace("synth:uniform,amp=0.1,seed=4", "layer0_"))
+    with pytest.raises(MalformedStream,
+                       match=re.escape(f"{path}: gru layer 0: files = 'layer0_': ")):
+        load_network(path)
+    both = _write(tmp_path, "b.net", GRU_BLOCK + "wxr = w.qt\n")
+    with pytest.raises(MalformedStream,
+                       match=re.escape(f"{both}: gru layer 0: wxr = 'w.qt': unknown key")):
+        load_network(both)
