@@ -6,14 +6,12 @@ GRU inference that only propagates significant changes. A burst/row
 DRAM model prices the resulting memory traffic.
 """
 
-from .codec import (DeltaStream, SparseFeatureMap, SparsityStats, decode_sm,
-                    encode_delta, encode_sm, load_smfm, measure_sparsity,
-                    save_smfm)
+from .codec import (SparseFeatureMap, SparsityStats, decode_sm, encode_delta,
+                    encode_sm, load_smfm, measure_sparsity, save_smfm)
 from .conv import (ConvLayerSpec, LayerRunResult, conv_dense_oracle,
                    conv_zeroskip, fused_relu_pool, run_network)
-from .errors import (EquivalenceFailure, IndexOutOfRange, MalformedStream,
-                     MissingArtifact, ShapeMismatch, SparseBenchError,
-                     Underdetermined)
+from .errors import (EquivalenceFailure, MalformedStream, MissingArtifact,
+                     ShapeMismatch, SparseBenchError, Underdetermined)
 from .fxp import (OpCounter, Q2_14, Q8_8, QFormat, QScalar, QTensor, load_qt,
                   quantize, save_qt)
 from .gru import (GruLayerSpec, LayerState, StepStats, delta_mxv_accumulate,

@@ -13,13 +13,13 @@ import sys
 
 from ._binio import atomic_write_text
 from .codec import decode_sm, encode_sm, load_smfm, measure_sparsity, save_smfm
-from .errors import (EquivalenceFailure, IndexOutOfRange, MalformedStream,
-                     MissingArtifact, ShapeMismatch, Underdetermined)
+from .errors import (EquivalenceFailure, MalformedStream, MissingArtifact,
+                     ShapeMismatch, Underdetermined)
 from .fxp import load_qt, save_qt
 from .memmodel import (MemConfig, brain_budget, cost_trace,
                        random_vs_burst_ratio, schedule_dense_weight_stream,
                        solve_for)
-from .netdesc import integer, load_mem_config, load_network, number
+from .netdesc import integer, load_mem_config, load_network, number, u64
 from .report import load_report_dict, scatter_csv, scatter_svg
 from .runner import (execute_conv, execute_conv_averaged, execute_gru,
                      load_conv_input, load_seq_input, sweep_rows_csv,
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fixed-point sparse DNN inference engines with a "
                     "DRAM burst/row cost model")
     p.add_argument("--config", help="memory model config file")
-    p.add_argument("--seed", type=integer, default=0, help="seed for all randomness")
+    p.add_argument("--seed", type=u64, default=0, help="seed for all randomness")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -307,7 +307,6 @@ EXIT_CODES = (
     (MalformedStream, 2),
     (Underdetermined, 2),
     (ShapeMismatch, 3),
-    (IndexOutOfRange, 3),
     (MissingArtifact, 4),
     (FileNotFoundError, 4),
     (EquivalenceFailure, 5),

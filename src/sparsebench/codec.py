@@ -6,10 +6,12 @@ pixels, in canonical order. Inactive pixels therefore cost 1 bit, active
 ones 17. The SM is packed LSB-first within each byte and zero-padded to
 a byte boundary.
 
-Delta streams carry (index, value) events for the components of a vector
-whose change since the last transmitted value strictly exceeds a
-threshold; the full change is transmitted, and the per-component memory
-is only advanced when an event fires.
+Delta events are the (index, value) pairs for the components of a
+vector whose change since the last transmitted value strictly exceeds a
+threshold. `encode_delta` is the one threshold step, on raw int16
+arrays: the full change is transmitted as an int32 delta (a difference
+of 16-bit numbers can need 17 bits), indices come in increasing order,
+and the per-component memory advances in place only where an event fires.
 """
 
 from dataclasses import dataclass
@@ -18,8 +20,8 @@ import struct
 import numpy as np
 
 from ._binio import Reader, atomic_write
-from .errors import IndexOutOfRange, MalformedStream, ShapeMismatch
-from .fxp import QFormat, QScalar, QTensor
+from .errors import MalformedStream, ShapeMismatch
+from .fxp import QFormat, QTensor
 
 SMFM_MAGIC = b"SMFM"
 SMFM_VERSION = 0x01
@@ -71,39 +73,6 @@ class SparsityStats:
     @property
     def sparsity(self) -> float:
         return self.zero_pixels / self.total_pixels
-
-
-@dataclass
-class DeltaStream:
-    """Sparse change events for one vector update.
-
-    Indices are strictly increasing and values non-zero. Values are raw
-    differences of 16-bit numbers, so they are kept at 32-bit width (a
-    difference can need 17 bits).
-    """
-
-    length: int
-    indices: np.ndarray  # int64, strictly increasing
-    values: np.ndarray   # int32 raw deltas, all non-zero
-
-    def __post_init__(self):
-        idx = self.indices
-        if idx.ndim != 1 or idx.shape != self.values.shape:
-            raise ShapeMismatch(
-                f"{idx.size} event indices but {self.values.size} values")
-        bad = idx[(idx < 0) | (idx >= self.length)]
-        if bad.size:
-            raise IndexOutOfRange(
-                f"event index {int(bad[0])} outside [0, {self.length})")
-        if np.any(idx[1:] <= idx[:-1]):
-            raise MalformedStream("event indices are not strictly increasing")
-
-    @property
-    def event_count(self) -> int:
-        return int(self.indices.size)
-
-    def events(self) -> list[tuple[int, int]]:
-        return list(zip(self.indices.tolist(), self.values.tolist()))
 
 
 def encode_sm(t: QTensor) -> SparseFeatureMap:
@@ -165,7 +134,7 @@ def measure_sparsity(t: QTensor) -> SparsityStats:
     return SparsityStats(total, zeros, per_channel)
 
 
-def delta_events(mem: np.ndarray, cur: np.ndarray, theta_raw: int
+def encode_delta(mem: np.ndarray, cur: np.ndarray, theta_raw: int
                  ) -> tuple[np.ndarray, np.ndarray]:
     """The threshold step on raw int16 vectors: components with
     |cur - mem| strictly greater than ``theta_raw`` (>= 0) fire. Their
@@ -179,20 +148,6 @@ def delta_events(mem: np.ndarray, cur: np.ndarray, theta_raw: int
     idx = (np.abs(d) > theta_raw).nonzero()[0]
     mem[idx] = cur[idx]
     return idx, d[idx]
-
-
-def encode_delta(prev: QTensor, cur: QTensor, theta: QScalar) -> tuple[DeltaStream, QTensor]:
-    """Threshold the change of each component against the last transmitted
-    value (`delta_events`); returns the event stream and the new memory."""
-    if prev.dims != cur.dims or len(prev.dims) != 1:
-        raise ShapeMismatch(f"delta encoding needs matching vectors, got {prev.dims} vs {cur.dims}")
-    if prev.fmt != cur.fmt or theta.fmt != cur.fmt:
-        raise ShapeMismatch("delta encoding needs a shared Q-format")
-    if theta.raw < 0:
-        raise ValueError("theta must be non-negative")
-    new_mem = prev.data.copy()
-    indices, values = delta_events(new_mem, cur.data, theta.raw)
-    return DeltaStream(prev.size, indices, values), QTensor(prev.dims, prev.fmt, new_mem)
 
 
 # --- .smfm file format --------------------------------------------------------

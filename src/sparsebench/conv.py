@@ -189,25 +189,15 @@ def conv_dense_oracle(spec: ConvLayerSpec, x: QTensor,
         spec.bias[:, None, None], (spec.out_channels, h_out, w_out)
     ).astype(np.int32).copy()
     counter.adds += acc.size
-    xv = x.data.reshape(c, h, w).astype(np.int64)
+    # A padded zero adds a zero term, which cannot clip, so every tap
+    # takes its strided window of the padded input over the whole plane.
+    xv = np.pad(x.data.reshape(c, h, w).astype(np.int64), ((0, 0), (p, p), (p, p)))
     wv = spec.weights.data.reshape(spec.weights.dims).astype(np.int64)
     for ic in range(c):
         for ky in range(spec.kernel_h):
-            oy0 = max(0, -(-(p - ky) // s))
-            oy1 = min(h_out - 1, (h - 1 + p - ky) // s)
-            if oy1 < oy0:
-                continue
             for kx in range(spec.kernel_w):
-                ox0 = max(0, -(-(p - kx) // s))
-                ox1 = min(w_out - 1, (w - 1 + p - kx) // s)
-                if ox1 < ox0:
-                    continue
-                xs = xv[ic,
-                        oy0 * s + ky - p: oy1 * s + ky - p + 1: s,
-                        ox0 * s + kx - p: ox1 * s + kx - p + 1: s]
-                prod = wv[:, ic, ky, kx][:, None, None] * xs[None]
-                counter.saturations += sat_add(
-                    acc[:, oy0:oy1 + 1, ox0:ox1 + 1], prod)
+                xs = xv[ic, ky: ky + (h_out - 1) * s + 1: s, kx: kx + (w_out - 1) * s + 1: s]
+                counter.saturations += sat_add(acc, wv[:, ic, ky, kx][:, None, None] * xs[None])
     n_dense = spec.dense_equivalent_macs(h, w)
     counter.macs_executed += n_dense
     counter.macs_dense_equivalent += n_dense

@@ -22,10 +22,6 @@ class ShapeMismatch(SparseBenchError):
     """Tensor or layer dimensions are inconsistent."""
 
 
-class IndexOutOfRange(SparseBenchError):
-    """An event index points outside the addressed structure."""
-
-
 class Underdetermined(SparseBenchError):
     """A solver was given more than one unknown."""
 

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codec import delta_events
+from .codec import encode_delta
 from .errors import MalformedStream, ShapeMismatch
 from .fxp import (INT16_MAX, OpCounter, Q8_8, QScalar, QTensor, quantize,
                   round_shift_even, sat_add, sat_matvec)
@@ -226,8 +226,9 @@ def delta_mxv_accumulate(side: GateStack, idx: np.ndarray, vals: np.ndarray,
     """acc[j] += sum over events of W[j, idx] * val, saturating per
     event; returns the clips.
 
-    ``idx`` must be a valid event stream's indices: strictly increasing
-    and inside the side's columns (`DeltaStream` checks both). The event
+    ``idx`` must be strictly increasing and inside the side's columns,
+    as `encode_delta` returns them: numpy would wrap a negative index to
+    the last column, and the ordered fallback runs in index order. The event
     columns of W and |W| are gathered and go through one ``sat_matvec``:
     one float64 matvec when no prefix can clip, else the ordered loop
     over the events in index order, which is stream order. One event
@@ -297,7 +298,7 @@ def run_layer(spec: GruLayerSpec, xs: np.ndarray, state: LayerState,
     and the layer's record. ``state`` is updated in place.
 
     Sparse: each step thresholds the input and the previous output
-    against their memories (`delta_events`), adds the event columns of
+    against their memories (`encode_delta`), adds the event columns of
     each side through `delta_mxv_accumulate`, and applies the gates.
     The bias preload is the one row before the first step.
     Dense: each step recomputes the pre-activations from the biases
@@ -321,8 +322,8 @@ def run_layer(spec: GruLayerSpec, xs: np.ndarray, state: LayerState,
         acc_x, acc_h = acc[:3 * h], acc[h:]
         x_idx, h_idx = [], []
         for t in range(steps):
-            xi, xv = delta_events(x_mem, xs[t], theta)
-            hi, hv = delta_events(h_mem, h_prev, theta)
+            xi, xv = encode_delta(x_mem, xs[t], theta)
+            hi, hv = encode_delta(h_mem, h_prev, theta)
             sats += delta_mxv_accumulate(xside, xi, xv, acc_x)
             sats += delta_mxv_accumulate(hside, hi, hv, acc_h)
             out[t], clips = _gates(spec, acc, h_prev)

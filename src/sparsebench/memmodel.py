@@ -25,7 +25,6 @@ from .trace import INT64_MAX, REGIONS, TAGS, AccessTrace, triple_code
 @dataclass(frozen=True)
 class MemConfig:
     words_per_row: int = 1024
-    burst_len: int = 8           # reporting granularity only; no cycle effect
     cycles_seq_word: int = 1
     row_change_factor: int = 50
     e_dram_word: float = 100.0   # pJ

@@ -55,6 +55,14 @@ def integer(text: str) -> int:
     return int(text)
 
 
+def u64(text: str) -> int:
+    """An `integer` in [0, 2**64), as every seed is."""
+    value = integer(text)
+    if not 0 <= value < 1 << 64:
+        raise ValueError("not an integer in [0, 2**64)")
+    return value
+
+
 def number(text: str) -> float:
     """A float written as a decimal with an optional exponent, or `inf` or
     `nan`, each with an optional `-`; anything else raises ValueError. No
@@ -146,7 +154,7 @@ def _uniform(uri: str) -> tuple[int, float]:
     kind, f = parse_uri(uri, "")
     if kind != "uniform":
         raise MalformedStream(f"unknown weight generator {kind!r}")
-    seed, amp = f.int("seed", 0), f.float("amp", 0.1)
+    seed, amp = f.read("seed", u64, 0), f.float("amp", 0.1)
     f.done()
     return seed, amp
 

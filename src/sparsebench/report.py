@@ -21,7 +21,6 @@ from .memmodel import MemConfig
 
 CONFIG_PROVENANCE = {
     "words_per_row": "model-default",
-    "burst_len": "model-default",
     "cycles_seq_word": "model-default",
     "row_change_factor": "ddr3-simulation-estimate",
     "e_dram_word": "model-default-ratio-only",

@@ -17,12 +17,12 @@ import numpy as np
 from . import synth
 from .codec import SparseFeatureMap, decode_sm, encode_sm, load_smfm
 from .conv import ConvNetRun, run_network
-from .errors import EquivalenceFailure, MalformedStream
+from .errors import EquivalenceFailure, MalformedStream, ShapeMismatch
 from .fxp import OpCounter, QTensor, load_qt, qt_header
 from .gru import ACT_FMT, GruSeqRun, quantize_theta, run_sequence
 from .memmodel import (MemConfig, MemCostReport, cost_trace, effective_gops,
                        energy_breakdown, gops_per_watt)
-from .netdesc import NetworkDesc, parse_uri
+from .netdesc import NetworkDesc, integer, number, parse_uri, u64
 from .report import LayerReport, RunReport, config_dict
 from .trace import AccessTrace
 
@@ -36,15 +36,53 @@ def sequence_hash(seq: QTensor) -> str:
     return h.hexdigest()
 
 
+def _checked(parse, ok, why: str):
+    """A Fields parse: ``parse(text)``, refused with ``why`` unless ``ok``
+    holds for the value, so a generator never sees a value it refuses."""
+    def read(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise MalformedStream(why)
+        return value
+    return read
+
+
+def _size(text: str) -> int:
+    """A generated tensor dimension. Zero is a shape error (exit 3), as a
+    zero layer dimension is; a negative one an input error."""
+    n = integer(text)
+    if n < 0:
+        raise MalformedStream("negative dimension")
+    if n == 0:
+        raise ShapeMismatch("zero dimension")
+    return n
+
+
+def _amp(text: str) -> float:
+    """A map, uniform or hold amplitude, refused unless it is one Q8.8 LSB
+    to the Q8.8 maximum (`synth.amp_raw`)."""
+    amp = number(text)
+    synth.amp_raw(amp, ACT_FMT)
+    return amp
+
+
+_SPARSITY = _checked(number, lambda v: 0 <= v <= 1, "sparsity must be in [0, 1]")
+_STEPS = _checked(integer, lambda v: v >= 1, "sequence generator needs t of at least 1")
+_HOLD = _checked(integer, lambda v: v >= 1, "hold must be >= 1")
+_RHO = _checked(number, lambda v: 0 <= v < 1, "rho must be in [0, 1)")
+_SIGMA = _checked(number, lambda v: 0 <= v < math.inf,
+                  "a non-finite or negative ar1 standard deviation")
+
+
 def _map_generator(uri: str, seed: int):
     """Draws compressed maps from one seeded stream. synth:map options:
     c, h, w, sparsity, amp, seed (the URI seed wins over the global one)."""
     kind, f = parse_uri(uri)
     if kind != "map":
         raise MalformedStream(f"{uri}: unknown conv input generator {kind!r}")
-    rng = synth.make_rng(f.int("seed", seed))
-    dims = f.int("c", 1), f.int("h", 32), f.int("w", 32)
-    sparsity, amp = f.float("sparsity", 0.5), f.float("amp", 1.0)
+    rng = synth.make_rng(f.read("seed", u64, seed))
+    dims = f.read("c", _size, 1), f.read("h", _size, 32), f.read("w", _size, 32)
+    sparsity, amp = f.read("sparsity", _SPARSITY, 0.5), f.read("amp", _amp, 1.0)
     f.done()
     return lambda: encode_sm(synth.sparse_map(*dims, sparsity, rng, amp=amp))
 
@@ -68,23 +106,22 @@ def load_seq_input(uri: str, seed: int) -> QTensor:
 
     Generators: synth:uniform,t=..,n=..; synth:hold,t=..,n=..,hold=..;
     synth:ar1,t=..,n=..,rho=..; all take amp and seed. t, n, hold and
-    seed are integers; any other key is an error.
+    seed are integers; a value the generator would refuse and any other
+    key are errors naming the URI, key and value.
     """
     if uri.startswith("synth:"):
         kind, f = parse_uri(uri)
-        rng = synth.make_rng(f.int("seed", seed))
-        t, n = f.int("t", 50), f.int("n", 32)
-        if t < 1:
-            raise MalformedStream(f"{uri}: sequence generator needs t of at least 1, got {t}")
-        amp = f.float("amp", 0.5)
+        rng = synth.make_rng(f.read("seed", u64, seed))
+        t, n = f.read("t", _STEPS, 50), f.read("n", _size, 32)
         if kind == "uniform":
             gen, args = synth.uniform_seq, ()
         elif kind == "hold":
-            gen, args = synth.piecewise_constant_seq, (f.int("hold", 10),)
+            gen, args = synth.piecewise_constant_seq, (f.read("hold", _HOLD, 10),)
         elif kind == "ar1":
-            gen, args = synth.ar1_seq, (f.float("rho", 0.99),)
+            gen, args = synth.ar1_seq, (f.read("rho", _RHO, 0.99),)
         else:
             raise MalformedStream(f"{uri}: unknown sequence generator {kind!r}")
+        amp = f.read("amp", _SIGMA if kind == "ar1" else _amp, 0.5)
         f.done()
         return gen(t, n, *args, rng, amp=amp)
     t = load_qt(uri)

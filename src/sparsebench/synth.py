@@ -11,15 +11,23 @@ import math
 import numpy as np
 
 from .errors import MalformedStream
-from .fxp import INT32_MAX, Q2_14, Q8_8, QFormat, QTensor, quantize_array
+from .fxp import (INT16_MAX, INT32_MAX, OpCounter, Q2_14, Q8_8, QFormat, QTensor,
+                  quantize_array)
 
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _amp_raw(amp: float, fmt: QFormat) -> int:
-    return max(1, int(quantize_array(np.float64(amp), fmt)))
+def amp_raw(amp: float, fmt: QFormat) -> int:
+    """``amp`` in raw ``fmt`` units. It must round to at least one LSB and
+    not past the format's range: an amplitude is never replaced."""
+    over = OpCounter()
+    raw = int(quantize_array(np.float64(amp), fmt, over))
+    if raw < 1 or over.saturations:
+        raise MalformedStream(f"amplitude {amp:g} is outside [{1 / fmt.scale}, "
+                              f"{INT16_MAX / fmt.scale}] in {fmt}")
+    return raw
 
 
 def sparse_map(c: int, h: int, w: int, sparsity: float,
@@ -33,7 +41,7 @@ def sparse_map(c: int, h: int, w: int, sparsity: float,
         raise ValueError(f"sparsity must be in [0, 1], got {sparsity}")
     n = c * h * w
     n_zero = int(round(sparsity * n))
-    a = _amp_raw(amp, fmt)
+    a = amp_raw(amp, fmt)
     vals = rng.integers(1, a + 1, size=n, dtype=np.int64)
     vals *= rng.choice((-1, 1), size=n)
     flat = vals.astype(np.int16)
@@ -45,7 +53,7 @@ def sparse_map(c: int, h: int, w: int, sparsity: float,
 def uniform_seq(steps: int, size: int, rng: np.random.Generator,
                 fmt: QFormat = Q8_8, amp: float = 1.0) -> QTensor:
     """A (steps, size) sequence of independent uniform vectors in [-amp, amp]."""
-    a = _amp_raw(amp, fmt)
+    a = amp_raw(amp, fmt)
     data = rng.integers(-a, a + 1, size=(steps, size), dtype=np.int64)
     return QTensor((steps, size), fmt, data.astype(np.int16))
 
@@ -57,7 +65,7 @@ def piecewise_constant_seq(steps: int, size: int, hold: int,
     steps, held constant between."""
     if hold < 1:
         raise ValueError("hold must be >= 1")
-    a = _amp_raw(amp, fmt)
+    a = amp_raw(amp, fmt)
     fresh = rng.integers(-a, a + 1, size=(-(-steps // hold), size), dtype=np.int64)
     data = np.repeat(fresh.astype(np.int16), hold, axis=0)[:steps]
     return QTensor((steps, size), fmt, data)

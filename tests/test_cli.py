@@ -479,6 +479,71 @@ def test_typed_flags_use_the_grammar(capsys, argv):
     assert "invalid" in capsys.readouterr().err
 
 
+def test_burst_len_is_an_unknown_mem_key(tmp_path, capsys):
+    # burst_len had no cycle effect and is no longer a memory-model key
+    cfg = tmp_path / "mem.cfg"
+    cfg.write_text("burst_len = 8\n")
+    net = tmp_path / "mem.net"
+    net.write_text(GRU_NET + "[mem]\nburst_len = 8\n")
+    for source, argv in ((cfg, ["--config", str(cfg), "mem-sim", "--stream", "4x4"]),
+                         (net, ["run", "--net", str(net), "--input", "synth:ar1,t=3,n=6"])):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(source) in err and "burst_len = '8': unknown key" in err
+
+
+@pytest.mark.parametrize("uri,key,value,code", [
+    ("synth:map,c=2,h=0,w=8", "h", "0", 3),
+    ("synth:map,c=2,h=8,w=-1", "w", "-1", 2),
+    ("synth:map,c=2,h=8,w=8,sparsity=2", "sparsity", "2", 2),
+    ("synth:map,c=2,h=8,w=8,seed=-3", "seed", "-3", 2),
+    ("synth:ar1,t=3,n=-6", "n", "-6", 2),
+    ("synth:ar1,t=3,n=0", "n", "0", 3),
+    ("synth:ar1,t=3,n=6,seed=-3", "seed", "-3", 2),
+    ("synth:hold,t=3,n=6,hold=0", "hold", "0", 2),
+    ("synth:ar1,t=3,n=6,rho=1.5", "rho", "1.5", 2),
+    ("synth:ar1,t=3,n=6,amp=-1", "amp", "-1", 2),
+])
+def test_refused_generator_option_names_uri_key_and_value(conv_net, gru_net, capsys,
+                                                         uri, key, value, code):
+    # each ended in the generator's own words ("non-positive dimension in
+    # (2, 0, 8)", "expected non-negative integer", "hold must be >= 1"),
+    # naming neither the URI nor the option
+    net = conv_net if uri.startswith("synth:map") else gru_net
+    assert main(["run", "--net", net, "--input", uri]) == code
+    assert capsys.readouterr().err.startswith(f"error: {uri}: {key} = {value!r}: ")
+
+
+def test_negative_global_seed_is_refused_by_the_flag_parser(capsys):
+    # --seed -1 reached numpy and ended in "expected non-negative integer"
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "-1", "mem-sim", "--ratio", "10"])
+    assert exc.value.code == 2
+    assert "argument --seed: invalid u64 value: '-1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("amp", ["0", "-5", "0.001", "128", "1000", "1e9"])
+@pytest.mark.parametrize("prefix", ["synth:map,c=2,h=8,w=8", "synth:uniform,t=3,n=6",
+                                    "synth:hold,t=3,n=6"])
+def test_amplitude_outside_q8_8_is_refused(conv_net, gru_net, capsys, prefix, amp):
+    # amp=0, -5 and 0.001 ran at one LSB, and amp=1000 and 1e9 at the Q8.8
+    # maximum, all with exit 0
+    uri = f"{prefix},amp={amp}"
+    net = conv_net if prefix.startswith("synth:map") else gru_net
+    assert main(["run", "--net", net, "--input", uri]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {uri}: amp = {amp!r}: amplitude ")
+
+
+def test_amplitude_range_ends_are_accepted(conv_net, capsys):
+    # one LSB and the Q8.8 maximum are amplitudes, and draw different maps
+    hashes = set()
+    for amp in ("0.00390625", "127.99609375"):
+        assert main(["run", "--net", conv_net, "--input",
+                     f"synth:map,c=2,h=8,w=8,amp={amp}"]) == 0
+        hashes.add(json.loads(capsys.readouterr().out)["extras"]["output_hash"])
+    assert len(hashes) == 2
+
+
 def _gru_net_with_files(tmp_path, files):
     p = tmp_path / "amp.net"
     p.write_text(f"name = amp\n[gru]\ninput = 32\nhidden = 8\nfiles = {files}\n")

@@ -17,7 +17,7 @@ from sparsebench.codec import (
     to_smfm_bytes,
 )
 from sparsebench.errors import MalformedStream, ShapeMismatch
-from sparsebench.fxp import Q8_8, QScalar, QTensor
+from sparsebench.fxp import Q8_8, QTensor
 
 raw16 = st.integers(min_value=-32768, max_value=32767)
 
@@ -142,72 +142,82 @@ def test_measure_sparsity_per_channel():
 # --- delta events ----------------------------------------------------------------
 
 def _vec(vals):
-    return QTensor((len(vals),), Q8_8, np.array(vals, dtype=np.int16))
+    return np.array(vals, dtype=np.int16)
 
 
 def test_delta_reference_events():
-    prev, cur = _vec([128, 128]), _vec([205, 141])
-    stream, mem = encode_delta(prev, cur, QScalar(64, Q8_8))  # theta = 0.25
-    assert stream.events() == [(0, 77)]
-    assert list(mem.data) == [205, 128]  # untransmitted unit keeps old memory
+    mem, cur = _vec([128, 128]), _vec([205, 141])
+    idx, vals = encode_delta(mem, cur, 64)  # theta = 0.25
+    assert list(zip(idx.tolist(), vals.tolist())) == [(0, 77)]
+    assert list(mem) == [205, 128]  # untransmitted unit keeps old memory
 
 
 def test_delta_threshold_is_strict():
-    prev, cur = _vec([0, 0]), _vec([64, 65])
-    stream, mem = encode_delta(prev, cur, QScalar(64, Q8_8))
-    assert stream.events() == [(1, 65)]
-    assert list(mem.data) == [0, 65]
-
-
-def test_delta_rejects_negative_theta_and_bad_shapes():
-    with pytest.raises(ValueError):
-        encode_delta(_vec([0]), _vec([0]), QScalar(-1, Q8_8))
-    with pytest.raises(ShapeMismatch):
-        encode_delta(_vec([0, 0]), _vec([0]), QScalar(0, Q8_8))
+    mem, cur = _vec([0, 0]), _vec([64, 65])
+    idx, vals = encode_delta(mem, cur, 64)
+    assert list(zip(idx.tolist(), vals.tolist())) == [(1, 65)]
+    assert list(mem) == [0, 65]
 
 
 vectors = st.lists(raw16, min_size=1, max_size=32)
 
 
-@given(vectors, st.data())
-def test_delta_zero_theta_fires_on_every_change(prev_vals, data):
+def _pair(prev_vals, data):
+    """A memory from ``prev_vals`` and a current vector of the same length."""
     cur_vals = data.draw(
         st.lists(raw16, min_size=len(prev_vals), max_size=len(prev_vals))
     )
-    prev, cur = _vec(prev_vals), _vec(cur_vals)
-    stream, mem = encode_delta(prev, cur, QScalar(0, Q8_8))
-    changed = [i for i, (a, b) in enumerate(zip(prev_vals, cur_vals)) if a != b]
-    assert stream.indices.tolist() == changed
-    assert mem == cur or mem.data.tolist() == cur_vals
+    return _vec(prev_vals), _vec(cur_vals)
+
+
+@given(vectors, st.data())
+def test_delta_zero_theta_fires_on_every_change(prev_vals, data):
+    mem, cur = _pair(prev_vals, data)
+    changed = np.flatnonzero(mem != cur).tolist()
+    idx, _ = encode_delta(mem, cur, 0)
+    assert idx.tolist() == changed
+    assert np.array_equal(mem, cur)
 
 
 @given(vectors, st.data(), st.integers(0, 200), st.integers(0, 200))
 def test_delta_event_count_monotone_in_theta(prev_vals, data, t_lo, t_hi):
-    cur_vals = data.draw(
-        st.lists(raw16, min_size=len(prev_vals), max_size=len(prev_vals))
-    )
+    mem, cur = _pair(prev_vals, data)
     lo, hi = sorted((t_lo, t_hi))
-    prev, cur = _vec(prev_vals), _vec(cur_vals)
-    s_lo, _ = encode_delta(prev, cur, QScalar(lo, Q8_8))
-    s_hi, _ = encode_delta(prev, cur, QScalar(hi, Q8_8))
-    assert s_hi.event_count <= s_lo.event_count
+    i_lo, _ = encode_delta(mem.copy(), cur, lo)
+    i_hi, _ = encode_delta(mem.copy(), cur, hi)
+    assert i_hi.size <= i_lo.size
 
 
 @given(vectors, st.data(), st.integers(0, 500))
 def test_delta_memory_advances_only_on_events(prev_vals, data, theta):
-    cur_vals = data.draw(
-        st.lists(raw16, min_size=len(prev_vals), max_size=len(prev_vals))
-    )
-    prev, cur = _vec(prev_vals), _vec(cur_vals)
-    stream, mem = encode_delta(prev, cur, QScalar(theta, Q8_8))
-    fired = set(stream.indices.tolist())
+    mem, cur = _pair(prev_vals, data)
+    prev = mem.copy()
+    idx, _ = encode_delta(mem, cur, theta)
+    fired = set(idx.tolist())
     for i in range(len(prev_vals)):
         if i in fired:
-            assert mem.data[i] == cur.data[i]
-            assert abs(int(cur.data[i]) - int(prev.data[i])) > theta
+            assert mem[i] == cur[i]
+            assert abs(int(cur[i]) - int(prev[i])) > theta
         else:
-            assert mem.data[i] == prev.data[i]
-            assert abs(int(cur.data[i]) - int(prev.data[i])) <= theta
+            assert mem[i] == prev[i]
+            assert abs(int(cur[i]) - int(prev[i])) <= theta
+
+
+@given(vectors, st.data(), st.integers(0, 70000))
+def test_delta_events_are_a_valid_stream(prev_vals, data, theta):
+    # what delta_mxv_accumulate relies on: indices strictly increasing
+    # inside [0, n) (numpy would wrap a negative one, and the ordered
+    # fallback runs in index order), and each value the full int32
+    # change, never zero
+    mem, cur = _pair(prev_vals, data)
+    prev = mem.copy()
+    idx, vals = encode_delta(mem, cur, theta)
+    n = len(prev_vals)
+    assert idx.ndim == 1 and idx.shape == vals.shape
+    assert np.all(idx[1:] > idx[:-1])
+    assert np.all((0 <= idx) & (idx < n))
+    assert vals.dtype == np.int32 and np.all(vals != 0)
+    assert vals.tolist() == [int(cur[i]) - int(prev[i]) for i in idx.tolist()]
 
 
 # --- .smfm container -------------------------------------------------------------

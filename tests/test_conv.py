@@ -153,10 +153,11 @@ def test_zeroskip_bit_exact_under_saturation():
 def test_zeroskip_fallback_bit_exact_at_full_scale(k, stride, pad, pool, relu, seed):
     # full-scale weights and inputs: the no-clip bound almost always
     # fails, so the ordered per-step clamp runs and must still equal the
-    # oracle; the slab cap is set so all channels form one group
+    # oracle; the slab cap is set so all channels form one group (an
+    # input amplitude of 127.99609375 is the Q8.8 maximum)
     rng = make_rng(seed)
     spec, x = conv_case(rng, k=k, stride=stride, pad=pad, pool=pool, relu=relu,
-                        sparsity=0.5, w_amp=128.0, x_amp=128.0, bias_amp=30000.0)
+                        sparsity=0.5, w_amp=128.0, x_amp=127.99609375, bias_amp=30000.0)
     c, h, w = x.dims
     h_out, w_out = spec.out_dims(h, w)
     one_group = 8 * c * k * k * h_out * w_out

@@ -52,31 +52,34 @@ files = synth:uniform,amp=0.2,seed=5
 
 MAP = "synth:map,c=3,h=12,w=12,sparsity=0.6,amp=2.0"
 
-# name: (net, CLI arguments, file written, sha256 of that file)
+# name: (net, CLI arguments, file written, sha256 of that file). The seven
+# report hashes were re-recorded when `MemConfig.burst_len`, which had no
+# cycle effect, left the config: each is the previous report's hash with
+# its two `burst_len` lines (value and provenance) removed.
 CASES = {
     "conv-sparse": (
         "conv", ["--input", MAP], "report.json",
-        "3c0896290286a17e9c4ec08e8ec556b6bd68b47dbe2142e2ca97bcf0c8bc1d7c"),
+        "7e2f86c5da365d9094d6e2009e6e939b7c93928319490b2ca96936b2a280c8e7"),
     "conv-dense": (
         "conv", ["--input", MAP, "--mode", "dense"], "report.json",
-        "2fe37289ae997557d697df7e0ce17164573ef31ccc7cd89885fdb2046e1f2b8e"),
+        "d0094a903f5540ee61e79dfab68e340241e0712cbacda49bd604ceae160e0376"),
     "conv-count3": (
         "conv", ["--input", MAP, "--count", "3"], "report.json",
-        "6b3f5505d9beeeb61052912239fc7af818f5d8bee8541c96dca268c6c83e99b6"),
+        "b48e55b25498cf69f09dea3c46ae4aa765150b0025556b19390d8f4ffaa95ffa"),
     "gru-theta0": (
         "gru", ["--input", "synth:ar1,t=30,n=6,rho=0.99", "--theta", "0"], "report.json",
-        "139f733b5d6e2d329204dbc8e893e8403ea43761926121019830b01976d87fee"),
+        "cecc09619b096cf660202613689aedbaeeb23eeb534f292bd0568d79657569d7"),
     "gru-theta0.03": (
         "gru", ["--input", "synth:hold,t=40,n=6,hold=5", "--theta", "0.03"], "report.json",
-        "706a08bd8ce76b8a21cba586bd5a2c84fa8f795f788046379b2ae643bf86eeca"),
+        "479d89a573a6904360156d4caa9dbe4db2e47c5d75f29ab178de884c2ce4ba51"),
     "gru-theta0-dense": (
         "gru", ["--input", "synth:ar1,t=30,n=6,rho=0.99", "--theta", "0", "--mode", "dense"],
         "report.json",
-        "a2b86127a4053a31a4662f2598a6b720da07857abbefea5bd14c6a19e73d67bd"),
+        "283d669fd679f7a0c8179c3b3a889b3d42146f23bae46d32a1c65009d5aa4dcc"),
     "gru-theta0.03-dense": (
         "gru", ["--input", "synth:hold,t=40,n=6,hold=5", "--theta", "0.03", "--mode", "dense"],
         "report.json",
-        "9b481d4860d3addb5713ecbdf8c6a5486a9b5df70f032986e26c58dffd020e58"),
+        "a8d3dc73e2951fc4aeb9ab2d80331f6b8f8115d3698b1401cb5f0c1b9d329b6d"),
     "conv-trace-csv": (
         "conv", ["--input", MAP], "trace.csv",
         "20846048dfa265a1d1b1c7ef117bf3884ed4e1d027a35cabfb324a0bd139570e"),

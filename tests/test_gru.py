@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _synthcases import gru_spec
-from sparsebench.codec import DeltaStream, encode_delta
-from sparsebench.errors import IndexOutOfRange, MalformedStream, ShapeMismatch
+from sparsebench.errors import MalformedStream, ShapeMismatch
 from sparsebench import fxp, gru
 from sparsebench.fxp import (INT32_MAX, INT32_MIN, Q8_8, OpCounter, QScalar,
                              QTensor, sat_columns, sat_matvec)
@@ -166,20 +165,6 @@ def test_delta_mxv_traces_one_column_burst_per_event():
     assert steps[0] == [(base + (m * 4 + j) * 3, 3) for m in range(3) for j in h_idx]
 
 
-def test_delta_stream_bounds_checks():
-    # the checks a stream's indices pass before any accumulator can see
-    # them: numpy would wrap -1 to the last column, and the ordered
-    # fallback runs in index order
-    with pytest.raises(ShapeMismatch):
-        DeltaStream(3, *_events([0, 1], [5]))
-    for bad in (3, -1):
-        with pytest.raises(IndexOutOfRange):
-            DeltaStream(3, *_events([0, bad], [1, 1]))
-    for idx in ([1, 1], [2, 0]):
-        with pytest.raises(MalformedStream, match="strictly increasing"):
-            DeltaStream(3, *_events(idx, [5, 7]))
-
-
 def _matvec_reference(acc, w2d, xvec):
     """Independent per-column saturating accumulation."""
     out = acc.astype(np.int64).copy()
@@ -294,18 +279,18 @@ def test_delta_mxv_matches_per_event_reference(seed, full_scale):
     w = np.concatenate([m.data for m in mats])
     idx = np.flatnonzero(rng.random(n) < 0.6).astype(np.int64)
     vals = rng.integers(1, 2 * scale + 2, size=idx.size) * rng.choice((-1, 1), size=idx.size)
-    stream = DeltaStream(n, idx, vals.astype(np.int32))
+    vals = vals.astype(np.int32)
     acc0 = rng.integers(-(1 << 31), 1 << 31, size=blocks * h).astype(np.int64)
     if not full_scale:
         acc0 >>= 8
     want = acc0.copy()
     want_sats = 0
-    for i, v in zip(idx.tolist(), stream.values.tolist()):
+    for i, v in zip(idx.tolist(), vals.tolist()):
         wide = want + w[:, i].astype(np.int64) * v
         want = np.clip(wide, INT32_MIN, INT32_MAX)
         want_sats += int(np.count_nonzero(want != wide))
     got = acc0.copy()
-    clips = delta_mxv_accumulate(GateStack.of(mats), stream.indices, stream.values, got)
+    clips = delta_mxv_accumulate(GateStack.of(mats), idx, vals, got)
     assert np.array_equal(got, want)
     assert clips == want_sats
 
@@ -342,6 +327,16 @@ def _act(acc, acc_frac, knots):
                                        ACT_IN_MAX), knots) for a in acc], dtype=np.int64)
 
 
+def _threshold(mem, cur, theta):
+    """(index, change) for each component whose change since ``mem``
+    strictly exceeds ``theta``; advances those memories in place."""
+    events = [(j, int(c) - int(m)) for j, (m, c) in enumerate(zip(mem, cur))
+              if abs(int(c) - int(m)) > theta]
+    for j, _ in events:
+        mem[j] = cur[j]
+    return events
+
+
 def _reference_gru(specs, xs, mode):
     """Per-gate GRU in Python: six matrices, four int64 accumulators and
     ordered column steps; in sparse mode the accumulators persist and
@@ -366,11 +361,8 @@ def _reference_gru(specs, xs, mode):
                 h_ev = list(enumerate(h_prev.tolist()))
             else:
                 a_r, a_u, a_xc, a_hc = st_["acc"]
-                dx, mem = encode_delta(QTensor(cur.dims, Q8_8, st_["x_mem"]), cur, s.theta)
-                dh, hmem = encode_delta(QTensor(h_prev.shape, Q8_8, st_["h_mem"]),
-                                        QTensor(h_prev.shape, Q8_8, h_prev), s.theta)
-                st_["x_mem"], st_["h_mem"] = mem.data, hmem.data
-                x_ev, h_ev = dx.events(), dh.events()
+                x_ev = _threshold(st_["x_mem"], cur.data, s.theta.raw)
+                h_ev = _threshold(st_["h_mem"], h_prev, s.theta.raw)
             for acc, w in ((a_r, s.w_xr), (a_u, s.w_xu), (a_xc, s.w_xc)):
                 clips += _ordered_columns(acc, w.data, x_ev)
             for acc, w in ((a_r, s.w_hr), (a_u, s.w_hu), (a_hc, s.w_hc)):
