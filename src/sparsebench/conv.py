@@ -4,7 +4,9 @@ Two computation paths share one fixed-point pipeline (32-bit saturating
 accumulators, ties-to-even renormalization):
 
 * conv_dense_oracle: gather-style reference that multiplies every
-  (output position, kernel element) pair, padded zeros included.
+  (output position, kernel element) pair, padded zeros included. Each
+  group of input channels is one float64 im2col product when its exact
+  per-output bound holds, and the ordered `sat_add` steps otherwise.
 * conv_zeroskip: input-stationary scatter from the non-zero pixels of a
   compressed input to only the accumulators each one feeds. Skipped
   pixels cost no modeled MAC: the MAC count is the (non-zero pixel,
@@ -17,8 +19,8 @@ Both define each output as its terms added in the same order (input
 channel, then kernel row, then kernel column), clamped after each, and
 adding zero to a saturating accumulator is the identity, so the two
 paths agree bit-exactly even when intermediate sums clip. The oracle
-always clamps, with its own `sat_add` loop, so the check stays
-independent of `sat_matvec`.
+proves its own product and shares neither `sat_matvec` nor the
+zero-skip hit lists, so the check stays independent of both.
 
 ReLU and 2x2 pooling are fused after accumulation: the window maximum
 is taken on the 32-bit plane and clamped once, so no full-resolution
@@ -28,11 +30,13 @@ post-activation map is ever written to the modeled memory.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .codec import (SparseFeatureMap, SparsityStats, decode_sm, encode_sm,
                     measure_sparsity, nonzero_arrays)
 from .errors import ShapeMismatch
-from .fxp import OpCounter, QFormat, QTensor, renormalize_array, sat_add, sat_matvec
+from .fxp import (INT32_MAX, OpCounter, QFormat, QTensor, renormalize_array, sat_add,
+                  sat_matvec)
 from .trace import AccessTrace, triple_code
 
 POOL_MODES = ("none", "max2x2")
@@ -43,8 +47,9 @@ _LAYER_TRIPLES = np.array([triple_code(*t) for t in (
     ("SRAM", "read", "weights"), ("SRAM", "read", "activations"),
     ("SRAM", "write", "activations"), ("DRAM", "write", "activations"))])
 
-# The zero-skip engine's float64 slab (see conv_zeroskip) is capped near
-# this size; each channel group holds at least one channel.
+# The float64 matrix of one channel group, in the zero-skip engine and
+# in the dense oracle, is capped near this size; each group holds at
+# least one channel.
 _SLAB_BYTES = 2 << 20
 
 
@@ -177,6 +182,22 @@ def conv_dense_oracle(spec: ConvLayerSpec, x: QTensor,
     Accumulation order per output is (in channel, kernel row, kernel
     column) with saturation after every term, matching the zero-skip
     path exactly.
+
+    Each group of input channels (sized as in `conv_zeroskip`) is copied
+    into an im2col matrix ``P``: one row per (channel, kernel row,
+    kernel column), in term order, and one column per output position.
+    With ``W2`` the weights as (out_c, in_c * kh * kw), the group's
+    ``bound = |acc| + |W2|[:, rows] @ |P|`` caps, per output, the
+    magnitude of every ordered prefix of its terms. When no output's
+    bound passes INT32_MAX, ``acc += W2[:, rows] @ P`` in float64 is
+    exact and clips nothing, by the argument in `fxp.no_clip`'s
+    docstring applied to each output. Otherwise the group runs the
+    ordered `sat_add` step per (channel, kernel row, kernel column).
+    Groups run in ascending order, each from the accumulators the last
+    one left, so either route gives the ordered, clamped sum (the
+    split-sum argument of `fxp.sat_matvec`). The oracle shares neither
+    that primitive nor the zero-skip hit lists, so the sparse == dense
+    check still tests them.
     """
     if len(x.dims) != 3 or x.dims[0] != spec.in_channels:
         raise ShapeMismatch(
@@ -185,23 +206,50 @@ def conv_dense_oracle(spec: ConvLayerSpec, x: QTensor,
     c, h, w = x.dims
     h_out, w_out = spec.out_dims(h, w)
     s, p = spec.stride, spec.pad
-    acc = np.broadcast_to(
-        spec.bias[:, None, None], (spec.out_channels, h_out, w_out)
-    ).astype(np.int32).copy()
+    kh, kw = spec.kernel_h, spec.kernel_w
+    taps = kh * kw
+    acc = np.repeat(spec.bias.astype(np.int64)[:, None], h_out * w_out, axis=1)
+    acc3 = acc.reshape(spec.out_channels, h_out, w_out)  # a view
     counter.adds += acc.size
     # A padded zero adds a zero term, which cannot clip, so every tap
     # takes its strided window of the padded input over the whole plane.
     xv = np.pad(x.data.reshape(c, h, w).astype(np.int64), ((0, 0), (p, p), (p, p)))
     wv = spec.weights.data.reshape(spec.weights.dims).astype(np.int64)
-    for ic in range(c):
-        for ky in range(spec.kernel_h):
-            for kx in range(spec.kernel_w):
-                xs = xv[ic, ky: ky + (h_out - 1) * s + 1: s, kx: kx + (w_out - 1) * s + 1: s]
-                counter.saturations += sat_add(acc, wv[:, ic, ky, kx][:, None, None] * xs[None])
+    # (channel, kernel row, kernel column, output row, output column)
+    windows = sliding_window_view(xv, (kh, kw), axis=(1, 2))[:, ::s, ::s]
+    windows = windows.transpose(0, 3, 4, 1, 2)
+    w2 = wv.reshape(spec.out_channels, -1).astype(np.float64)
+    w2_abs = np.abs(w2)
+    groups, buf = _channel_groups(c, taps, h_out * w_out)
+    for c0, c1 in groups:
+        rows = slice(c0 * taps, c1 * taps)
+        im2col = buf[:(c1 - c0) * taps]
+        im2col.reshape(c1 - c0, kh, kw, h_out, w_out)[...] = windows[c0:c1]
+        prod = w2[:, rows] @ im2col
+        bound = w2_abs[:, rows] @ np.abs(im2col, out=im2col)
+        bound += np.abs(acc, dtype=np.float64)
+        if bound.max() <= INT32_MAX:
+            np.add(acc, prod, out=acc, casting="unsafe")
+            continue
+        for ic in range(c0, c1):
+            for ky in range(kh):
+                for kx in range(kw):
+                    xs = xv[ic, ky: ky + (h_out - 1) * s + 1: s, kx: kx + (w_out - 1) * s + 1: s]
+                    counter.saturations += sat_add(acc3, wv[:, ic, ky, kx][:, None, None] * xs[None])
     n_dense = spec.dense_equivalent_macs(h, w)
     counter.macs_executed += n_dense
     counter.macs_dense_equivalent += n_dense
-    return _finish_layer(spec, acc, h, w, x.fmt, counter)
+    return _finish_layer(spec, acc3, h, w, x.fmt, counter)
+
+
+def _channel_groups(c: int, taps: int, n_out: int) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Consecutive input channel ranges ``(c0, c1)`` whose float64 matrix
+    of one row per (channel, tap) and one column per output position
+    fits near ``_SLAB_BYTES`` (at least one channel each), and one
+    buffer that holds the largest of them."""
+    group = max(1, _SLAB_BYTES // (8 * taps * n_out))
+    buf = np.empty((min(group, c) * taps, n_out))
+    return [(c0, min(c0 + group, c)) for c0 in range(0, c, group)], buf
 
 
 def _tap_targets(pos: np.ndarray, k: int, pad: int, stride: int,
@@ -260,10 +308,8 @@ def conv_zeroskip(spec: ConvLayerSpec, sfm: SparseFeatureMap,
     w2 = spec.weights.data.reshape(spec.out_channels, -1).astype(np.float64)
     w2_abs = np.abs(w2)
     acc = np.repeat(spec.bias.astype(np.int64)[:, None], n_out, axis=1)
-    group = max(1, _SLAB_BYTES // (8 * taps * n_out))
-    buf = np.empty((min(group, c) * taps, n_out))  # one slab, reused
-    for c0 in range(0, c, group):
-        c1 = min(c0 + group, c)
+    groups, buf = _channel_groups(c, taps, n_out)  # one slab, reused
+    for c0, c1 in groups:
         a, b = starts[c0], starts[c1]
         if a == b:
             continue

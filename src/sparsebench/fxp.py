@@ -196,8 +196,9 @@ def quantize_array(values: np.ndarray, fmt: QFormat, counter: OpCounter | None =
 # can clip, it adds all the terms as one float64 BLAS product, and
 # otherwise runs the ordered steps (`sat_columns`). Both GRU engines call
 # it once per side and step, the zero-skip conv once per group of input
-# channels. The dense conv oracle runs the ordered step only. The dense
-# GRU oracle takes the fast path too, but over full matrices and full
+# channels. The dense conv oracle proves and takes its own product per
+# output element (`conv.conv_dense_oracle`), so that check does not rest
+# on this primitive. The dense GRU oracle takes the fast path too, but over full matrices and full
 # vectors, while the delta engine's products are over sparse deltas; so
 # the theta-0 check still tests that the accumulated deltas telescope to
 # the direct products, not the fast path against itself.

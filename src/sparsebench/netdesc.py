@@ -105,11 +105,14 @@ class Fields:
             if default is ...:
                 raise _at(self.where, MalformedStream(f"missing key {key!r}"))
             return default
-        text = self.pairs[key]
         try:
-            return parse(text)
+            return parse(self.pairs[key])
         except (SparseBenchError, ValueError) as exc:
-            raise _at(self.where, _at(f"{key} = {text!r}", exc)) from None
+            raise self.refuse(key, exc) from None
+
+    def refuse(self, key: str, exc: Exception) -> SparseBenchError:
+        """``exc`` naming the source, ``key`` and its value."""
+        return _at(self.where, _at(f"{key} = {self.pairs[key]!r}", exc))
 
     def int(self, key: str, default=...):
         return self.read(key, integer, default)
@@ -149,14 +152,18 @@ def parse_uri(uri: str, where: str | None = None) -> tuple[str, Fields]:
     return parts[0], Fields(pairs, where)
 
 
-def _uniform(uri: str) -> tuple[int, float]:
-    """The seed and amplitude of a `synth:uniform` weight or bias URI."""
+def _uniform(uri: str, draw):
+    """``draw(seed, amp)`` with the seed and amplitude of a `synth:uniform`
+    weight or bias URI; an amplitude the generator refuses is named."""
     kind, f = parse_uri(uri, "")
     if kind != "uniform":
         raise MalformedStream(f"unknown weight generator {kind!r}")
     seed, amp = f.read("seed", u64, 0), f.float("amp", 0.1)
     f.done()
-    return seed, amp
+    try:
+        return draw(seed, amp)
+    except MalformedStream as exc:
+        raise f.refuse("amp", exc) from None
 
 
 def _parse_blocks(text: str, path: str) -> tuple[dict, list[tuple[str, dict]]]:
@@ -223,8 +230,8 @@ def _qt_file(value: str, base_dir: str) -> QTensor:
 def _load_tensor(value: str, base_dir: str, fmt: QFormat, dims: tuple[int, ...]) -> QTensor:
     """Load a weight tensor from a .qt path or generate it from a URI."""
     if value.startswith("synth:"):
-        seed, amp = _uniform(value)
-        return synth.random_weights(dims, synth.make_rng(seed), fmt, amp)
+        return _uniform(value, lambda seed, amp: synth.random_weights(
+            dims, synth.make_rng(seed), fmt, amp))
     t = _qt_file(value, base_dir)
     if t.dims != dims:
         raise ShapeMismatch(f"dims {t.dims}, expected {dims}")
@@ -236,8 +243,8 @@ def _load_tensor(value: str, base_dir: str, fmt: QFormat, dims: tuple[int, ...])
 def _load_bias(value: str, base_dir: str, n: int, acc_frac: int) -> np.ndarray:
     """Load a bias vector and lift it to accumulator scale."""
     if value.startswith("synth:"):
-        seed, amp = _uniform(value)
-        return synth.random_bias(n, synth.make_rng(seed), acc_frac, amp)
+        return _uniform(value, lambda seed, amp: synth.random_bias(
+            n, synth.make_rng(seed), acc_frac, amp))
     if value.lower() == "zero":
         return np.zeros(n, dtype=np.int32)
     t = _qt_file(value, base_dir)
@@ -280,15 +287,14 @@ def _gru_layer(f: Fields, base_dir: str) -> GruLayerSpec:
     theta = f.read("theta", lambda v: quantize_theta(number(v)), quantize_theta(0.0))
     dims = dict.fromkeys(_GRU_MATS[:3], (h, i)) | dict.fromkeys(_GRU_MATS[3:], (h, h))
 
-    def generated(uri: str) -> dict:
-        seed, amp = _uniform(uri)
+    def generated(seed: int, amp: float) -> dict:
         vals = {m: synth.random_weights(dims[m], synth.make_rng(seed * 16 + j), w_fmt, amp)
                 for j, m in enumerate(_GRU_MATS)}
         vals.update({b: synth.random_bias(h, synth.make_rng(seed * 16 + 8 + j), acc_frac, amp)
                      for j, b in enumerate(_GRU_BIASES)})
         return vals
 
-    vals = f.read("files", generated, None)
+    vals = f.read("files", lambda uri: _uniform(uri, generated), None)
     if vals is None:
         vals = {m: f.read(m, lambda v: _load_tensor(v, base_dir, w_fmt, dims[m]))
                 for m in _GRU_MATS}

@@ -123,7 +123,10 @@ def load_seq_input(uri: str, seed: int) -> QTensor:
             raise MalformedStream(f"{uri}: unknown sequence generator {kind!r}")
         amp = f.read("amp", _SIGMA if kind == "ar1" else _amp, 0.5)
         f.done()
-        return gen(t, n, *args, rng, amp=amp)
+        try:
+            return gen(t, n, *args, rng, amp=amp)
+        except MalformedStream as exc:  # an ar1 draw past Q8.8
+            raise f.refuse("amp", exc) from None
     t = load_qt(uri)
     if len(t.dims) != 2:
         raise MalformedStream(f"sequence input must be rank 2, got dims {t.dims}")

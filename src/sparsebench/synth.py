@@ -89,7 +89,12 @@ def ar1_seq(steps: int, size: int, rho: float, rng: np.random.Generator,
     for t in range(steps):
         states[t] = state
         state = rho * state + noise[t]
-    return QTensor((steps, size), fmt, quantize_array(states, fmt))
+    over = OpCounter()
+    data = quantize_array(states, fmt, over)
+    if over.saturations:
+        raise MalformedStream(f"{over.saturations} of the {states.size} values drawn at "
+                              f"amplitude {amp:g} are past the {fmt} range")
+    return QTensor((steps, size), fmt, data)
 
 
 def _check_finite_amp(amp: float) -> None:
@@ -99,8 +104,16 @@ def _check_finite_amp(amp: float) -> None:
 
 def random_weights(dims: tuple[int, ...], rng: np.random.Generator,
                    fmt: QFormat = Q2_14, amp: float = 0.1) -> QTensor:
-    """Uniform random weight tensor in [-amp, amp], saturated to 16 bits."""
+    """Uniform random weight tensor in [-amp, amp], rounded to ``fmt``.
+
+    An ``amp`` that rounds past ``fmt``'s largest value is refused, so no
+    draw is clipped; whether a draw would be depends on the seed, the
+    refusal does not.
+    """
     _check_finite_amp(amp)
+    if np.rint(abs(amp) * fmt.scale) > INT16_MAX:
+        raise MalformedStream(f"amplitude {amp:g} rounds past the {fmt} maximum "
+                              f"{INT16_MAX / fmt.scale:g}")
     vals = rng.uniform(-amp, amp, size=int(np.prod(dims)))
     return QTensor(dims, fmt, quantize_array(vals, fmt))
 

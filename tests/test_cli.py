@@ -2,13 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from sparsebench.cli import main
 from sparsebench.errors import MalformedStream
-from sparsebench.fxp import load_qt, save_qt
+from sparsebench.fxp import Q2_14, Q8_8, load_qt, save_qt
 from sparsebench.netdesc import load_mem_config, load_network
-from sparsebench.synth import make_rng, sparse_map
+from sparsebench.synth import ar1_seq, make_rng, random_weights, sparse_map
 
 CONV_NET = """
 name = cnn
@@ -561,11 +562,74 @@ def test_non_finite_weight_amplitude_exits_2(tmp_path, capsys):
 def test_bias_amplitude_past_int32_exits_2(tmp_path, capsys):
     # amp=1000 at accumulator scale 2**22 wrapped the int32 biases with a
     # cast warning and exited 0; 511 * 2**22 still fits
-    net = _gru_net_with_files(tmp_path, "synth:uniform,amp=1000")
-    assert main(["run", "--net", net, "--input", "synth:ar1,t=3,n=32"]) == 2
-    assert "overflows the int32 accumulator" in capsys.readouterr().err
-    net = _gru_net_with_files(tmp_path, "synth:uniform,amp=511")
-    assert main(["run", "--net", net, "--input", "synth:ar1,t=3,n=32"]) == 0
+    net = tmp_path / "bias.net"
+    for amp, code in (("1000", 2), ("511", 0)):
+        net.write_text(CONV_NET.replace("bias = zero", f"bias = synth:uniform,amp={amp}"))
+        assert main(["run", "--net", str(net), "--input", "synth:map,c=2,h=8,w=8"]) == code
+        assert ("overflows the int32 accumulator" in capsys.readouterr().err) == (code == 2)
+
+
+# The largest Q2.14 value, and the least amplitude that rounds past it.
+_Q2_14_MAX = "1.99993896484375"
+_PAST_Q2_14 = "1.999969482421875"
+
+
+@pytest.mark.parametrize("key", ["weights", "files", "wxr", "wxu", "wxc", "whr", "whu", "whc"])
+def test_weight_amplitude_past_the_format_exits_2(tmp_path, capsys, key):
+    # amp=1000 drew 99% of the Q2.14 weights at the format's limits and
+    # exited 0. The refusal is the amplitude's, not the draw's: just past
+    # the maximum, where few draws reach it, every seed is refused
+    if key == "weights":
+        text, uri = CONV_NET, "synth:map,c=2,h=8,w=8"
+    elif key == "files":
+        text, uri = GRU_NET, "synth:ar1,t=3,n=6"
+    else:
+        text = GRU_NET.replace("files = synth:uniform,amp=0.1,seed=4", "\n".join(
+            f"{m} = synth:uniform" for m in ("wxr", "wxu", "wxc", "whr", "whu", "whc")))
+        text += "br = zero\nbu = zero\nbc = zero\n"
+        uri = "synth:ar1,t=3,n=6"
+    net = tmp_path / "w.net"
+    old = f"{key} = synth:uniform" + (",amp=0.2,seed=3" if key == "weights" else
+                                      ",amp=0.1,seed=4" if key == "files" else "")
+    for amp, seed in [("1000", 3), *((_PAST_Q2_14, s) for s in range(5))]:
+        value = f"synth:uniform,amp={amp},seed={seed}"
+        net.write_text(text.replace(old, f"{key} = {value}"))
+        assert main(["run", "--net", str(net), "--input", uri]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {net}: ")
+        assert (f"layer 0: {key} = {value!r}: amp = {amp!r}: amplitude {float(amp):g} "
+                f"rounds past the Q2.14 maximum 1.99994") in err
+    net.write_text(text.replace(old, f"{key} = synth:uniform,amp={_Q2_14_MAX}"))
+    assert main(["run", "--net", str(net), "--input", uri]) == 0
+    capsys.readouterr()
+
+
+def test_weight_generator_refuses_an_amplitude_past_the_format():
+    # called directly, amp=1000 put 99% of the weights at the Q2.14 limits;
+    # at the largest amplitude every draw rounds to itself, unclipped
+    with pytest.raises(MalformedStream, match="amplitude 1000 rounds past the Q2.14 maximum"):
+        random_weights((8, 32), make_rng(0), Q2_14, 1000)
+    with pytest.raises(MalformedStream, match="rounds past the Q8.8 maximum 127.996"):
+        random_weights((8, 32), make_rng(0), Q8_8, 128)
+    amp = float(_Q2_14_MAX)
+    for seed in range(20):
+        w = random_weights((64, 64), make_rng(seed), Q2_14, amp)
+        draws = make_rng(seed).uniform(-amp, amp, size=64 * 64)
+        assert np.array_equal(w.data.reshape(-1), np.rint(draws * Q2_14.scale))
+
+
+def test_ar1_draw_past_q8_8_exits_2(gru_net, capsys):
+    # amp=1000 put 85% of the Q8.8 values at the format's limits and exited
+    # 0; a draw is refused when any value is past the range
+    for amp in ("1000", "200"):
+        uri = f"synth:ar1,t=3,n=6,amp={amp},seed=1"
+        assert main(["run", "--net", gru_net, "--input", uri]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {uri}: amp = {amp!r}: ")
+    with pytest.raises(MalformedStream, match="of the 300 values drawn at amplitude 1000 "
+                                              "are past the Q8.8 range"):
+        ar1_seq(50, 6, 0.99, make_rng(0), amp=1000)
+    assert main(["run", "--net", gru_net, "--input", "synth:ar1,t=3,n=6,amp=10,seed=1"]) == 0
 
 
 @pytest.mark.parametrize("command", ["run", "sweep-theta"])

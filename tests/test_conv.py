@@ -154,10 +154,11 @@ def test_zeroskip_fallback_bit_exact_at_full_scale(k, stride, pad, pool, relu, s
     # full-scale weights and inputs: the no-clip bound almost always
     # fails, so the ordered per-step clamp runs and must still equal the
     # oracle; the slab cap is set so all channels form one group (an
-    # input amplitude of 127.99609375 is the Q8.8 maximum)
+    # amplitude of 127.99609375 is the Q8.8 maximum)
     rng = make_rng(seed)
     spec, x = conv_case(rng, k=k, stride=stride, pad=pad, pool=pool, relu=relu,
-                        sparsity=0.5, w_amp=128.0, x_amp=127.99609375, bias_amp=30000.0)
+                        sparsity=0.5, w_amp=127.99609375, x_amp=127.99609375,
+                        bias_amp=30000.0)
     c, h, w = x.dims
     h_out, w_out = spec.out_dims(h, w)
     one_group = 8 * c * k * k * h_out * w_out
@@ -213,11 +214,15 @@ def test_fast_path_taken_at_bench_scale(monkeypatch):
                          random_weights((16, 32, 3, 3), rng, Q2_14, 0.2),
                          np.zeros(16, dtype=np.int32), True, "max2x2", Q8_8)
     x = sparse_map(32, 24, 24, 0.8, rng, Q8_8, amp=1.0)
+    # the zero-skip fallback steps through fxp, the oracle's through conv
     monkeypatch.setattr(fxp, "sat_add", _refuse)
+    monkeypatch.setattr(conv_mod, "sat_add", _refuse)
     res = conv_zeroskip(spec, encode_sm(x))
+    counter = OpCounter()
+    want = conv_dense_oracle(spec, x, counter)
     monkeypatch.undo()
-    assert decode_sm(res.output) == conv_dense_oracle(spec, x)
-    assert res.counters.saturations == 0
+    assert decode_sm(res.output) == want
+    assert res.counters.saturations == counter.saturations == 0
 
 
 def _refuse(*args):
@@ -321,6 +326,99 @@ def test_all_zero_input_executes_nothing():
     assert res.counters.macs_executed == 0
     assert res.pixels_visited == 0
     assert decode_sm(res.output) == conv_dense_oracle(spec, x)
+
+
+# --- the dense oracle's proven product ------------------------------------------------
+
+# The oracle takes its product when no output's bound passes conv's
+# INT32_MAX; patched to -1 there, no bound holds and every group runs
+# the ordered steps, whose clamp reads fxp's own INT32_MAX.
+_ORDERED = {"INT32_MAX": -1}
+
+
+def _oracle(spec, x, slab_bytes=conv_mod._SLAB_BYTES, **patches):
+    """conv_dense_oracle's output, counter and the int64 accumulators it
+    renormalized, with the slab cap set and the given conv module
+    attributes patched."""
+    counter = OpCounter()
+    with mock.patch.object(conv_mod, "_finish_layer", wraps=conv_mod._finish_layer) as fin, \
+            mock.patch.multiple(conv_mod, _SLAB_BYTES=slab_bytes, **patches):
+        out = conv_dense_oracle(spec, x, counter)
+    return out, counter, fin.call_args.args[1]
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    k=st.sampled_from((1, 3, 5)),
+    stride=st.sampled_from((1, 2)),
+    pad=st.sampled_from((0, 1, 2)),
+    pool=st.booleans(),
+    relu=st.booleans(),
+    sparsity=st.sampled_from((0.0, 0.5, 0.8)),
+    in_c=st.integers(1, 7),
+    group=st.integers(1, 3),
+    amps=st.sampled_from(((0.5, 4.0, 2.0), (100.0, 120.0, 30000.0),
+                          (127.99609375, 127.99609375, 30000.0))),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fast_oracle_equals_the_ordered_loop(k, stride, pad, pool, relu, sparsity,
+                                             in_c, group, amps, seed):
+    # the slab cap is set so each group holds `group` channels (the last
+    # group fewer when `group` does not divide in_c); at the larger
+    # amplitudes some groups clip and take the ordered steps
+    rng = make_rng(seed)
+    w_amp, x_amp, bias_amp = amps
+    spec, x = conv_case(rng, k=k, stride=stride, pad=pad, pool=pool, relu=relu,
+                        sparsity=sparsity, in_c=in_c, w_amp=w_amp, x_amp=x_amp,
+                        bias_amp=bias_amp)
+    h_out, w_out = spec.out_dims(*x.dims[1:])
+    channel_bytes = 8 * k * k * h_out * w_out
+    slab = group * channel_bytes + int(rng.integers(channel_bytes))
+    fast, fast_counter, fast_acc = _oracle(spec, x, slab)
+    ordered, ordered_counter, ordered_acc = _oracle(spec, x, **_ORDERED)
+    assert fast_acc.dtype == ordered_acc.dtype == np.int64
+    assert np.array_equal(fast_acc, ordered_acc)
+    assert fast_counter == ordered_counter
+    assert fast == ordered
+
+
+@pytest.mark.parametrize("over", [0, 1])
+def test_oracle_bound_at_int32_max_is_the_last_one_on_the_product(over):
+    # as for the zero-skip engine: 18 * 3641 * 32767 = INT32_MAX - 1, so with
+    # bias +-1 every output's bound is INT32_MAX exactly; one more and the
+    # ordered steps run, channel 0 clipping at every output
+    w = np.full((2, 2, 3, 3), 3641, dtype=np.int16)
+    w[1] = -3641
+    spec = _layer(in_c=2, out_c=2, k=3, w_vals=w,
+                  bias=np.array([1 + over, -1 - over], dtype=np.int32))
+    x = _ones_input(c=2, h=4, w=4, raw=32767)
+    step = mock.Mock(wraps=fxp.sat_add)
+    out, counter, acc = _oracle(spec, x, sat_add=step)
+    assert step.called == bool(over)
+    assert acc.tolist() == [[[INT32_MAX] * 2] * 2, [[-INT32_MAX - over] * 2] * 2]
+    assert counter.saturations == 8 + 4 * over  # all 8 outputs clip to 16 bits
+    assert (out, counter) == _oracle(spec, x, **_ORDERED)[:2]
+
+
+def test_oracle_accumulator_at_int32_min_blocks_the_product():
+    # one channel per group. Channel 0's terms push the bias past INT32_MIN,
+    # so its group clips in the ordered steps. |INT32_MIN| is 2**31, past
+    # INT32_MAX, so channel 1's group, whose -1 terms clip again, takes
+    # the ordered steps too; an int32 |acc| would wrap to -2**31 and let
+    # the product carry the accumulators below INT32_MIN unclamped
+    w = np.array([[[[-32768]], [[-1]]]], dtype=np.int16)
+    spec = _layer(in_c=2, out_c=1, k=1, w_vals=w,
+                  bias=np.array([-2_000_000_000], dtype=np.int32))
+    data = np.ones((2, 2, 2), dtype=np.int16)
+    data[0] = 32767
+    x = QTensor((2, 2, 2), Q8_8, data)
+    step = mock.Mock(wraps=fxp.sat_add)
+    out, counter, acc = _oracle(spec, x, 8 * 4, sat_add=step)
+    assert step.call_count == 2
+    assert [call.args[1].max() for call in step.call_args_list] == [-32768 * 32767, -1]
+    assert acc.tolist() == [[[fxp.INT32_MIN] * 2] * 2]
+    assert counter.saturations == 4 + 4 + 4  # two clipping groups, then 16 bits
+    assert (out, counter) == _oracle(spec, x, **_ORDERED)[:2]
 
 
 # --- work accounting ---------------------------------------------------------------

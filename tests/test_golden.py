@@ -52,10 +52,44 @@ files = synth:uniform,amp=0.2,seed=5
 
 MAP = "synth:map,c=3,h=12,w=12,sparsity=0.6,amp=2.0"
 
+# Q8.8 weights of amplitude 100 on a map of amplitude 120: accumulators
+# clip in both layers, so both engines take their ordered steps.
+SAT_NET = """
+name = golden-sat-cnn
+[conv]
+in_c = 3
+out_c = 4
+k = 3
+stride = 1
+pad = 1
+relu = true
+pool = max2x2
+w_fmt = Q8.8
+weights = synth:uniform,amp=100,seed=3
+bias = synth:uniform,amp=30000,seed=5
+[conv]
+in_c = 4
+out_c = 2
+k = 3
+stride = 2
+pad = 0
+relu = false
+pool = none
+w_fmt = Q8.8
+weights = synth:uniform,amp=100,seed=4
+bias = zero
+"""
+
+SAT_MAP = "synth:map,c=3,h=12,w=12,sparsity=0.6,amp=120"
+
+NETS = {"conv": CONV_NET, "gru": GRU_NET, "conv-sat": SAT_NET}
+
 # name: (net, CLI arguments, file written, sha256 of that file). The seven
-# report hashes were re-recorded when `MemConfig.burst_len`, which had no
-# cycle effect, left the config: each is the previous report's hash with
-# its two `burst_len` lines (value and provenance) removed.
+# report hashes recorded first were re-recorded when `MemConfig.burst_len`,
+# which had no cycle effect, left the config: each is the previous
+# report's hash with its two `burst_len` lines (value and provenance)
+# removed. The two saturating cases were recorded on the ordered-only
+# dense oracle, before it took a proven product.
 CASES = {
     "conv-sparse": (
         "conv", ["--input", MAP], "report.json",
@@ -80,6 +114,12 @@ CASES = {
         "gru", ["--input", "synth:hold,t=40,n=6,hold=5", "--theta", "0.03", "--mode", "dense"],
         "report.json",
         "a8d3dc73e2951fc4aeb9ab2d80331f6b8f8115d3698b1401cb5f0c1b9d329b6d"),
+    "conv-sat-sparse": (
+        "conv-sat", ["--input", SAT_MAP], "report.json",
+        "4b6688bc937f1a69d7184f7688dadc9255615d13756279932dcc210b12fd232d"),
+    "conv-sat-dense": (
+        "conv-sat", ["--input", SAT_MAP, "--mode", "dense"], "report.json",
+        "324c606b29acaecd06ec2cd502b1ae5963db2e3eb865601411a4cfb3c958e770"),
     "conv-trace-csv": (
         "conv", ["--input", MAP], "trace.csv",
         "20846048dfa265a1d1b1c7ef117bf3884ed4e1d027a35cabfb324a0bd139570e"),
@@ -93,7 +133,7 @@ CASES = {
 def test_report_bytes_match_the_recorded_hash(tmp_path, name):
     net, args, out, want = CASES[name]
     path = tmp_path / f"{net}.net"
-    path.write_text(CONV_NET if net == "conv" else GRU_NET)
+    path.write_text(NETS[net])
     target = tmp_path / out
     flag = "--trace-csv" if out.endswith(".csv") else "--report"
     assert main(["--seed", "42", "run", "--net", str(path), *args, flag, str(target)]) == 0
