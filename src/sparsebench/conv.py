@@ -35,8 +35,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .codec import (SparseFeatureMap, SparsityStats, decode_sm, encode_sm,
                     measure_sparsity, nonzero_arrays)
 from .errors import ShapeMismatch
-from .fxp import (INT32_MAX, OpCounter, QFormat, QTensor, renormalize_array, sat_add,
-                  sat_matvec)
+from .fxp import (INT32_MAX, SLAB_BYTES, OpCounter, QFormat, QTensor, renormalize_array,
+                  sat_add, sat_matvec)
 from .trace import AccessTrace, triple_code
 
 POOL_MODES = ("none", "max2x2")
@@ -46,11 +46,6 @@ _LAYER_TRIPLES = np.array([triple_code(*t) for t in (
     ("DRAM", "read", "weights"), ("DRAM", "read", "activations"),
     ("SRAM", "read", "weights"), ("SRAM", "read", "activations"),
     ("SRAM", "write", "activations"), ("DRAM", "write", "activations"))])
-
-# The float64 matrix of one channel group, in the zero-skip engine and
-# in the dense oracle, is capped near this size; each group holds at
-# least one channel.
-_SLAB_BYTES = 2 << 20
 
 
 @dataclass
@@ -245,9 +240,9 @@ def conv_dense_oracle(spec: ConvLayerSpec, x: QTensor,
 def _channel_groups(c: int, taps: int, n_out: int) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Consecutive input channel ranges ``(c0, c1)`` whose float64 matrix
     of one row per (channel, tap) and one column per output position
-    fits near ``_SLAB_BYTES`` (at least one channel each), and one
+    fits near ``SLAB_BYTES`` (at least one channel each), and one
     buffer that holds the largest of them."""
-    group = max(1, _SLAB_BYTES // (8 * taps * n_out))
+    group = max(1, SLAB_BYTES // (8 * taps * n_out))
     buf = np.empty((min(group, c) * taps, n_out))
     return [(c0, min(c0 + group, c)) for c0 in range(0, c, group)], buf
 

@@ -194,14 +194,23 @@ def quantize_array(values: np.ndarray, fmt: QFormat, counter: OpCounter | None =
 # (the ordered step, `sat_add`). `sat_matvec` is the one primitive that
 # may drop the clamps: when `no_clip` proves that no prefix of the order
 # can clip, it adds all the terms as one float64 BLAS product, and
-# otherwise runs the ordered steps (`sat_columns`). Both GRU engines call
-# it once per side and step, the zero-skip conv once per group of input
-# channels. The dense conv oracle proves and takes its own product per
-# output element (`conv.conv_dense_oracle`), so that check does not rest
-# on this primitive. The dense GRU oracle takes the fast path too, but over full matrices and full
+# otherwise runs the ordered steps (`sat_columns`). The delta GRU calls
+# it once per side and computed step, the dense GRU once per chunk of
+# steps on the input side and once per step on the hidden side, the
+# zero-skip conv once per group of input channels. The dense conv oracle
+# proves and takes its own product per output element
+# (`conv.conv_dense_oracle`), so that check does not rest on this
+# primitive. The dense GRU oracle takes the fast path too, but over full matrices and full
 # vectors, while the delta engine's products are over sparse deltas; so
 # the theta-0 check still tests that the accumulated deltas telescope to
 # the direct products, not the fast path against itself.
+
+# An engine that takes a block of terms at once (a conv channel group, a
+# dense GRU chunk of steps) caps its work matrix near this many bytes,
+# so memory stays bounded on large inputs; a block holds at least one
+# channel or step.
+SLAB_BYTES = 2 << 20
+
 
 def sat_add(acc: np.ndarray, term) -> int:
     """Ordered step: ``acc += term`` in place, clamped to int32.

@@ -22,10 +22,14 @@ interpolation is tabulated once, at import, for each of the 4096
 arguments the Q8.8 domain clamp leaves.
 
 Each layer's six matrices are used as two gate stacks, one per input
-side, so a step makes one bound-checked matvec per side. The four
-pre-activation accumulators live in one int64 vector laid out
-[xc, r, u, hc]: the input side [W_xc; W_xr; W_xu] updates its first
-three quarters and the hidden side [W_hr; W_hu; W_hc] its last three.
+side. The four pre-activation accumulators live in one int64 vector
+laid out [xc, r, u, hc]: the input side [W_xc; W_xr; W_xu] updates its
+first three quarters and the hidden side [W_hr; W_hu; W_hc] its last
+three. The delta engine makes one bound-checked matvec per side and
+step, and none on a quiet step whose output it already knows; the
+dense engine takes the input side of a chunk of steps in one
+bound-checked product, since it does not depend on the recurrence, and
+the hidden side one step at a time.
 """
 
 from dataclasses import dataclass
@@ -36,7 +40,7 @@ import numpy as np
 
 from .codec import encode_delta
 from .errors import MalformedStream, ShapeMismatch
-from .fxp import (INT16_MAX, OpCounter, Q8_8, QScalar, QTensor, quantize,
+from .fxp import (INT16_MAX, SLAB_BYTES, OpCounter, Q8_8, QScalar, QTensor, quantize,
                   round_shift_even, sat_add, sat_matvec)
 from .trace import AccessTrace, triple_code
 
@@ -260,14 +264,16 @@ def _gates(spec: GruLayerSpec, acc: np.ndarray, h_prev: np.ndarray
 @dataclass
 class LayerRecord:
     """What one layer did over a block of steps: its op counter, the
-    events per step, and its access rows as int64 columns (step, triple
-    code, address, nwords), in order within each step. A step of -1 is
+    events per step, its access rows as int64 columns (step, triple
+    code, address, nwords), in order within each step, and the quiet
+    steps whose gate tail it skipped (sparse mode only). A step of -1 is
     the sparse bias preload, before every step."""
 
     counter: OpCounter
     x_events: np.ndarray
     h_events: np.ndarray
     rows: np.ndarray
+    steps_skipped: int
 
 
 def _row_block(groups) -> np.ndarray:
@@ -300,12 +306,24 @@ def run_layer(spec: GruLayerSpec, xs: np.ndarray, state: LayerState,
     Sparse: each step thresholds the input and the previous output
     against their memories (`encode_delta`), adds the event columns of
     each side through `delta_mxv_accumulate`, and applies the gates.
-    The bias preload is the one row before the first step.
+    The bias preload is the one row before the first step. A step with
+    no event after a computed step whose gates returned their own
+    ``h_prev`` is skipped: with no event the accumulator is unchanged,
+    and the gate tail is a function of (accumulator, ``h_prev``) alone,
+    so it would return ``h_prev`` and the same candidate-sum clips
+    again. The skipped step repeats both and makes no
+    `delta_mxv_accumulate` or gate call; its thresholds, counters and
+    trace rows are those of any step.
     Dense: each step recomputes the pre-activations from the biases
-    with one bound-checked ``sat_matvec`` per side over its full gate
-    stack and full vector, and fetches every weight and bias word; the
-    delta engine's products are over sparse deltas, so the theta-0
-    check compares two different computations.
+    over the full gate stacks and full vectors, and fetches every
+    weight and bias word. The input side does not depend on the
+    recurrence, so a chunk of steps (an int64 block of one accumulator
+    row per step, capped near ``SLAB_BYTES``) takes it in one
+    ``sat_matvec`` call on the matrix of its inputs; each step is its
+    own accumulator column, so either route equals that step's ordered
+    sum. The hidden side is one ``sat_matvec`` per step. The delta
+    engine's products are over sparse deltas, so the theta-0 check
+    compares two different computations.
     """
     if mode not in ("sparse", "dense"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -314,19 +332,25 @@ def run_layer(spec: GruLayerSpec, xs: np.ndarray, state: LayerState,
     xside, hside = spec.x_side, spec.h_side
     x_mem, h_mem, h_prev, acc = state
     out = np.empty((steps, h), np.int16)
-    sats = 0
+    sats = skipped = 0
     counter = OpCounter(adds=6 * h * steps)
     t_all = np.arange(steps)
     if mode == "sparse":
         theta = spec.theta.raw
         acc_x, acc_h = acc[:3 * h], acc[h:]
         x_idx, h_idx = [], []
+        fixed = False  # the last `_gates` call returned its own h_prev
         for t in range(steps):
             xi, xv = encode_delta(x_mem, xs[t], theta)
             hi, hv = encode_delta(h_mem, h_prev, theta)
-            sats += delta_mxv_accumulate(xside, xi, xv, acc_x)
-            sats += delta_mxv_accumulate(hside, hi, hv, acc_h)
-            out[t], clips = _gates(spec, acc, h_prev)
+            if fixed and not xi.size and not hi.size:
+                out[t] = h_prev  # and `clips` stays that call's
+                skipped += 1
+            else:
+                sats += delta_mxv_accumulate(xside, xi, xv, acc_x)
+                sats += delta_mxv_accumulate(hside, hi, hv, acc_h)
+                out[t], clips = _gates(spec, acc, h_prev)
+                fixed = np.array_equal(out[t], h_prev)
             sats += clips
             h_prev = out[t]
             x_idx.append(xi)
@@ -346,13 +370,16 @@ def run_layer(spec: GruLayerSpec, xs: np.ndarray, state: LayerState,
                (t_all, _STATE_WRITE, 0, ex + eh + 5 * h)])
     else:
         bias = spec.acc_bias
-        for t in range(steps):
-            pre = bias.copy()
-            sats += sat_matvec(pre[:3 * h], xside.cols.T, xside.cols_abs.T, xs[t])
-            sats += sat_matvec(pre[h:], hside.cols.T, hside.cols_abs.T, h_prev)
-            out[t], clips = _gates(spec, pre, h_prev)
-            sats += clips
-            h_prev = out[t]
+        chunk = max(1, SLAB_BYTES // bias.nbytes)
+        for t0 in range(0, steps, chunk):
+            block = xs[t0:t0 + chunk]
+            pre = np.tile(bias, (len(block), 1))  # one accumulator row per step
+            sats += sat_matvec(pre[:, :3 * h].T, xside.cols.T, xside.cols_abs.T, block.T)
+            for t, acc_t in enumerate(pre, t0):
+                sats += sat_matvec(acc_t[h:], hside.cols.T, hside.cols_abs.T, h_prev)
+                out[t], clips = _gates(spec, acc_t, h_prev)
+                sats += clips
+                h_prev = out[t]
         ex, eh = np.full(steps, i), np.full(steps, h)
         counter.macs_executed = spec.weight_words * steps
         counter.adds += 3 * h * steps
@@ -363,7 +390,7 @@ def run_layer(spec: GruLayerSpec, xs: np.ndarray, state: LayerState,
     counter.macs_dense_equivalent = spec.weight_words * steps
     counter.saturations = sats
     state = LayerState(x_mem, h_mem, h_prev.copy(), acc)
-    return out, state, LayerRecord(counter, ex, eh, rows)
+    return out, state, LayerRecord(counter, ex, eh, rows, skipped)
 
 
 def layer_bias_words(spec: GruLayerSpec) -> int:
@@ -373,7 +400,8 @@ def layer_bias_words(spec: GruLayerSpec) -> int:
 @dataclass
 class GruSeqRun:
     """A sequence run: the final layer's (steps, hidden) Q8.8 outputs,
-    per-layer event counts and op counters, and the access trace.
+    per-layer event counts, quiet steps skipped and op counters, and the
+    access trace.
 
     Every executed MAC reads one weight word, so the weight words
     fetched are the executed MACs and the dense-equivalent weight words
@@ -383,6 +411,7 @@ class GruSeqRun:
     outputs: QTensor
     x_events: np.ndarray  # (layers, steps): input components sent on
     h_events: np.ndarray  # (layers, steps): hidden components sent on
+    steps_skipped: list[int]  # per layer: quiet steps with no gate call
     layer_counters: list[OpCounter]
     trace: AccessTrace
 
@@ -470,5 +499,6 @@ def run_sequence(specs: list[GruLayerSpec], x_seq: QTensor,
         outputs=QTensor(block.shape, ACT_FMT, block),
         x_events=np.stack([r.x_events for r in records]),
         h_events=np.stack([r.h_events for r in records]),
+        steps_skipped=[r.steps_skipped for r in records],
         layer_counters=[r.counter for r in records],
         trace=trace)

@@ -162,7 +162,7 @@ def test_zeroskip_fallback_bit_exact_at_full_scale(k, stride, pad, pool, relu, s
     c, h, w = x.dims
     h_out, w_out = spec.out_dims(h, w)
     one_group = 8 * c * k * k * h_out * w_out
-    with mock.patch.object(conv_mod, "_SLAB_BYTES", one_group), \
+    with mock.patch.object(conv_mod, "SLAB_BYTES", one_group), \
             mock.patch.object(fxp, "sat_add", wraps=fxp.sat_add) as step:
         res = conv_zeroskip(spec, encode_sm(x))
     counter = OpCounter()
@@ -229,11 +229,11 @@ def _refuse(*args):
     raise AssertionError("ordered fallback ran")
 
 
-def _accumulators(spec, sfm, slab_bytes=conv_mod._SLAB_BYTES, **patches):
+def _accumulators(spec, sfm, slab_bytes=conv_mod.SLAB_BYTES, **patches):
     """conv_zeroskip's result and the int64 accumulators it renormalized,
     with the slab cap set and the given fxp module attributes patched."""
     with mock.patch.object(conv_mod, "_finish_layer", wraps=conv_mod._finish_layer) as fin, \
-            mock.patch.object(conv_mod, "_SLAB_BYTES", slab_bytes), \
+            mock.patch.object(conv_mod, "SLAB_BYTES", slab_bytes), \
             mock.patch.multiple(fxp, **patches):
         res = conv_zeroskip(spec, sfm)
     return res, fin.call_args.args[1]
@@ -336,13 +336,13 @@ def test_all_zero_input_executes_nothing():
 _ORDERED = {"INT32_MAX": -1}
 
 
-def _oracle(spec, x, slab_bytes=conv_mod._SLAB_BYTES, **patches):
+def _oracle(spec, x, slab_bytes=conv_mod.SLAB_BYTES, **patches):
     """conv_dense_oracle's output, counter and the int64 accumulators it
     renormalized, with the slab cap set and the given conv module
     attributes patched."""
     counter = OpCounter()
     with mock.patch.object(conv_mod, "_finish_layer", wraps=conv_mod._finish_layer) as fin, \
-            mock.patch.multiple(conv_mod, _SLAB_BYTES=slab_bytes, **patches):
+            mock.patch.multiple(conv_mod, SLAB_BYTES=slab_bytes, **patches):
         out = conv_dense_oracle(spec, x, counter)
     return out, counter, fin.call_args.args[1]
 

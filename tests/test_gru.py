@@ -340,8 +340,12 @@ def _threshold(mem, cur, theta):
 def _reference_gru(specs, xs, mode):
     """Per-gate GRU in Python: six matrices, four int64 accumulators and
     ordered column steps; in sparse mode the accumulators persist and
-    take only threshold-crossing deltas. Returns (outputs, clips)."""
+    take only threshold-crossing deltas. Every step runs the gates.
+    Returns (outputs, clips, x_events, h_events), the events as
+    (layers, steps) counts of components sent on."""
     clips = 0
+    x_events = np.zeros((len(specs), len(xs.data)), np.int64)
+    h_events = np.zeros_like(x_events)
     layers = []
     for s in specs:
         b = [s.b_r.astype(np.int64), s.b_u.astype(np.int64), s.b_c.astype(np.int64),
@@ -350,9 +354,9 @@ def _reference_gru(specs, xs, mode):
                        "h_mem": np.zeros(s.hidden_size, np.int16),
                        "h": np.zeros(s.hidden_size, np.int16)})
     outs = []
-    for x in xs.data:
+    for t, x in enumerate(xs.data):
         cur = QTensor(x.shape, Q8_8, x)
-        for s, st_ in zip(specs, layers):
+        for l, (s, st_) in enumerate(zip(specs, layers)):
             h_prev = st_["h"]
             if mode == "dense":
                 a_r, a_u, a_xc = s.b_r.astype(np.int64), s.b_u.astype(np.int64), s.b_c.astype(np.int64)
@@ -363,6 +367,7 @@ def _reference_gru(specs, xs, mode):
                 a_r, a_u, a_xc, a_hc = st_["acc"]
                 x_ev = _threshold(st_["x_mem"], cur.data, s.theta.raw)
                 h_ev = _threshold(st_["h_mem"], h_prev, s.theta.raw)
+            x_events[l, t], h_events[l, t] = len(x_ev), len(h_ev)
             for acc, w in ((a_r, s.w_xr), (a_u, s.w_xu), (a_xc, s.w_xc)):
                 clips += _ordered_columns(acc, w.data, x_ev)
             for acc, w in ((a_r, s.w_hr), (a_u, s.w_hu), (a_hc, s.w_hc)):
@@ -376,7 +381,8 @@ def _reference_gru(specs, xs, mode):
             st_["h"] = np.array([_half_even(int(v), 8) for v in mix], dtype=np.int16)
             cur = QTensor((s.hidden_size,), Q8_8, st_["h"].copy())
         outs.append(cur.data)
-    return QTensor((len(outs), specs[-1].hidden_size), Q8_8, np.stack(outs)), clips
+    outputs = QTensor((len(outs), specs[-1].hidden_size), Q8_8, np.stack(outs))
+    return outputs, clips, x_events, h_events
 
 
 def _edge_biases(spec, rng):
@@ -400,7 +406,7 @@ def test_saturating_two_layer_gru_matches_per_gate_reference(seed, theta):
              _edge_biases(gru_spec(rng, 8, 5, theta=theta, w_amp=1.9), rng)]
     xs = uniform_seq(10, 6, rng, amp=100.0)
     for mode in ("sparse", "dense"):
-        want, want_clips = _reference_gru(specs, xs, mode)
+        want, want_clips, _, _ = _reference_gru(specs, xs, mode)
         run = run_sequence(specs, xs, mode)
         assert run.outputs == want
         assert run.counters.saturations == want_clips > 0
@@ -432,13 +438,112 @@ def test_fast_and_ordered_routes_mix_within_one_run(seed, theta):
     xs = QTensor((10, 6), Q8_8, np.vstack([np.zeros(6, np.int16), small,
                                            uniform_seq(8, 6, rng, amp=100.0).data]))
     for mode in ("sparse", "dense"):
-        want, want_clips = _reference_gru(specs, xs, mode)
+        want, want_clips, _, _ = _reference_gru(specs, xs, mode)
         with mock.patch.object(gru, "sat_matvec", wraps=fxp.sat_matvec) as routed, \
                 mock.patch.object(fxp, "sat_columns", wraps=fxp.sat_columns) as ordered:
             run = run_sequence(specs, xs, mode)
         assert run.outputs == want
         assert run.counters.saturations == want_clips
         assert 0 < ordered.call_count < routed.call_count
+
+
+def _skips_like_the_reference(specs, xs):
+    """Both modes against the per-gate reference, which runs the gates
+    on every step: outputs, clips and per-step events; dense mode skips
+    nothing. Returns the sparse run's skipped steps, summed."""
+    runs = {}
+    for mode in ("sparse", "dense"):
+        want, want_clips, want_x, want_h = _reference_gru(specs, xs, mode)
+        runs[mode] = run = run_sequence(specs, xs, mode)
+        assert run.outputs == want
+        assert run.counters.saturations == want_clips
+        assert np.array_equal(run.x_events, want_x)
+        assert np.array_equal(run.h_events, want_h)
+    assert runs["dense"].steps_skipped == [0] * len(specs)
+    return sum(runs["sparse"].steps_skipped)
+
+
+def test_quiet_steps_repeat_a_saturated_fixed_point():
+    # hold inputs into saturating two-layer nets: the gates settle on
+    # fixed points whose candidate sum clips, and the delta engine skips
+    # the quiet steps there, which must add the same clips as a computed
+    # step; some generated case must skip a step
+    skipped = []
+
+    @settings(deadline=None, max_examples=10)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((0.0, 0.05)),
+           st.sampled_from((_edge_biases, _margin_biases)), st.integers(1, 6),
+           st.sampled_from((1.0, 100.0)))
+    def case(seed, theta, biases, hold, amp):
+        rng = make_rng(seed)
+        specs = [biases(gru_spec(rng, 6, 8, theta=theta, w_amp=1.9), rng),
+                 biases(gru_spec(rng, 8, 5, theta=theta, w_amp=1.9), rng)]
+        skipped.append(_skips_like_the_reference(
+            specs, piecewise_constant_seq(16, 6, hold, rng, amp=amp)))
+
+    case()
+    assert max(skipped) > 0
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.integers(0, 2**32 - 1))
+def test_quiet_steps_off_a_fixed_point_run_the_gates(seed):
+    # at theta 0.1 an unsaturated net's outputs drift by less than theta
+    # for steps after each change of the held input: those steps send no
+    # event, but their gates do not return their own input, so they must
+    # be computed, also after an earlier step sat at a fixed point
+    rng = make_rng(seed)
+    specs = [gru_spec(rng, 6, 8, theta=0.1), gru_spec(rng, 8, 5, theta=0.1)]
+    _skips_like_the_reference(specs, piecewise_constant_seq(24, 6, 8, rng))
+
+
+def test_dense_chunks_take_their_own_input_side_route(monkeypatch):
+    # the cap holds three steps of accumulators, so the chunks are steps
+    # [0:3], [3:6] and [6:8]. Small inputs keep the first and last under
+    # the margin biases' bound and large ones push the middle past it:
+    # that chunk alone takes the ordered steps, and every route must add
+    # up to the per-gate reference
+    rng = make_rng(19)
+    spec = _margin_biases(gru_spec(rng, 6, 8, w_amp=1.9), rng)
+    monkeypatch.setattr(gru, "SLAB_BYTES", 3 * spec.acc_bias.nbytes)
+    small = uniform_seq(5, 6, rng, amp=0.08).data
+    data = np.vstack([small[:3], uniform_seq(3, 6, rng, amp=100.0).data, small[3:]])
+    xs = QTensor(data.shape, Q8_8, data)
+    blocks, ordered = [], []
+    ordered_columns = fxp.sat_columns
+
+    def routed(acc, w, w_abs, x):
+        if x.ndim == 2:
+            blocks.append(x.T.tolist())
+        return fxp.sat_matvec(acc, w, w_abs, x)
+
+    def columns(acc, w, x):
+        if x.ndim == 2:
+            ordered.append(x.T.tolist())
+        return ordered_columns(acc, w, x)
+
+    monkeypatch.setattr(gru, "sat_matvec", routed)
+    monkeypatch.setattr(fxp, "sat_columns", columns)
+    run = run_sequence([spec], xs, "dense")
+    want, want_clips, _, _ = _reference_gru([spec], xs, "dense")
+    assert run.outputs == want
+    assert run.counters.saturations == want_clips
+    assert blocks == [data[0:3].tolist(), data[3:6].tolist(), data[6:8].tolist()]
+    assert ordered == [data[3:6].tolist()]
+
+
+def test_steps_skipped_counts_quiet_steps_per_layer():
+    # an ar1 input at theta 0 changes every step, so nothing is skipped;
+    # a held input at the bench's theta leaves steps with no event at a
+    # fixed point, and only such steps are skipped
+    rng = make_rng(20)
+    specs = [gru_spec(rng, 32, 64), gru_spec(rng, 64, 64)]
+    assert run_sequence(specs, ar1_seq(30, 32, 0.99, rng), "sparse").steps_skipped == [0, 0]
+    held = [replace(s, theta=gru.quantize_theta(0.03)) for s in specs]
+    xs = piecewise_constant_seq(100, 32, 25, rng)
+    run = run_sequence(held, xs, "sparse")
+    quiet = np.count_nonzero(run.x_events + run.h_events == 0, axis=1)
+    assert all(0 < n <= q for n, q in zip(run.steps_skipped, quiet))
 
 
 # --- single-step semantics ------------------------------------------------------------
