@@ -1,10 +1,11 @@
-"""Little binary I/O helpers: offset-tracking reader and atomic writes."""
+"""The one file boundary (``read_bytes``, ``read_text``, ``atomic_write``:
+any OSError is a MissingArtifact naming the path) and a byte reader."""
 
 import os
 import struct
 import tempfile
 
-from .errors import MalformedStream
+from .errors import MalformedStream, MissingArtifact
 
 
 class Reader:
@@ -32,19 +33,43 @@ class Reader:
             raise MalformedStream("trailing data after payload", self.pos)
 
 
-def atomic_write(path: str, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+def _file_error(verb: str, path: str, exc: OSError) -> MissingArtifact:
+    reason = ("not found" if verb == "read" and isinstance(exc, FileNotFoundError)
+              else exc.strerror or str(exc))
+    return MissingArtifact(f"cannot {verb} {path}: {reason}")
+
+
+def read_bytes(path: str) -> bytes:
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise _file_error("read", path, exc) from exc
+
+
+def read_text(path: str) -> str:
+    """UTF-8 with universal newlines (CR LF and CR read as LF); bytes that
+    are not UTF-8 are a MalformedStream naming the file and offset."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise _file_error("read", path, exc) from exc
+    except UnicodeDecodeError as exc:  # one decode of the whole file: a file offset
+        raise MalformedStream(f"{path}: not UTF-8 text", exc.start) from exc
+
+
+def atomic_write(path: str, data: bytes) -> None:
+    """Write via a temp file in the same directory, then rename; a failed
+    write leaves neither the temp file nor a partial ``path``."""
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
             os.unlink(tmp)
-        raise
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    atomic_write(path, text.encode("utf-8"))
+            raise
+    except OSError as exc:
+        raise _file_error("write", path, exc) from exc

@@ -2,8 +2,9 @@
 
 Subcommands: encode, decode, stats, run, sweep-theta, mem-sim, report,
 brain-budget. Exit codes: 0 ok, 2 input or format error, 3 shape error,
-4 missing artifact, 5 the sparse and dense engines disagreed where they
-must agree (an internal invariant failure, a bug).
+4 a file that is missing or cannot be read or written, 5 the sparse and
+dense engines disagreed where they must agree (an internal invariant
+failure, a bug).
 """
 
 import argparse
@@ -11,7 +12,7 @@ import json
 import math
 import sys
 
-from ._binio import atomic_write_text
+from ._binio import atomic_write, read_text
 from .codec import decode_sm, encode_sm, load_smfm, measure_sparsity, save_smfm
 from .errors import (EquivalenceFailure, MalformedStream, MissingArtifact,
                      ShapeMismatch, Underdetermined)
@@ -20,7 +21,7 @@ from .memmodel import (MemConfig, brain_budget, cost_trace,
                        random_vs_burst_ratio, schedule_dense_weight_stream,
                        solve_for)
 from .netdesc import integer, load_mem_config, load_network, number, u64
-from .report import load_report_dict, scatter_csv, scatter_svg
+from .report import scatter_csv, scatter_svg
 from .runner import (execute_conv, execute_conv_averaged, execute_gru,
                      load_conv_input, load_seq_input, sweep_rows_csv,
                      sweep_theta)
@@ -77,17 +78,11 @@ def _flag(flag: str, parse, text: str):
         raise MalformedStream(f"{flag}: {text!r}: {exc}") from None
 
 
-def _resolve_mem(args, desc) -> MemConfig:
-    if args.config:
-        return load_mem_config(args.config)
-    return desc.mem
-
-
 def cmd_run(args) -> int:
     if args.count < 1:
         raise MalformedStream(f"--count must be at least 1, got {args.count}")
     desc = load_network(args.net)
-    mem = _resolve_mem(args, desc)
+    mem = load_mem_config(args.config) if args.config else desc.mem
     if desc.kind == "conv":
         if args.theta is not None:
             raise MalformedStream("--theta applies to gru networks only")
@@ -136,7 +131,7 @@ def cmd_sweep_theta(args) -> int:
     header, rows = sweep_theta(desc, x_seq, thetas)
     text = sweep_rows_csv(header, rows)
     if args.out:
-        atomic_write_text(args.out, text)
+        atomic_write(args.out, text.encode())
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -160,19 +155,14 @@ def cmd_mem_sim(args) -> int:
     if len(chosen) != 1:
         raise MalformedStream("choose exactly one of --trace, --ratio, --stream")
     if args.trace is not None:
-        with open(args.trace, "r", encoding="utf-8") as fh:
-            try:
-                trace = trace_from_csv(fh.read())
-            except ValueError as exc:
-                raise MalformedStream(str(exc)) from exc
-        _print_cost(cost_trace(trace, cfg), args.format)
+        _print_cost(cost_trace(trace_from_csv(read_text(args.trace)), cfg), args.format)
     elif args.ratio is not None:
         if args.ratio < 1:
             raise MalformedStream("--ratio needs a positive word count")
         print(f"{random_vs_burst_ratio(args.ratio, cfg):.6g}")
     else:
         dims = tuple(_flag("--stream", integer, p) for p in args.stream.lower().split("x"))
-        trace = schedule_dense_weight_stream(dims, cfg)
+        trace = schedule_dense_weight_stream(dims)
         _print_cost(cost_trace(trace, cfg), args.format)
     return 0
 
@@ -181,7 +171,7 @@ def cmd_report(args) -> int:
     points = []
     for path in args.reports:
         try:
-            d = load_report_dict(path)
+            d = json.loads(read_text(path))
             points.append((d["name"], d["foms"]["watts"],
                            d["foms"]["effective_gops"]))
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
@@ -192,11 +182,11 @@ def cmd_report(args) -> int:
                 f"report {name!r} has non-positive watts or gops")
     csv_text = scatter_csv(points)
     if args.out_csv:
-        atomic_write_text(args.out_csv, csv_text)
+        atomic_write(args.out_csv, csv_text.encode())
     else:
         sys.stdout.write(csv_text)
     if args.out_svg:
-        atomic_write_text(args.out_svg, scatter_svg(points))
+        atomic_write(args.out_svg, scatter_svg(points).encode())
     return 0
 
 
@@ -308,7 +298,6 @@ EXIT_CODES = (
     (Underdetermined, 2),
     (ShapeMismatch, 3),
     (MissingArtifact, 4),
-    (FileNotFoundError, 4),
     (EquivalenceFailure, 5),
     (ValueError, 2),
 )

@@ -19,7 +19,7 @@ import struct
 
 import numpy as np
 
-from ._binio import Reader, atomic_write
+from ._binio import Reader, atomic_write, read_bytes
 from .errors import MalformedStream, ShapeMismatch
 from .fxp import QFormat, QTensor
 
@@ -200,5 +200,4 @@ def save_smfm(s: SparseFeatureMap, path: str) -> None:
 
 
 def load_smfm(path: str) -> SparseFeatureMap:
-    with open(path, "rb") as fh:
-        return from_smfm_bytes(fh.read())
+    return from_smfm_bytes(read_bytes(path))

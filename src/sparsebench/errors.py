@@ -27,7 +27,8 @@ class Underdetermined(SparseBenchError):
 
 
 class MissingArtifact(SparseBenchError):
-    """A referenced weight/input file does not exist."""
+    """A file that is missing or cannot be read or written; the message
+    names the path and the OS reason."""
 
 
 class EquivalenceFailure(SparseBenchError):

@@ -20,7 +20,7 @@ import struct
 
 import numpy as np
 
-from ._binio import Reader, atomic_write
+from ._binio import Reader, atomic_write, read_bytes
 from .errors import MalformedStream, ShapeMismatch
 
 INT16_MIN = -(1 << 15)
@@ -397,5 +397,4 @@ def save_qt(t: QTensor, path: str) -> None:
 
 
 def load_qt(path: str) -> QTensor:
-    with open(path, "rb") as fh:
-        return from_qt_bytes(fh.read())
+    return from_qt_bytes(read_bytes(path))

@@ -97,11 +97,10 @@ def cost_trace(trace: AccessTrace, cfg: MemConfig) -> MemCostReport:
     return rep
 
 
-def schedule_dense_weight_stream(dims: tuple[int, ...], cfg: MemConfig,
-                                 base_address: int = 0) -> AccessTrace:
+def schedule_dense_weight_stream(dims: tuple[int, ...]) -> AccessTrace:
     """Fully sequential read of a contiguously laid-out weight region."""
     return AccessTrace.from_columns(triple_code("DRAM", "read", "weights"), 0,
-                                    [base_address], [math.prod(dims) if dims else 0])
+                                    [0], [math.prod(dims) if dims else 0])
 
 
 def random_vs_burst_ratio(n_words: int, cfg: MemConfig) -> float:

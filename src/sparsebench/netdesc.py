@@ -38,8 +38,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import synth
+from ._binio import read_text
 from .conv import ConvLayerSpec
-from .errors import MalformedStream, MissingArtifact, ShapeMismatch, SparseBenchError
+from .errors import MalformedStream, ShapeMismatch, SparseBenchError
 from .fxp import Q2_14, Q8_8, QFormat, QTensor, load_qt
 from .gru import ACT_FMT, GruLayerSpec, quantize_theta
 from .memmodel import MemConfig
@@ -207,10 +208,7 @@ def _mem_config(f: Fields) -> MemConfig:
 def load_mem_config(path: str) -> MemConfig:
     """Standalone config file: bare keys, one [mem] section, or both with
     no key set twice."""
-    if not os.path.exists(path):
-        raise MissingArtifact(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        pairs, blocks = _parse_blocks(fh.read(), path)
+    pairs, blocks = _parse_blocks(read_text(path), path)
     for section, body in blocks:
         if section != "mem":
             raise MalformedStream(f"{path}: unexpected section [{section}]")
@@ -220,19 +218,12 @@ def load_mem_config(path: str) -> MemConfig:
     return _mem_config(Fields(pairs, path))
 
 
-def _qt_file(value: str, base_dir: str) -> QTensor:
-    path = os.path.join(base_dir, value)
-    if not os.path.exists(path):
-        raise MissingArtifact(f"file not found: {path}")
-    return load_qt(path)
-
-
 def _load_tensor(value: str, base_dir: str, fmt: QFormat, dims: tuple[int, ...]) -> QTensor:
     """Load a weight tensor from a .qt path or generate it from a URI."""
     if value.startswith("synth:"):
         return _uniform(value, lambda seed, amp: synth.random_weights(
             dims, synth.make_rng(seed), fmt, amp))
-    t = _qt_file(value, base_dir)
+    t = load_qt(os.path.join(base_dir, value))
     if t.dims != dims:
         raise ShapeMismatch(f"dims {t.dims}, expected {dims}")
     if t.fmt != fmt:
@@ -247,7 +238,7 @@ def _load_bias(value: str, base_dir: str, n: int, acc_frac: int) -> np.ndarray:
             n, synth.make_rng(seed), acc_frac, amp))
     if value.lower() == "zero":
         return np.zeros(n, dtype=np.int32)
-    t = _qt_file(value, base_dir)
+    t = load_qt(os.path.join(base_dir, value))
     if t.dims != (n,):
         raise ShapeMismatch(f"dims {t.dims}, expected ({n},)")
     if t.fmt.frac_bits > acc_frac:
@@ -305,10 +296,7 @@ def _gru_layer(f: Fields, base_dir: str) -> GruLayerSpec:
 
 
 def load_network(path: str) -> NetworkDesc:
-    if not os.path.exists(path):
-        raise MissingArtifact(f"network description not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        top, blocks = _parse_blocks(fh.read(), path)
+    top, blocks = _parse_blocks(read_text(path), path)
     base_dir = os.path.dirname(os.path.abspath(path))
     f = Fields(top, path)
     name = f.read("name", str, os.path.splitext(os.path.basename(path))[0])

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
-from ._binio import atomic_write_text
+from ._binio import atomic_write
 from .memmodel import MemConfig
 
 CONFIG_PROVENANCE = {
@@ -93,9 +93,9 @@ class RunReport:
 
     def write(self, path: str, fmt: str = "json") -> None:
         if fmt == "json":
-            atomic_write_text(path, self.to_json())
+            atomic_write(path, self.to_json().encode())
         elif fmt == "csv":
-            atomic_write_text(path, self.to_csv())
+            atomic_write(path, self.to_csv().encode())
         else:
             raise ValueError(f"unknown report format {fmt!r}")
 
@@ -105,11 +105,6 @@ def config_dict(cfg: MemConfig) -> dict:
         "mem": {k: getattr(cfg, k) for k in CONFIG_PROVENANCE},
         "provenance": dict(CONFIG_PROVENANCE),
     }
-
-
-def load_report_dict(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 # --- throughput vs power scatter ---------------------------------------------

@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 
-from ._binio import atomic_write_text
+from ._binio import atomic_write
 
 REGIONS = ("DRAM", "SRAM")
 KINDS = ("read", "write")
@@ -136,7 +136,7 @@ class AccessTrace:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path: str) -> None:
-        atomic_write_text(path, self.to_csv())
+        atomic_write(path, self.to_csv().encode())
 
 
 def trace_from_csv(text: str) -> AccessTrace:

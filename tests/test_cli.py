@@ -1,6 +1,8 @@
 """End-to-end CLI checks driven through cli.main in-process."""
 
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -850,6 +852,107 @@ def test_report_rejects_unreadable(tmp_path):
     assert main(["report", str(bad), "--out-csv", str(tmp_path / "o.csv")]) == 2
     missing = str(tmp_path / "none.json")
     assert main(["report", missing, "--out-csv", str(tmp_path / "o.csv")]) == 4
+
+
+# --- paths that cannot be opened --------------------------------------------------
+
+MAP_URI, SEQ_URI = "synth:map,c=2,h=8,w=8", "synth:uniform,t=3,n=6"
+
+# Entry point: (file name, reads or writes it, argv given the bad path and
+# the valid files in `ok`). Before the one file boundary, a directory
+# ended in an IsADirectoryError traceback and a failed write was named by
+# its temp file.
+PATH_CASES = {
+    "stats": ("bad.qt", "read", lambda bad, ok: ["stats", bad]),
+    "encode-input": ("bad.qt", "read", lambda bad, ok: ["encode", bad, ok["out"]]),
+    "encode-output": ("bad.smfm", "write", lambda bad, ok: ["encode", ok["qt"], bad]),
+    "decode-input": ("bad.smfm", "read", lambda bad, ok: ["decode", bad, ok["out"]]),
+    "decode-output": ("bad.qt", "write", lambda bad, ok: ["decode", ok["smfm"], bad]),
+    "run-net": ("bad.net", "read", lambda bad, ok: ["run", "--net", bad, "--input", MAP_URI]),
+    "run-input-qt": ("bad.qt", "read", lambda bad, ok: ["run", "--net", ok["net"], "--input", bad]),
+    "run-input-smfm": ("bad.smfm", "read",
+                       lambda bad, ok: ["run", "--net", ok["net"], "--input", bad]),
+    "run-config": ("bad.cfg", "read", lambda bad, ok: ["--config", bad, "run", "--net", ok["net"],
+                                                     "--input", MAP_URI]),
+    "run-report": ("bad.json", "write", lambda bad, ok: ["run", "--net", ok["net"], "--input",
+                                                       MAP_URI, "--report", bad]),
+    "run-trace-csv": ("bad.csv", "write", lambda bad, ok: ["run", "--net", ok["net"], "--input",
+                                                         MAP_URI, "--trace-csv", bad]),
+    "sweep-theta-out": ("bad.csv", "write", lambda bad, ok: ["sweep-theta", "--net", ok["gru"],
+                                                           "--input", SEQ_URI, "--thetas", "0",
+                                                           "--out", bad]),
+    "mem-sim-trace": ("bad.csv", "read", lambda bad, ok: ["mem-sim", "--trace", bad]),
+    "report-input": ("bad.json", "read", lambda bad, ok: ["report", bad]),
+    "report-out-csv": ("bad.csv", "write",
+                       lambda bad, ok: ["report", ok["report"], "--out-csv", bad]),
+    "report-out-svg": ("bad.svg", "write",
+                       lambda bad, ok: ["report", ok["report"], "--out-svg", bad]),
+    # the .net's `wxr =` value is the bad path relative to the .net; empty
+    # (the .net's own directory) in the directory case
+    "net-weight-file": ("", "read", lambda bad, ok: ["run", "--net", ok["weight_net"](bad),
+                                                     "--input", SEQ_URI]),
+}
+
+
+def _valid_files(root, conv_net, gru_net, map_qt, capsys):
+    smfm, report = str(root / "x.smfm"), str(root / "r.json")
+    assert main(["encode", map_qt, smfm]) == 0
+    assert main(["run", "--net", conv_net, "--input", MAP_URI, "--report", report]) == 0
+    capsys.readouterr()
+
+    def weight_net(bad):
+        net = root / "w.net"
+        net.write_text(f"[gru]\ninput = 6\nhidden = 8\nwxr = {bad[len(str(root)) + 1:]}\n")
+        return str(net)
+
+    return {"net": conv_net, "gru": gru_net, "qt": map_qt, "smfm": smfm, "report": report,
+            "out": str(root / "out.bin"), "weight_net": weight_net}
+
+
+# The OS reason each kind of bad path must be reported with.
+PATH_KINDS = {"directory": errno.EISDIR, "under-a-file": errno.ENOTDIR,
+              "in-a-missing-directory": errno.ENOENT}
+
+
+# A missing file to read is test_missing_input_exits_4's case.
+@pytest.mark.parametrize("entry,kind", [
+    (entry, kind) for entry, (_, access, _) in PATH_CASES.items()
+    for kind in list(PATH_KINDS)[:3 if access == "write" else 2]])
+def test_path_that_cannot_be_opened_exits_4_naming_it(tmp_path, conv_net, gru_net, map_qt,
+                                                     capsys, entry, kind):
+    name, _, argv = PATH_CASES[entry]
+    ok = _valid_files(tmp_path, conv_net, gru_net, map_qt, capsys)
+    if kind == "directory":
+        bad = tmp_path / name
+        bad.mkdir(exist_ok=True)  # name "" is tmp_path itself
+    elif kind == "under-a-file":
+        (tmp_path / "plain").write_text("")
+        bad = tmp_path / "plain" / (name or "w.qt")
+    else:
+        bad = tmp_path / "nodir" / name
+    assert main(argv(str(bad), ok)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(bad) in err and os.strerror(PATH_KINDS[kind]) in err and ".tmp-" not in err
+    assert not list(tmp_path.rglob(".tmp-*"))
+
+
+NOT_UTF8 = b"name = x\n# caf\xe9\n"
+
+
+@pytest.mark.parametrize("argv", [
+    lambda bad, ok: ["run", "--net", bad, "--input", MAP_URI],
+    lambda bad, ok: ["--config", bad, "run", "--net", ok["net"], "--input", MAP_URI],
+    lambda bad, ok: ["mem-sim", "--trace", bad],
+    lambda bad, ok: ["report", bad],
+], ids=["net", "config", "trace-csv", "report"])
+def test_text_input_that_is_not_utf8_exits_2_naming_it(tmp_path, conv_net, gru_net, map_qt,
+                                                      capsys, argv):
+    ok = _valid_files(tmp_path, conv_net, gru_net, map_qt, capsys)
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(NOT_UTF8)
+    assert main(argv(str(bad), ok)) == 2
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (byte offset 14)\n"
 
 
 # --- brain-budget ----------------------------------------------------------------------

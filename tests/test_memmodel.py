@@ -54,7 +54,7 @@ def test_scattered_words_cost_one_activation_each():
 
 
 def test_full_weight_matrix_stream():
-    t = schedule_dense_weight_stream((768, 768), CFG)
+    t = schedule_dense_weight_stream((768, 768))
     rep = cost_trace(t, CFG)
     assert rep.dram_words == 589824
     assert rep.row_activations == 576
@@ -62,7 +62,7 @@ def test_full_weight_matrix_stream():
 
 
 def test_empty_stream_is_free():
-    rep = cost_trace(schedule_dense_weight_stream((), CFG), CFG)
+    rep = cost_trace(schedule_dense_weight_stream(()), CFG)
     assert (rep.cycles, rep.dram_words, rep.energy_pj) == (0, 0, 0.0)
 
 

@@ -17,7 +17,6 @@ from sparsebench.report import (
     RunReport,
     config_dict,
     iso_efficiency_segment,
-    load_report_dict,
     scatter_axes,
     scatter_csv,
     scatter_svg,
@@ -64,7 +63,8 @@ def test_csv_shape():
 def test_report_file_roundtrip(tmp_path):
     path = str(tmp_path / "r.json")
     _report().write(path, "json")
-    d = load_report_dict(path)
+    with open(path, encoding="utf-8") as fh:
+        d = json.load(fh)
     assert d["name"] == "demo" and d["seed"] == 7
     csv_path = str(tmp_path / "r.csv")
     _report().write(csv_path, "csv")
