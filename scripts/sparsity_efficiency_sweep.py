@@ -37,8 +37,7 @@ def main(argv=None) -> int:
     lines = ["sparsity,efficiency_pct,expected_pct,compression_ratio,"
              "executed_macs,dense_macs"]
     for level in (float(s) for s in args.levels.split(",") if s.strip()):
-        x = sparse_map(args.channels, args.size, args.size, level, rng,
-                       fmt=Q8_8, amp=4.0)
+        x = sparse_map(args.channels, args.size, args.size, level, rng, amp=4.0)
         sfm = encode_sm(x)
         res = conv_zeroskip(spec, sfm)
         c = res.counters

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from sparsebench.fxp import Q2_14, Q8_8, quantize
+from sparsebench.fxp import Q2_14, Q8_8, quantize_array
 from sparsebench.gru import GruLayerSpec
 from sparsebench.netdesc import NetworkDesc, load_network
 from sparsebench.runner import load_seq_input, sweep_rows_csv, sweep_theta
@@ -33,7 +33,7 @@ def demo_network(seed: int) -> NetworkDesc:
         np.zeros(h, dtype=np.int32),
         np.full(h, -7 * acc_scale, dtype=np.int32),
         (rng.uniform(-0.3, 0.3, h) * acc_scale).astype(np.int32),
-        theta=quantize(0.0, Q8_8))
+        theta=int(quantize_array(0.0, Q8_8)))
     return NetworkDesc(name="demo-gru", kind="gru", gru_layers=[spec])
 
 

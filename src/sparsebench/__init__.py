@@ -12,13 +12,11 @@ from .conv import (ConvLayerSpec, LayerRunResult, conv_dense_oracle,
                    conv_zeroskip, fused_relu_pool, run_network)
 from .errors import (EquivalenceFailure, MalformedStream, MissingArtifact,
                      ShapeMismatch, SparseBenchError, Underdetermined)
-from .fxp import (OpCounter, Q2_14, Q8_8, QFormat, QScalar, QTensor, load_qt,
-                  quantize, save_qt)
+from .fxp import OpCounter, Q2_14, Q8_8, QFormat, QTensor, load_qt, save_qt
 from .gru import (GruLayerSpec, LayerState, StepStats, delta_mxv_accumulate,
                   run_layer, run_sequence)
-from .memmodel import (MemConfig, MemCostReport, brain_budget, cost_trace,
-                       random_vs_burst_ratio, schedule_dense_weight_stream,
-                       solve_for)
+from .memmodel import (MemConfig, MemCostReport, cost_trace, random_vs_burst_ratio,
+                       schedule_dense_weight_stream, solve_budget)
 from .trace import AccessTrace
 
 __version__ = "0.1.0"

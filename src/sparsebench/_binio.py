@@ -61,12 +61,16 @@ def read_text(path: str) -> str:
 
 def atomic_write(path: str, data: bytes) -> None:
     """Write via a temp file in the same directory, then rename; a failed
-    write leaves neither the temp file nor a partial ``path``."""
+    write leaves neither the temp file nor a partial ``path``. The file
+    gets the mode ``open`` would give a new one, 0o666 less the umask."""
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
+            umask = os.umask(0)  # read it by setting it, then put it back
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)  # mkstemp made it 0o600
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

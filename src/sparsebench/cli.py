@@ -17,9 +17,8 @@ from .codec import decode_sm, encode_sm, load_smfm, measure_sparsity, save_smfm
 from .errors import (EquivalenceFailure, MalformedStream, MissingArtifact,
                      ShapeMismatch, Underdetermined)
 from .fxp import load_qt, save_qt
-from .memmodel import (MemConfig, brain_budget, cost_trace,
-                       random_vs_burst_ratio, schedule_dense_weight_stream,
-                       solve_for)
+from .memmodel import (MemConfig, cost_trace, random_vs_burst_ratio,
+                       schedule_dense_weight_stream, solve_budget)
 from .netdesc import integer, load_mem_config, load_network, number, u64
 from .report import scatter_csv, scatter_svg
 from .runner import (execute_conv, execute_conv_averaged, execute_gru,
@@ -190,36 +189,31 @@ def cmd_report(args) -> int:
     return 0
 
 
-_BRAIN_UNITS = {
-    "rate": "Hz", "fanout": "synapses/neuron", "neurons": "neurons",
-    "esyn": "J", "power": "W",
+# brain-budget flag: (unit, `solve_budget` keyword).
+_BRAIN_FLAGS = {
+    "rate": ("Hz", "rate_hz"), "fanout": ("synapses/neuron", "fanout"),
+    "neurons": ("neurons", "neurons"), "esyn": ("J", "energy_per_syn_j"),
+    "power": ("W", "power_w"),
 }
 
 
-def cmd_brain_budget(args) -> int:
-    raw = {k: getattr(args, k) for k in _BRAIN_UNITS}
-    unknowns = [k for k, v in raw.items() if v == "?"]
+def cmd_budget(args) -> int:
+    unknowns = [k for k in _BRAIN_FLAGS if getattr(args, k) == "?"]
     if len(unknowns) != 1:
-        raise Underdetermined(
-            f"need exactly one '?', got {len(unknowns)}")
-    vals = {}
-    for k, v in raw.items():
+        raise Underdetermined(f"need exactly one '?', got {len(unknowns)}")
+    known = {}
+    for k, (_, keyword) in _BRAIN_FLAGS.items():
+        v = getattr(args, k)
         if v != "?":
-            vals[k] = _flag(f"--{k}", number, v)
-            if not math.isfinite(vals[k]):
+            known[keyword] = _flag(f"--{k}", number, v)
+            if not math.isfinite(known[keyword]):
                 raise MalformedStream(f"--{k}: non-finite value {v!r}")
-    unknown = unknowns[0]
-    if unknown == "power":
-        solved = brain_budget(vals["rate"], vals["fanout"], vals["neurons"],
-                              vals["esyn"])
-    else:
-        kw = {"rate_hz": vals.get("rate"), "fanout": vals.get("fanout"),
-              "neurons": vals.get("neurons"), "energy_per_syn_j": vals.get("esyn")}
-        solved = solve_for(vals["power"], **kw)
+    solved = solve_budget(**known)
+    unit = _BRAIN_FLAGS[unknowns[0]][0]
     if not 0 < solved < math.inf:  # finite inputs whose product left the float range
-        raise MalformedStream(f"--{unknown}: {solved:.6g} {_BRAIN_UNITS[unknown]}: "
+        raise MalformedStream(f"--{unknowns[0]}: {solved:.6g} {unit}: "
                               "the computation left the float range")
-    print(f"{solved:.6g} {_BRAIN_UNITS[unknown]}")
+    print(f"{solved:.6g} {unit}")
     return 0
 
 
@@ -287,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--neurons", default="1e10")
     s.add_argument("--esyn", default="100e-15")
     s.add_argument("--power", default="?")
-    s.set_defaults(func=cmd_brain_budget)
+    s.set_defaults(func=cmd_budget)
     return p
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._binio import Reader, atomic_write, read_bytes
 from .errors import MalformedStream, ShapeMismatch
-from .fxp import QFormat, QTensor
+from .fxp import QFormat, QTensor, read_head
 
 SMFM_MAGIC = b"SMFM"
 SMFM_VERSION = 0x01
@@ -164,18 +164,7 @@ def to_smfm_bytes(s: SparseFeatureMap) -> bytes:
 
 def from_smfm_bytes(data: bytes) -> SparseFeatureMap:
     r = Reader(data)
-    magic = r.take(4, "magic")
-    if magic != SMFM_MAGIC:
-        raise MalformedStream(f"bad magic {magic!r}, expected {SMFM_MAGIC!r}", 0)
-    version = r.u8("version")
-    if version != SMFM_VERSION:
-        raise MalformedStream(f"unsupported version {version}", r.pos - 1)
-    int_bits = r.u8("int_bits")
-    frac_bits = r.u8("frac_bits")
-    try:
-        fmt = QFormat(int_bits, frac_bits)
-    except ValueError as exc:
-        raise MalformedStream(str(exc), r.pos - 2) from exc
+    fmt = read_head(r, SMFM_MAGIC, SMFM_VERSION)
     c = r.u32("C")
     h = r.u32("H")
     w = r.u32("W")

@@ -35,8 +35,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .codec import (SparseFeatureMap, SparsityStats, decode_sm, encode_sm,
                     measure_sparsity, nonzero_arrays)
 from .errors import ShapeMismatch
-from .fxp import (INT32_MAX, SLAB_BYTES, OpCounter, QFormat, QTensor, renormalize_array,
-                  sat_add, sat_matvec)
+from .fxp import (INT32_MAX, SLAB_BYTES, OpCounter, QFormat, QTensor, int32_array,
+                  renormalize_array, sat_add, sat_matvec)
 from .trace import AccessTrace, triple_code
 
 POOL_MODES = ("none", "max2x2")
@@ -73,7 +73,7 @@ class ConvLayerSpec:
             raise ShapeMismatch(f"pad must be >= 0, got {self.pad}")
         if self.pool not in POOL_MODES:
             raise ShapeMismatch(f"unknown pool mode {self.pool!r}")
-        self.bias = np.asarray(self.bias, dtype=np.int32)
+        self.bias = int32_array(self.bias, "bias")
         if self.bias.shape != (self.out_channels,):
             raise ShapeMismatch(
                 f"bias length {self.bias.shape} does not match out_channels")

@@ -1,5 +1,6 @@
-"""Fixed-point numeric core: Q-format values, saturating MAC arithmetic,
-operation counting, and the ".qt" tensor file format.
+"""Fixed-point numeric core: Q-format arrays, saturating MAC arithmetic,
+operation counting, the header ".qt" and ".smfm" files open with, and
+the ".qt" tensor file format.
 
 Every stored value is a 16-bit two's-complement integer with a declared
 Q-format (int_bits.frac_bits summing to 16). Accumulation uses 32-bit
@@ -98,22 +99,6 @@ class OpCounter:
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
-@dataclass(frozen=True)
-class QScalar:
-    """One 16-bit fixed-point value."""
-
-    raw: int
-    fmt: QFormat
-
-    def __post_init__(self):
-        if not INT16_MIN <= self.raw <= INT16_MAX:
-            raise ValueError(f"raw {self.raw} outside 16-bit range")
-
-    @property
-    def value(self) -> float:
-        return self.raw / self.fmt.scale
-
-
 class QTensor:
     """Dense fixed-point tensor.
 
@@ -166,13 +151,7 @@ class QTensor:
         return hashlib.sha256(to_qt_bytes(self)).hexdigest()
 
 
-# --- scalar <-> raw conversion ------------------------------------------------
-
-def quantize(value: float, fmt: QFormat, counter: OpCounter | None = None) -> QScalar:
-    """Quantize a real value: round to nearest even, saturate to 16 bits."""
-    raw = int(quantize_array(np.asarray(value, dtype=np.float64), fmt, counter))
-    return QScalar(raw, fmt)
-
+# --- real <-> raw conversion --------------------------------------------------
 
 def quantize_array(values: np.ndarray, fmt: QFormat, counter: OpCounter | None = None) -> np.ndarray:
     """Round to nearest even and saturate to 16 bits; a NaN or infinite
@@ -185,6 +164,16 @@ def quantize_array(values: np.ndarray, fmt: QFormat, counter: OpCounter | None =
     if counter is not None:
         counter.saturations += int(np.count_nonzero((scaled < INT16_MIN) | (scaled > INT16_MAX)))
     return np.clip(scaled, INT16_MIN, INT16_MAX).astype(np.int16)
+
+
+def int32_array(values, what: str) -> np.ndarray:
+    """``values`` (integers) as int32; a value past int32 raises
+    ``MalformedStream`` naming ``what`` instead of wrapping."""
+    wide = np.asarray(values, dtype=np.int64)
+    past = wide[(wide < INT32_MIN) | (wide > INT32_MAX)]
+    if past.size:
+        raise MalformedStream(f"{what}: {past[0]} is past the int32 range")
+    return wide.astype(np.int32)
 
 
 # --- accumulator arithmetic ---------------------------------------------------
@@ -366,20 +355,26 @@ def to_qt_bytes(t: QTensor) -> bytes:
     return qt_header(t.dims, t.fmt) + t.flat.astype("<i2").tobytes()
 
 
-def from_qt_bytes(data: bytes) -> QTensor:
-    r = Reader(data)
-    magic = r.take(4, "magic")
-    if magic != QT_MAGIC:
-        raise MalformedStream(f"bad magic {magic!r}, expected {QT_MAGIC!r}", 0)
-    version = r.u8("version")
-    if version != QT_VERSION:
-        raise MalformedStream(f"unsupported version {version}", r.pos - 1)
+def read_head(r: Reader, magic: bytes, version: int) -> QFormat:
+    """The Q-format of a container that opens with ``magic``, u8 ``version``,
+    u8 int_bits, u8 frac_bits; an error names the offset of the bad field."""
+    got = r.take(len(magic), "magic")
+    if got != magic:
+        raise MalformedStream(f"bad magic {got!r}, expected {magic!r}", 0)
+    got = r.u8("version")
+    if got != version:
+        raise MalformedStream(f"unsupported version {got}", r.pos - 1)
     int_bits = r.u8("int_bits")
     frac_bits = r.u8("frac_bits")
     try:
-        fmt = QFormat(int_bits, frac_bits)
+        return QFormat(int_bits, frac_bits)
     except ValueError as exc:
         raise MalformedStream(str(exc), r.pos - 2) from exc
+
+
+def from_qt_bytes(data: bytes) -> QTensor:
+    r = Reader(data)
+    fmt = read_head(r, QT_MAGIC, QT_VERSION)
     rank = r.u8("rank")
     if not 1 <= rank <= 4:
         raise MalformedStream(f"unsupported rank {rank}", r.pos - 1)

@@ -40,8 +40,8 @@ import numpy as np
 
 from .codec import encode_delta
 from .errors import MalformedStream, ShapeMismatch
-from .fxp import (INT16_MAX, SLAB_BYTES, OpCounter, Q8_8, QScalar, QTensor, quantize,
-                  round_shift_even, sat_add, sat_matvec)
+from .fxp import (INT16_MAX, SLAB_BYTES, OpCounter, Q8_8, QTensor, int32_array,
+                  quantize_array, round_shift_even, sat_add, sat_matvec)
 from .trace import AccessTrace, triple_code
 
 ACT_FMT = Q8_8
@@ -125,11 +125,12 @@ class GateStack:
         return cls(cols, np.abs(cols))
 
 
-def quantize_theta(value: float) -> QScalar:
-    """A delta threshold in Q8.8, rounded to nearest even; a value past
-    the format's range raises ``MalformedStream`` instead of saturating."""
+def quantize_theta(value: float) -> int:
+    """A delta threshold as a raw Q8.8 integer (``ACT_FMT``, the units it is
+    compared in), rounded to nearest even; a value past the format's range
+    raises ``MalformedStream`` instead of saturating."""
     over = OpCounter()
-    theta = quantize(value, ACT_FMT, over)
+    theta = int(quantize_array(value, ACT_FMT, over))
     if over.saturations:
         raise MalformedStream(f"theta {value:g} is past the Q8.8 range "
                               f"(at most {INT16_MAX / ACT_FMT.scale})")
@@ -138,6 +139,10 @@ def quantize_theta(value: float) -> QScalar:
 
 @dataclass
 class GruLayerSpec:
+    """One layer: six weight matrices in one Q-format, three int32 biases
+    at accumulator scale, and ``theta``, the delta threshold, as a raw
+    Q8.8 integer (the activations' units) in [0, INT16_MAX]."""
+
     input_size: int
     hidden_size: int
     w_xr: QTensor
@@ -149,7 +154,7 @@ class GruLayerSpec:
     b_r: np.ndarray   # int32, accumulator scale
     b_u: np.ndarray
     b_c: np.ndarray
-    theta: QScalar
+    theta: int
 
     def __post_init__(self):
         i, h = self.input_size, self.hidden_size
@@ -161,14 +166,13 @@ class GruLayerSpec:
             if m.fmt != self.w_xr.fmt:
                 raise ShapeMismatch("all weight matrices must share one Q-format")
         for name in ("b_r", "b_u", "b_c"):
-            b = np.asarray(getattr(self, name), dtype=np.int32)
+            b = int32_array(getattr(self, name), name)
             if b.shape != (h,):
                 raise ShapeMismatch(f"{name} length {b.shape}, expected ({h},)")
             setattr(self, name, b)
-        if self.theta.fmt != ACT_FMT:
-            raise ShapeMismatch("theta must be Q8.8")
-        if self.theta.raw < 0:
-            raise MalformedStream("theta must be non-negative")
+        if not 0 <= self.theta <= INT16_MAX:
+            raise MalformedStream(f"theta must be non-negative and at most {INT16_MAX} "
+                                  f"raw Q8.8, got {self.theta}")
 
     @property
     def acc_frac(self) -> int:
@@ -336,7 +340,7 @@ def run_layer(spec: GruLayerSpec, xs: np.ndarray, state: LayerState,
     counter = OpCounter(adds=6 * h * steps)
     t_all = np.arange(steps)
     if mode == "sparse":
-        theta = spec.theta.raw
+        theta = spec.theta
         acc_x, acc_h = acc[:3 * h], acc[h:]
         x_idx, h_idx = [], []
         fixed = False  # the last `_gates` call returned its own h_prev

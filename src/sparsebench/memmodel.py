@@ -176,40 +176,25 @@ def _ldexp(mantissa: float, exponent: int) -> float:
         return math.inf
 
 
-def brain_budget(rate_hz: float, fanout: float, neurons: float,
-                 energy_per_syn_j: float) -> float:
-    """Total power of an event-driven system: rate * fanout * count * energy.
-
-    With 1 Hz mean rate, 1e4 fan-out, 1e10 neurons and 100 fJ per
-    synaptic update this gives the canonical ~10 W brain budget. No
-    partial product leaves the float range (see `_frexp_product`), so
-    the answer is inf or 0 only when it lies past that range itself.
-    """
-    factors = (("rate_hz", rate_hz), ("fanout", fanout),
-               ("neurons", neurons), ("energy_per_syn_j", energy_per_syn_j))
-    for name, v in factors:
-        if v <= 0:
-            raise ValueError(f"{name} must be positive")
-    return _ldexp(*_frexp_product(v for _, v in factors))
-
-
-def solve_for(power_w: float, rate_hz: float | None = None,
-              fanout: float | None = None, neurons: float | None = None,
-              energy_per_syn_j: float | None = None) -> float:
-    """Invert the power product for the single missing factor, on
-    `_frexp_product` mantissas like `brain_budget`."""
-    if power_w <= 0:
-        raise ValueError("power_w must be positive")
-    factors = {"rate_hz": rate_hz, "fanout": fanout, "neurons": neurons,
-               "energy_per_syn_j": energy_per_syn_j}
-    missing = [k for k, v in factors.items() if v is None]
+def solve_budget(power_w: float | None = None, rate_hz: float | None = None,
+                 fanout: float | None = None, neurons: float | None = None,
+                 energy_per_syn_j: float | None = None) -> float:
+    """The one factor left None in power = rate * fanout * neurons *
+    energy per synaptic update: 1 Hz, 1e4, 1e10 and 100 fJ give the
+    canonical ~10 W brain budget. The known factors are multiplied as
+    `_frexp_product` mantissas, so no partial product leaves the float
+    range: the answer is inf or 0 only when it lies past that range."""
+    given = {"power_w": power_w, "rate_hz": rate_hz, "fanout": fanout,
+             "neurons": neurons, "energy_per_syn_j": energy_per_syn_j}
+    missing = [k for k, v in given.items() if v is None]
     if len(missing) != 1:
         raise Underdetermined(
             f"need exactly one unknown, got {len(missing)}: {missing or 'none'}")
-    known = {k: v for k, v in factors.items() if v is not None}
-    for k, v in known.items():
-        if v <= 0:
+    for k, v in given.items():
+        if v is not None and v <= 0:
             raise ValueError(f"{k} must be positive")
-    m, e = _frexp_product(known.values())
+    m, e = _frexp_product(v for k, v in given.items() if k != "power_w" and v is not None)
+    if power_w is None:
+        return _ldexp(m, e)
     power_m, power_e = math.frexp(power_w)
     return _ldexp(power_m / m, power_e - e)

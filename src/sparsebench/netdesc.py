@@ -41,7 +41,7 @@ from . import synth
 from ._binio import read_text
 from .conv import ConvLayerSpec
 from .errors import MalformedStream, ShapeMismatch, SparseBenchError
-from .fxp import Q2_14, Q8_8, QFormat, QTensor, load_qt
+from .fxp import Q2_14, Q8_8, QFormat, QTensor, int32_array, load_qt
 from .gru import ACT_FMT, GruLayerSpec, quantize_theta
 from .memmodel import MemConfig
 
@@ -218,12 +218,19 @@ def load_mem_config(path: str) -> MemConfig:
     return _mem_config(Fields(pairs, path))
 
 
+def _load_file(value: str, base_dir: str) -> QTensor:
+    """The .qt file a tensor value names, relative to ``base_dir``."""
+    if not value:
+        raise MalformedStream("empty value, expected a .qt path or a synth: URI")
+    return load_qt(os.path.join(base_dir, value))
+
+
 def _load_tensor(value: str, base_dir: str, fmt: QFormat, dims: tuple[int, ...]) -> QTensor:
     """Load a weight tensor from a .qt path or generate it from a URI."""
     if value.startswith("synth:"):
         return _uniform(value, lambda seed, amp: synth.random_weights(
             dims, synth.make_rng(seed), fmt, amp))
-    t = load_qt(os.path.join(base_dir, value))
+    t = _load_file(value, base_dir)
     if t.dims != dims:
         raise ShapeMismatch(f"dims {t.dims}, expected {dims}")
     if t.fmt != fmt:
@@ -232,19 +239,21 @@ def _load_tensor(value: str, base_dir: str, fmt: QFormat, dims: tuple[int, ...])
 
 
 def _load_bias(value: str, base_dir: str, n: int, acc_frac: int) -> np.ndarray:
-    """Load a bias vector and lift it to accumulator scale."""
+    """Load a bias vector and lift it to accumulator scale, where every
+    value must fit int32."""
     if value.startswith("synth:"):
         return _uniform(value, lambda seed, amp: synth.random_bias(
             n, synth.make_rng(seed), acc_frac, amp))
     if value.lower() == "zero":
         return np.zeros(n, dtype=np.int32)
-    t = load_qt(os.path.join(base_dir, value))
+    t = _load_file(value, base_dir)
     if t.dims != (n,):
         raise ShapeMismatch(f"dims {t.dims}, expected ({n},)")
     if t.fmt.frac_bits > acc_frac:
         raise ShapeMismatch(
             f"bias frac_bits {t.fmt.frac_bits} exceeds accumulator scale {acc_frac}")
-    return t.data.astype(np.int32) << (acc_frac - t.fmt.frac_bits)
+    return int32_array(t.data.astype(np.int64) << (acc_frac - t.fmt.frac_bits),
+                       f"bias at accumulator scale 2**{acc_frac}")
 
 
 def _conv_layer(f: Fields, base_dir: str) -> ConvLayerSpec:

@@ -62,7 +62,7 @@ def _amp(text: str) -> float:
     """A map, uniform or hold amplitude, refused unless it is one Q8.8 LSB
     to the Q8.8 maximum (`synth.amp_raw`)."""
     amp = number(text)
-    synth.amp_raw(amp, ACT_FMT)
+    synth.amp_raw(amp)
     return amp
 
 
@@ -285,7 +285,7 @@ def execute_gru(desc: NetworkDesc, x_seq: QTensor, mode: str,
         desc = apply_theta(desc, theta_override)
     sparse_run = run_sequence(desc.gru_layers, x_seq, "sparse")
     dense_run = run_sequence(desc.gru_layers, x_seq, "dense")
-    all_zero_theta = all(s.theta.raw == 0 for s in desc.gru_layers)
+    all_zero_theta = all(s.theta == 0 for s in desc.gru_layers)
     saturation_free = (sparse_run.counters.saturations == 0
                        and dense_run.counters.saturations == 0)
     checked = all_zero_theta and saturation_free
@@ -302,7 +302,7 @@ def execute_gru(desc: NetworkDesc, x_seq: QTensor, mode: str,
     report.extras = {
         "output_hash": sequence_hash(run.outputs),
         "equivalence_checked": checked,
-        "theta": [s.theta.value for s in desc.gru_layers],
+        "theta": [s.theta / ACT_FMT.scale for s in desc.gru_layers],
         "steps": steps,
         "weight_words_fetched": run.weight_words_fetched,
         "dense_weight_words": run.dense_weight_words,

@@ -3,7 +3,8 @@
 Everything here is driven by an explicit numpy Generator so runs are
 reproducible from a single seed. Sparse maps get an exact zero count
 (round(sparsity * pixels)), not a per-pixel coin flip, which makes
-sparsity-dependent assertions tight.
+sparsity-dependent assertions tight. Maps and sequences are activations,
+always Q8.8 (`gru.ACT_FMT`); weights take the layer's format.
 """
 
 import math
@@ -19,21 +20,20 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def amp_raw(amp: float, fmt: QFormat) -> int:
-    """``amp`` in raw ``fmt`` units. It must round to at least one LSB and
+def amp_raw(amp: float) -> int:
+    """``amp`` in raw Q8.8 units. It must round to at least one LSB and
     not past the format's range: an amplitude is never replaced."""
     over = OpCounter()
-    raw = int(quantize_array(np.float64(amp), fmt, over))
+    raw = int(quantize_array(np.float64(amp), Q8_8, over))
     if raw < 1 or over.saturations:
-        raise MalformedStream(f"amplitude {amp:g} is outside [{1 / fmt.scale}, "
-                              f"{INT16_MAX / fmt.scale}] in {fmt}")
+        raise MalformedStream(f"amplitude {amp:g} is outside [{1 / Q8_8.scale}, "
+                              f"{INT16_MAX / Q8_8.scale}] in {Q8_8}")
     return raw
 
 
 def sparse_map(c: int, h: int, w: int, sparsity: float,
-               rng: np.random.Generator, fmt: QFormat = Q8_8,
-               amp: float = 1.0) -> QTensor:
-    """Random (C, H, W) map with exactly round(sparsity * pixels) zeros.
+               rng: np.random.Generator, amp: float = 1.0) -> QTensor:
+    """Random (C, H, W) Q8.8 map with exactly round(sparsity * pixels) zeros.
 
     Non-zero values are uniform in [-amp, amp] excluding zero.
     """
@@ -41,39 +41,38 @@ def sparse_map(c: int, h: int, w: int, sparsity: float,
         raise ValueError(f"sparsity must be in [0, 1], got {sparsity}")
     n = c * h * w
     n_zero = int(round(sparsity * n))
-    a = amp_raw(amp, fmt)
+    a = amp_raw(amp)
     vals = rng.integers(1, a + 1, size=n, dtype=np.int64)
     vals *= rng.choice((-1, 1), size=n)
     flat = vals.astype(np.int16)
     zero_at = rng.permutation(n)[:n_zero]
     flat[zero_at] = 0
-    return QTensor((c, h, w), fmt, flat)
+    return QTensor((c, h, w), Q8_8, flat)
 
 
 def uniform_seq(steps: int, size: int, rng: np.random.Generator,
-                fmt: QFormat = Q8_8, amp: float = 1.0) -> QTensor:
-    """A (steps, size) sequence of independent uniform vectors in [-amp, amp]."""
-    a = amp_raw(amp, fmt)
+                amp: float = 1.0) -> QTensor:
+    """A (steps, size) Q8.8 sequence of independent uniform vectors in [-amp, amp]."""
+    a = amp_raw(amp)
     data = rng.integers(-a, a + 1, size=(steps, size), dtype=np.int64)
-    return QTensor((steps, size), fmt, data.astype(np.int16))
+    return QTensor((steps, size), Q8_8, data.astype(np.int16))
 
 
 def piecewise_constant_seq(steps: int, size: int, hold: int,
-                           rng: np.random.Generator, fmt: QFormat = Q8_8,
-                           amp: float = 1.0) -> QTensor:
-    """A (steps, size) sequence: a fresh uniform vector every `hold`
+                           rng: np.random.Generator, amp: float = 1.0) -> QTensor:
+    """A (steps, size) Q8.8 sequence: a fresh uniform vector every `hold`
     steps, held constant between."""
     if hold < 1:
         raise ValueError("hold must be >= 1")
-    a = amp_raw(amp, fmt)
+    a = amp_raw(amp)
     fresh = rng.integers(-a, a + 1, size=(-(-steps // hold), size), dtype=np.int64)
     data = np.repeat(fresh.astype(np.int16), hold, axis=0)[:steps]
-    return QTensor((steps, size), fmt, data)
+    return QTensor((steps, size), Q8_8, data)
 
 
 def ar1_seq(steps: int, size: int, rho: float, rng: np.random.Generator,
-            fmt: QFormat = Q8_8, amp: float = 0.5) -> QTensor:
-    """A (steps, size) sequence of band-limited slow noise: stationary
+            amp: float = 0.5) -> QTensor:
+    """A (steps, size) Q8.8 sequence of band-limited slow noise: stationary
     AR(1) with coefficient rho.
 
     The float state has stationary standard deviation amp; each step is
@@ -90,11 +89,11 @@ def ar1_seq(steps: int, size: int, rho: float, rng: np.random.Generator,
         states[t] = state
         state = rho * state + noise[t]
     over = OpCounter()
-    data = quantize_array(states, fmt, over)
+    data = quantize_array(states, Q8_8, over)
     if over.saturations:
         raise MalformedStream(f"{over.saturations} of the {states.size} values drawn at "
-                              f"amplitude {amp:g} are past the {fmt} range")
-    return QTensor((steps, size), fmt, data)
+                              f"amplitude {amp:g} are past the {Q8_8} range")
+    return QTensor((steps, size), Q8_8, data)
 
 
 def _check_finite_amp(amp: float) -> None:

@@ -3,7 +3,7 @@
 import numpy as np
 
 from sparsebench.conv import ConvLayerSpec
-from sparsebench.fxp import Q8_8, QTensor, quantize
+from sparsebench.fxp import Q8_8, QTensor, quantize_array
 from sparsebench.gru import GruLayerSpec
 from sparsebench.synth import random_bias, random_weights, sparse_map
 from sparsebench.trace import AccessTrace, triple_code
@@ -35,7 +35,7 @@ def conv_case(rng, *, k=None, stride=None, pad=None, pool=None, relu=None,
     bias = random_bias(out_c, rng, acc_frac=16, amp=bias_amp)
     spec = ConvLayerSpec(in_c, out_c, k, k, stride, pad, weights, bias,
                          relu, "max2x2" if pool else "none", Q8_8)
-    x = sparse_map(in_c, h, w, sparsity, rng, Q8_8, amp=x_amp)
+    x = sparse_map(in_c, h, w, sparsity, rng, amp=x_amp)
     return spec, x
 
 
@@ -47,7 +47,7 @@ def gru_spec(rng, input_size, hidden_size, *, theta=0.0,
             for d in ((h, i), (h, i), (h, i), (h, h), (h, h), (h, h))]
     acc_frac = Q8_8.frac_bits + mats[0].fmt.frac_bits
     biases = [random_bias(h, rng, acc_frac, bias_amp) for _ in range(3)]
-    return GruLayerSpec(i, h, *mats, *biases, theta=quantize(theta, Q8_8))
+    return GruLayerSpec(i, h, *mats, *biases, theta=int(quantize_array(theta, Q8_8)))
 
 
 def trace_of(runs, layer=0) -> AccessTrace:

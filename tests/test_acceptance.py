@@ -28,10 +28,10 @@ from sparsebench.codec import (decode_sm, encode_sm, from_smfm_bytes,
                                to_smfm_bytes)
 from sparsebench.conv import (ConvLayerSpec, conv_dense_oracle, conv_zeroskip,
                               fused_relu_pool)
-from sparsebench.fxp import Q2_14, Q8_8, OpCounter, quantize
+from sparsebench.fxp import Q2_14, Q8_8, OpCounter, quantize_array
 from sparsebench.gru import GruLayerSpec, run_sequence
-from sparsebench.memmodel import (MemConfig, brain_budget, cost_trace,
-                                  random_vs_burst_ratio, solve_for)
+from sparsebench.memmodel import (MemConfig, cost_trace, random_vs_burst_ratio,
+                                  solve_budget)
 from sparsebench.netdesc import NetworkDesc
 from sparsebench.runner import load_seq_input, sweep_theta
 from sparsebench.synth import (make_rng, random_bias, random_weights,
@@ -70,7 +70,7 @@ def test_zero_skip_efficiency_scales_with_sparsity():
         bias=random_bias(16, rng, acc_frac=16, amp=2.0))
     measured = {}
     for sparsity, lo, hi in ((0.75, 380.0, 420.0), (0.80, 475.0, 525.0)):
-        x = sparse_map(32, 64, 64, sparsity, rng, fmt=Q8_8, amp=4.0)
+        x = sparse_map(32, 64, 64, sparsity, rng, amp=4.0)
         res = conv_zeroskip(spec, encode_sm(x))
         eff = 100.0 * res.counters.macs_dense_equivalent / res.counters.macs_executed
         assert lo <= eff <= hi, f"sparsity {sparsity}: efficiency {eff:.1f}%"
@@ -114,7 +114,7 @@ def _slow_input_gru() -> NetworkDesc:
     b_u = np.full(h, -7 * acc_scale, dtype=np.int32)
     b_c = (rng.uniform(-0.3, 0.3, h) * acc_scale).astype(np.int32)
     spec = GruLayerSpec(i, h, wx[0], wx[1], wx[2], wh[0], wh[1], wh[2],
-                        b_r, b_u, b_c, theta=quantize(0.0, Q8_8))
+                        b_r, b_u, b_c, theta=int(quantize_array(0.0, Q8_8)))
     return NetworkDesc(name="slow", kind="gru", gru_layers=[spec])
 
 
@@ -186,16 +186,17 @@ def test_compression_ratio_and_lossless_roundtrip():
 
 def test_synaptic_power_budget_solver_round_trips():
     rate, fanout, neurons, esyn = 1.0, 1e4, 1e10, 100e-15
-    power = brain_budget(rate, fanout, neurons, esyn)
+    power = solve_budget(rate_hz=rate, fanout=fanout, neurons=neurons,
+                         energy_per_syn_j=esyn)
     assert power == pytest.approx(10.0, rel=1e-12)
     recovered = (
-        solve_for(power, rate_hz=None, fanout=fanout, neurons=neurons,
+        solve_budget(power, rate_hz=None, fanout=fanout, neurons=neurons,
                   energy_per_syn_j=esyn),
-        solve_for(power, rate_hz=rate, fanout=None, neurons=neurons,
+        solve_budget(power, rate_hz=rate, fanout=None, neurons=neurons,
                   energy_per_syn_j=esyn),
-        solve_for(power, rate_hz=rate, fanout=fanout, neurons=None,
+        solve_budget(power, rate_hz=rate, fanout=fanout, neurons=None,
                   energy_per_syn_j=esyn),
-        solve_for(power, rate_hz=rate, fanout=fanout, neurons=neurons,
+        solve_budget(power, rate_hz=rate, fanout=fanout, neurons=neurons,
                   energy_per_syn_j=None),
     )
     for got, want in zip(recovered, (rate, fanout, neurons, esyn)):

@@ -3,13 +3,14 @@
 import errno
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
 
 from sparsebench.cli import main
 from sparsebench.errors import MalformedStream
-from sparsebench.fxp import Q2_14, Q8_8, load_qt, save_qt
+from sparsebench.fxp import Q2_14, Q8_8, QFormat, QTensor, load_qt, save_qt
 from sparsebench.netdesc import load_mem_config, load_network
 from sparsebench.synth import ar1_seq, make_rng, random_weights, sparse_map
 
@@ -571,6 +572,20 @@ def test_bias_amplitude_past_int32_exits_2(tmp_path, capsys):
         assert ("overflows the int32 accumulator" in capsys.readouterr().err) == (code == 2)
 
 
+def test_bias_file_past_int32_at_accumulator_scale_exits_2(tmp_path, capsys):
+    # a Q16.0 bias of 2 lifted to 2**30 by a Q1.15 x Q1.15 layer wrapped
+    # to INT32_MIN and the run exited 0
+    save_qt(QTensor((2,), QFormat(16, 0), np.array([2, 32767], dtype=np.int16)),
+            str(tmp_path / "b.qt"))
+    net = tmp_path / "wide.net"
+    net.write_text("[conv]\nin_c = 1\nout_c = 2\nk = 1\nact_fmt = Q1.15\nw_fmt = Q1.15\n"
+                   "weights = synth:uniform,seed=1\nbias = b.qt\n")
+    assert main(["run", "--net", str(net), "--input", "synth:map,c=1,h=4,w=4"]) == 2
+    assert capsys.readouterr().err == (f"error: {net}: conv layer 0: bias = 'b.qt': bias at "
+                                       "accumulator scale 2**30: 2147483648 is past the "
+                                       "int32 range\n")
+
+
 # The largest Q2.14 value, and the least amplitude that rounds past it.
 _Q2_14_MAX = "1.99993896484375"
 _PAST_Q2_14 = "1.999969482421875"
@@ -887,10 +902,9 @@ PATH_CASES = {
                        lambda bad, ok: ["report", ok["report"], "--out-csv", bad]),
     "report-out-svg": ("bad.svg", "write",
                        lambda bad, ok: ["report", ok["report"], "--out-svg", bad]),
-    # the .net's `wxr =` value is the bad path relative to the .net; empty
-    # (the .net's own directory) in the directory case
-    "net-weight-file": ("", "read", lambda bad, ok: ["run", "--net", ok["weight_net"](bad),
-                                                     "--input", SEQ_URI]),
+    # the .net's `wxr =` value is the bad path relative to the .net
+    "net-weight-file": ("wxr.qt", "read", lambda bad, ok: ["run", "--net", ok["weight_net"](bad),
+                                                           "--input", SEQ_URI]),
 }
 
 
@@ -935,6 +949,45 @@ def test_path_that_cannot_be_opened_exits_4_naming_it(tmp_path, conv_net, gru_ne
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(bad) in err and os.strerror(PATH_KINDS[kind]) in err and ".tmp-" not in err
     assert not list(tmp_path.rglob(".tmp-*"))
+
+
+@pytest.mark.parametrize("kind,key", [("conv", "weights"), ("conv", "bias")]
+                         + [("gru", k) for k in ("wxr", "wxu", "wxc", "whr", "whu", "whc",
+                                                 "br", "bu", "bc")])
+def test_empty_tensor_value_exits_2_naming_the_key(tmp_path, capsys, kind, key):
+    # an empty value was read as a path: the .net's own directory, exit 4
+    if kind == "conv":
+        values = {"weights": "synth:uniform,seed=1", "bias": "zero"}
+        head, uri = "[conv]\nin_c = 2\nout_c = 3\nk = 3\n", MAP_URI
+    else:
+        values = dict.fromkeys(("wxr", "wxu", "wxc", "whr", "whu", "whc"), "synth:uniform")
+        values |= dict.fromkeys(("br", "bu", "bc"), "zero")
+        head, uri = "[gru]\ninput = 6\nhidden = 8\n", SEQ_URI
+    values[key] = ""
+    net = tmp_path / "e.net"
+    net.write_text(head + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert main(["run", "--net", str(net), "--input", uri]) == 2
+    assert capsys.readouterr().err == (f"error: {net}: {kind} layer 0: {key} = '': "
+                                       "empty value, expected a .qt path or a synth: URI\n")
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+@pytest.mark.parametrize("output", ["report", "qt"])
+def test_output_mode_follows_the_umask(tmp_path, conv_net, map_qt, capsys, output, umask,
+                                       mode):
+    # every output was left at the temp file's 0o600, whatever the umask
+    out, smfm = tmp_path / f"out.{'json' if output == 'report' else 'qt'}", tmp_path / "x.smfm"
+    assert main(["encode", map_qt, str(smfm)]) == 0
+    old = os.umask(umask)
+    try:
+        if output == "report":
+            code = main(["run", "--net", conv_net, "--input", MAP_URI, "--report", str(out)])
+        else:
+            code = main(["decode", str(smfm), str(out)])
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(os.stat(out).st_mode) == mode
 
 
 NOT_UTF8 = b"name = x\n# caf\xe9\n"

@@ -19,8 +19,8 @@ from sparsebench.conv import (
     fused_relu_pool,
     run_network,
 )
-from sparsebench.errors import ShapeMismatch
-from sparsebench.fxp import INT32_MAX, Q2_14, Q8_8, OpCounter, QTensor
+from sparsebench.errors import MalformedStream, ShapeMismatch
+from sparsebench.fxp import INT32_MAX, INT32_MIN, Q2_14, Q8_8, OpCounter, QTensor
 from sparsebench.synth import make_rng, random_weights, sparse_map
 
 
@@ -213,7 +213,7 @@ def test_fast_path_taken_at_bench_scale(monkeypatch):
     spec = ConvLayerSpec(32, 16, 3, 3, 1, 1,
                          random_weights((16, 32, 3, 3), rng, Q2_14, 0.2),
                          np.zeros(16, dtype=np.int32), True, "max2x2", Q8_8)
-    x = sparse_map(32, 24, 24, 0.8, rng, Q8_8, amp=1.0)
+    x = sparse_map(32, 24, 24, 0.8, rng, amp=1.0)
     # the zero-skip fallback steps through fxp, the oracle's through conv
     monkeypatch.setattr(fxp, "sat_add", _refuse)
     monkeypatch.setattr(conv_mod, "sat_add", _refuse)
@@ -516,6 +516,15 @@ def test_spec_rejects_bad_geometry():
         _layer(bias=np.zeros(3, dtype=np.int32))
 
 
+@pytest.mark.parametrize("value", [INT32_MAX + 1, INT32_MIN - 1])
+def test_spec_refuses_an_int64_bias_past_int32(value):
+    # np.asarray(bias, dtype=np.int32) wrapped it silently
+    with pytest.raises(MalformedStream, match=f"bias: {value} is past the int32 range"):
+        _layer(bias=np.array([value], dtype=np.int64))
+    edge = INT32_MAX if value > 0 else INT32_MIN
+    assert _layer(bias=np.array([edge], dtype=np.int64)).bias.tolist() == [edge]
+
+
 def test_engines_reject_wrong_channel_count():
     spec = _layer(in_c=2)
     x = _ones_input(c=1)
@@ -539,7 +548,7 @@ def test_network_modes_agree_and_advance_weight_base():
             random_weights((out_c, in_c, 3, 3), rng, Q8_8, 0.5),
             np.zeros(out_c, dtype=np.int32), True, "none", Q8_8))
         in_c = out_c
-    x = sparse_map(2, 10, 10, 0.6, rng, Q8_8, amp=2.0)
+    x = sparse_map(2, 10, 10, 0.6, rng, amp=2.0)
 
     sparse_run, sparse_out = run_network(layers, encode_sm(x), "sparse")
     dense_run, dense_out = run_network(layers, encode_sm(x), "dense")

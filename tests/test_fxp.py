@@ -15,11 +15,9 @@ from sparsebench.fxp import (
     Q8_8,
     OpCounter,
     QFormat,
-    QScalar,
     QTensor,
     from_qt_bytes,
     load_qt,
-    quantize,
     quantize_array,
     renormalize_array,
     round_shift_even,
@@ -64,19 +62,19 @@ def test_format_scale():
     assert Q2_14.scale == 16384
 
 
-# --- quantize / QScalar.value ----------------------------------------------------
+# --- quantize_array ----------------------------------------------------------------
 
 def test_quantize_reference_values():
-    assert quantize(1.5, Q8_8).raw == 384
-    assert quantize(200.0, Q8_8).raw == 32767  # saturates above 127.996
-    assert quantize(-200.0, Q8_8).raw == -32768
-    assert quantize(0.0, Q8_8).raw == 0
+    assert int(quantize_array(1.5, Q8_8)) == 384
+    assert int(quantize_array(200.0, Q8_8)) == 32767  # saturates above 127.996
+    assert int(quantize_array(-200.0, Q8_8)) == -32768
+    assert int(quantize_array(0.0, Q8_8)) == 0
 
 
 def test_quantize_ties_to_even():
     # 1.5/256 and 2.5/256 are exact half-steps in Q8.8
-    assert quantize(1.5 / 256, Q8_8).raw == 2
-    assert quantize(2.5 / 256, Q8_8).raw == 2
+    assert int(quantize_array(1.5 / 256, Q8_8)) == 2
+    assert int(quantize_array(2.5 / 256, Q8_8)) == 2
 
 
 def test_quantize_counts_saturations():
@@ -93,7 +91,7 @@ def test_quantize_counts_saturations():
 def test_quantize_rejects_non_finite(bad):
     # nan used to be cast to 0 and inf saturated, with no error
     with pytest.raises(MalformedStream, match="non-finite"):
-        quantize(bad, Q8_8)
+        quantize_array(bad, Q8_8)
     c = OpCounter()
     with pytest.raises(MalformedStream, match="non-finite"):
         quantize_array(np.array([0.5, bad]), Q8_8, c)
@@ -103,20 +101,15 @@ def test_quantize_rejects_non_finite(bad):
 @given(formats, st.floats(min_value=-0.99, max_value=0.99))
 def test_quantize_roundtrip_error_within_half_step(fmt, frac_of_range):
     v = frac_of_range * (INT16_MAX - 1) / fmt.scale
-    q = quantize(v, fmt)
-    assert abs(q.value - v) <= 0.5 / fmt.scale + 1e-12
+    q = int(quantize_array(v, fmt))
+    assert abs(q / fmt.scale - v) <= 0.5 / fmt.scale + 1e-12
 
 
 @given(formats, raw16)
 def test_dequantize_quantize_is_identity_on_grid(fmt, raw):
-    q = quantize(raw / fmt.scale, fmt)
-    assert q.raw == raw and q.value == raw / fmt.scale
-    assert quantize_array(np.array([q.value]), fmt).tolist() == [raw]
-
-
-def test_qscalar_range_check():
-    with pytest.raises(ValueError):
-        QScalar(32768, Q8_8)
+    q = int(quantize_array(raw / fmt.scale, fmt))
+    assert q == raw
+    assert quantize_array(np.array([q / fmt.scale]), fmt).tolist() == [raw]
 
 
 # --- accumulator ops ----------------------------------------------------------

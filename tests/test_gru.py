@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from _synthcases import gru_spec
 from sparsebench.errors import MalformedStream, ShapeMismatch
 from sparsebench import fxp, gru
-from sparsebench.fxp import (INT32_MAX, INT32_MIN, Q8_8, OpCounter, QScalar,
-                             QTensor, sat_columns, sat_matvec)
+from sparsebench.fxp import (INT32_MAX, INT32_MIN, Q8_8, OpCounter, QTensor,
+                             sat_columns, sat_matvec)
 from sparsebench.gru import (
     ACT_IN_MAX,
     ACT_IN_MIN,
@@ -365,8 +365,8 @@ def _reference_gru(specs, xs, mode):
                 h_ev = list(enumerate(h_prev.tolist()))
             else:
                 a_r, a_u, a_xc, a_hc = st_["acc"]
-                x_ev = _threshold(st_["x_mem"], cur.data, s.theta.raw)
-                h_ev = _threshold(st_["h_mem"], h_prev, s.theta.raw)
+                x_ev = _threshold(st_["x_mem"], cur.data, s.theta)
+                h_ev = _threshold(st_["h_mem"], h_prev, s.theta)
             x_events[l, t], h_events[l, t] = len(x_ev), len(h_ev)
             for acc, w in ((a_r, s.w_xr), (a_u, s.w_xu), (a_xc, s.w_xc)):
                 clips += _ordered_columns(acc, w.data, x_ev)
@@ -586,11 +586,11 @@ def test_memory_stays_within_theta_of_stream():
         h_entering = state.h.astype(np.int32)
         _, state, _ = _step(spec, state, x)
         drift = np.abs(state.x_mem.astype(np.int32) - x.astype(np.int32))
-        assert drift.max(initial=0) <= spec.theta.raw
+        assert drift.max(initial=0) <= spec.theta
         # the hidden memory tracks the value that entered this step; the
         # fresh output is not thresholded until the next step begins
         h_drift = np.abs(state.h_mem.astype(np.int32) - h_entering)
-        assert h_drift.max(initial=0) <= spec.theta.raw
+        assert h_drift.max(initial=0) <= spec.theta
 
 
 @settings(deadline=None, max_examples=30)
@@ -767,4 +767,33 @@ def test_spec_validation():
     with pytest.raises(MalformedStream, match="non-negative"):
         gru_spec(rng, 3, 4).__class__(
             3, 4, good.w_xr, good.w_xu, good.w_xc, good.w_hr, good.w_hu,
-            good.w_hc, good.b_r, good.b_u, good.b_c, QScalar(-1, Q8_8))
+            good.w_hc, good.b_r, good.b_u, good.b_c, -1)
+
+
+@pytest.mark.parametrize("name", ["b_r", "b_u", "b_c"])
+def test_spec_refuses_an_int64_bias_past_int32(name):
+    # np.asarray(bias, dtype=np.int32) wrapped it silently
+    good = gru_spec(make_rng(15), 3, 4)
+    for value in (INT32_MAX + 1, INT32_MIN - 1):
+        with pytest.raises(MalformedStream, match=f"{name}: {value} is past the int32 range"):
+            replace(good, **{name: np.full(4, value, dtype=np.int64)})
+    edge = replace(good, **{name: np.array([INT32_MIN, INT32_MAX, 0, 0], dtype=np.int64)})
+    assert getattr(edge, name).dtype == np.int32
+
+
+def test_spec_refuses_theta_past_the_q8_8_range():
+    good = gru_spec(make_rng(15), 3, 4)
+    assert replace(good, theta=fxp.INT16_MAX).theta == fxp.INT16_MAX
+    with pytest.raises(MalformedStream, match="theta must be non-negative"):
+        replace(good, theta=fxp.INT16_MAX + 1)
+
+
+# The gate tail's shifts: 8 (the Q8.8 products of r and u) and
+# acc_frac - 8, the weight format's frac_bits, from 0 to 15.
+@settings(max_examples=500)
+@given(st.sampled_from(range(16)), st.integers(-(2**53) + 1, 2**53 - 1), st.booleans())
+def test_rint_shift_equals_round_shift_even_below_2_53(shift, v, tie):
+    if tie and shift:
+        v = (v >> shift << shift) | (1 << (shift - 1))  # an exact half step, still < 2**53
+    values = np.array([v, -v], dtype=np.int64)
+    assert gru._rint_shift(values, shift).tolist() == fxp.round_shift_even(values, shift).tolist()

@@ -11,14 +11,13 @@ from _synthcases import trace_of
 from sparsebench.errors import Underdetermined
 from sparsebench.memmodel import (
     MemConfig,
-    brain_budget,
     cost_trace,
     effective_gops,
     energy_breakdown,
     gops_per_watt,
     random_vs_burst_ratio,
     schedule_dense_weight_stream,
-    solve_for,
+    solve_budget,
 )
 from sparsebench.trace import AccessTrace, triple_code
 
@@ -241,35 +240,36 @@ def test_effective_gops_and_per_watt():
 # --- event-driven power budget -------------------------------------------------------
 
 def test_brain_budget_reference():
-    assert brain_budget(1.0, 1e4, 1e10, 100e-15) == pytest.approx(10.0)
+    assert solve_budget(rate_hz=1.0, fanout=1e4, neurons=1e10,
+                        energy_per_syn_j=100e-15) == pytest.approx(10.0)
 
 
 def test_solver_recovers_each_factor():
-    assert solve_for(10.0, fanout=1e4, neurons=1e10, energy_per_syn_j=100e-15) == (
+    assert solve_budget(10.0, fanout=1e4, neurons=1e10, energy_per_syn_j=100e-15) == (
         pytest.approx(1.0, rel=1e-12))
-    assert solve_for(10.0, rate_hz=1.0, neurons=1e10, energy_per_syn_j=100e-15) == (
+    assert solve_budget(10.0, rate_hz=1.0, neurons=1e10, energy_per_syn_j=100e-15) == (
         pytest.approx(1e4, rel=1e-12))
-    assert solve_for(10.0, rate_hz=1.0, fanout=1e4, energy_per_syn_j=100e-15) == (
+    assert solve_budget(10.0, rate_hz=1.0, fanout=1e4, energy_per_syn_j=100e-15) == (
         pytest.approx(1e10, rel=1e-12))
-    assert solve_for(10.0, rate_hz=1.0, fanout=1e4, neurons=1e10) == (
+    assert solve_budget(10.0, rate_hz=1.0, fanout=1e4, neurons=1e10) == (
         pytest.approx(100e-15, rel=1e-12))
 
 
 def test_solver_requires_exactly_one_unknown():
     with pytest.raises(Underdetermined):
-        solve_for(10.0, rate_hz=1.0, fanout=1e4, neurons=1e10,
+        solve_budget(10.0, rate_hz=1.0, fanout=1e4, neurons=1e10,
                   energy_per_syn_j=100e-15)
     with pytest.raises(Underdetermined):
-        solve_for(10.0, rate_hz=1.0, fanout=1e4)
+        solve_budget(10.0, rate_hz=1.0, fanout=1e4)
 
 
 def test_budget_rejects_nonpositive_inputs():
     with pytest.raises(ValueError):
-        brain_budget(0.0, 1e4, 1e10, 100e-15)
+        solve_budget(rate_hz=0.0, fanout=1e4, neurons=1e10, energy_per_syn_j=100e-15)
     with pytest.raises(ValueError):
-        solve_for(-1.0, rate_hz=1.0, fanout=1e4, neurons=1e10)
+        solve_budget(-1.0, rate_hz=1.0, fanout=1e4, neurons=1e10)
     with pytest.raises(ValueError):
-        solve_for(10.0, rate_hz=-1.0, fanout=1e4, neurons=1e10)
+        solve_budget(10.0, rate_hz=-1.0, fanout=1e4, neurons=1e10)
 
 
 @given(st.lists(st.floats(2.0**-240, 2.0**240), min_size=5, max_size=5),
@@ -278,12 +278,13 @@ def test_budget_is_bit_identical_to_the_left_to_right_product(values, unknown):
     # every partial product stays within 2**+-960, in the normal range,
     # where scaling the factors by powers of two changes no rounding
     power, rate, fanout, neurons, esyn = values
-    assert brain_budget(rate, fanout, neurons, esyn) == rate * fanout * neurons * esyn
+    assert solve_budget(rate_hz=rate, fanout=fanout, neurons=neurons,
+                        energy_per_syn_j=esyn) == rate * fanout * neurons * esyn
     factors = {"rate_hz": rate, "fanout": fanout, "neurons": neurons,
                "energy_per_syn_j": esyn}
     factors[unknown] = None
     known = [v for v in factors.values() if v is not None]
-    assert solve_for(power, **factors) == power / (known[0] * known[1] * known[2])
+    assert solve_budget(power, **factors) == power / (known[0] * known[1] * known[2])
 
 
 @given(
@@ -291,6 +292,7 @@ def test_budget_is_bit_identical_to_the_left_to_right_product(values, unknown):
     st.floats(1e-15, 1e-9),
 )
 def test_budget_solver_roundtrip(rate, fanout, neurons, esyn):
-    p = brain_budget(rate, fanout, neurons, esyn)
-    assert solve_for(p, fanout=fanout, neurons=neurons, energy_per_syn_j=esyn) == (
+    p = solve_budget(rate_hz=rate, fanout=fanout, neurons=neurons,
+                     energy_per_syn_j=esyn)
+    assert solve_budget(p, fanout=fanout, neurons=neurons, energy_per_syn_j=esyn) == (
         pytest.approx(rate, rel=1e-12))

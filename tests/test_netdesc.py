@@ -89,7 +89,7 @@ def test_gru_network_loads_with_generated_weights(tmp_path):
     assert desc.kind == "gru"
     spec = desc.gru_layers[0]
     assert (spec.input_size, spec.hidden_size) == (6, 8)
-    assert spec.theta.raw == 64  # 0.25 in Q8.8
+    assert spec.theta == 64  # 0.25 in Q8.8
     assert spec.w_hc.dims == (8, 8)
     # generation is deterministic: same file loads identical weights
     again = load_network(_write(tmp_path, "rnn2.net", GRU_BLOCK))
@@ -163,6 +163,36 @@ bias = b.qt
 """
     desc = load_network(_write(tmp_path, "n.net", text))
     assert desc.conv_layers[0].bias[0] == 256 << 14
+
+
+_WIDE_BIAS_NET = """
+[conv]
+in_c = 1
+out_c = 2
+k = 1
+act_fmt = Q1.15
+w_fmt = Q1.15
+weights = synth:uniform,seed=1
+bias = b.qt
+"""
+
+
+@pytest.mark.parametrize("raw,lifted", [([-2, 1], [-(1 << 31), 1 << 30]),
+                                        ([2, 32767], None), ([1, -3], None)])
+def test_bias_lifted_past_int32_is_refused(tmp_path, raw, lifted):
+    # a Q16.0 bias lifted to 2**30 wrapped: [2, 32767] loaded as
+    # [-2147483648, -1073741824]; -2 lifts to INT32_MIN, the last value that fits
+    save_qt(QTensor((2,), QFormat(16, 0), np.array(raw, dtype=np.int16)),
+            str(tmp_path / "b.qt"))
+    net = _write(tmp_path, "n.net", _WIDE_BIAS_NET)
+    if lifted is not None:
+        assert load_network(net).conv_layers[0].bias.tolist() == lifted
+        return
+    past = next(v << 30 for v in raw if not -(1 << 31) <= v << 30 < 1 << 31)
+    with pytest.raises(MalformedStream) as err:
+        load_network(net)
+    assert str(err.value) == (f"{net}: conv layer 0: bias = 'b.qt': bias at accumulator "
+                              f"scale 2**30: {past} is past the int32 range")
 
 
 def test_parser_errors(tmp_path):

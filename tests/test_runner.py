@@ -213,8 +213,8 @@ def test_gru_layer_sparsity_tracks_event_rate(gru_desc):
 
 def test_apply_theta_is_non_destructive(gru_desc):
     changed = apply_theta(gru_desc, 0.5)
-    assert changed.gru_layers[0].theta.raw == 128
-    assert gru_desc.gru_layers[0].theta.raw == 0
+    assert changed.gru_layers[0].theta == 128
+    assert gru_desc.gru_layers[0].theta == 0
     assert changed.gru_layers[0].w_xr is gru_desc.gru_layers[0].w_xr
 
 
