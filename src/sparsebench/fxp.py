@@ -182,12 +182,14 @@ def int32_array(values, what: str) -> np.ndarray:
 # is its terms added in a fixed order, clamped to int32 after each one
 # (the ordered step, `sat_add`). `sat_matvec` is the one primitive that
 # may drop the clamps: when `no_clip` proves that no prefix of the order
-# can clip, it adds all the terms as one float64 BLAS product, and
-# otherwise runs the ordered steps (`sat_columns`). The delta GRU calls
-# it once per side and computed step, the dense GRU once per chunk of
-# steps on the input side and once per step on the hidden side, the
-# zero-skip conv once per group of input channels. The dense conv oracle
-# proves and takes its own product per output element
+# can clip, or the caller has proven it for a whole run of calls and
+# passes no ``w_abs``, it adds all the terms as one float64 BLAS
+# product, and otherwise runs the ordered steps (`sat_columns`). The
+# delta GRU calls it once per side and computed step, unchecked when its
+# one bound per layer run holds (`gru.layer_no_clip`), the dense GRU
+# once per chunk of steps on the input side and once per step on the
+# hidden side, the zero-skip conv once per group of input channels. The
+# dense conv oracle proves and takes its own product per output element
 # (`conv.conv_dense_oracle`), so that check does not rest on this
 # primitive. The dense GRU oracle takes the fast path too, but over full matrices and full
 # vectors, while the delta engine's products are over sparse deltas; so
@@ -285,7 +287,7 @@ def sat_columns(acc: np.ndarray, w: np.ndarray, x: np.ndarray) -> int:
     return sum(sat_add(acc2, np.multiply.outer(col, row)) for col, row in zip(cols, rows))
 
 
-def sat_matvec(acc: np.ndarray, w: np.ndarray, w_abs: np.ndarray,
+def sat_matvec(acc: np.ndarray, w: np.ndarray, w_abs: np.ndarray | None,
                x: np.ndarray) -> int:
     """``sat_columns`` with the proven fast path; same result and clip
     count either way.
@@ -298,6 +300,11 @@ def sat_matvec(acc: np.ndarray, w: np.ndarray, w_abs: np.ndarray,
     it is an integer below 2**31. Otherwise the ordered int64
     ``sat_columns`` loop runs.
 
+    ``w_abs=None`` states that the caller has proven that bound itself,
+    over these terms and the ``acc`` they start from (for the delta GRU,
+    once for a whole layer run): the product is taken unchecked, and
+    its exactness rests on the caller's proof.
+
     The bound is taken on the ``acc`` passed in, so a caller may split
     one ordered sum over several calls in term order: each call equals
     its own ordered steps from that state, whichever route it takes, so
@@ -308,7 +315,7 @@ def sat_matvec(acc: np.ndarray, w: np.ndarray, w_abs: np.ndarray,
     the earlier terms.
     """
     xf = x.astype(np.float64, copy=False)
-    if no_clip(acc, w_abs, xf):
+    if w_abs is None or no_clip(acc, w_abs, xf):
         np.add(acc, w @ xf, out=acc, casting="unsafe")
         return 0
     return sat_columns(acc, w, x)

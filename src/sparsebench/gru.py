@@ -25,11 +25,17 @@ Each layer's six matrices are used as two gate stacks, one per input
 side. The four pre-activation accumulators live in one int64 vector
 laid out [xc, r, u, hc]: the input side [W_xc; W_xr; W_xu] updates its
 first three quarters and the hidden side [W_hr; W_hu; W_hc] its last
-three. The delta engine makes one bound-checked matvec per side and
-step, and none on a quiet step whose output it already knows; the
-dense engine takes the input side of a chunk of steps in one
-bound-checked product, since it does not depend on the recurrence, and
-the hidden side one step at a time.
+three. The delta engine proves once per layer run that no accumulator
+can clip (`layer_no_clip`) and then makes one unchecked matvec per side
+and computed step, over the gathered event columns or, when events are
+dense, over the full stored matrix; it makes none on a quiet step whose
+output it already knows. Without the proof each matvec is bound-checked
+and may take the ordered steps. After a layer run with no accumulator
+clip it checks that the accumulators equal the biases plus the weights
+times the memories (`check_telescoped`). The dense engine takes the
+input side of a chunk of steps in one bound-checked product, since it
+does not depend on the recurrence, and the hidden side one step at a
+time.
 """
 
 from dataclasses import dataclass
@@ -39,9 +45,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .codec import encode_delta
-from .errors import MalformedStream, ShapeMismatch
-from .fxp import (INT16_MAX, SLAB_BYTES, OpCounter, Q8_8, QTensor, int32_array,
-                  quantize_array, round_shift_even, sat_add, sat_matvec)
+from .errors import EquivalenceFailure, MalformedStream, ShapeMismatch
+from .fxp import (INT16_MAX, INT32_MAX, SLAB_BYTES, OpCounter, Q8_8, QTensor,
+                  int32_array, quantize_array, round_shift_even, sat_add, sat_matvec)
 from .trace import AccessTrace, triple_code
 
 ACT_FMT = Q8_8
@@ -229,24 +235,110 @@ class StepStats:
     h_events: int = 0
 
 
+# A side's events are taken over the full stored matrix once they are
+# at least one in ROUTE_SHARE of its columns, and gathered below that.
+# Measured with one BLAS thread: at h=128 the full width was the faster
+# from 43 of 128 columns and about 10 of 32; at h=8 at every count.
+ROUTE_SHARE = 3
+
+
 def delta_mxv_accumulate(side: GateStack, idx: np.ndarray, vals: np.ndarray,
-                         acc: np.ndarray) -> int:
+                         acc: np.ndarray, proven: bool = False) -> int:
     """acc[j] += sum over events of W[j, idx] * val, saturating per
     event; returns the clips.
 
     ``idx`` must be strictly increasing and inside the side's columns,
     as `encode_delta` returns them: numpy would wrap a negative index to
-    the last column, and the ordered fallback runs in index order. The event
-    columns of W and |W| are gathered and go through one ``sat_matvec``:
-    one float64 matvec when no prefix can clip, else the ordered loop
-    over the events in index order, which is stream order. One event
-    reads one column of each stacked matrix; columns are stored
-    column-major, so each read is a single burst of contiguous words,
-    which is what keeps delta-driven fetches DRAM-friendly.
+    the last column, and the ordered fallback runs in index order. The
+    events go through one ``sat_matvec``. Below one event in
+    ``ROUTE_SHARE`` columns it takes the gathered event columns and the
+    event values; above, the full stored matrix and the deltas scattered
+    into a zero vector. Both are exact and equal: a zero entry adds a
+    zero term to the product and to the bound, and ``sat_columns`` skips
+    its row, so the ordered steps are the same. ``proven`` means the
+    caller proved that no prefix of any of its calls can clip
+    (`layer_no_clip`): the product is then taken unchecked and no |W|
+    column is read; otherwise ``sat_matvec`` bounds this call and takes
+    the ordered loop over the events in index order, which is stream
+    order, when the bound fails. One event reads one column of each
+    stacked matrix; columns are stored column-major, so each read is a
+    single burst of contiguous words, which is what keeps delta-driven
+    fetches DRAM-friendly.
     """
     if not idx.size:
         return 0
-    return sat_matvec(acc, side.cols[idx].T, side.cols_abs[idx].T, vals)
+    n = len(side.cols)
+    if ROUTE_SHARE * idx.size >= n:
+        x = np.zeros(n)
+        x[idx] = vals
+        cols = slice(None)
+    else:
+        x, cols = vals, idx
+    w_abs = None if proven else side.cols_abs[cols].T
+    return sat_matvec(acc, side.cols[cols].T, w_abs, x)
+
+
+def layer_no_clip(spec: GruLayerSpec, xs: np.ndarray, state: LayerState) -> bool:
+    """True when no prefix of any delta step of a sparse run of ``xs``
+    from ``state`` can clip an accumulator, in any order of one step's
+    terms.
+
+    A memory component only ever holds its initial value or a value it
+    was sent, so the deltas sent on component j telescope to ``m_j -
+    m0_j``, and ``|m_j - m0_j| <= 2 P_j`` for a bound ``P_j`` on every
+    value it can hold. Each prefix of the run, and each partial sum of
+    one step's product, is ``acc0 + W (m - m0)`` for some mix of old and
+    new memories, so with no clip before it its magnitude is at most
+    ``|acc0| + |W_x| 2 P_x`` on rows [0:3h] plus ``|W_h| 2 P_h`` on rows
+    [h:4h]; if that bound is at most INT32_MAX nothing clips, by
+    induction over the prefixes. It is computed in float64 as
+    ``fxp.no_clip`` computes its bound, and is exact whenever it passes.
+
+    ``P_x[j]`` is the largest ``|x_mem0[j]|`` or ``|xs[t, j]|``, taken
+    in int32 because ``abs(-32768)`` overflows int16. ``P_h[j] = max(one,
+    |h_mem0[j]|, |h0[j]|)``: a sent hidden value is the run's first
+    ``h_prev`` or a gate output, and the gate output satisfies ``|h'| <=
+    max(one, |h_prev|)``, since ``u`` is a ``SIGMOID_LUT`` value in [0,
+    one] and ``|c| <= one`` is a ``TANH_LUT`` value, so ``|(one - u) c +
+    u h_prev| <= one max(one, |h_prev|)`` before the rounding shift by
+    ``log2(one)``, which keeps an integer bound.
+    """
+    h = spec.hidden_size
+    one = 1 << ACT_FMT.frac_bits
+    p_x = np.maximum(np.abs(state.x_mem, dtype=np.int32),
+                     np.abs(xs, dtype=np.int32).max(axis=0, initial=0))
+    p_h = np.maximum(np.abs(state.h_mem, dtype=np.int32), np.abs(state.h, dtype=np.int32))
+    np.maximum(p_h, one, out=p_h)
+    bound = np.abs(state.acc, dtype=np.float64)
+    bound[:3 * h] += (2 * p_x) @ spec.x_side.cols_abs
+    bound[h:] += (2 * p_h) @ spec.h_side.cols_abs
+    return bool(bound.max() <= INT32_MAX)
+
+
+def check_telescoped(spec: GruLayerSpec, start: LayerState, end: LayerState) -> None:
+    """Raise ``EquivalenceFailure`` unless a sparse run from ``start`` to
+    ``end`` with no accumulator clip left each accumulator at its start
+    plus the weights times the memories' change.
+
+    The deltas a run sends on a component telescope to its memory's
+    change, at any theta and with quiet steps skipped, so with no clip
+    ``acc - acc0 = W_x (x_mem - x_mem0) + W_h (h_mem - h_mem0)`` gate by
+    gate. The products are taken in int64 (each term at most 2**31)
+    from the spec's own matrices, not from the gate stacks, ``sat_matvec``
+    or the layer bound, so the check tests `encode_delta`,
+    `delta_mxv_accumulate`, its routes, the column layout and the
+    quiet-step skip. It does not test the gate tail.
+    """
+    dx = end.x_mem.astype(np.int64) - start.x_mem
+    dh = end.h_mem.astype(np.int64) - start.h_mem
+    xc, r, u, hc = np.split(end.acc - start.acc, 4)
+    if not (np.array_equal(xc, spec.w_xc.data @ dx)
+            and np.array_equal(r, spec.w_xr.data @ dx + spec.w_hr.data @ dh)
+            and np.array_equal(u, spec.w_xu.data @ dx + spec.w_hu.data @ dh)
+            and np.array_equal(hc, spec.w_hc.data @ dh)):
+        raise EquivalenceFailure(
+            "delta GRU accumulators diverged from the biases plus the weights "
+            "times the memories; this is a bug")
 
 
 def _gates(spec: GruLayerSpec, acc: np.ndarray, h_prev: np.ndarray
@@ -294,6 +386,9 @@ def _row_block(groups) -> np.ndarray:
     return rows
 
 
+# The events of a threshold step that cannot fire (`run_layer`).
+_NO_EVENT = (np.empty(0, np.intp), np.empty(0, np.int32))
+
 _WEIGHTS = triple_code("DRAM", "read", "weights")
 _ACT_READ = triple_code("SRAM", "read", "activations")
 _STATE_READ = triple_code("SRAM", "read", "state")
@@ -317,7 +412,14 @@ def run_layer(spec: GruLayerSpec, xs: np.ndarray, state: LayerState,
     so it would return ``h_prev`` and the same candidate-sum clips
     again. The skipped step repeats both and makes no
     `delta_mxv_accumulate` or gate call; its thresholds, counters and
-    trace rows are those of any step.
+    trace rows are those of any step. After any step every component is
+    within theta of its memory, so a threshold step cannot fire, and is
+    not called, on an input row equal to the row before it or on an
+    ``h_prev`` the last gate call returned unchanged. One bound before
+    the first step (`layer_no_clip`) lets every delta product run
+    unchecked; without it each is bound-checked on its own. A run with
+    no accumulator clip ends in `check_telescoped`, so a bug in the
+    delta steps fails at any theta.
     Dense: each step recomputes the pre-activations from the biases
     over the full gate stacks and full vectors, and fetches every
     weight and bias word. The input side does not depend on the
@@ -341,24 +443,32 @@ def run_layer(spec: GruLayerSpec, xs: np.ndarray, state: LayerState,
     t_all = np.arange(steps)
     if mode == "sparse":
         theta = spec.theta
+        start = LayerState(x_mem.copy(), h_mem.copy(), h_prev, acc.copy())
+        proven = layer_no_clip(spec, xs, state)
         acc_x, acc_h = acc[:3 * h], acc[h:]
         x_idx, h_idx = [], []
+        x_same = np.zeros(steps, bool)  # the input row equals the one before
+        x_same[1:] = (xs[1:] == xs[:-1]).all(axis=1)
+        acc_sats = 0
         fixed = False  # the last `_gates` call returned its own h_prev
         for t in range(steps):
-            xi, xv = encode_delta(x_mem, xs[t], theta)
-            hi, hv = encode_delta(h_mem, h_prev, theta)
-            if fixed and not xi.size and not hi.size:
+            xi, xv = _NO_EVENT if x_same[t] else encode_delta(x_mem, xs[t], theta)
+            hi, hv = _NO_EVENT if fixed else encode_delta(h_mem, h_prev, theta)
+            if fixed and not xi.size:
                 out[t] = h_prev  # and `clips` stays that call's
                 skipped += 1
             else:
-                sats += delta_mxv_accumulate(xside, xi, xv, acc_x)
-                sats += delta_mxv_accumulate(hside, hi, hv, acc_h)
+                acc_sats += delta_mxv_accumulate(xside, xi, xv, acc_x, proven)
+                acc_sats += delta_mxv_accumulate(hside, hi, hv, acc_h, proven)
                 out[t], clips = _gates(spec, acc, h_prev)
                 fixed = np.array_equal(out[t], h_prev)
             sats += clips
             h_prev = out[t]
             x_idx.append(xi)
             h_idx.append(hi)
+        sats += acc_sats
+        if not acc_sats:
+            check_telescoped(spec, start, state)
         ex = np.array([a.size for a in x_idx], np.int64)
         eh = np.array([a.size for a in h_idx], np.int64)
         x_idx, h_idx = np.concatenate(x_idx), np.concatenate(h_idx)

@@ -4,7 +4,9 @@ Every run executes both the sparse and the dense path and compares their
 outputs. Conv runs compare output hashes, and the equality must hold
 always. GRU runs compare output tensors, and the equality must hold at
 theta 0 in the saturation-free regime; otherwise the check is skipped
-(and reported as unchecked). A divergence is a hard failure, never a
+(and reported as unchecked). At any theta the delta engine also checks
+each layer run's accumulators against its memories
+(`gru.check_telescoped`). A divergence is a hard failure, never a
 warning.
 """
 

@@ -691,6 +691,72 @@ def test_engine_divergence_exits_5(conv_net, gru_net, monkeypatch, capsys):
     assert "GRU outputs diverged" in capsys.readouterr().err
 
 
+def _wrong_column(gru, monkeypatch):
+    # every event reads its neighbour's column
+    mxv = gru.delta_mxv_accumulate
+
+    def shifted(side, idx, vals, acc, proven=False):
+        rolled = gru.GateStack(np.roll(side.cols, 1, axis=0), np.roll(side.cols_abs, 1, axis=0))
+        return mxv(rolled, idx, vals, acc, proven)
+
+    monkeypatch.setattr(gru, "delta_mxv_accumulate", shifted)
+
+
+def _memory_without_event(gru, monkeypatch):
+    # one component below the threshold has its memory advanced anyway
+    encode = gru.encode_delta
+
+    def leaky(mem, cur, theta):
+        events = encode(mem, cur, theta)
+        quiet = np.flatnonzero(mem != cur)
+        mem[quiet[:1]] = cur[quiet[:1]]
+        return events
+
+    monkeypatch.setattr(gru, "encode_delta", leaky)
+
+
+def _skipped_step_event(gru, monkeypatch):
+    # a threshold step that cannot fire, and is skipped, sends an event
+    monkeypatch.setattr(gru, "_NO_EVENT", (np.array([0]), np.array([1], np.int32)))
+
+
+@pytest.mark.parametrize("fault, uri", [
+    (_wrong_column, "synth:ar1,t=30,n=6"),
+    (_memory_without_event, "synth:ar1,t=30,n=6"),
+    (_skipped_step_event, "synth:hold,t=30,n=6,hold=5")])
+def test_a_delta_step_fault_exits_5_above_theta_0(fault, uri, gru_net, monkeypatch, capsys):
+    # at theta 0.05 no dense output is compared; the check that each
+    # layer's accumulators telescope to its memories fails instead
+    from sparsebench import gru
+
+    argv = ["run", "--net", gru_net, "--input", uri, "--theta", "0.05"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    fault(gru, monkeypatch)
+    assert main(argv) == 5
+    assert "accumulators diverged" in capsys.readouterr().err
+
+
+def test_a_wrong_proven_product_exits_5_at_every_theta(gru_net, monkeypatch, capsys):
+    # the unchecked product drops its last term: above theta 0 the
+    # telescoping check fails, and at theta 0 without that check the
+    # comparison with the dense engine does
+    from sparsebench import fxp, gru
+
+    def dropped(acc, w, w_abs, x):
+        if w_abs is None:
+            return fxp.sat_matvec(acc, w[:, :-1], None, x[:-1])
+        return fxp.sat_matvec(acc, w, w_abs, x)
+
+    monkeypatch.setattr(gru, "sat_matvec", dropped)
+    argv = ["run", "--net", gru_net, "--input", "synth:ar1,t=30,n=6", "--theta"]
+    assert main(argv + ["0.05"]) == 5
+    assert "accumulators diverged" in capsys.readouterr().err
+    monkeypatch.setattr(gru, "check_telescoped", lambda *args: None)
+    assert main(argv + ["0"]) == 5
+    assert "GRU outputs diverged" in capsys.readouterr().err
+
+
 # --- sweep-theta -------------------------------------------------------------------
 
 def test_sweep_theta_writes_csv(tmp_path, gru_net, capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _synthcases import gru_spec
-from sparsebench.errors import MalformedStream, ShapeMismatch
+from sparsebench.errors import EquivalenceFailure, MalformedStream, ShapeMismatch
 from sparsebench import fxp, gru
 from sparsebench.fxp import (INT32_MAX, INT32_MIN, Q8_8, OpCounter, QTensor,
                              sat_columns, sat_matvec)
@@ -297,16 +297,22 @@ def test_delta_mxv_matches_per_event_reference(seed, full_scale):
 
 def test_fast_path_taken_at_bench_scale(monkeypatch):
     # the bench's GRU layer shape and input scale never reach the ordered
-    # fallback, so every gate-stack step is one bound-checked matvec
+    # fallback, so every gate-stack step is one matvec; the delta engine
+    # proves each layer once, so its products are all unchecked and it
+    # computes no per-call bound
     def refuse(*args):
         raise AssertionError("ordered fallback ran")
 
     rng = make_rng(16)
-    spec = gru_spec(rng, 32, 128)
+    specs = [gru_spec(rng, 32, 128), gru_spec(rng, 128, 128)]
     xs = ar1_seq(20, 32, 0.99, rng)
     monkeypatch.setattr(fxp, "sat_columns", refuse)
-    run = run_sequence([spec], xs, "sparse")
-    assert run.outputs == run_sequence([spec], xs, "dense").outputs
+    with mock.patch.object(fxp, "no_clip", refuse):
+        run, proofs, calls = _proofs_and_routes(specs, xs)
+    assert proofs == [True, True]
+    assert len(calls) == np.count_nonzero(run.x_events) + np.count_nonzero(run.h_events)
+    assert all(unchecked for _, unchecked, _ in calls)
+    assert run.outputs == run_sequence(specs, xs, "dense").outputs
     assert run.counters.saturations == 0
 
 
@@ -341,9 +347,11 @@ def _reference_gru(specs, xs, mode):
     """Per-gate GRU in Python: six matrices, four int64 accumulators and
     ordered column steps; in sparse mode the accumulators persist and
     take only threshold-crossing deltas. Every step runs the gates.
-    Returns (outputs, clips, x_events, h_events), the events as
-    (layers, steps) counts of components sent on."""
+    Returns (outputs, clips, x_events, h_events, acc_clips): the events
+    as (layers, steps) counts of components sent on, and per layer the
+    clips of the accumulators alone, without the candidate sums'."""
     clips = 0
+    acc_clips = np.zeros(len(specs), np.int64)
     x_events = np.zeros((len(specs), len(xs.data)), np.int64)
     h_events = np.zeros_like(x_events)
     layers = []
@@ -369,9 +377,9 @@ def _reference_gru(specs, xs, mode):
                 h_ev = _threshold(st_["h_mem"], h_prev, s.theta)
             x_events[l, t], h_events[l, t] = len(x_ev), len(h_ev)
             for acc, w in ((a_r, s.w_xr), (a_u, s.w_xu), (a_xc, s.w_xc)):
-                clips += _ordered_columns(acc, w.data, x_ev)
+                acc_clips[l] += _ordered_columns(acc, w.data, x_ev)
             for acc, w in ((a_r, s.w_hr), (a_u, s.w_hu), (a_hc, s.w_hc)):
-                clips += _ordered_columns(acc, w.data, h_ev)
+                acc_clips[l] += _ordered_columns(acc, w.data, h_ev)
             r = _act(a_r, s.acc_frac, SIGMOID_TABLE)
             u = _act(a_u, s.acc_frac, SIGMOID_TABLE)
             c_acc = a_xc.copy()
@@ -382,7 +390,7 @@ def _reference_gru(specs, xs, mode):
             cur = QTensor((s.hidden_size,), Q8_8, st_["h"].copy())
         outs.append(cur.data)
     outputs = QTensor((len(outs), specs[-1].hidden_size), Q8_8, np.stack(outs))
-    return outputs, clips, x_events, h_events
+    return outputs, clips + int(acc_clips.sum()), x_events, h_events, acc_clips
 
 
 def _edge_biases(spec, rng):
@@ -406,7 +414,7 @@ def test_saturating_two_layer_gru_matches_per_gate_reference(seed, theta):
              _edge_biases(gru_spec(rng, 8, 5, theta=theta, w_amp=1.9), rng)]
     xs = uniform_seq(10, 6, rng, amp=100.0)
     for mode in ("sparse", "dense"):
-        want, want_clips, _, _ = _reference_gru(specs, xs, mode)
+        want, want_clips, *_ = _reference_gru(specs, xs, mode)
         run = run_sequence(specs, xs, mode)
         assert run.outputs == want
         assert run.counters.saturations == want_clips > 0
@@ -438,7 +446,7 @@ def test_fast_and_ordered_routes_mix_within_one_run(seed, theta):
     xs = QTensor((10, 6), Q8_8, np.vstack([np.zeros(6, np.int16), small,
                                            uniform_seq(8, 6, rng, amp=100.0).data]))
     for mode in ("sparse", "dense"):
-        want, want_clips, _, _ = _reference_gru(specs, xs, mode)
+        want, want_clips, *_ = _reference_gru(specs, xs, mode)
         with mock.patch.object(gru, "sat_matvec", wraps=fxp.sat_matvec) as routed, \
                 mock.patch.object(fxp, "sat_columns", wraps=fxp.sat_columns) as ordered:
             run = run_sequence(specs, xs, mode)
@@ -453,7 +461,7 @@ def _skips_like_the_reference(specs, xs):
     nothing. Returns the sparse run's skipped steps, summed."""
     runs = {}
     for mode in ("sparse", "dense"):
-        want, want_clips, want_x, want_h = _reference_gru(specs, xs, mode)
+        want, want_clips, want_x, want_h, _ = _reference_gru(specs, xs, mode)
         runs[mode] = run = run_sequence(specs, xs, mode)
         assert run.outputs == want
         assert run.counters.saturations == want_clips
@@ -525,7 +533,7 @@ def test_dense_chunks_take_their_own_input_side_route(monkeypatch):
     monkeypatch.setattr(gru, "sat_matvec", routed)
     monkeypatch.setattr(fxp, "sat_columns", columns)
     run = run_sequence([spec], xs, "dense")
-    want, want_clips, _, _ = _reference_gru([spec], xs, "dense")
+    want, want_clips, *_ = _reference_gru([spec], xs, "dense")
     assert run.outputs == want
     assert run.counters.saturations == want_clips
     assert blocks == [data[0:3].tolist(), data[3:6].tolist(), data[6:8].tolist()]
@@ -544,6 +552,211 @@ def test_steps_skipped_counts_quiet_steps_per_layer():
     run = run_sequence(held, xs, "sparse")
     quiet = np.count_nonzero(run.x_events + run.h_events == 0, axis=1)
     assert all(0 < n <= q for n, q in zip(run.steps_skipped, quiet))
+
+
+# --- the layer proof, the delta routes and the telescoping check ---------------------
+
+def _proofs_and_routes(specs, xs):
+    """A sparse run; returns it, each layer's `layer_no_clip` result and,
+    per delta-engine ``sat_matvec`` call, (layer, unchecked, columns)."""
+    proofs, calls = [], []
+    layer_no_clip = gru.layer_no_clip
+
+    def proof(*args):
+        proofs.append(layer_no_clip(*args))
+        return proofs[-1]
+
+    def routed(acc, w, w_abs, x):
+        calls.append((len(proofs) - 1, w_abs is None, w.shape[1]))
+        return fxp.sat_matvec(acc, w, w_abs, x)
+
+    with mock.patch.object(gru, "layer_no_clip", proof), \
+            mock.patch.object(gru, "sat_matvec", routed):
+        run = run_sequence(specs, xs, "sparse")
+    return run, proofs, calls
+
+
+def test_gate_tables_lie_within_one():
+    # the layer proof's premise: u is in [0, one] and |c| <= one
+    one = 1 << Q8_8.frac_bits
+    assert 0 <= SIGMOID_LUT.min() and SIGMOID_LUT.max() <= one
+    assert np.abs(TANH_LUT, dtype=np.int32).max() <= one
+
+
+@given(st.data())
+def test_gate_output_is_within_one_or_its_previous_output(data):
+    h = data.draw(st.integers(1, 6))
+    acc = data.draw(st.lists(st.integers(INT32_MIN, INT32_MAX), min_size=4 * h, max_size=4 * h))
+    h_prev = data.draw(st.lists(st.integers(-32768, 32767), min_size=h, max_size=h))
+    h_prev = np.array(h_prev, np.int16)
+    out, _ = gru._gates(gru_spec(make_rng(h), 2, h), np.array(acc, np.int64), h_prev)
+    bound = np.maximum(1 << Q8_8.frac_bits, np.abs(h_prev, dtype=np.int32))
+    assert np.all(np.abs(out, dtype=np.int32) <= bound)
+
+
+def test_a_passing_layer_proof_means_no_accumulator_clip():
+    # small nets from quiet to saturating: wherever a layer's proof
+    # passes, the per-event reference clips no accumulator, and the
+    # delta engine's products are unchecked exactly in proven layers
+    proven = []
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((0.0, 0.05)),
+           st.sampled_from((None, _margin_biases, _edge_biases)),
+           st.sampled_from((0.1, 1.9)), st.sampled_from((1.0, 100.0)))
+    def case(seed, theta, biases, w_amp, amp):
+        rng = make_rng(seed)
+        specs = [gru_spec(rng, 5, 6, theta=theta, w_amp=w_amp),
+                 gru_spec(rng, 6, 4, theta=theta, w_amp=w_amp)]
+        if biases is not None:
+            specs = [biases(s, rng) for s in specs]
+        xs = uniform_seq(8, 5, rng, amp=amp)
+        run, proofs, calls = _proofs_and_routes(specs, xs)
+        want, want_clips, _, _, acc_clips = _reference_gru(specs, xs, "sparse")
+        assert run.outputs == want and run.counters.saturations == want_clips
+        assert all(clips == 0 for ok, clips in zip(proofs, acc_clips) if ok)
+        assert all(unchecked == proofs[l] for l, unchecked, _ in calls)
+        proven.extend(proofs)
+
+    case()
+    assert any(proven) and not all(proven)
+
+
+def test_a_failing_layer_proof_checks_every_product():
+    # margin biases and amp-100 inputs: the first layer's proof fails, so
+    # none of its products may skip the bound, and the clips and outputs
+    # are the per-event reference's
+    rng = make_rng(21)
+    specs = [_margin_biases(gru_spec(rng, 6, 8, theta=0.05, w_amp=1.9), rng),
+             _margin_biases(gru_spec(rng, 8, 5, theta=0.05, w_amp=1.9), rng)]
+    xs = uniform_seq(10, 6, rng, amp=100.0)
+    run, proofs, calls = _proofs_and_routes(specs, xs)
+    assert proofs[0] is False
+    assert all(unchecked == proofs[l] for l, unchecked, _ in calls)
+    assert any(l == 0 for l, _, _ in calls)
+    want, want_clips, *_ = _reference_gru(specs, xs, "sparse")
+    assert run.outputs == want and run.counters.saturations == want_clips > 0
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1))
+def test_gathered_and_full_width_routes_agree_on_the_ordered_fallback(seed):
+    # one stream of events on a full-scale side from accumulators near the
+    # edge, with the bound refused so every call takes the ordered steps:
+    # the gathered columns and the full-width matrix over the scattered
+    # deltas leave the per-event reference's accumulators and clips
+    rng = make_rng(seed)
+    h, n = int(rng.integers(1, 8)), int(rng.integers(1, 12))
+    side = GateStack.of([QTensor((h, n), Q8_8, rng.integers(-32767, 32768, size=(h, n))
+                                 .astype(np.int16)) for _ in range(3)])
+    w = side.cols.T.astype(np.int64)
+    stream = []
+    for _ in range(5):
+        idx = np.flatnonzero(rng.random(n) < 0.5)
+        vals = rng.integers(1, 65536, size=idx.size) * rng.choice((-1, 1), size=idx.size)
+        stream.append((idx, vals.astype(np.int32)))
+    acc0 = rng.integers(INT32_MIN, INT32_MAX, size=3 * h, endpoint=True)
+    want = acc0.copy()
+    want_clips = sum(_ordered_columns(want, w, zip(idx.tolist(), vals.tolist()))
+                     for idx, vals in stream)
+    for share, width in ((0, lambda idx: idx.size), (n, lambda idx: n)):
+        widths = []
+
+        def ordered(acc, w, x):
+            widths.append(w.shape[1])
+            return sat_columns(acc, w, x)
+
+        got = acc0.copy()
+        with mock.patch.object(gru, "ROUTE_SHARE", share), \
+                mock.patch.object(fxp, "no_clip", lambda *args: False), \
+                mock.patch.object(fxp, "sat_columns", ordered):
+            clips = sum(delta_mxv_accumulate(side, idx, vals, got) for idx, vals in stream)
+        assert np.array_equal(got, want) and clips == want_clips
+        assert widths == [width(idx) for idx, _ in stream if idx.size]
+
+
+@pytest.mark.parametrize("n, first", [(8, 3), (32, 11), (128, 43)])
+def test_route_crossover_sits_at_its_event_count(n, first):
+    # `first` events of n columns are the fewest that take the full width
+    side = GateStack.of([QTensor((2, n), Q8_8, np.ones((2, n), np.int16))])
+    widths = []
+
+    def routed(acc, w, w_abs, x):
+        widths.append(w.shape[1])
+        return 0
+
+    with mock.patch.object(gru, "sat_matvec", routed):
+        for k in (first - 1, first, n):
+            delta_mxv_accumulate(side, np.arange(k), np.ones(k, np.int32), np.zeros(2, np.int64))
+    assert widths == [first - 1, n, n]
+
+
+def test_one_run_mixes_routes():
+    # held inputs at theta 0.05: a hold boundary sends every input on,
+    # the steps between send a few hidden events; the run takes both
+    # routes and matches the per-event reference
+    rng = make_rng(23)
+    specs = [gru_spec(rng, 6, 16, theta=0.05, w_amp=0.3), gru_spec(rng, 16, 16, theta=0.05)]
+    xs = piecewise_constant_seq(40, 6, 5, rng)
+    run, proofs, calls = _proofs_and_routes(specs, xs)
+    full = [w in (6, 16) for _, _, w in calls]  # a gather takes at most 5 columns
+    want, want_clips, want_x, want_h, _ = _reference_gru(specs, xs, "sparse")
+    assert run.outputs == want and run.counters.saturations == want_clips
+    assert np.array_equal(run.x_events, want_x) and np.array_equal(run.h_events, want_h)
+    assert any(full) and not all(full)
+
+
+def test_thresholds_that_cannot_fire_are_not_called():
+    # a held input repeats rows and settles the gates: those threshold
+    # steps cannot fire and are not called, and the run's events,
+    # counters and trace rows are those of a run one step per call, which
+    # calls every threshold step, and of the per-event reference
+    rng = make_rng(24)
+    specs = [gru_spec(rng, 6, 8, theta=0.05), gru_spec(rng, 8, 5, theta=0.05)]
+    xs = piecewise_constant_seq(40, 6, 8, rng)
+    with mock.patch.object(gru, "encode_delta", wraps=gru.encode_delta) as thresholds:
+        run = run_sequence(specs, xs, "sparse")
+    assert thresholds.call_count < 2 * len(specs) * len(xs.data)
+    want, want_clips, want_x, want_h, _ = _reference_gru(specs, xs, "sparse")
+    assert run.outputs == want and run.counters.saturations == want_clips
+    assert np.array_equal(run.x_events, want_x) and np.array_equal(run.h_events, want_h)
+    block = xs.data
+    for spec in specs:
+        out, _, record = run_layer(spec, block, LayerState.initial(spec))
+        state, steps, rows = LayerState.initial(spec), [], []
+        with mock.patch.object(gru, "encode_delta", wraps=gru.encode_delta) as thresholds:
+            for t in range(len(block)):
+                _, state, r = run_layer(spec, block[t:t + 1], state)
+                steps.append(r)
+                rows.append(r.rows[:, r.rows[0] >= 0] + [[t], [0], [0], [0]])
+        assert thresholds.call_count == 2 * len(block)
+        counter = OpCounter()
+        for r in steps:
+            counter.merge(r.counter)
+        by_step = record.rows[:, np.argsort(record.rows[0], kind="stable")]
+        assert counter == record.counter
+        assert np.array_equal(np.concatenate([r.x_events for r in steps]), record.x_events)
+        assert np.array_equal(np.concatenate([r.h_events for r in steps]), record.h_events)
+        assert np.array_equal(np.concatenate(rows, axis=1), by_step[:, 1:])
+        block = out
+
+
+def test_a_run_with_no_accumulator_clip_is_checked_and_a_clipping_one_is_not():
+    # the telescoping check runs once per layer of a run with no
+    # accumulator clip; a run whose accumulators clipped cannot satisfy
+    # it, and skips it
+    rng = make_rng(25)
+    quiet = gru_spec(rng, 6, 8, theta=0.05)
+    clipping = _edge_biases(gru_spec(rng, 6, 8, theta=0.05, w_amp=1.9), rng)
+    xs = uniform_seq(10, 6, rng, amp=100.0).data
+    for spec, checked in ((quiet, True), (clipping, False)):
+        start = LayerState.initial(spec)
+        with mock.patch.object(gru, "check_telescoped", wraps=gru.check_telescoped) as check:
+            _, end, _ = run_layer(spec, xs, LayerState.initial(spec))
+        assert check.called == checked
+        if not checked:
+            with pytest.raises(EquivalenceFailure, match="accumulators diverged"):
+                gru.check_telescoped(spec, start, end)
 
 
 # --- single-step semantics ------------------------------------------------------------
