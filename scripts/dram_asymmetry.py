@@ -12,15 +12,25 @@ import sys
 
 import numpy as np
 
+from sparsebench.cli import EXIT_CODES
 from sparsebench.memmodel import MemConfig, cost_trace, random_vs_burst_ratio
+from sparsebench.netdesc import integer, u64
 from sparsebench.synth import make_rng
 from sparsebench.trace import AccessTrace, triple_code
 
 
+def count(text: str) -> int:
+    """A `netdesc.integer` of at least 1."""
+    value = integer(text)
+    if value < 1:
+        raise ValueError("not a positive count")
+    return value
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--words", type=int, default=4096,
+    ap.add_argument("--seed", type=u64, default=0)
+    ap.add_argument("--words", type=count, default=4096,
                     help="size of the concrete demo word set")
     args = ap.parse_args(argv)
 
@@ -49,4 +59,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except tuple(t for t, _ in EXIT_CODES) as exc:  # one error line, the CLI's exit code
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(next(code for t, code in EXIT_CODES if isinstance(exc, t)))

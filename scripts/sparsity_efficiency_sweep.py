@@ -9,19 +9,35 @@ Usage: python3 scripts/sparsity_efficiency_sweep.py --out sweep.csv
 import argparse
 import sys
 
+from sparsebench.cli import EXIT_CODES
 from sparsebench.codec import encode_sm
 from sparsebench.conv import ConvLayerSpec, conv_zeroskip
 from sparsebench.fxp import Q8_8
+from sparsebench.netdesc import integer, number, u64
 from sparsebench.synth import make_rng, random_bias, random_weights, sparse_map
+
+
+def count(text: str) -> int:
+    """A `netdesc.integer` of at least 1."""
+    value = integer(text)
+    if value < 1:
+        raise ValueError("not a positive count")
+    return value
+
+
+def numbers(text: str) -> list[float]:
+    """A comma-separated list of `netdesc.number`s."""
+    return [number(s.strip()) for s in text.split(",") if s.strip()]
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--size", type=int, default=64, help="square map side")
-    ap.add_argument("--channels", type=int, default=32)
-    ap.add_argument("--out-channels", type=int, default=16)
-    ap.add_argument("--levels", default="0,0.25,0.5,0.6,0.7,0.75,0.8,0.9,0.95")
+    ap.add_argument("--seed", type=u64, default=0)
+    ap.add_argument("--size", type=count, default=64, help="square map side")
+    ap.add_argument("--channels", type=count, default=32)
+    ap.add_argument("--out-channels", type=count, default=16)
+    ap.add_argument("--levels", type=numbers,
+                    default="0,0.25,0.5,0.6,0.7,0.75,0.8,0.9,0.95")
     ap.add_argument("--out", help="write CSV here instead of stdout")
     args = ap.parse_args(argv)
 
@@ -36,7 +52,7 @@ def main(argv=None) -> int:
 
     lines = ["sparsity,efficiency_pct,expected_pct,compression_ratio,"
              "executed_macs,dense_macs"]
-    for level in (float(s) for s in args.levels.split(",") if s.strip()):
+    for level in args.levels:
         x = sparse_map(args.channels, args.size, args.size, level, rng, amp=4.0)
         sfm = encode_sm(x)
         res = conv_zeroskip(spec, sfm)
@@ -58,4 +74,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except tuple(t for t, _ in EXIT_CODES) as exc:  # one error line, the CLI's exit code
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(next(code for t, code in EXIT_CODES if isinstance(exc, t)))

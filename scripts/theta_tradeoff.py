@@ -13,11 +13,17 @@ import sys
 
 import numpy as np
 
+from sparsebench.cli import EXIT_CODES
 from sparsebench.fxp import Q2_14, Q8_8, quantize_array
 from sparsebench.gru import GruLayerSpec
-from sparsebench.netdesc import NetworkDesc, load_network
+from sparsebench.netdesc import NetworkDesc, load_network, number, u64
 from sparsebench.runner import load_seq_input, sweep_rows_csv, sweep_theta
 from sparsebench.synth import make_rng, random_weights
+
+
+def numbers(text: str) -> list[float]:
+    """A comma-separated list of `netdesc.number`s."""
+    return [number(s.strip()) for s in text.split(",") if s.strip()]
 
 
 def demo_network(seed: int) -> NetworkDesc:
@@ -42,9 +48,9 @@ def main(argv=None) -> int:
     ap.add_argument("--net", help="network file; omit for a built-in demo")
     ap.add_argument("--input",
                     default="synth:hold,t=200,n=32,hold=10,amp=1.0,seed=11")
-    ap.add_argument("--thetas",
+    ap.add_argument("--thetas", type=numbers,
                     default="0,0.0039,0.0078,0.0156,0.0312,0.0625,0.125,0.25")
-    ap.add_argument("--seed", type=int, default=8)
+    ap.add_argument("--seed", type=u64, default=8)
     ap.add_argument("--out", help="write CSV here instead of stdout")
     args = ap.parse_args(argv)
 
@@ -53,8 +59,7 @@ def main(argv=None) -> int:
         print("theta sweeps need a gru network", file=sys.stderr)
         return 3
     x_seq = load_seq_input(args.input, args.seed)
-    thetas = [float(s) for s in args.thetas.split(",") if s.strip()]
-    header, rows = sweep_theta(desc, x_seq, thetas)
+    header, rows = sweep_theta(desc, x_seq, args.thetas)
     text = sweep_rows_csv(header, rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -66,4 +71,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except tuple(t for t, _ in EXIT_CODES) as exc:  # one error line, the CLI's exit code
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(next(code for t, code in EXIT_CODES if isinstance(exc, t)))

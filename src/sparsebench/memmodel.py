@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import Underdetermined
-from .trace import INT64_MAX, REGIONS, TAGS, AccessTrace, triple_code
+from .trace import INT64_MAX, KINDS, REGIONS, TAGS, AccessTrace, triple_code
 
 
 @dataclass(frozen=True)
@@ -78,11 +78,12 @@ def cost_trace(trace: AccessTrace, cfg: MemConfig) -> MemCostReport:
     """Cost the whole trace, walking every DRAM run in order, and in
     `layers[l]` the runs of layer l alone, the open row starting empty.
     Each run is costed arithmetically (see _activations)."""
-    region, _, tag, layer, address, nwords = trace.table.T
+    triple, layer, address, nwords = trace.table.T
     n_layers = int(layer.max(initial=-1)) + 1
-    words = np.zeros((n_layers, len(REGIONS), len(TAGS)), dtype=np.int64)
-    np.add.at(words, (layer, region, tag), nwords)
-    dram = region == REGIONS.index("DRAM")
+    words = np.zeros((n_layers, len(REGIONS) * len(KINDS) * len(TAGS)), dtype=np.int64)
+    np.add.at(words, (layer, triple), nwords)
+    words = words.reshape(n_layers, len(REGIONS), len(KINDS), len(TAGS)).sum(axis=2)
+    dram = triple < len(KINDS) * len(TAGS)  # codes are region-major, DRAM's first
     first = address[dram] // cfg.words_per_row
     last = (address[dram] + nwords[dram] - 1) // cfg.words_per_row
     group = layer[dram]

@@ -2,10 +2,10 @@
 
 Engines emit an ordered stream of runs; the cost model walks the stream.
 A trace is one int64 table, a row per run of n sequential words, with
-the columns in COLUMNS: region, kind and tag as indices into REGIONS,
-KINDS and TAGS, the layer that made the access, address and nwords.
-The semantics are always the flattened per-word list (address, ...,
-address+nwords-1), which is what the CSV export produces.
+the columns in COLUMNS: the code of the run's (region, kind, tag), its
+index in region-major order (`triple_code`), the layer that made the
+access, address and nwords. The semantics are always the flattened
+per-word list (address, ..., address+nwords-1), the CSV export's rows.
 """
 
 import itertools
@@ -14,20 +14,18 @@ import re
 import numpy as np
 
 from ._binio import atomic_write
+from .fxp import INT64_MAX
 
 REGIONS = ("DRAM", "SRAM")
 KINDS = ("read", "write")
 TAGS = ("weights", "activations", "state")
-COLUMNS = ("region", "kind", "tag", "layer", "address", "nwords")
-INT64_MAX = 2**63 - 1
+COLUMNS = ("triple", "layer", "address", "nwords")
 _HEADER = "region,address,kind,tag"  # of the per-word CSV, one line per word
 _ADDRESS = re.compile("-?[0-9]+")  # a CSV address field; a negative one is named later
 
-# Every (region, kind, tag) triple: its index, and its three column codes.
+# Every (region, kind, tag) triple, region-major: a triple's code is its index.
 _TRIPLES = list(itertools.product(REGIONS, KINDS, TAGS))
 _TRIPLE_INDEX = {triple: i for i, triple in enumerate(_TRIPLES)}
-_TRIPLE_CODES = np.array([(REGIONS.index(r), KINDS.index(k), TAGS.index(t))
-                          for r, k, t in _TRIPLES], dtype=np.int64)
 
 
 def triple_code(region: str, kind: str, tag: str) -> int:
@@ -66,6 +64,10 @@ def _rows(triple, layer, address, nwords, key=None) -> np.ndarray:
         if np.shape(column) != address.shape:
             raise ValueError(f"{what} column of shape {np.shape(column)} "
                              f"for {address.size} addresses")
+    if not 0 <= triple.min(initial=0) <= triple.max(initial=0) < len(_TRIPLES):
+        raise ValueError(f"triple column holds a code outside [0, {len(_TRIPLES)})")
+    if layer.min(initial=0) < 0:
+        raise ValueError(f"layer column holds negative layer {layer.min()}")
     if address.min(initial=0) < 0:
         raise ValueError(f"negative address {address.min()}")
     if nwords.min(initial=0) < 0:
@@ -78,13 +80,12 @@ def _rows(triple, layer, address, nwords, key=None) -> np.ndarray:
     else:
         order = np.argsort(key, kind="stable")
         order = order[nwords[order] > 0]
-    rows = np.empty((address[order].size, len(COLUMNS)), np.int64)
-    codes = triple[order] if triple.ndim else triple
-    for j in range(3):  # column by column: no (rows, 3) temporary
-        rows[:, j] = _TRIPLE_CODES[codes, j]
-    rows[:, 3] = layer[order] if layer.ndim else layer
-    rows[:, 4] = address[order]
-    rows[:, 5] = nwords[order]
+    address = address[order]
+    rows = np.empty((address.size, len(COLUMNS)), np.int64)
+    rows[:, 0] = triple[order] if triple.ndim else triple
+    rows[:, 1] = layer[order] if layer.ndim else layer
+    rows[:, 2] = address
+    rows[:, 3] = nwords[order]
     return rows
 
 
@@ -114,18 +115,18 @@ class AccessTrace:
 
     def select_layer(self, layer: int) -> "AccessTrace":
         """The rows of one layer, in order."""
-        return AccessTrace(self.table[self.table[:, 3] == layer])
+        return AccessTrace(self.table[self.table[:, 1] == layer])
 
     def __len__(self) -> int:
         return len(self.table)
 
     def word_count(self) -> int:
-        return int(self.table[:, 5].sum())
+        return int(self.table[:, 3].sum())
 
     def runs(self) -> list[tuple[str, str, str, int, int, int]]:
         """The rows with region, kind and tag as names."""
-        return [(REGIONS[r], KINDS[k], TAGS[t], layer, address, nwords)
-                for r, k, t, layer, address, nwords in self.table.tolist()]
+        return [(*_TRIPLES[triple], layer, address, nwords)
+                for triple, layer, address, nwords in self.table.tolist()]
 
     def to_csv(self) -> str:
         """One row per word access: region,address,kind,tag."""
@@ -196,8 +197,6 @@ _SUFFIX_WORDS = np.array([[_le_word(s[i:i + 8]) for s in _SUFFIXES]
                           for i in range(0, _SPAN, 8)], dtype=np.uint64)
 _SUFFIX_MASKS = np.array([[_le_word(b"\xff" * len(s[i:i + 8])) for s in _SUFFIXES]
                           for i in range(0, _SPAN, 8)], dtype=np.uint64)
-_CANONICAL_TRIPLE = np.array([[_TRIPLE_INDEX[r, k, t] for k in KINDS for t in TAGS]
-                              for r in REGIONS], dtype=np.int64)
 
 
 def _canonical_columns(text: str) -> tuple[np.ndarray, np.ndarray] | None:
@@ -246,7 +245,7 @@ def _canonical_columns(text: str) -> tuple[np.ndarray, np.ndarray] | None:
             return None
         address *= 10
         address += digit
-    return _CANONICAL_TRIPLE[region.astype(np.intp), suffix], address
+    return region * len(_SUFFIXES) + suffix, address  # the triple code
 
 
 def _merged_runs(triple: np.ndarray, address: np.ndarray) -> AccessTrace:

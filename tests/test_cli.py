@@ -7,6 +7,8 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sparsebench.cli import main
 from sparsebench.errors import MalformedStream
@@ -831,6 +833,36 @@ def test_mem_sim_prices_a_messy_trace_like_its_canonical_form(tmp_path, capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["row_activations"] == 4
+
+
+_TRACE_WORDS = [("DRAM", 1022, "read", "weights"), ("DRAM", 1023, "read", "weights"),
+                ("SRAM", 3, "write", "state"), ("DRAM", 4000, "write", "activations"),
+                ("SRAM", 4001, "read", "activations")]
+# A valid per-word export in its canonical form and in messy forms that the
+# ordered per-row loop parses: blank lines, spaces, CRLF, 19-digit addresses.
+_TRACE_FORMS = tuple(header + "".join(line.format(r, a, k, t) for r, a, k, t in _TRACE_WORDS)
+                     for header, line in (
+    ("region,address,kind,tag\n", "{},{},{},{}\n"),
+    (" region,address,kind,tag\r\n\r\n", " {} ,\t{},{} ,{}\r\n\n"),
+    ("region,address,kind,tag\n", "{},{:019d},{},{}\n"),
+    ("region,address,kind,tag\n\n", "{},922337203685477{:04d},{},{}\r\n")))
+_MUTANT_CHARS = st.sampled_from(",\n\r \t-09+_\x00\u0667é") | st.characters(codec="utf-8")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_TRACE_FORMS), st.lists(st.tuples(
+    st.sampled_from(("replace", "insert", "delete")), st.integers(0, 10**4), _MUTANT_CHARS),
+    min_size=1, max_size=4))
+def test_mutated_trace_csv_exits_0_or_2(tmp_path, capsys, text, edits):
+    for op, at, char in edits:
+        at %= len(text) + 1
+        cut = at + (op != "insert")
+        text = text[:at] + ("" if op == "delete" else char) + text[cut:]
+    trace = tmp_path / "t.csv"
+    trace.write_bytes(text.encode())
+    assert main(["mem-sim", "--trace", str(trace)]) in (0, 2)
+    capsys.readouterr()
 
 
 GRU_NET_2 = GRU_NET + """[gru]

@@ -19,7 +19,7 @@ from sparsebench.memmodel import (
     schedule_dense_weight_stream,
     solve_budget,
 )
-from sparsebench.trace import AccessTrace, triple_code
+from sparsebench.trace import TAGS, AccessTrace, triple_code
 
 CFG = MemConfig()
 
@@ -128,42 +128,47 @@ def test_concatenation_additivity(runs_a, runs_b):
 
 
 def _per_word_walk(runs, cfg):
-    """Reference: expand runs to words and walk them with one open row."""
-    open_row, acts, dram, sram = None, 0, 0, 0
-    for region, address, nwords in runs:
+    """Reference: expand (region, tag, address, nwords) runs to words and
+    walk them with one open row."""
+    open_row, acts = None, 0
+    by_tag = {region: dict.fromkeys(TAGS, 0) for region in ("DRAM", "SRAM")}
+    for region, tag, address, nwords in runs:
         for word in range(address, address + nwords):
-            if region == "SRAM":
-                sram += 1
-                continue
-            dram += 1
-            if word // cfg.words_per_row != open_row:
+            by_tag[region][tag] += 1
+            if region == "DRAM" and word // cfg.words_per_row != open_row:
                 open_row = word // cfg.words_per_row
                 acts += 1
+    dram, sram = (sum(words.values()) for words in by_tag.values())
     return (acts, dram, sram,
-            dram * cfg.cycles_seq_word + acts * cfg.row_change_factor * cfg.cycles_seq_word)
+            dram * cfg.cycles_seq_word + acts * cfg.row_change_factor * cfg.cycles_seq_word,
+            by_tag["DRAM"], by_tag["SRAM"])
 
 
 @st.composite
 def layered_runs(draw):
     n = draw(st.integers(0, 30))
     return [(draw(st.integers(0, 3)), draw(st.sampled_from(("DRAM", "SRAM"))),
+             draw(st.sampled_from(("read", "write"))), draw(st.sampled_from(TAGS)),
              draw(st.integers(0, 200)), draw(st.integers(0, 40))) for _ in range(n)]
 
 
 @given(layered_runs(), st.sampled_from((4, 16, 64)))
 def test_total_and_each_layer_match_a_per_word_walk(runs, wpr):
     cfg = MemConfig(words_per_row=wpr)
-    t = trace_of([(region, "read", "weights", address, nwords)
-                  for _, region, address, nwords in runs], layer=[r[0] for r in runs])
+    t = trace_of([r[1:] for r in runs], layer=[r[0] for r in runs])
     rep = cost_trace(t, cfg)
 
     def key(r):
-        return (r.row_activations, r.dram_words, r.sram_words, r.cycles)
+        return (r.row_activations, r.dram_words, r.sram_words, r.cycles,
+                r.dram_words_by_tag, r.sram_words_by_tag)
 
-    assert key(rep) == _per_word_walk([r[1:] for r in runs], cfg)
-    assert len(rep.layers) == (max((r[0] for r in runs if r[3]), default=-1) + 1)
+    def walk(layer_runs):  # the walk ignores the kind: it costs nothing
+        return _per_word_walk([(r[1], *r[3:]) for r in layer_runs], cfg)
+
+    assert key(rep) == walk(runs)
+    assert len(rep.layers) == (max((r[0] for r in runs if r[5]), default=-1) + 1)
     for l, layer_rep in enumerate(rep.layers):
-        assert key(layer_rep) == _per_word_walk([r[1:] for r in runs if r[0] == l], cfg)
+        assert key(layer_rep) == walk([r for r in runs if r[0] == l])
         assert layer_rep.layers == []
     assert sum(r.dram_words for r in rep.layers) == rep.dram_words
 

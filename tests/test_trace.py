@@ -63,6 +63,18 @@ def test_from_columns_rejects_unequal_columns():
         AccessTrace.from_columns(0, 0, np.zeros((2, 2), np.int64), np.ones((2, 2)))
 
 
+def test_from_columns_rejects_a_code_or_layer_out_of_range():
+    # code -1 was stored as SRAM/write/state, code 12 was an IndexError and
+    # layer -3 was taken, until cost_trace indexed with it
+    for triple, layer, column in ((-1, 0, "triple"), (12, 0, "triple"), (0, -3, "layer")):
+        with pytest.raises(ValueError, match=f"{column} column"):
+            AccessTrace.from_columns(triple, layer, [5], [2])
+        with pytest.raises(ValueError, match=f"{column} column"):
+            AccessTrace.from_columns([WEIGHTS, triple], [0, layer], [5, 9], [2, 1])
+    # the last code is the last triple, region-major
+    assert AccessTrace.from_columns(11, 0, [5], [2]).runs() == [("SRAM", "write", "state", 0, 5, 2)]
+
+
 def test_from_columns_skips_empty_runs():
     assert len(_one_run("DRAM", "read", "weights", 0, 0)) == 0
     t = _two_runs("DRAM", "read", "weights", 0, 0)
