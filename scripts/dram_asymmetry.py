@@ -12,19 +12,11 @@ import sys
 
 import numpy as np
 
-from sparsebench.cli import EXIT_CODES
+from sparsebench.cli import guarded
 from sparsebench.memmodel import MemConfig, cost_trace, random_vs_burst_ratio
-from sparsebench.netdesc import integer, u64
+from sparsebench.netdesc import count, u64
 from sparsebench.synth import make_rng
 from sparsebench.trace import AccessTrace, triple_code
-
-
-def count(text: str) -> int:
-    """A `netdesc.integer` of at least 1."""
-    value = integer(text)
-    if value < 1:
-        raise ValueError("not a positive count")
-    return value
 
 
 def main(argv=None) -> int:
@@ -59,8 +51,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    try:
-        sys.exit(main())
-    except tuple(t for t, _ in EXIT_CODES) as exc:  # one error line, the CLI's exit code
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(next(code for t, code in EXIT_CODES if isinstance(exc, t)))
+    sys.exit(guarded(main))

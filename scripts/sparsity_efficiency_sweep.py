@@ -9,25 +9,12 @@ Usage: python3 scripts/sparsity_efficiency_sweep.py --out sweep.csv
 import argparse
 import sys
 
-from sparsebench.cli import EXIT_CODES
+from sparsebench.cli import emit, guarded, numbers
 from sparsebench.codec import encode_sm
 from sparsebench.conv import ConvLayerSpec, conv_zeroskip
 from sparsebench.fxp import Q8_8
-from sparsebench.netdesc import integer, number, u64
+from sparsebench.netdesc import count, u64
 from sparsebench.synth import make_rng, random_bias, random_weights, sparse_map
-
-
-def count(text: str) -> int:
-    """A `netdesc.integer` of at least 1."""
-    value = integer(text)
-    if value < 1:
-        raise ValueError("not a positive count")
-    return value
-
-
-def numbers(text: str) -> list[float]:
-    """A comma-separated list of `netdesc.number`s."""
-    return [number(s.strip()) for s in text.split(",") if s.strip()]
 
 
 def main(argv=None) -> int:
@@ -36,10 +23,10 @@ def main(argv=None) -> int:
     ap.add_argument("--size", type=count, default=64, help="square map side")
     ap.add_argument("--channels", type=count, default=32)
     ap.add_argument("--out-channels", type=count, default=16)
-    ap.add_argument("--levels", type=numbers,
-                    default="0,0.25,0.5,0.6,0.7,0.75,0.8,0.9,0.95")
+    ap.add_argument("--levels", default="0,0.25,0.5,0.6,0.7,0.75,0.8,0.9,0.95")
     ap.add_argument("--out", help="write CSV here instead of stdout")
     args = ap.parse_args(argv)
+    levels = numbers("--levels", args.levels)
 
     rng = make_rng(args.seed)
     spec = ConvLayerSpec(
@@ -52,7 +39,7 @@ def main(argv=None) -> int:
 
     lines = ["sparsity,efficiency_pct,expected_pct,compression_ratio,"
              "executed_macs,dense_macs"]
-    for level in args.levels:
+    for level in levels:
         x = sparse_map(args.channels, args.size, args.size, level, rng, amp=4.0)
         sfm = encode_sm(x)
         res = conv_zeroskip(spec, sfm)
@@ -60,22 +47,11 @@ def main(argv=None) -> int:
         eff = (100.0 * c.macs_dense_equivalent / c.macs_executed
                if c.macs_executed else float("inf"))
         expected = 100.0 / (1.0 - level) if level < 1.0 else float("inf")
-        ratio = 16.0 * x.size / (x.size + 16.0 * sfm.nnz)
-        lines.append(f"{level:.2f},{eff:.2f},{expected:.2f},{ratio:.4f},"
+        lines.append(f"{level:.2f},{eff:.2f},{expected:.2f},{sfm.compression_ratio:.4f},"
                      f"{c.macs_executed},{c.macs_dense_equivalent}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 if __name__ == "__main__":
-    try:
-        sys.exit(main())
-    except tuple(t for t, _ in EXIT_CODES) as exc:  # one error line, the CLI's exit code
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(next(code for t, code in EXIT_CODES if isinstance(exc, t)))
+    sys.exit(guarded(main))

@@ -5,6 +5,10 @@ brain-budget. Exit codes: 0 ok, 2 input or format error, 3 shape error,
 4 a file that is missing or cannot be read or written, 5 the sparse and
 dense engines disagreed where they must agree (an internal invariant
 failure, a bug).
+
+The example scripts share this boundary: `guarded` maps an error to its
+exit code, `numbers` parses a comma-separated flag, `sweep_thetas` runs a
+theta sweep and `emit` writes an output file or stdout.
 """
 
 import argparse
@@ -20,7 +24,7 @@ from .fxp import load_qt, save_qt
 from .memmodel import (MemConfig, cost_trace, random_vs_burst_ratio,
                        schedule_dense_weight_stream, solve_budget)
 from .netdesc import integer, load_mem_config, load_network, number, u64
-from .report import scatter_csv, scatter_svg
+from .report import scatter_axes, scatter_csv, scatter_svg
 from .runner import (execute_conv, execute_conv_averaged, execute_gru,
                      load_conv_input, load_seq_input, sweep_rows_csv,
                      sweep_theta)
@@ -119,22 +123,38 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_sweep_theta(args) -> int:
-    desc = load_network(args.net)
-    if desc.kind != "gru":
-        raise ShapeMismatch("sweep-theta needs a gru network")
-    thetas = [_flag("--thetas", number, s.strip()) for s in args.thetas.split(",") if s.strip()]
-    if not thetas:
-        raise MalformedStream("empty theta list")
-    x_seq = load_seq_input(args.input, args.seed)
-    header, rows = sweep_theta(desc, x_seq, thetas)
-    text = sweep_rows_csv(header, rows)
-    if args.out:
-        atomic_write(args.out, text.encode())
-        print(f"wrote {args.out}")
+def numbers(flag: str, text: str) -> list[float]:
+    """The `netdesc.number`s of a comma-separated flag value; an entry it
+    refuses, or no entry at all, is an input error naming the flag."""
+    values = [_flag(flag, number, s.strip()) for s in text.split(",") if s.strip()]
+    if not values:
+        raise MalformedStream(f"{flag}: empty list")
+    return values
+
+
+def emit(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out`` and say so, or to stdout when no
+    file is given."""
+    if out:
+        atomic_write(out, text.encode())
+        print(f"wrote {out}")
     else:
         sys.stdout.write(text)
+
+
+def sweep_thetas(desc, args) -> int:
+    """Sweep the gru network ``desc`` over ``args.thetas`` on the sequence
+    ``args.input`` (seeded by ``args.seed``); emit the CSV to ``args.out``."""
+    if desc.kind != "gru":
+        raise ShapeMismatch("a theta sweep needs a gru network")
+    thetas = numbers("--thetas", args.thetas)
+    x_seq = load_seq_input(args.input, args.seed)
+    emit(sweep_rows_csv(*sweep_theta(desc, x_seq, thetas)), args.out)
     return 0
+
+
+def cmd_sweep_theta(args) -> int:
+    return sweep_thetas(load_network(args.net), args)
 
 
 def _print_cost(rep, fmt: str) -> None:
@@ -166,19 +186,28 @@ def cmd_mem_sim(args) -> int:
     return 0
 
 
+def _scatter_point(path: str) -> tuple[str, float, float]:
+    """(name, watts, GOp/s) of one run report: a string name and two
+    finite numbers above 0, or an input error naming the file."""
+    try:
+        d = json.loads(read_text(path))
+        point = (d["name"], d["foms"]["watts"], d["foms"]["effective_gops"])
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:  # nested too deep
+        raise MalformedStream(f"unreadable report {path}: {exc}") from exc
+    if not isinstance(point[0], str):
+        raise MalformedStream(f"report {path}: name {point[0]!r} is not a string")
+    for key, v in zip(("watts", "effective_gops"), point[1:]):
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
+            raise MalformedStream(f"report {path}: {key} {v!r} is not a finite number above 0")
+    return point
+
+
 def cmd_report(args) -> int:
-    points = []
-    for path in args.reports:
-        try:
-            d = json.loads(read_text(path))
-            points.append((d["name"], d["foms"]["watts"],
-                           d["foms"]["effective_gops"]))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise MalformedStream(f"unreadable report {path}: {exc}") from exc
-    for name, watts, gops in points:
-        if watts <= 0 or gops <= 0:
-            raise MalformedStream(
-                f"report {name!r} has non-positive watts or gops")
+    points = [_scatter_point(path) for path in args.reports]
+    try:
+        scatter_axes(points)  # refused before anything is written
+    except ValueError as exc:
+        raise MalformedStream(f"report {', '.join(args.reports)}: {exc}") from None
     csv_text = scatter_csv(points)
     if args.out_csv:
         atomic_write(args.out_csv, csv_text.encode())
@@ -297,13 +326,19 @@ EXIT_CODES = (
 )
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def guarded(fn, *args) -> int:
+    """``fn(*args)``, with an error it raises printed as one ``error:`` line
+    and returned as its exit code."""
     try:
-        return args.func(args)
+        return fn(*args)
     except tuple(t for t, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for t, code in EXIT_CODES if isinstance(exc, t))
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return guarded(args.func, args)
 
 
 if __name__ == "__main__":

@@ -64,6 +64,14 @@ def u64(text: str) -> int:
     return value
 
 
+def count(text: str) -> int:
+    """An `integer` of at least 1."""
+    value = integer(text)
+    if value < 1:
+        raise ValueError("not a positive count")
+    return value
+
+
 def number(text: str) -> float:
     """A float written as a decimal with an optional exponent, or `inf` or
     `nan`, each with an optional `-`; anything else raises ValueError. No

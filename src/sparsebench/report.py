@@ -131,26 +131,44 @@ class LogLogAxes:
         py = SVG_H - SVG_MARGIN - ly * (SVG_H - 2 * SVG_MARGIN)
         return px, py
 
+    def iso_decades(self) -> tuple[float, float]:
+        """Decade bounds of the GOp/s-per-W ratios the viewport spans."""
+        return (_decade(self.y_min / self.x_max, math.floor),
+                _decade(self.y_max / self.x_min, math.ceil))
 
-def _decade_floor(v: float) -> float:
-    return 10.0 ** math.floor(math.log10(v))
 
-
-def _decade_ceil(v: float) -> float:
-    return 10.0 ** math.ceil(math.log10(v))
+def _decade(v: float, rounding) -> float:
+    """``10 ** rounding(log10(v))``; a ValueError when that power of ten
+    is not a finite float above 0."""
+    try:
+        d = 10.0 ** rounding(math.log10(v))
+    except (OverflowError, ValueError):  # log10(0), rounding inf or nan, 10.0 ** 309
+        d = 0.0
+    if not 0 < d < math.inf:
+        raise ValueError("the chart's decade bounds leave the float range")
+    return d
 
 
 def scatter_axes(points: list[tuple[str, float, float]]) -> LogLogAxes:
-    """Padded decade bounds for (name, watts, gops) points."""
+    """Padded decade bounds for (name, watts, gops) points; a ValueError
+    when a bound or the span of the iso-efficiency lines leaves the float
+    range."""
     xs = [p[1] for p in points]
     ys = [p[2] for p in points]
-    x_min, x_max = _decade_floor(min(xs)), _decade_ceil(max(xs))
-    y_min, y_max = _decade_floor(min(ys)), _decade_ceil(max(ys))
+    x_min, x_max = _decade(min(xs), math.floor), _decade(max(xs), math.ceil)
+    y_min, y_max = _decade(min(ys), math.floor), _decade(max(ys), math.ceil)
     if x_min == x_max:
         x_max *= 10.0
     if y_min == y_max:
         y_max *= 10.0
-    return LogLogAxes(x_min, x_max, y_min, y_max)
+    axes = LogLogAxes(x_min, x_max, y_min, y_max)
+    axes.iso_decades()  # refuses a ratio span, or a padded bound, past the float range
+    return axes
+
+
+# Label text is escaped by hand: xml.sax.saxutils would add its import
+# time to every command.
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 
 
 def _fmt(v: float) -> str:
@@ -188,9 +206,7 @@ def scatter_svg(points: list[tuple[str, float, float]]) -> str:
         f'<text x="18" y="{SVG_H / 2}" text-anchor="middle" font-size="14" '
         f'transform="rotate(-90 18 {SVG_H / 2})">Effective throughput (GOp/s)</text>',
     ]
-    k_lo = _decade_floor(axes.y_min / axes.x_max)
-    k_hi = _decade_ceil(axes.y_max / axes.x_min)
-    k = k_lo
+    k, k_hi = axes.iso_decades()
     while k <= k_hi:
         seg = iso_efficiency_segment(axes, k)
         if seg is not None:
@@ -207,13 +223,22 @@ def scatter_svg(points: list[tuple[str, float, float]]) -> str:
         px, py = axes.to_px(watts, gops)
         parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="4" fill="steelblue"/>')
         parts.append(
-            f'<text x="{_fmt(px + 6)}" y="{_fmt(py - 6)}" font-size="11">{name}</text>')
+            f'<text x="{_fmt(px + 6)}" y="{_fmt(py - 6)}" font-size="11">'
+            f'{name.translate(_XML_ESCAPES)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def _csv_field(text: str) -> str:
+    """``text`` quoted, with its quotes doubled, when it holds a comma, a
+    quote or a line break, as ``csv.QUOTE_MINIMAL`` does; else as is."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def scatter_csv(points: list[tuple[str, float, float]]) -> str:
     lines = ["name,gops,watts,gops_per_watt"]
     for name, watts, gops in sorted(points):
-        lines.append(f"{name},{_fmt(gops)},{_fmt(watts)},{_fmt(gops / watts)}")
+        lines.append(f"{_csv_field(name)},{_fmt(gops)},{_fmt(watts)},{_fmt(gops / watts)}")
     return "\n".join(lines) + "\n"

@@ -11,8 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sparsebench.cli import main
+from sparsebench.codec import encode_sm, to_smfm_bytes
 from sparsebench.errors import MalformedStream
-from sparsebench.fxp import Q2_14, Q8_8, QFormat, QTensor, load_qt, save_qt
+from sparsebench.fxp import Q2_14, Q8_8, QFormat, QTensor, load_qt, save_qt, to_qt_bytes
 from sparsebench.netdesc import load_mem_config, load_network
 from sparsebench.synth import ar1_seq, make_rng, random_weights, sparse_map
 
@@ -865,6 +866,37 @@ def test_mutated_trace_csv_exits_0_or_2(tmp_path, capsys, text, edits):
     capsys.readouterr()
 
 
+# A conv map (.qt and .smfm) and a GRU sequence (.qt), each a valid
+# container before mutation.
+_CONTAINERS = (
+    ("map.qt", to_qt_bytes(sparse_map(2, 8, 8, 0.5, make_rng(7)))),
+    ("map.smfm", to_smfm_bytes(encode_sm(sparse_map(2, 8, 8, 0.5, make_rng(7))))),
+    ("seq.qt", to_qt_bytes(ar1_seq(4, 6, 0.9, make_rng(8)))))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_CONTAINERS), st.lists(st.tuples(
+    st.sampled_from(("replace", "insert", "delete")), st.integers(0, 10**4), st.integers(0, 255)),
+    min_size=1, max_size=4))
+def test_byte_mutated_containers_exit_0_2_3_or_4(tmp_path, capsys, conv_net, gru_net,
+                                                 container, edits):
+    name, data = container
+    for op, at, byte in edits:
+        at %= len(data) + 1
+        cut = at + (op != "insert")
+        data = data[:at] + (b"" if op == "delete" else bytes([byte])) + data[cut:]
+    path = tmp_path / name
+    path.write_bytes(data)
+    out = str(tmp_path / ("out.qt" if name.endswith(".smfm") else "out.smfm"))
+    for argv in (["stats", str(path)], ["decode" if name.endswith(".smfm") else "encode",
+                                        str(path), out],
+                 ["run", "--net", conv_net, "--input", str(path)],
+                 ["run", "--net", gru_net, "--input", str(path)]):
+        assert main(argv) in (0, 2, 3, 4)
+    capsys.readouterr()
+
+
 GRU_NET_2 = GRU_NET + """[gru]
 input = 8
 hidden = 8
@@ -965,6 +997,57 @@ def test_report_rejects_unreadable(tmp_path):
     assert main(["report", str(bad), "--out-csv", str(tmp_path / "o.csv")]) == 2
     missing = str(tmp_path / "none.json")
     assert main(["report", missing, "--out-csv", str(tmp_path / "o.csv")]) == 4
+
+
+def _scatter_report(path, name='"ok"', watts="1", gops="2"):
+    path.write_text(f'{{"name": {name}, "foms": {{"watts": {watts}, "effective_gops": {gops}}}}}')
+    return str(path)
+
+
+# Before these checks most ended in a traceback (exit 1), NaN exited 2
+# only after the CSV was printed, and true was read as watts 1.
+@pytest.mark.parametrize("bad", [
+    {"watts": '"1"'}, {"name": "null"}, {"name": "3"}, {"watts": "Infinity"},
+    {"gops": "-Infinity"}, {"watts": "NaN"}, {"watts": "true"}, {"gops": "0"},
+    {"watts": "1e-320"}, {"gops": "5e-324"}, {"watts": "1" + "0" * 400}, {"watts": "[1]"}])
+def test_report_refuses_hostile_values_before_writing(tmp_path, capsys, bad):
+    ok = _scatter_report(tmp_path / "ok.json")
+    hostile = _scatter_report(tmp_path / "bad.json", **bad)
+    out_csv, out_svg = tmp_path / "o.csv", tmp_path / "o.svg"
+    for argv in (["report", ok, hostile], ["report", hostile, ok, "--out-csv", str(out_csv),
+                                           "--out-svg", str(out_svg)]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert hostile in err
+    assert not out_csv.exists() and not out_svg.exists()
+
+
+def test_report_refuses_a_chart_span_past_the_float_range(tmp_path, capsys):
+    # each report alone charts; together the GOp/s-per-W span overflows
+    tiny = _scatter_report(tmp_path / "tiny.json", name='"tiny"', watts="1e-320", gops="1e-320")
+    big = _scatter_report(tmp_path / "big.json", name='"big"', watts="1e300", gops="1e300")
+    assert main(["report", tiny]) == 0 and main(["report", big]) == 0
+    capsys.readouterr()
+    assert main(["report", tiny, big]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and tiny in err and big in err and "float range" in err
+
+
+def test_report_escapes_names_in_the_chart_outputs(tmp_path, capsys):
+    import csv
+    import io
+    import xml.dom.minidom
+    net = tmp_path / "esc.net"
+    net.write_text(CONV_NET.replace("name = cnn", 'name = a<b & "c",d'))
+    rpt, svg = str(tmp_path / "r.json"), str(tmp_path / "r.svg")
+    assert main(["run", "--net", str(net), "--input", MAP_URI, "--report", rpt]) == 0
+    capsys.readouterr()
+    assert main(["report", rpt, "--out-svg", svg]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [len(r) for r in rows] == [4, 4] and rows[1][0] == 'a<b & "c",d'
+    labels = [t.firstChild.data for t in xml.dom.minidom.parse(svg).getElementsByTagName("text")]
+    assert labels[-1] == 'a<b & "c",d'
 
 
 # --- paths that cannot be opened --------------------------------------------------

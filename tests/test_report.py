@@ -1,10 +1,15 @@
 """Report serialization and the throughput/power scatter emitter."""
 
+import csv
+import io
 import json
 import math
+import xml.dom.minidom
 from dataclasses import fields
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sparsebench.memmodel import MemConfig
 from sparsebench.report import (
@@ -144,3 +149,32 @@ def test_scatter_csv_sorted_with_ratio():
 
 def test_svg_is_deterministic_under_input_order():
     assert scatter_svg(POINTS) == scatter_svg(list(reversed(POINTS)))
+
+
+# Characters an XML text node can hold, and those the outputs escape or quote.
+_NAME_CHARS = (st.characters(codec="utf-8", exclude_categories=("Cc", "Cs", "Cn"))
+               | st.sampled_from(',"&<>\''))
+
+
+@given(st.text(_NAME_CHARS | st.sampled_from("\r\n"), max_size=12))
+def test_csv_quotes_only_a_name_that_needs_it(name):
+    text = scatter_csv([(name, 1.0, 2.0)])
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [
+        ["name", "gops", "watts", "gops_per_watt"], [name, "2", "1", "2"]]
+    if not any(c in name for c in ',"\r\n'):
+        assert text.endswith(f"\n{name},2,1,2\n")
+
+
+@given(st.text(_NAME_CHARS, max_size=12))
+def test_svg_label_escapes_any_name(name):
+    svg = xml.dom.minidom.parseString(scatter_svg([(name, 1.0, 2.0)]))
+    label = svg.getElementsByTagName("text")[-1]
+    assert "".join(n.data for n in label.childNodes) == name
+
+
+@pytest.mark.parametrize("points", [
+    [("a", 1e-320, 1.0)], [("a", 1.0, 5e-324)], [("a", 1.0, 1e308)], [("a", 1e308, 1.0)],
+    [("a", 1e-200, 1e-200), ("b", 1e200, 1e200)]])
+def test_axes_refuse_bounds_past_the_float_range(points):
+    with pytest.raises(ValueError, match="float range"):
+        scatter_axes(points)
