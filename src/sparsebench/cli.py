@@ -4,7 +4,7 @@ Subcommands: encode, decode, stats, run, sweep-theta, mem-sim, report,
 brain-budget. Exit codes: 0 ok, 2 input or format error, 3 shape error,
 4 a file that is missing or cannot be read or written, 5 the sparse and
 dense engines disagreed where they must agree (an internal invariant
-failure, a bug).
+failure, a bug), 141 stdout closed before the output was written.
 
 The example scripts share this boundary: `guarded` maps an error to its
 exit code, `numbers` parses a comma-separated flag, `sweep_thetas` runs a
@@ -14,6 +14,7 @@ theta sweep and `emit` writes an output file or stdout.
 import argparse
 import json
 import math
+import os
 import sys
 
 from ._binio import atomic_write, read_text
@@ -21,6 +22,7 @@ from .codec import decode_sm, encode_sm, load_smfm, measure_sparsity, save_smfm
 from .errors import (EquivalenceFailure, MalformedStream, MissingArtifact,
                      ShapeMismatch, Underdetermined)
 from .fxp import load_qt, save_qt
+from .gru import quantize_theta
 from .memmodel import (MemConfig, cost_trace, random_vs_burst_ratio,
                        schedule_dense_weight_stream, solve_budget)
 from .netdesc import integer, load_mem_config, load_network, number, u64
@@ -72,12 +74,16 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _flag(flag: str, parse, text: str):
-    """``parse(text)`` of one entry of a hand-split flag value; a text it
-    refuses is an input error naming the flag and the entry."""
+def _flag(flag: str, parse, text: str, check=None):
+    """``parse(text)`` of one entry of a hand-split flag value, also passed
+    to ``check`` when one is given; an entry either refuses (ValueError or
+    MalformedStream) is an input error naming the flag and the entry."""
     try:
-        return parse(text)
-    except ValueError as exc:
+        value = parse(text)
+        if check is not None:
+            check(value)
+        return value
+    except (ValueError, MalformedStream) as exc:
         raise MalformedStream(f"{flag}: {text!r}: {exc}") from None
 
 
@@ -99,6 +105,8 @@ def cmd_run(args) -> int:
     else:
         if args.count > 1:
             raise MalformedStream("--count averaging applies to conv networks only")
+        if args.theta is not None:
+            _flag("--theta", quantize_theta, args.theta)
         x_seq = load_seq_input(args.input, args.seed)
         report, run = execute_gru(desc, x_seq, args.mode, mem, args.seed,
                                   theta_override=args.theta)
@@ -123,10 +131,11 @@ def cmd_run(args) -> int:
     return 0
 
 
-def numbers(flag: str, text: str) -> list[float]:
-    """The `netdesc.number`s of a comma-separated flag value; an entry it
-    refuses, or no entry at all, is an input error naming the flag."""
-    values = [_flag(flag, number, s.strip()) for s in text.split(",") if s.strip()]
+def numbers(flag: str, text: str, check=None) -> list[float]:
+    """The `netdesc.number`s of a comma-separated flag value; an entry that
+    `number` or ``check`` (when given) refuses, or no entry at all, is an
+    input error naming the flag."""
+    values = [_flag(flag, number, s.strip(), check) for s in text.split(",") if s.strip()]
     if not values:
         raise MalformedStream(f"{flag}: empty list")
     return values
@@ -147,7 +156,7 @@ def sweep_thetas(desc, args) -> int:
     ``args.input`` (seeded by ``args.seed``); emit the CSV to ``args.out``."""
     if desc.kind != "gru":
         raise ShapeMismatch("a theta sweep needs a gru network")
-    thetas = numbers("--thetas", args.thetas)
+    thetas = numbers("--thetas", args.thetas, quantize_theta)
     x_seq = load_seq_input(args.input, args.seed)
     emit(sweep_rows_csv(*sweep_theta(desc, x_seq, thetas)), args.out)
     return 0
@@ -196,6 +205,11 @@ def _scatter_point(path: str) -> tuple[str, float, float]:
         raise MalformedStream(f"unreadable report {path}: {exc}") from exc
     if not isinstance(point[0], str):
         raise MalformedStream(f"report {path}: name {point[0]!r} is not a string")
+    try:
+        point[0].encode()
+    except UnicodeEncodeError:  # a lone surrogate, from a JSON escape
+        raise MalformedStream(f"report {path}: name {point[0]!r} is not "
+                              "UTF-8 encodable text") from None
     for key, v in zip(("watts", "effective_gops"), point[1:]):
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
             raise MalformedStream(f"report {path}: {key} {v!r} is not a finite number above 0")
@@ -326,11 +340,28 @@ EXIT_CODES = (
 )
 
 
+# The exit code of a command whose stdout was closed before its output
+# was written (a reader such as `head` that stops early): 128 + SIGPIPE,
+# what a shell reports for a process that signal ended.
+EXIT_CLOSED_STDOUT = 141
+
+
 def guarded(fn, *args) -> int:
     """``fn(*args)``, with an error it raises printed as one ``error:`` line
-    and returned as its exit code."""
+    and returned as its exit code.
+
+    Its output is flushed here, so that a closed stdout is seen here too:
+    then nothing is printed and the code is ``EXIT_CLOSED_STDOUT``. As
+    the ``signal`` module's notes on SIGPIPE advise, stdout is pointed at
+    the null device, so the flush at interpreter exit cannot fail again.
+    """
     try:
-        return fn(*args)
+        code = fn(*args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except tuple(t for t, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for t, code in EXIT_CODES if isinstance(exc, t))

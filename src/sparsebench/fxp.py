@@ -187,14 +187,16 @@ def int32_array(values, what: str) -> np.ndarray:
 # product, and otherwise runs the ordered steps (`sat_columns`). The
 # delta GRU calls it once per side and computed step, unchecked when its
 # one bound per layer run holds (`gru.layer_no_clip`), the dense GRU
-# once per chunk of steps on the input side and once per step on the
-# hidden side, the zero-skip conv once per group of input channels. The
-# dense conv oracle proves and takes its own product per output element
-# (`conv.conv_dense_oracle`), so that check does not rest on this
-# primitive. The dense GRU oracle takes the fast path too, but over full matrices and full
-# vectors, while the delta engine's products are over sparse deltas; so
-# the theta-0 check still tests that the accumulated deltas telescope to
-# the direct products, not the fast path against itself.
+# once per chunk of steps on the input side, the zero-skip conv once per
+# group of input channels. The dense conv oracle proves and takes its own
+# product per output element (`conv.conv_dense_oracle`), and the dense
+# GRU its own hidden-side product per step when its one bound per layer
+# run holds (`gru.dense_no_clip`; a bound-checked call per step when it
+# does not), so those checks do not rest on the unchecked branch. The
+# dense GRU's products are over full matrices and full vectors, while the
+# delta engine's are over sparse deltas; so the theta-0 check still tests
+# that the accumulated deltas telescope to the direct products, not the
+# fast path against itself.
 
 # An engine that takes a block of terms at once (a conv channel group, a
 # dense GRU chunk of steps) caps its work matrix near this many bytes,

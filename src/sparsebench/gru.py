@@ -35,7 +35,11 @@ clip it checks that the accumulators equal the biases plus the weights
 times the memories (`check_telescoped`). The dense engine takes the
 input side of a chunk of steps in one bound-checked product, since it
 does not depend on the recurrence, and the hidden side one step at a
-time.
+time. It too proves once per layer run that no accumulator can clip
+(`dense_no_clip`, the same bound without the delta engine's factor 2);
+then each step's hidden side is one float64 product added inline, and
+without the proof one bound-checked product. Both engines share one
+gate tail (`_gates`), taken in float64 and exact.
 """
 
 from dataclasses import dataclass
@@ -46,8 +50,8 @@ import numpy as np
 
 from .codec import encode_delta
 from .errors import EquivalenceFailure, MalformedStream, ShapeMismatch
-from .fxp import (INT16_MAX, INT32_MAX, SLAB_BYTES, OpCounter, Q8_8, QTensor,
-                  int32_array, quantize_array, round_shift_even, sat_add, sat_matvec)
+from .fxp import (INT16_MAX, INT32_MAX, INT32_MIN, SLAB_BYTES, OpCounter, Q8_8, QTensor,
+                  int32_array, quantize_array, round_shift_even, sat_matvec)
 from .trace import AccessTrace, triple_code
 
 ACT_FMT = Q8_8
@@ -80,6 +84,11 @@ def _interpolate(knots: np.ndarray) -> np.ndarray:
 
 SIGMOID_LUT = _interpolate(SIGMOID_TABLE)
 TANH_LUT = _interpolate(TANH_TABLE)
+# The tables the gate tail looks up (`_gates`), in float64 and exact:
+# sigmoid in value units (raw / one, a multiple of 2**-8 in [0, 1]) and
+# tanh raw.
+_SIGMOID_VALUE = SIGMOID_LUT / (1 << ACT_FMT.frac_bits)
+_TANH_RAW = TANH_LUT.astype(np.float64)
 
 
 def _rint_shift(values: np.ndarray, shift: int) -> np.ndarray:
@@ -88,24 +97,28 @@ def _rint_shift(values: np.ndarray, shift: int) -> np.ndarray:
     For |values| < 2**53 the scaling by a power of two is exact and
     ``np.rint`` rounds ties to even, so this equals
     ``round_shift_even(values, shift)`` in fewer numpy calls. The gate
-    tail only rounds int32 accumulators and products of them with Q8.8
-    values (below 2**40).
+    tail only renormalizes int32 accumulators and candidate sums (below
+    2**33) with it.
     """
-    return np.rint(values * 2.0 ** -shift)
+    x = values * 2.0 ** -shift
+    return np.rint(x, out=x)
 
 
 def act_lookup(acc: np.ndarray, acc_frac: int, lut: np.ndarray) -> np.ndarray:
-    """Evaluate a lookup activation on 32-bit accumulators, yielding Q8.8.
+    """Evaluate a lookup activation on accumulators at scale 2**acc_frac.
 
-    The accumulator is renormalized to a Q8.8 raw argument (ties-to-even),
-    clamped to the table domain, and looked up in ``lut`` (SIGMOID_LUT
-    or TANH_LUT).
+    The accumulator, integer-valued and of any dtype, is renormalized to
+    a Q8.8 raw argument in float64 (`_rint_shift`): below 2**53 each
+    value is exact, the scale 2**(8 - acc_frac) is a power of two and
+    ``np.rint`` rounds ties to even, as ``round_shift_even`` does. The
+    argument is clamped to the table domain by the index clamp of
+    ``np.take`` and looked up in ``lut``, one entry per argument from
+    ACT_IN_MIN to ACT_IN_MAX: SIGMOID_LUT or TANH_LUT for raw int16, or
+    the gate tail's float64 copies, which `_gates` looks up through here.
     """
     x = _rint_shift(acc, acc_frac - 8)
     x -= ACT_IN_MIN
-    np.minimum(x, ACT_IN_MAX - ACT_IN_MIN, out=x)
-    np.maximum(x, 0, out=x)
-    return lut[x.astype(np.intp)]
+    return lut.take(x.astype(np.intp), mode="clip")
 
 
 @dataclass(frozen=True)
@@ -133,13 +146,16 @@ class GateStack:
 
 def quantize_theta(value: float) -> int:
     """A delta threshold as a raw Q8.8 integer (``ACT_FMT``, the units it is
-    compared in), rounded to nearest even; a value past the format's range
-    raises ``MalformedStream`` instead of saturating."""
+    compared in), rounded to nearest even; a value that is not finite, is
+    past the format's range or rounds below 0 raises ``MalformedStream``
+    instead of saturating."""
     over = OpCounter()
     theta = int(quantize_array(value, ACT_FMT, over))
     if over.saturations:
         raise MalformedStream(f"theta {value:g} is past the Q8.8 range "
                               f"(at most {INT16_MAX / ACT_FMT.scale})")
+    if theta < 0:
+        raise MalformedStream(f"theta must be non-negative, got {value:g}")
     return theta
 
 
@@ -278,6 +294,33 @@ def delta_mxv_accumulate(side: GateStack, idx: np.ndarray, vals: np.ndarray,
     return sat_matvec(acc, side.cols[cols].T, w_abs, x)
 
 
+def _bound_holds(spec: GruLayerSpec, acc: np.ndarray, p_x: np.ndarray,
+                 p_h: np.ndarray) -> bool:
+    """True when ``|acc| + |W_x| p_x`` on rows [0:3h] plus ``|W_h| p_h``
+    on rows [h:4h] is at most INT32_MAX in every row.
+
+    ``p_x`` and ``p_h`` are non-negative integer bounds on the magnitude
+    of each input and hidden term's factor. The bound is computed in
+    float64 as ``fxp.no_clip`` computes its own, and is exact whenever
+    it passes.
+    """
+    h = spec.hidden_size
+    bound = np.abs(acc, dtype=np.float64)
+    bound[:3 * h] += p_x @ spec.x_side.cols_abs
+    bound[h:] += p_h @ spec.h_side.cols_abs
+    return bool(bound.max() <= INT32_MAX)
+
+
+def _hidden_peak(*hs: np.ndarray) -> np.ndarray:
+    """``max(one, |h|)`` over the given hidden vectors, in int32: a bound
+    on every later gate output of a run whose hidden values start there
+    (`layer_no_clip`)."""
+    peak = np.full(len(hs[0]), 1 << ACT_FMT.frac_bits, np.int32)
+    for v in hs:
+        np.maximum(peak, np.abs(v, dtype=np.int32), out=peak)
+    return peak
+
+
 def layer_no_clip(spec: GruLayerSpec, xs: np.ndarray, state: LayerState) -> bool:
     """True when no prefix of any delta step of a sparse run of ``xs``
     from ``state`` can clip an accumulator, in any order of one step's
@@ -290,9 +333,8 @@ def layer_no_clip(spec: GruLayerSpec, xs: np.ndarray, state: LayerState) -> bool
     one step's product, is ``acc0 + W (m - m0)`` for some mix of old and
     new memories, so with no clip before it its magnitude is at most
     ``|acc0| + |W_x| 2 P_x`` on rows [0:3h] plus ``|W_h| 2 P_h`` on rows
-    [h:4h]; if that bound is at most INT32_MAX nothing clips, by
-    induction over the prefixes. It is computed in float64 as
-    ``fxp.no_clip`` computes its bound, and is exact whenever it passes.
+    [h:4h] (`_bound_holds`); if that bound is at most INT32_MAX nothing
+    clips, by induction over the prefixes.
 
     ``P_x[j]`` is the largest ``|x_mem0[j]|`` or ``|xs[t, j]|``, taken
     in int32 because ``abs(-32768)`` overflows int16. ``P_h[j] = max(one,
@@ -303,16 +345,26 @@ def layer_no_clip(spec: GruLayerSpec, xs: np.ndarray, state: LayerState) -> bool
     u h_prev| <= one max(one, |h_prev|)`` before the rounding shift by
     ``log2(one)``, which keeps an integer bound.
     """
-    h = spec.hidden_size
-    one = 1 << ACT_FMT.frac_bits
     p_x = np.maximum(np.abs(state.x_mem, dtype=np.int32),
                      np.abs(xs, dtype=np.int32).max(axis=0, initial=0))
-    p_h = np.maximum(np.abs(state.h_mem, dtype=np.int32), np.abs(state.h, dtype=np.int32))
-    np.maximum(p_h, one, out=p_h)
-    bound = np.abs(state.acc, dtype=np.float64)
-    bound[:3 * h] += (2 * p_x) @ spec.x_side.cols_abs
-    bound[h:] += (2 * p_h) @ spec.h_side.cols_abs
-    return bool(bound.max() <= INT32_MAX)
+    p_h = _hidden_peak(state.h_mem, state.h)
+    return _bound_holds(spec, state.acc, 2 * p_x, 2 * p_h)
+
+
+def dense_no_clip(spec: GruLayerSpec, xs: np.ndarray, h0: np.ndarray) -> bool:
+    """True when no partial sum of any dense step of a run of ``xs``
+    from the hidden state ``h0`` can clip an accumulator, in any order
+    of one step's terms.
+
+    A dense step starts from the biases, not from memories, so each
+    partial sum is at most ``|bias| + |W_x| P_x`` on rows [0:3h] plus
+    ``|W_h| P_h`` on rows [h:4h] (`_bound_holds`), with no factor 2:
+    ``P_x[j]`` is the largest ``|xs[t, j]|``, in int32, and ``P_h =
+    max(one, |h0|)`` bounds every ``h_prev`` of the run by the gate
+    output argument of `layer_no_clip`.
+    """
+    p_x = np.abs(xs, dtype=np.int32).max(axis=0, initial=0)
+    return _bound_holds(spec, spec.acc_bias, p_x, _hidden_peak(h0))
 
 
 def check_telescoped(spec: GruLayerSpec, start: LayerState, end: LayerState) -> None:
@@ -344,17 +396,38 @@ def check_telescoped(spec: GruLayerSpec, start: LayerState, end: LayerState) -> 
 def _gates(spec: GruLayerSpec, acc: np.ndarray, h_prev: np.ndarray
            ) -> tuple[np.ndarray, int]:
     """Shared elementwise tail on an [xc, r, u, hc] accumulator; returns
-    the new hidden state, raw int16, and the clips of the candidate sum."""
+    the new hidden state, raw int16, and the clips of the candidate sum.
+    ``acc`` may be (4h, K) with ``h_prev`` (h, K): K columns at once.
+
+    It runs in float64 and is exact. Every value is an integer or a
+    multiple of 2**-8 below 2**53 in magnitude: the int32 accumulators
+    (converted once), the sigmoid in value units ``k / 256`` with k a
+    raw SIGMOID_LUT value in [0, 256], ``r * hc`` (below 2**40 raw), the
+    candidate sum (below 2**33 before its clip), the raw tanh and the
+    mix. So each product is exact, each scale is a power of two, and
+    ``np.rint`` rounds the exact value to nearest, ties to even, which
+    is the integer gates' ``round_shift_even`` by 8:
+
+        c_acc = clamp32(xc + rint(r * hc))      (clips counted)
+        h'    = rint(c + u * (h_prev - c))       = ((256 - k) c + k h_prev) / 256
+    """
     h = spec.hidden_size
     acc_frac = spec.acc_frac
-    ru = act_lookup(acc[h:3 * h], acc_frac, SIGMOID_LUT)  # int16; products widen
+    a = acc.astype(np.float64)
+    ru = act_lookup(a[h:3 * h], acc_frac, _SIGMOID_VALUE)
     r, u = ru[:h], ru[h:]
-    c_acc = acc[:h].copy()
-    sats = sat_add(c_acc, _rint_shift(r * acc[3 * h:], 8).astype(np.int64))
-    c = act_lookup(c_acc, acc_frac, TANH_LUT).astype(np.int64)
-    one = 1 << ACT_FMT.frac_bits
-    mix = (one - u) * c + u * h_prev.astype(np.int64)
-    return _rint_shift(mix, ACT_FMT.frac_bits).astype(np.int16), sats
+    cand = np.rint(r * a[3 * h:])
+    cand += a[:h]
+    sats = 0
+    if cand.min() < INT32_MIN or cand.max() > INT32_MAX:
+        clipped = np.clip(cand, INT32_MIN, INT32_MAX)
+        sats = int(np.count_nonzero(clipped != cand))
+        cand = clipped
+    c = act_lookup(cand, acc_frac, _TANH_RAW)
+    mix = h_prev - c
+    mix *= u
+    mix += c
+    return np.rint(mix, out=mix).astype(np.int16), sats
 
 
 @dataclass
@@ -425,11 +498,22 @@ def run_layer(spec: GruLayerSpec, xs: np.ndarray, state: LayerState,
     weight and bias word. The input side does not depend on the
     recurrence, so a chunk of steps (an int64 block of one accumulator
     row per step, capped near ``SLAB_BYTES``) takes it in one
-    ``sat_matvec`` call on the matrix of its inputs; each step is its
-    own accumulator column, so either route equals that step's ordered
-    sum. The hidden side is one ``sat_matvec`` per step. The delta
-    engine's products are over sparse deltas, so the theta-0 check
-    compares two different computations.
+    bound-checked ``sat_matvec`` call on the matrix of its inputs; each
+    step is its own accumulator column, so either route equals that
+    step's ordered sum. One bound before the first step
+    (`dense_no_clip`) proves that no partial sum of any step's terms
+    can clip; then each step's hidden side is ``W_h @ h_prev`` as one
+    float64 product added to its accumulator row in place. Every partial
+    sum of that product, and its sum with the row, is an integer below
+    the bound, so below 2**31 and exact, and the cast back to int64
+    keeps it. The product is taken here, not as ``sat_matvec`` with no
+    ``|W|``, so that a fault in that unchecked branch, which the delta
+    engine uses, cannot be made by both engines alike and pass the
+    theta-0 comparison. Without the proof the hidden side is one
+    bound-checked ``sat_matvec`` per step, which takes the ordered
+    steps where its own bound fails. The delta engine's products are
+    over sparse deltas, so the theta-0 check compares two different
+    computations.
     """
     if mode not in ("sparse", "dense"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -484,13 +568,18 @@ def run_layer(spec: GruLayerSpec, xs: np.ndarray, state: LayerState,
                (t_all, _STATE_WRITE, 0, ex + eh + 5 * h)])
     else:
         bias = spec.acc_bias
+        proven = dense_no_clip(spec, xs, h_prev)
+        hw = hside.cols.T
         chunk = max(1, SLAB_BYTES // bias.nbytes)
         for t0 in range(0, steps, chunk):
             block = xs[t0:t0 + chunk]
             pre = np.tile(bias, (len(block), 1))  # one accumulator row per step
             sats += sat_matvec(pre[:, :3 * h].T, xside.cols.T, xside.cols_abs.T, block.T)
             for t, acc_t in enumerate(pre, t0):
-                sats += sat_matvec(acc_t[h:], hside.cols.T, hside.cols_abs.T, h_prev)
+                if proven:
+                    np.add(acc_t[h:], hw @ h_prev, out=acc_t[h:], casting="unsafe")
+                else:
+                    sats += sat_matvec(acc_t[h:], hw, hside.cols_abs.T, h_prev)
                 out[t], clips = _gates(spec, acc_t, h_prev)
                 sats += clips
                 h_prev = out[t]

@@ -167,8 +167,12 @@ def scatter_axes(points: list[tuple[str, float, float]]) -> LogLogAxes:
 
 
 # Label text is escaped by hand: xml.sax.saxutils would add its import
-# time to every command.
-_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
+# time to every command. XML 1.0 can hold no C0 control character but
+# tab, LF and CR, escaped or not, nor U+FFFE or U+FFFF: each of those is
+# drawn as U+FFFD, the replacement character.
+_XML_ESCAPES = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"}
+    | {c: "\ufffd" for c in (*range(0x20), 0xFFFE, 0xFFFF) if c not in (0x9, 0xA, 0xD)})
 
 
 def _fmt(v: float) -> str:

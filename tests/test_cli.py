@@ -216,6 +216,18 @@ def test_theta_past_q8_8_range_exits_2(tmp_path, gru_net, capsys):
     assert "past the Q8.8 range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["run", "--theta", "nan"], "--theta: nan: cannot quantize a non-finite value"),
+    (["sweep-theta", "--thetas", "0,200"], "--thetas: '200': theta 200 is past the Q8.8 range"),
+    (["sweep-theta", "--thetas", "0,nan"], "--thetas: 'nan': cannot quantize a non-finite value"),
+])
+def test_a_refused_theta_names_its_flag_and_entry(gru_net, capsys, argv, named):
+    # each printed the reason alone, naming neither the flag nor the entry
+    argv = argv[:1] + ["--net", gru_net, "--input", "synth:ar1,t=3,n=6"] + argv[1:]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {named}")
+
+
 def test_largest_q8_8_theta_runs(tmp_path, gru_net, capsys):
     assert main(["run", "--net", gru_net, "--input", "synth:ar1,t=3,n=6",
                  "--theta", "127.99609375"]) == 0
@@ -1050,6 +1062,35 @@ def test_report_escapes_names_in_the_chart_outputs(tmp_path, capsys):
     assert labels[-1] == 'a<b & "c",d'
 
 
+def test_report_draws_a_control_character_as_the_replacement_character(tmp_path, capsys):
+    # a C0 character went into the SVG as it was, which no XML parser
+    # accepts; it comes from report JSON or a .net name, and stays as it
+    # is in the CSV
+    import xml.dom.minidom
+    net = tmp_path / "ctl.net"
+    net.write_text(CONV_NET.replace("name = cnn", "name = a\u0001b\u001fc\td"))
+    from_net = str(tmp_path / "net.json")
+    assert main(["run", "--net", str(net), "--input", MAP_URI, "--report", from_net]) == 0
+    from_json = _scatter_report(tmp_path / "json.json", name='"e\\u0000f\\u0008g"')
+    for rpt, want in ((from_net, "a\ufffdb\ufffdc\td"), (from_json, "e\ufffdf\ufffdg")):
+        svg = str(tmp_path / "r.svg")
+        capsys.readouterr()
+        assert main(["report", rpt, "--out-svg", svg]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith(json.load(open(rpt))["name"])
+        labels = [t.firstChild.data for t in xml.dom.minidom.parse(svg).getElementsByTagName("text")]
+        assert labels[-1] == want
+
+
+def test_report_refuses_a_name_utf8_cannot_encode(tmp_path, capsys):
+    # a lone surrogate from a JSON escape exited 2 with the codec's
+    # message, naming no file
+    bad = _scatter_report(tmp_path / "bad.json", name='"a\\ud800b"')
+    assert main(["report", bad, "--out-svg", str(tmp_path / "o.svg")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and bad in err and "UTF-8" in err
+    assert not (tmp_path / "o.svg").exists()
+
+
 # --- paths that cannot be opened --------------------------------------------------
 
 MAP_URI, SEQ_URI = "synth:map,c=2,h=8,w=8", "synth:uniform,t=3,n=6"
@@ -1241,6 +1282,31 @@ def test_brain_budget_requires_one_unknown():
     assert main(["brain-budget", "--rate", "?", "--fanout", "?",
                  "--power", "10"]) == 2
     assert main(["brain-budget", "--power", "10"]) == 2
+
+
+# --- a closed stdout --------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["mem-sim", "--stream", "8x8"],
+    ["run", "--net", "{net}", "--input", "synth:ar1,t=3,n=6", "--report", "{dir}/r.json"],
+])
+def test_a_closed_stdout_ends_quietly_with_exit_141(tmp_path, gru_net, argv):
+    # `| head -c1` ended in a BrokenPipeError traceback with exit 1; here
+    # the reader is gone before the command starts, so every write fails
+    import subprocess
+    import sys
+    argv = [a.format(net=gru_net, dir=tmp_path) for a in argv]
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "sparsebench.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 # --- determinism --------------------------------------------------------------------------

@@ -138,3 +138,18 @@ def test_report_bytes_match_the_recorded_hash(tmp_path, name):
     flag = "--trace-csv" if out.endswith(".csv") else "--report"
     assert main(["--seed", "42", "run", "--net", str(path), *args, flag, str(target)]) == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == want
+
+
+# The theta sweep's CSV on the golden GRU net, recorded before the gate
+# tail moved to float64.
+SWEEP_ARGS = ["--input", "synth:ar1,t=30,n=6,rho=0.99", "--thetas", "0,0.02,0.05,0.2,0.5"]
+SWEEP_SHA256 = "9a8e7f7b1e48ac3abf88fc00d79b52eea75f7f48244d1d9fad853fc3d1edc05b"
+
+
+def test_sweep_csv_bytes_match_the_recorded_hash(tmp_path):
+    path = tmp_path / "gru.net"
+    path.write_text(GRU_NET)
+    target = tmp_path / "sweep.csv"
+    assert main(["--seed", "42", "sweep-theta", "--net", str(path), *SWEEP_ARGS,
+                 "--out", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == SWEEP_SHA256

@@ -37,6 +37,8 @@ def _vec(vals):
 
 def _half_even(v: int, shift: int) -> int:
     """v / 2**shift in Python ints, rounded to nearest, ties to even."""
+    if shift == 0:
+        return v
     q, r = divmod(v, 1 << shift)
     half = 1 << (shift - 1)
     return q + (r > half or (r == half and q % 2 == 1))
@@ -343,6 +345,18 @@ def _threshold(mem, cur, theta):
     return events
 
 
+def _reference_gates(s, a_xc, a_r, a_u, a_hc, h_prev):
+    """The gate tail in Python ints on the four int64 accumulators of one
+    step: the new hidden state and the candidate sum's clips."""
+    r = _act(a_r, s.acc_frac, SIGMOID_TABLE)
+    u = _act(a_u, s.acc_frac, SIGMOID_TABLE)
+    c_acc = a_xc.copy()
+    clips = _clamped_add(c_acc, [_half_even(int(v), 8) for v in r * a_hc])
+    c = _act(c_acc, s.acc_frac, TANH_TABLE)
+    mix = (256 - u) * c + u * h_prev.astype(np.int64)
+    return np.array([_half_even(int(v), 8) for v in mix], dtype=np.int16), clips
+
+
 def _reference_gru(specs, xs, mode):
     """Per-gate GRU in Python: six matrices, four int64 accumulators and
     ordered column steps; in sparse mode the accumulators persist and
@@ -380,13 +394,8 @@ def _reference_gru(specs, xs, mode):
                 acc_clips[l] += _ordered_columns(acc, w.data, x_ev)
             for acc, w in ((a_r, s.w_hr), (a_u, s.w_hu), (a_hc, s.w_hc)):
                 acc_clips[l] += _ordered_columns(acc, w.data, h_ev)
-            r = _act(a_r, s.acc_frac, SIGMOID_TABLE)
-            u = _act(a_u, s.acc_frac, SIGMOID_TABLE)
-            c_acc = a_xc.copy()
-            clips += _clamped_add(c_acc, [_half_even(int(v), 8) for v in r * a_hc])
-            c = _act(c_acc, s.acc_frac, TANH_TABLE)
-            mix = (256 - u) * c + u * h_prev.astype(np.int64)
-            st_["h"] = np.array([_half_even(int(v), 8) for v in mix], dtype=np.int16)
+            st_["h"], step_clips = _reference_gates(s, a_xc, a_r, a_u, a_hc, h_prev)
+            clips += step_clips
             cur = QTensor((s.hidden_size,), Q8_8, st_["h"].copy())
         outs.append(cur.data)
     outputs = QTensor((len(outs), specs[-1].hidden_size), Q8_8, np.stack(outs))
@@ -594,6 +603,70 @@ def test_gate_output_is_within_one_or_its_previous_output(data):
     assert np.all(np.abs(out, dtype=np.int32) <= bound)
 
 
+def _integer_gates(spec, acc, h_prev):
+    """The gate tail in int64 as it was before it ran in float64, kept as
+    a check: clamped Q8.8 arguments into the int16 tables,
+    `round_shift_even` and `sat_add`. Takes (4h,) or (4h, K)."""
+    h, acc_frac = spec.hidden_size, spec.acc_frac
+
+    def lookup(a, lut):
+        x = np.clip(fxp.round_shift_even(a, acc_frac - 8), ACT_IN_MIN, ACT_IN_MAX)
+        return lut[x - ACT_IN_MIN].astype(np.int64)
+
+    ru = lookup(acc[h:3 * h], SIGMOID_LUT)
+    r, u = ru[:h], ru[h:]
+    c_acc = acc[:h].copy()
+    sats = fxp.sat_add(c_acc, fxp.round_shift_even(r * acc[3 * h:], 8))
+    c = lookup(c_acc, TANH_LUT)
+    mix = (256 - u) * c + u * h_prev.astype(np.int64)
+    return fxp.round_shift_even(mix, 8).astype(np.int16), sats
+
+
+def _gate_spec(h, frac_bits):
+    """A layer of hidden size h whose weights have ``frac_bits``: all the
+    gate tail reads of a spec."""
+    fmt = fxp.QFormat(16 - frac_bits, frac_bits)
+    w = QTensor.zeros((h, 1), fmt)
+    wh = QTensor.zeros((h, h), fmt)
+    zero = np.zeros(h, np.int32)
+    return gru.GruLayerSpec(1, h, w, w, w, wh, wh, wh, zero, zero, zero, theta=0)
+
+
+def test_the_float_gate_tail_equals_the_integer_one_and_the_reference():
+    # accumulators anywhere in int32, biased towards the edges and ties,
+    # for every weight format; each column of a (4h, K) call equals its
+    # own (4h,) call, and some candidate sums clip
+    clipped = []
+    edge = st.sampled_from((INT32_MIN, INT32_MIN + 1, -1, 0, 1, INT32_MAX - 1, INT32_MAX))
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def case(data):
+        h, k = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+        spec = _gate_spec(h, data.draw(st.integers(0, 15)))
+        accs = data.draw(st.lists(st.one_of(st.integers(INT32_MIN, INT32_MAX), edge),
+                                  min_size=4 * h * k, max_size=4 * h * k))
+        prevs = data.draw(st.lists(st.integers(-32768, 32767), min_size=h * k, max_size=h * k))
+        acc = np.array(accs, np.int64).reshape(4 * h, k)
+        h_prev = np.array(prevs, np.int16).reshape(h, k)
+        out, clips = gru._gates(spec, acc, h_prev)
+        assert out.dtype == np.int16
+        want, want_clips = _integer_gates(spec, acc, h_prev)
+        assert np.array_equal(out, want) and clips == want_clips
+        column_clips = 0
+        for j in range(k):
+            col, col_clips = gru._gates(spec, acc[:, j], h_prev[:, j])
+            ref, ref_clips = _reference_gates(spec, *np.split(acc[:, j], 4), h_prev[:, j])
+            assert np.array_equal(col, out[:, j]) and np.array_equal(col, ref)
+            assert col_clips == ref_clips
+            column_clips += col_clips
+        assert column_clips == clips
+        clipped.append(clips)
+
+    case()
+    assert any(clipped)
+
+
 def test_a_passing_layer_proof_means_no_accumulator_clip():
     # small nets from quiet to saturating: wherever a layer's proof
     # passes, the per-event reference clips no accumulator, and the
@@ -636,6 +709,105 @@ def test_a_failing_layer_proof_checks_every_product():
     assert any(l == 0 for l, _, _ in calls)
     want, want_clips, *_ = _reference_gru(specs, xs, "sparse")
     assert run.outputs == want and run.counters.saturations == want_clips > 0
+
+
+def _dense_routes(specs, xs, proof=None):
+    """A dense run; returns it, each layer's `dense_no_clip` result (or
+    ``proof`` in its place) and the number of ``sat_matvec`` calls."""
+    proofs = []
+    dense_no_clip = gru.dense_no_clip
+
+    def proved(*args):
+        proofs.append(dense_no_clip(*args) if proof is None else proof)
+        return proofs[-1]
+
+    with mock.patch.object(gru, "dense_no_clip", proved), \
+            mock.patch.object(gru, "sat_matvec", wraps=fxp.sat_matvec) as routed:
+        run = run_sequence(specs, xs, "dense")
+    return run, proofs, routed.call_count
+
+
+def test_dense_runs_equal_with_the_layer_proof_forced_off():
+    # small nets from quiet to saturating: a dense run whose proof passes
+    # takes its hidden side unchecked, and must equal the same run made
+    # with every step bound-checked in outputs, clips, counters and trace
+    proven = []
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((None, _margin_biases, _edge_biases)),
+           st.sampled_from((0.1, 1.9)), st.sampled_from((1.0, 100.0)))
+    def case(seed, biases, w_amp, amp):
+        rng = make_rng(seed)
+        specs = [gru_spec(rng, 5, 6, w_amp=w_amp), gru_spec(rng, 6, 4, w_amp=w_amp)]
+        if biases is not None:
+            specs = [biases(s, rng) for s in specs]
+        xs = uniform_seq(8, 5, rng, amp=amp)
+        on, proofs, _ = _dense_routes(specs, xs)
+        off, _, calls = _dense_routes(specs, xs, proof=False)
+        assert calls == 2 * (1 + len(xs.data))  # one chunk and one call a step, per layer
+        assert on.outputs == off.outputs
+        assert on.layer_counters == off.layer_counters
+        assert np.array_equal(on.trace.table, off.trace.table)
+        want, want_clips, *_ = _reference_gru(specs, xs, "dense")
+        assert on.outputs == want and on.counters.saturations == want_clips
+        proven.extend(proofs)
+
+    case()
+    assert any(proven) and not all(proven)
+
+
+def test_a_failing_dense_proof_checks_every_step():
+    # margin biases and amp-100 inputs: the proof fails in both layers, so
+    # each step's hidden side is one bound-checked call, besides the one
+    # call of each layer's single chunk; a passing proof leaves the chunks'
+    rng = make_rng(26)
+    specs = [_margin_biases(gru_spec(rng, 6, 8, w_amp=1.9), rng),
+             _margin_biases(gru_spec(rng, 8, 5, w_amp=1.9), rng)]
+    xs = uniform_seq(10, 6, rng, amp=100.0)
+    run, proofs, calls = _dense_routes(specs, xs)
+    assert proofs == [False, False] and calls == 2 * (1 + 10)
+    want, want_clips, *_ = _reference_gru(specs, xs, "dense")
+    assert run.outputs == want and run.counters.saturations == want_clips > 0
+    quiet = [gru_spec(rng, 6, 8), gru_spec(rng, 8, 5)]
+    run, proofs, calls = _dense_routes(quiet, xs)
+    assert proofs == [True, True] and calls == 2
+    want, want_clips, *_ = _reference_gru(quiet, xs, "dense")
+    assert run.outputs == want and run.counters.saturations == want_clips == 0
+
+
+def _unit_spec(w_xc=0, w_hr=0, b_c=0, b_r=0):
+    """A 1 -> 1 layer of Q2.14 raw weights: ``w_xc`` and ``w_hr`` as
+    given, the other four zero, and the biases ``b_c`` and ``b_r``."""
+    def w(v):
+        return QTensor((1, 1), fxp.Q2_14, np.array([[v]], np.int16))
+
+    return gru.GruLayerSpec(1, 1, w(0), w(0), w(w_xc), w(w_hr), w(0), w(0),
+                            np.array([b_r]), np.zeros(1, np.int32), np.array([b_c]), theta=0)
+
+
+def test_the_layer_bounds_pass_at_int32_max_and_fail_one_above():
+    # the input side: |b_c| + |w_xc| P_x; the hidden side: |b_r| + |w_hr|
+    # P_h with P_h at least one (256) from a zero h0. The sparse proof
+    # doubles both products; the dense one does not
+    one = 1 << Q8_8.frac_bits
+    for over in (0, 1):
+        dense = [(_unit_spec(w_xc=3, b_c=INT32_MAX - 9), 3 + over),
+                 (_unit_spec(w_hr=1, b_r=INT32_MAX - one + over), 0)]
+        for spec, x in dense:
+            xs = np.array([[x]], np.int16)
+            assert gru.dense_no_clip(spec, xs, np.zeros(1, np.int16)) == (not over)
+        sparse = [(_unit_spec(w_xc=3, b_c=INT32_MAX - 18), 3 + over),
+                  (_unit_spec(w_hr=1, b_r=INT32_MAX - 2 * one + over), 0)]
+        for spec, x in sparse:
+            xs = np.array([[x]], np.int16)
+            assert gru.layer_no_clip(spec, xs, LayerState.initial(spec)) == (not over)
+    # at the edge the run reaches INT32_MAX and clips nothing; one above, it clips
+    for x, clips in ((3, 0), (4, 1)):
+        xs = QTensor((1, 1), Q8_8, np.array([[x]], np.int16))
+        spec = _unit_spec(w_xc=3, b_c=INT32_MAX - 9)
+        assert run_sequence([spec], xs, "dense").counters.saturations == clips
+        want, want_clips, *_ = _reference_gru([spec], xs, "dense")
+        assert want_clips == clips
 
 
 @settings(deadline=None, max_examples=40)
