@@ -278,8 +278,9 @@ def delta_mxv_accumulate(side: GateStack, idx: np.ndarray, vals: np.ndarray,
     the ordered loop over the events in index order, which is stream
     order, when the bound fails. One event reads one column of each
     stacked matrix; columns are stored column-major, so each read is a
-    single burst of contiguous words, which is what keeps delta-driven
-    fetches DRAM-friendly.
+    burst of contiguous words, and events on adjacent columns read one
+    longer burst (`run_layer` traces it as one row), which is what keeps
+    delta-driven fetches DRAM-friendly.
     """
     if not idx.size:
         return 0
@@ -436,13 +437,26 @@ class LayerRecord:
     events per step, its access rows as int64 columns (step, triple
     code, address, nwords), in order within each step, and the quiet
     steps whose gate tail it skipped (sparse mode only). A step of -1 is
-    the sparse bias preload, before every step."""
+    the sparse bias preload, before every step. A sparse weight row is
+    one run of adjacent event columns of one step and gate block."""
 
     counter: OpCounter
     x_events: np.ndarray
     h_events: np.ndarray
     rows: np.ndarray
     steps_skipped: int
+
+
+def _column_runs(step: np.ndarray, idx: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Events as runs of adjacent columns: (step, first column, columns)
+    per run. ``idx`` holds each step's event columns in increasing order,
+    ``step`` their steps in order; a run ends where the next event is in
+    another step or not on the next column."""
+    new = np.ones(idx.size, bool)
+    new[1:] = (idx[1:] != idx[:-1] + 1) | (step[1:] != step[:-1])
+    first = np.flatnonzero(new)
+    return step[first], idx[first], np.diff(first, append=idx.size)
 
 
 def _row_block(groups) -> np.ndarray:
@@ -478,7 +492,11 @@ def run_layer(spec: GruLayerSpec, xs: np.ndarray, state: LayerState,
     Sparse: each step thresholds the input and the previous output
     against their memories (`encode_delta`), adds the event columns of
     each side through `delta_mxv_accumulate`, and applies the gates.
-    The bias preload is the one row before the first step. A step with
+    The bias preload is the one row before the first step. Each step's
+    weight reads are one row per gate block and run of adjacent event
+    columns (`_column_runs`): events on columns j to j+k-1 of block m
+    read the k*h contiguous words from (m*n + j)*h, so the per-word list
+    is that of one h-word burst per event and block. A step with
     no event after a computed step whose gates returned their own
     ``h_prev`` is skipped: with no event the accumulator is unchanged,
     and the gate tail is a function of (accumulator, ``h_prev``) alone,
@@ -556,14 +574,17 @@ def run_layer(spec: GruLayerSpec, xs: np.ndarray, state: LayerState,
         ex = np.array([a.size for a in x_idx], np.int64)
         eh = np.array([a.size for a in h_idx], np.int64)
         x_idx, h_idx = np.concatenate(x_idx), np.concatenate(h_idx)
-        x_step, h_step = np.repeat(t_all, ex), np.repeat(t_all, eh)
         counter.macs_executed = 3 * h * (x_idx.size + h_idx.size)
         counter.comparisons = (i + h) * steps
+        x_step, x_col, x_run = _column_runs(np.repeat(t_all, ex), x_idx)
+        h_step, h_col, h_run = _column_runs(np.repeat(t_all, eh), h_idx)
         h_base = weight_base + 3 * h * i
         rows = _row_block(
             [(-1, _WEIGHTS, weight_base + spec.weight_words, layer_bias_words(spec))]
-            + [(x_step, _WEIGHTS, weight_base + (m * i + x_idx) * h, h) for m in range(3)]
-            + [(h_step, _WEIGHTS, h_base + (m * h + h_idx) * h, h) for m in range(3)]
+            + [(x_step, _WEIGHTS, weight_base + (m * i + x_col) * h, x_run * h)
+               for m in range(3)]
+            + [(h_step, _WEIGHTS, h_base + (m * h + h_col) * h, h_run * h)
+               for m in range(3)]
             + [(t_all, _ACT_READ, 0, i), (t_all, _STATE_READ, 0, 5 * h),
                (t_all, _STATE_WRITE, 0, ex + eh + 5 * h)])
     else:

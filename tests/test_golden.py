@@ -126,6 +126,12 @@ CASES = {
     "gru-trace-csv": (
         "gru", ["--input", "synth:hold,t=10,n=6,hold=5", "--theta", "0.03"], "trace.csv",
         "ddcbf216cb3de8b279feac511127d958cd71413ddf622b06856dea57d5c0a451"),
+    # At theta 0 most events sit next to another event's column, so this
+    # pins the per-word list of merged weight rows. Recorded while the
+    # delta engine still wrote one row per event.
+    "gru-trace-csv-theta0": (
+        "gru", ["--input", "synth:ar1,t=30,n=6,rho=0.99", "--theta", "0"], "trace.csv",
+        "cf32352540ff823e793bb4d474d83df37aa58571180f2b3564348f64eb4fa6c6"),
 }
 
 

@@ -142,9 +142,16 @@ def _weight_reads_by_step(trace):
     return (runs[0][4], runs[0][5]), steps
 
 
-def test_delta_mxv_traces_one_column_burst_per_event():
+def _words(rows):
+    """The word addresses of (address, nwords) rows, in order."""
+    return [a for address, nwords in rows for a in range(address, address + nwords)]
+
+
+def test_delta_weight_words_are_one_column_burst_per_event_and_block():
     # each event reads one h-word column burst of each stacked matrix:
-    # every event of block 0, then of block 1 one matrix on, then block 2
+    # every event of block 0, then of block 1 one matrix on, then block 2.
+    # The trace holds one row per run of adjacent event columns in a
+    # step and block; its per-word list is that of one burst per event.
     rng = make_rng(1)
     specs = [gru_spec(rng, 5, 4), gru_spec(rng, 4, 3)]
     x = np.zeros(5, dtype=np.int16)
@@ -155,16 +162,85 @@ def test_delta_mxv_traces_one_column_burst_per_event():
     layer0, layer1 = run.layer_traces
     preload, steps = _weight_reads_by_step(layer0)
     assert preload == (specs[0].weight_words, layer_bias_words(specs[0]))
-    assert steps[0] == [(0, 4), (12, 4), (20, 4), (32, 4), (40, 4), (52, 4)]
+    assert _words(steps[0]) == _words(
+        [(0, 4), (12, 4), (20, 4), (32, 4), (40, 4), (52, 4)])
     # an unchanged input fetches nothing on the input side; the hidden
     # side of [W_hr; W_hu; W_hc] starts after the three 4x5 input matrices
     h_idx = np.flatnonzero(first.data[0])
-    assert steps[1] == [(60 + (m * 4 + j) * 4, 4) for m in range(3) for j in h_idx]
+    assert _words(steps[1]) == _words(
+        [(60 + (m * 4 + j) * 4, 4) for m in range(3) for j in h_idx])
+    # the four hidden events are adjacent: one 4*4-word row per block
+    assert h_idx.tolist() == [0, 1, 2, 3]
+    assert steps[1] == [(60 + m * 16, 16) for m in range(3)]
     # the next layer's weights start after this layer's weights and biases
     base = specs[0].weight_words + layer_bias_words(specs[0])
     preload, steps = _weight_reads_by_step(layer1)
     assert preload == (base + specs[1].weight_words, layer_bias_words(specs[1]))
-    assert steps[0] == [(base + (m * 4 + j) * 3, 3) for m in range(3) for j in h_idx]
+    assert _words(steps[0]) == _words(
+        [(base + (m * 4 + j) * 3, 3) for m in range(3) for j in h_idx])
+
+
+def _theta0_weight_words(specs, xs):
+    """Per layer and step, the DRAM weight words a theta-0 sparse run
+    reads after its bias preload, from the GateStack layout: column j of
+    block m of a side is the h words from (m * n + j) * h past the side's
+    base. At theta 0 an input event at step t is a component that differs
+    from step t-1, and a hidden event one whose output at t-1 differs from
+    that at t-2; values before step 0 are 0. Outputs come from the dense
+    engine."""
+    words, base, ins = [], 0, xs.data
+    for l, spec in enumerate(specs):
+        i, h = spec.input_size, spec.hidden_size
+        outs = run_sequence(specs[:l + 1], xs, "dense").outputs.data
+        before = np.vstack([np.zeros((1, i), np.int16), ins])  # row t: input at t-1
+        hist = np.vstack([np.zeros((2, h), np.int16), outs])  # row t: output at t-2
+        sides = ((base, i), (base + 3 * h * i, h))
+        layer = []
+        for t in range(len(ins)):
+            events = (np.flatnonzero(ins[t] != before[t]),
+                      np.flatnonzero(hist[t + 1] != hist[t]))
+            layer.append([w for (side, n), idx in zip(sides, events) for m in range(3)
+                          for j in idx.tolist()
+                          for w in range(side + (m * n + j) * h, side + (m * n + j + 1) * h)])
+        words.append(layer)
+        base += spec.weight_words + layer_bias_words(spec)
+        ins = outs
+    return words
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 10),
+       st.floats(0.0, 0.9))
+def test_theta0_weight_rows_are_maximal_column_runs_of_the_event_words(seed, layers,
+                                                                      steps, keep):
+    rng = make_rng(seed)
+    sizes = rng.integers(1, 7, size=layers + 1).tolist()
+    specs = [gru_spec(rng, a, b) for a, b in zip(sizes, sizes[1:])]
+    data = rng.integers(-300, 301, size=(steps, sizes[0])).astype(np.int16)
+    for t in range(1, steps):  # each component keeps its value with probability `keep`
+        held = rng.random(sizes[0]) < keep
+        data[t, held] = data[t - 1, held]
+    xs = QTensor((steps, sizes[0]), Q8_8, data)
+    run = run_sequence(specs, xs, "sparse")
+    want = _theta0_weight_words(specs, xs)
+    base = 0
+    for spec, trace, layer_words in zip(specs, run.layer_traces, want):
+        i, h = spec.input_size, spec.hidden_size
+        h_base = base + 3 * h * i
+
+        def block(word):  # (side, gate block) of a weight word
+            if word < h_base:
+                return 0, (word - base) // (h * i)
+            return 1, (word - h_base) // (h * h)
+
+        _, rows = _weight_reads_by_step(trace)
+        assert [_words(r) for r in rows] == layer_words
+        for step_rows in rows:
+            for address, nwords in step_rows:
+                assert block(address) == block(address + nwords - 1)
+            for (a, n), (b, _) in zip(step_rows, step_rows[1:]):
+                assert a + n != b or block(a) != block(b)
+        base += spec.weight_words + layer_bias_words(spec)
 
 
 def _matvec_reference(acc, w2d, xvec):
