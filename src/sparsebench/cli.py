@@ -21,11 +21,11 @@ from ._binio import atomic_write, read_text
 from .codec import decode_sm, encode_sm, load_smfm, measure_sparsity, save_smfm
 from .errors import (EquivalenceFailure, MalformedStream, MissingArtifact,
                      ShapeMismatch, Underdetermined)
-from .fxp import load_qt, save_qt
+from .fxp import INT64_MAX, load_qt, save_qt
 from .gru import quantize_theta
 from .memmodel import (MemConfig, cost_trace, random_vs_burst_ratio,
                        schedule_dense_weight_stream, solve_budget)
-from .netdesc import integer, load_mem_config, load_network, number, u64
+from .netdesc import count, integer, load_mem_config, load_network, number, u64
 from .report import scatter_axes, scatter_csv, scatter_svg
 from .runner import (execute_conv, execute_conv_averaged, execute_gru,
                      load_conv_input, load_seq_input, sweep_rows_csv,
@@ -189,7 +189,10 @@ def cmd_mem_sim(args) -> int:
             raise MalformedStream("--ratio needs a positive word count")
         print(f"{random_vs_burst_ratio(args.ratio, cfg):.6g}")
     else:
-        dims = tuple(_flag("--stream", integer, p) for p in args.stream.lower().split("x"))
+        dims = tuple(_flag("--stream", count, p) for p in args.stream.lower().split("x"))
+        words = math.prod(dims)
+        if words > INT64_MAX:
+            raise MalformedStream(f"--stream: {args.stream!r}: {words} words is past int64")
         trace = schedule_dense_weight_stream(dims)
         _print_cost(cost_trace(trace, cfg), args.format)
     return 0
@@ -336,6 +339,7 @@ EXIT_CODES = (
     (ShapeMismatch, 3),
     (MissingArtifact, 4),
     (EquivalenceFailure, 5),
+    (MemoryError, 2),  # a net or input whose arrays cannot be allocated
     (ValueError, 2),
 )
 

@@ -10,10 +10,11 @@ accumulators, ties-to-even renormalization):
 * conv_zeroskip: input-stationary scatter from the non-zero pixels of a
   compressed input to only the accumulators each one feeds. Skipped
   pixels cost no modeled MAC: the MAC count is the (non-zero pixel,
-  tap) hits times the output channels. On the host, each group of
-  input channels goes through `fxp.sat_matvec`, the one primitive that
-  may drop the per-term clamp: one float64 BLAS product, zeros
-  included, when its bound holds, and the ordered steps otherwise.
+  tap) hits times the output channels. On the host, one bound before
+  the first group (`zeroskip_no_clip`) proves that no accumulator can
+  clip in the layer run; then each group of input channels is one
+  float64 BLAS product (`fxp.sat_matvec`), zeros included, and without
+  the proof every group takes the ordered steps.
 
 Both define each output as its terms added in the same order (input
 channel, then kernel row, then kernel column), clamped after each, and
@@ -185,14 +186,14 @@ def conv_dense_oracle(spec: ConvLayerSpec, x: QTensor,
     ``bound = |acc| + |W2|[:, rows] @ |P|`` caps, per output, the
     magnitude of every ordered prefix of its terms. When no output's
     bound passes INT32_MAX, ``acc += W2[:, rows] @ P`` in float64 is
-    exact and clips nothing, by the argument in `fxp.no_clip`'s
-    docstring applied to each output. Otherwise the group runs the
+    exact and clips nothing, by the argument in the `fxp` accumulator
+    comment applied to each output. Otherwise the group runs the
     ordered `sat_add` step per (channel, kernel row, kernel column).
     Groups run in ascending order, each from the accumulators the last
-    one left, so either route gives the ordered, clamped sum (the
-    split-sum argument of `fxp.sat_matvec`). The oracle shares neither
-    that primitive nor the zero-skip hit lists, so the sparse == dense
-    check still tests them.
+    one left, and either route equals the group's own ordered steps
+    from there, so the result is the ordered, clamped sum. The oracle
+    shares neither `fxp.sat_matvec` nor the zero-skip hit lists, so
+    the sparse == dense check still tests them.
     """
     if len(x.dims) != 3 or x.dims[0] != spec.in_channels:
         raise ShapeMismatch(
@@ -271,6 +272,24 @@ def _tap_hits(spec: ConvLayerSpec, ys: np.ndarray, xs: np.ndarray,
             yield ky * spec.kernel_w + kx, hit, row_pos[hit] + ox[hit]
 
 
+def zeroskip_no_clip(spec: ConvLayerSpec, peak: np.ndarray) -> bool:
+    """True when no ordered prefix of any output's terms can clip in a
+    zero-skip run whose input channel c holds no value larger than
+    ``peak[c]`` in magnitude.
+
+    An output takes at most one term per (input channel, tap), at most
+    ``|W2[o, (c, tap)]| peak[c]`` in magnitude, so every prefix of its
+    terms is within ``|bias| + |W2| @ repeat(peak, taps)``. That bound
+    is computed in float64 and is exact when it passes (the `fxp`
+    accumulator comment).
+    """
+    taps = spec.kernel_h * spec.kernel_w
+    w2_abs = np.abs(spec.weights.data.reshape(spec.out_channels, -1), dtype=np.float64)
+    bound = w2_abs @ np.repeat(peak, taps)
+    bound += np.abs(spec.bias, dtype=np.float64)
+    return bool(bound.max() <= INT32_MAX)
+
+
 def conv_zeroskip(spec: ConvLayerSpec, sfm: SparseFeatureMap,
                   weight_base: int = 0, layer: int = 0) -> LayerRunResult:
     """Accumulate from the non-zero pixels of a compressed input.
@@ -282,12 +301,13 @@ def conv_zeroskip(spec: ConvLayerSpec, sfm: SparseFeatureMap,
     channels' hits are scattered into a zeroed slab with one row per
     (channel, tap) and one column per output position, and no two hits
     share a cell. With ``W2`` the weights as (out_c, in_c * kh * kw), one
-    ``sat_matvec(acc, W2[:, rows], |W2|[:, rows], slab)`` per group adds
-    them to the accumulators, which start at the bias. Rows ascending,
-    over ascending groups, are the oracle's (channel, kernel row, kernel
-    column) term order, so the result is bit-identical to the dense
-    oracle on the decoded input, whether a group takes the proven
-    product or the ordered steps. Its trace rows carry ``layer``.
+    ``sat_matvec(acc, W2[:, rows], slab, proven)`` per group adds them
+    to the accumulators, which start at the bias; ``proven`` is
+    `zeroskip_no_clip` on each channel's peak value, taken once before
+    the first group. Rows ascending, over ascending groups, are the
+    oracle's (channel, kernel row, kernel column) term order, so the
+    result is bit-identical to the dense oracle on the decoded input on
+    either route. Its trace rows carry ``layer``.
     """
     if sfm.dims[0] != spec.in_channels:
         raise ShapeMismatch(
@@ -299,9 +319,15 @@ def conv_zeroskip(spec: ConvLayerSpec, sfm: SparseFeatureMap,
     counter.adds += spec.out_channels * n_out
 
     cs, ys, xs, vals = nonzero_arrays(sfm)
-    starts = np.searchsorted(cs, np.arange(c + 1)).tolist()
+    starts = np.searchsorted(cs, np.arange(c + 1))
+    # each channel's largest |value|, from the runs of its pixels
+    filled = np.flatnonzero(np.diff(starts))
+    peak = np.zeros(c)
+    if filled.size:
+        peak[filled] = np.maximum.reduceat(np.abs(vals), starts[filled])
+    proven = zeroskip_no_clip(spec, peak)
+    starts = starts.tolist()
     w2 = spec.weights.data.reshape(spec.out_channels, -1).astype(np.float64)
-    w2_abs = np.abs(w2)
     acc = np.repeat(spec.bias.astype(np.int64)[:, None], n_out, axis=1)
     groups, buf = _channel_groups(c, taps, n_out)  # one slab, reused
     for c0, c1 in groups:
@@ -317,7 +343,7 @@ def conv_zeroskip(spec: ConvLayerSpec, sfm: SparseFeatureMap,
             flat[cell[hit] + tap * n_out + pos] = v[hit]
             counter.macs_executed += hit.size * spec.out_channels
         rows = slice(c0 * taps, c1 * taps)
-        counter.saturations += sat_matvec(acc, w2[:, rows], w2_abs[:, rows], slab)
+        counter.saturations += sat_matvec(acc, w2[:, rows], slab, proven)
 
     counter.macs_dense_equivalent += spec.dense_equivalent_macs(h, w)
     out_tensor = _finish_layer(spec, acc.reshape(spec.out_channels, h_out, w_out),

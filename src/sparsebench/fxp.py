@@ -180,23 +180,32 @@ def int32_array(values, what: str) -> np.ndarray:
 
 # The saturating accumulator every engine uses. An engine's exact result
 # is its terms added in a fixed order, clamped to int32 after each one
-# (the ordered step, `sat_add`). `sat_matvec` is the one primitive that
-# may drop the clamps: when `no_clip` proves that no prefix of the order
-# can clip, or the caller has proven it for a whole run of calls and
-# passes no ``w_abs``, it adds all the terms as one float64 BLAS
-# product, and otherwise runs the ordered steps (`sat_columns`). The
-# delta GRU calls it once per side and computed step, unchecked when its
-# one bound per layer run holds (`gru.layer_no_clip`), the dense GRU
-# once per chunk of steps on the input side, the zero-skip conv once per
-# group of input channels. The dense conv oracle proves and takes its own
-# product per output element (`conv.conv_dense_oracle`), and the dense
-# GRU its own hidden-side product per step when its one bound per layer
-# run holds (`gru.dense_no_clip`; a bound-checked call per step when it
-# does not), so those checks do not rest on the unchecked branch. The
-# dense GRU's products are over full matrices and full vectors, while the
-# delta engine's are over sparse deltas; so the theta-0 check still tests
-# that the accumulated deltas telescope to the direct products, not the
-# fast path against itself.
+# (the ordered step, `sat_add`). An engine may drop the clamps only for
+# a whole layer run, and only after it has proven, before the run's
+# first term, that no ordered prefix of any accumulator's terms can
+# clip: `conv.zeroskip_no_clip`, `gru.layer_no_clip` and
+# `gru.dense_no_clip`. (The dense conv oracle, a check, proves each of
+# its channel groups the same way.) Each proof bounds every prefix by a
+# sum of magnitudes, ``|acc| + |W| @ P`` with P a bound on each factor's
+# magnitude. Then every product of the run is one float64 BLAS product,
+# and without the proof every product is the ordered steps
+# (`sat_columns`); there is no route in between. `sat_matvec` is that
+# choice for the zero-skip conv and the delta GRU. The dense conv oracle
+# and the dense GRU take their own products, so the checks that compare
+# them with those two engines do not rest on its unchecked branch.
+#
+# Why a passing bound makes the float64 product exact. Each bound is
+# computed in float64 from integers far below 2**53 (int16 weights, and
+# factor bounds, biases and accumulators of at most 32 bits). Its terms
+# are non-negative and rounding to nearest is monotone, so each computed
+# partial sum, in any summation order the BLAS picks (fused multiply-adds
+# included), is at least each term or partial sum it adds up: a computed
+# bound at or below INT32_MAX caps every computed step. By induction over
+# the steps, each exact value is then an integer below 2**31, since one
+# of 2**31 or more would round to at least 2**31; so each is represented
+# exactly and the computed bound is the exact one. Every partial sum of
+# the signed product ``acc + W @ x``, in any order, is at most that bound
+# in magnitude, so it too is an exact integer below 2**31.
 
 # An engine that takes a block of terms at once (a conv channel group, a
 # dense GRU chunk of steps) caps its work matrix near this many bytes,
@@ -219,43 +228,6 @@ def sat_add(acc: np.ndarray, term) -> int:
         wide = clipped
     acc[...] = wide
     return clips
-
-
-def no_clip(acc: np.ndarray, w_abs: np.ndarray, x: np.ndarray) -> bool:
-    """True when no ordered prefix of ``acc += w @ x`` can leave int32.
-
-    ``w_abs`` is ``|w|`` in float64 and ``x`` holds integer values. For a
-    vector ``x`` the bound is ``|acc| + w_abs @ |x| <= INT32_MAX`` in
-    every element. For a (rows, cols) matrix ``x`` and (out, cols)
-    ``acc`` it is taken per output row: the row's largest ``|acc|`` plus
-    ``w_abs @`` the largest ``|x|`` of each row of ``x``, which bounds
-    every element of that row.
-
-    It is computed in float64, as one BLAS product, and is exact
-    whenever it passes. Its terms are non-negative and rounding to
-    nearest is monotone, so each computed partial sum, in any summation
-    order the BLAS picks (fused multiply-adds included), is at least
-    each term or partial sum it adds up; a computed bound at or below
-    INT32_MAX caps every computed step there. Step by step, from exact
-    integer inputs: an exact value of 2**31 or more would round to at
-    least 2**31, so each exact value is an integer below 2**31 < 2**53
-    and is represented exactly. An ``acc`` entry of 2**53 or more is
-    rounded when converted but stays at least 2**53 and fails the bound;
-    so does an ``x`` entry of that size against a non-zero weight, and
-    against a zero weight its term is 0 either way.
-    """
-    if np.ndim(x) == 2:
-        a, ax = _row_peaks(acc), _row_peaks(x)
-    else:
-        a, ax = np.abs(acc, dtype=np.float64), np.abs(x, dtype=np.float64)
-    return bool((a + w_abs @ ax).max(initial=0) <= INT32_MAX)
-
-
-def _row_peaks(v: np.ndarray) -> np.ndarray:
-    """The largest ``|v|`` in each row of a matrix, in float64, from two
-    row reductions rather than a full-size ``|v|``."""
-    return np.maximum(v.max(axis=1, initial=0),
-                      np.negative(v.min(axis=1, initial=0), dtype=np.float64))
 
 
 def sat_columns(acc: np.ndarray, w: np.ndarray, x: np.ndarray) -> int:
@@ -289,36 +261,18 @@ def sat_columns(acc: np.ndarray, w: np.ndarray, x: np.ndarray) -> int:
     return sum(sat_add(acc2, np.multiply.outer(col, row)) for col, row in zip(cols, rows))
 
 
-def sat_matvec(acc: np.ndarray, w: np.ndarray, w_abs: np.ndarray | None,
-               x: np.ndarray) -> int:
-    """``sat_columns`` with the proven fast path; same result and clip
-    count either way.
+def sat_matvec(acc: np.ndarray, w: np.ndarray, x: np.ndarray, proven: bool) -> int:
+    """``acc += w @ x``, the ordered, clamped sum; returns the clips.
 
-    ``w`` is an integer-valued float64 matrix and ``w_abs`` its ``|w|``;
-    ``x`` is an integer-valued vector, or a (rows, cols) matrix with
-    ``acc`` (out, cols). When ``no_clip`` holds, ``w @ x`` is one float64
-    BLAS product and exact: every partial sum of an element's signed
-    terms, in any order, is bounded in magnitude by the exact bound, so
-    it is an integer below 2**31. Otherwise the ordered int64
-    ``sat_columns`` loop runs.
-
-    ``w_abs=None`` states that the caller has proven that bound itself,
-    over these terms and the ``acc`` they start from (for the delta GRU,
-    once for a whole layer run): the product is taken unchecked, and
-    its exactness rests on the caller's proof.
-
-    The bound is taken on the ``acc`` passed in, so a caller may split
-    one ordered sum over several calls in term order: each call equals
-    its own ordered steps from that state, whichever route it takes, so
-    one call may take the fast path and the next the ordered steps, and
-    the result is still the ordered, clamped sum of all the terms. If
-    one bound over all the terms holds, every call's bound holds too:
-    its ``|acc|`` is at most the first ``|acc|`` plus the magnitudes of
-    the earlier terms.
+    ``w`` is an integer-valued float64 matrix and ``x`` an integer-valued
+    vector, or a (rows, cols) matrix with ``acc`` (out, cols). With
+    ``proven``, the caller has proven that no prefix of these terms,
+    from this ``acc``, can clip (see the comment above): ``w @ x`` is one
+    float64 product, exact, and added in place with no clip. Otherwise
+    the ordered `sat_columns` steps run.
     """
-    xf = x.astype(np.float64, copy=False)
-    if w_abs is None or no_clip(acc, w_abs, xf):
-        np.add(acc, w @ xf, out=acc, casting="unsafe")
+    if proven:
+        np.add(acc, w @ x.astype(np.float64, copy=False), out=acc, casting="unsafe")
         return 0
     return sat_columns(acc, w, x)
 

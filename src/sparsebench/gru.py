@@ -25,21 +25,19 @@ Each layer's six matrices are used as two gate stacks, one per input
 side. The four pre-activation accumulators live in one int64 vector
 laid out [xc, r, u, hc]: the input side [W_xc; W_xr; W_xu] updates its
 first three quarters and the hidden side [W_hr; W_hu; W_hc] its last
-three. The delta engine proves once per layer run that no accumulator
-can clip (`layer_no_clip`) and then makes one unchecked matvec per side
-and computed step, over the gathered event columns or, when events are
-dense, over the full stored matrix; it makes none on a quiet step whose
-output it already knows. Without the proof each matvec is bound-checked
-and may take the ordered steps. After a layer run with no accumulator
-clip it checks that the accumulators equal the biases plus the weights
-times the memories (`check_telescoped`). The dense engine takes the
-input side of a chunk of steps in one bound-checked product, since it
-does not depend on the recurrence, and the hidden side one step at a
-time. It too proves once per layer run that no accumulator can clip
-(`dense_no_clip`, the same bound without the delta engine's factor 2);
-then each step's hidden side is one float64 product added inline, and
-without the proof one bound-checked product. Both engines share one
-gate tail (`_gates`), taken in float64 and exact.
+three. Each engine proves once per layer run that no accumulator can
+clip, and then takes every product of the run as one float64 product;
+without the proof, every product of the run is the ordered steps
+(`fxp.sat_columns`). The delta engine (`layer_no_clip`) makes one
+product per side and computed step, over the gathered event columns or,
+when events are dense, over the full stored matrix; it makes none on a
+quiet step whose output it already knows. After a layer run with no
+accumulator clip it checks that the accumulators equal the biases plus
+the weights times the memories (`check_telescoped`). The dense engine
+(`dense_no_clip`, the same bound without the delta engine's factor 2)
+takes the input side of a chunk of steps in one product, since it does
+not depend on the recurrence, and the hidden side one step at a time.
+Both engines share one gate tail (`_gates`), taken in float64 and exact.
 """
 
 from dataclasses import dataclass
@@ -51,7 +49,7 @@ import numpy as np
 from .codec import encode_delta
 from .errors import EquivalenceFailure, MalformedStream, ShapeMismatch
 from .fxp import (INT16_MAX, INT32_MAX, INT32_MIN, SLAB_BYTES, OpCounter, Q8_8, QTensor,
-                  int32_array, quantize_array, round_shift_even, sat_matvec)
+                  int32_array, quantize_array, round_shift_even, sat_columns, sat_matvec)
 from .trace import AccessTrace, triple_code
 
 ACT_FMT = Q8_8
@@ -126,7 +124,7 @@ class GateStack:
     """One input side of a layer's weights, its matrices stacked by rows
     for one matvec, stored by column: row j of ``cols`` is column j of
     the stacked matrix, in float64 (exact, the values are int16), and
-    ``cols_abs`` = |cols| for the no-clip bound.
+    ``cols_abs`` = |cols| for the layer proofs (`_bound_holds`).
 
     In memory the side's matrices of h rows and n columns lie one after
     another, each column-major, so column j of block m is a burst of h
@@ -270,17 +268,15 @@ def delta_mxv_accumulate(side: GateStack, idx: np.ndarray, vals: np.ndarray,
     ``ROUTE_SHARE`` columns it takes the gathered event columns and the
     event values; above, the full stored matrix and the deltas scattered
     into a zero vector. Both are exact and equal: a zero entry adds a
-    zero term to the product and to the bound, and ``sat_columns`` skips
-    its row, so the ordered steps are the same. ``proven`` means the
-    caller proved that no prefix of any of its calls can clip
-    (`layer_no_clip`): the product is then taken unchecked and no |W|
-    column is read; otherwise ``sat_matvec`` bounds this call and takes
-    the ordered loop over the events in index order, which is stream
-    order, when the bound fails. One event reads one column of each
-    stacked matrix; columns are stored column-major, so each read is a
-    burst of contiguous words, and events on adjacent columns read one
-    longer burst (`run_layer` traces it as one row), which is what keeps
-    delta-driven fetches DRAM-friendly.
+    zero term to the product, and ``sat_columns`` skips its row, so the
+    ordered steps are the same. ``proven`` means the caller proved that
+    no prefix of any of its calls can clip (`layer_no_clip`): the
+    events are then one float64 product; otherwise they run as the
+    ordered loop in index order, which is stream order. One event reads
+    one column of each stacked matrix; columns are stored column-major,
+    so each read is a burst of contiguous words, and events on adjacent
+    columns read one longer burst (`run_layer` traces it as one row),
+    which is what keeps delta-driven fetches DRAM-friendly.
     """
     if not idx.size:
         return 0
@@ -291,8 +287,7 @@ def delta_mxv_accumulate(side: GateStack, idx: np.ndarray, vals: np.ndarray,
         cols = slice(None)
     else:
         x, cols = vals, idx
-    w_abs = None if proven else side.cols_abs[cols].T
-    return sat_matvec(acc, side.cols[cols].T, w_abs, x)
+    return sat_matvec(acc, side.cols[cols].T, x, proven)
 
 
 def _bound_holds(spec: GruLayerSpec, acc: np.ndarray, p_x: np.ndarray,
@@ -302,8 +297,8 @@ def _bound_holds(spec: GruLayerSpec, acc: np.ndarray, p_x: np.ndarray,
 
     ``p_x`` and ``p_h`` are non-negative integer bounds on the magnitude
     of each input and hidden term's factor. The bound is computed in
-    float64 as ``fxp.no_clip`` computes its own, and is exact whenever
-    it passes.
+    float64 and is exact whenever it passes (the `fxp` accumulator
+    comment).
     """
     h = spec.hidden_size
     bound = np.abs(acc, dtype=np.float64)
@@ -378,7 +373,7 @@ def check_telescoped(spec: GruLayerSpec, start: LayerState, end: LayerState) -> 
     ``acc - acc0 = W_x (x_mem - x_mem0) + W_h (h_mem - h_mem0)`` gate by
     gate. The products are taken in int64 (each term at most 2**31)
     from the spec's own matrices, not from the gate stacks, ``sat_matvec``
-    or the layer bound, so the check tests `encode_delta`,
+    or the layer proof, so the check tests `encode_delta`,
     `delta_mxv_accumulate`, its routes, the column layout and the
     quiet-step skip. It does not test the gate tail.
     """
@@ -507,31 +502,26 @@ def run_layer(spec: GruLayerSpec, xs: np.ndarray, state: LayerState,
     within theta of its memory, so a threshold step cannot fire, and is
     not called, on an input row equal to the row before it or on an
     ``h_prev`` the last gate call returned unchanged. One bound before
-    the first step (`layer_no_clip`) lets every delta product run
-    unchecked; without it each is bound-checked on its own. A run with
-    no accumulator clip ends in `check_telescoped`, so a bug in the
+    the first step (`layer_no_clip`) lets every delta product be one
+    float64 product; without it every one is the ordered loop. A run
+    with no accumulator clip ends in `check_telescoped`, so a bug in the
     delta steps fails at any theta.
     Dense: each step recomputes the pre-activations from the biases
     over the full gate stacks and full vectors, and fetches every
     weight and bias word. The input side does not depend on the
     recurrence, so a chunk of steps (an int64 block of one accumulator
-    row per step, capped near ``SLAB_BYTES``) takes it in one
-    bound-checked ``sat_matvec`` call on the matrix of its inputs; each
-    step is its own accumulator column, so either route equals that
-    step's ordered sum. One bound before the first step
-    (`dense_no_clip`) proves that no partial sum of any step's terms
-    can clip; then each step's hidden side is ``W_h @ h_prev`` as one
-    float64 product added to its accumulator row in place. Every partial
-    sum of that product, and its sum with the row, is an integer below
-    the bound, so below 2**31 and exact, and the cast back to int64
-    keeps it. The product is taken here, not as ``sat_matvec`` with no
-    ``|W|``, so that a fault in that unchecked branch, which the delta
-    engine uses, cannot be made by both engines alike and pass the
-    theta-0 comparison. Without the proof the hidden side is one
-    bound-checked ``sat_matvec`` per step, which takes the ordered
-    steps where its own bound fails. The delta engine's products are
-    over sparse deltas, so the theta-0 check compares two different
-    computations.
+    row per step, capped near ``SLAB_BYTES``) takes it at once, on the
+    matrix of its inputs; each step is its own accumulator row. One
+    bound before the first step (`dense_no_clip`) proves that no partial
+    sum of any step's terms can clip. Then each chunk's input side and
+    each step's hidden side ``W_h @ h_prev`` is one float64 product,
+    added to its accumulator rows in place, exact by the `fxp`
+    accumulator comment; without the proof both are ordered
+    ``sat_columns`` steps. These products are taken here, not through
+    ``sat_matvec``, so that a fault in its unchecked branch, which the
+    delta engine uses, cannot be made by both engines alike and pass
+    the theta-0 comparison. The delta engine's products are over sparse
+    deltas, so that check compares two different computations.
     """
     if mode not in ("sparse", "dense"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -595,12 +585,16 @@ def run_layer(spec: GruLayerSpec, xs: np.ndarray, state: LayerState,
         for t0 in range(0, steps, chunk):
             block = xs[t0:t0 + chunk]
             pre = np.tile(bias, (len(block), 1))  # one accumulator row per step
-            sats += sat_matvec(pre[:, :3 * h].T, xside.cols.T, xside.cols_abs.T, block.T)
+            if proven:
+                np.add(pre[:, :3 * h], block @ xside.cols, out=pre[:, :3 * h],
+                       casting="unsafe")
+            else:
+                sats += sat_columns(pre[:, :3 * h].T, xside.cols.T, block.T)
             for t, acc_t in enumerate(pre, t0):
                 if proven:
                     np.add(acc_t[h:], hw @ h_prev, out=acc_t[h:], casting="unsafe")
                 else:
-                    sats += sat_matvec(acc_t[h:], hw, hside.cols_abs.T, h_prev)
+                    sats += sat_columns(acc_t[h:], hw, h_prev)
                 out[t], clips = _gates(spec, acc_t, h_prev)
                 sats += clips
                 h_prev = out[t]

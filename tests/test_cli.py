@@ -7,7 +7,7 @@ import stat
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from sparsebench.cli import main
@@ -484,6 +484,29 @@ def test_hand_split_flag_numbers_use_the_grammar(gru_net, capsys, argv, flag):
     assert f"{flag}: not a" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stream, message", [
+    ("-3x-4", "--stream: '-3': not a positive count"),
+    ("0x5", "--stream: '0': not a positive count"),
+    ("5x0", "--stream: '0': not a positive count"),
+    ("-3x4", "--stream: '-3': not a positive count"),
+    ("99999999999x99999999999",
+     "--stream: '99999999999x99999999999': 9999999999800000000001 words is past int64"),
+    ("9223372036854775808", "--stream: '9223372036854775808': "
+                            "9223372036854775808 words is past int64"),
+])
+def test_stream_dimensions_are_positive_and_their_product_fits(capsys, stream, message):
+    # -3x-4 cost a 12-word stream and 0x5 a 0-word one, each with exit
+    # 0; -3x4 and a product past int64 exited 2 with a message that
+    # named no flag
+    assert main(["mem-sim", f"--stream={stream}"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_stream_product_at_int64_max_is_costed(capsys):
+    assert main(["mem-sim", "--stream", str((1 << 63) - 1)]) == 0
+    assert json.loads(capsys.readouterr().out)["dram_words"] == (1 << 63) - 1
+
+
 @pytest.mark.parametrize("argv", [
     ["--seed", "1_0", "mem-sim", "--ratio", "10"],
     ["mem-sim", "--ratio", "1_0"],
@@ -758,10 +781,10 @@ def test_a_wrong_proven_product_exits_5_at_every_theta(gru_net, monkeypatch, cap
     # comparison with the dense engine does
     from sparsebench import fxp, gru
 
-    def dropped(acc, w, w_abs, x):
-        if w_abs is None:
-            return fxp.sat_matvec(acc, w[:, :-1], None, x[:-1])
-        return fxp.sat_matvec(acc, w, w_abs, x)
+    def dropped(acc, w, x, proven):
+        if proven:
+            return fxp.sat_matvec(acc, w[:, :-1], x[:-1], proven)
+        return fxp.sat_matvec(acc, w, x, proven)
 
     monkeypatch.setattr(gru, "sat_matvec", dropped)
     argv = ["run", "--net", gru_net, "--input", "synth:ar1,t=30,n=6", "--theta"]
@@ -907,6 +930,94 @@ def test_byte_mutated_containers_exit_0_2_3_or_4(tmp_path, capsys, conv_net, gru
                  ["run", "--net", gru_net, "--input", str(path)]):
         assert main(argv) in (0, 2, 3, 4)
     capsys.readouterr()
+
+
+_NET_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench", "nets")
+_FILE_KEYS = ("wxr", "wxu", "wxc", "whr", "whu", "whc", "br", "bu", "bc")
+# A GRU whose weights and biases are .qt files beside it.
+_FILE_NET = ("name = files\n[gru]\ninput = 6\nhidden = 8\ntheta = 0.05\n"
+             + "".join(f"{key} = {key}.qt\n" for key in _FILE_KEYS))
+
+
+def _bench_net(name: str) -> str:
+    with open(os.path.join(_NET_DIR, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+_NET_CASES = (  # (net text, --input)
+    (_bench_net("gru.net"), "synth:ar1,t=3,n=32"),
+    (_bench_net("conv.net"), "synth:map,c=32,h=8,w=8,sparsity=0.8"),
+    (_FILE_NET, "synth:ar1,t=3,n=6"))
+_NET_BYTES = st.sampled_from(b"=\n[]#,:-. x0123456789_") | st.integers(0, 255)
+
+
+def _too_large(text: str) -> bool:
+    """A mutant with a size that could take more than a few MB to run: a
+    kernel, pad or stride past 16, or another whole-number value past
+    128 (the largest in the nets it is drawn from). Such a net may fit
+    in memory and be slow, or fill it; a size that cannot be allocated
+    at all is `test_a_net_too_large_to_allocate_exits_2`."""
+    for line in text.splitlines():
+        key, eq, value = line.split("#", 1)[0].partition("=")
+        value = value.strip()
+        if eq and value.isascii() and value.isdigit():
+            if int(value) > (16 if key.strip().lower() in ("k", "pad", "stride") else 128):
+                return True
+    return False
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_NET_CASES), st.lists(st.tuples(
+    st.sampled_from(("replace", "insert", "delete", "drop line", "repeat line", "swap lines")),
+    st.integers(0, 10**4), st.integers(0, 10**4), _NET_BYTES), min_size=1, max_size=3))
+def test_mutated_net_texts_exit_0_2_3_or_4(tmp_path, capsys, case, edits):
+    # byte and line mutants of the bench nets and of a file-backed net run
+    # to a report or end in one error line, never a traceback
+    text, source = case
+    data = text.encode()
+    for op, at, other, byte in edits:
+        lines = data.split(b"\n")
+        i, j = at % len(lines), other % len(lines)
+        if op == "drop line":
+            del lines[i]
+        elif op == "repeat line":
+            lines.insert(i, lines[j])
+        elif op == "swap lines":
+            lines[i], lines[j] = lines[j], lines[i]
+        if op.endswith(("line", "lines")):
+            data = b"\n".join(lines)
+            continue
+        at %= len(data) + 1
+        cut = at + (op != "insert")
+        data = data[:at] + (b"" if op == "delete" else bytes([byte])) + data[cut:]
+    assume(not _too_large(data.decode("utf-8", "replace")))
+    rng = make_rng(9)
+    for key in _FILE_KEYS:
+        dims = (8,) if key.startswith("b") else (8, 8 if key.startswith("wh") else 6)
+        save_qt(random_weights(dims, rng, Q8_8 if len(dims) == 1 else Q2_14, 0.1),
+                str(tmp_path / f"{key}.qt"))
+    net = tmp_path / "mutant.net"
+    net.write_bytes(data)
+    code = main(["run", "--net", str(net), "--input", source])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
+
+
+@pytest.mark.parametrize("line, big", [("k = 3", "k = 1000000"), ("pad = 1", "pad = 1000000")])
+def test_a_net_too_large_to_allocate_exits_2(tmp_path, capsys, line, big):
+    # the weights of a million-tap kernel, or the accumulators of a
+    # million-pixel pad, need petabytes, past any address space; either
+    # ended in a MemoryError traceback with exit 1
+    net = tmp_path / "big.net"
+    net.write_text(_bench_net("conv.net").replace(line, big, 1))
+    assert main(["run", "--net", str(net), "--input", "synth:map,c=32,h=8,w=8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
 GRU_NET_2 = GRU_NET + """[gru]

@@ -151,7 +151,7 @@ def test_zeroskip_bit_exact_under_saturation():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_zeroskip_fallback_bit_exact_at_full_scale(k, stride, pad, pool, relu, seed):
-    # full-scale weights and inputs: the no-clip bound almost always
+    # full-scale weights and inputs: the layer proof almost always
     # fails, so the ordered per-step clamp runs and must still equal the
     # oracle; the slab cap is set so all channels form one group (an
     # amplitude of 127.99609375 is the Q8.8 maximum)
@@ -168,16 +168,14 @@ def test_zeroskip_fallback_bit_exact_at_full_scale(k, stride, pad, pool, relu, s
     counter = OpCounter()
     assert decode_sm(res.output) == conv_dense_oracle(spec, x, counter)
     assert res.counters.saturations == counter.saturations
-    # the group's bound: per output channel, |bias| plus each (channel,
-    # tap) weight's magnitude times the largest |value| that tap reads
-    padded = np.pad(np.abs(x.data.astype(np.int64)), ((0, 0), (pad, pad), (pad, pad)))
-    reach = [padded[:, ky:ky + stride * (h_out - 1) + 1:stride,
-                    kx:kx + stride * (w_out - 1) + 1:stride].max(axis=(1, 2))
-             for ky in range(k) for kx in range(k)]
-    row_peak = np.stack(reach, axis=1).reshape(-1)  # (channel, tap) order
-    w_abs = np.abs(spec.weights.data.astype(np.int64)).reshape(spec.out_channels, -1)
-    proven = (np.abs(spec.bias.astype(np.int64)) + w_abs @ row_peak).max() <= INT32_MAX
-    assert step.called == (not proven and res.counters.macs_executed > 0)
+    # the layer's bound, in Python ints: per output channel, |bias| plus
+    # each (channel, tap) weight's magnitude times the channel's largest
+    # |value|
+    peak = [max(abs(int(v)) for v in ch.reshape(-1)) for ch in x.data]
+    bound = max(abs(int(b)) + sum(abs(int(wv)) * peak[ch]
+                                  for ch, taps in enumerate(row) for wv in taps.reshape(-1))
+                for b, row in zip(spec.bias, spec.weights.data))
+    assert step.called == (bound > INT32_MAX and res.counters.macs_executed > 0)
 
 
 def test_zeroskip_fallback_without_clipping(monkeypatch):
@@ -229,11 +227,18 @@ def _refuse(*args):
     raise AssertionError("ordered fallback ran")
 
 
-def _accumulators(spec, sfm, slab_bytes=conv_mod.SLAB_BYTES, **patches):
+def _accumulators(spec, sfm, slab_bytes=conv_mod.SLAB_BYTES, proof=None, **patches):
     """conv_zeroskip's result and the int64 accumulators it renormalized,
-    with the slab cap set and the given fxp module attributes patched."""
+    with the slab cap set, the layer proof's answer replaced by ``proof``
+    unless it is None, and the given fxp module attributes patched."""
+    zeroskip_no_clip = conv_mod.zeroskip_no_clip
+
+    def proved(*args):
+        return zeroskip_no_clip(*args) if proof is None else proof
+
     with mock.patch.object(conv_mod, "_finish_layer", wraps=conv_mod._finish_layer) as fin, \
             mock.patch.object(conv_mod, "SLAB_BYTES", slab_bytes), \
+            mock.patch.object(conv_mod, "zeroskip_no_clip", proved), \
             mock.patch.multiple(fxp, **patches):
         res = conv_zeroskip(spec, sfm)
     return res, fin.call_args.args[1]
@@ -256,7 +261,8 @@ def test_fast_path_equals_the_ordered_loop(k, stride, pad, pool, relu, sparsity,
                                            in_c, group, empty_group, seed):
     # the slab cap is set so each group holds `group` channels (the last
     # group fewer when `group` does not divide in_c), and one group's
-    # channels may all be zero
+    # channels may all be zero. With the layer proof forced off, every
+    # group with a non-zero pixel takes the ordered steps
     rng = make_rng(seed)
     spec, x = conv_case(rng, k=k, stride=stride, pad=pad, pool=pool, relu=relu,
                         sparsity=sparsity, in_c=in_c)
@@ -267,7 +273,12 @@ def test_fast_path_equals_the_ordered_loop(k, stride, pad, pool, relu, sparsity,
     channel_bytes = 8 * k * k * h_out * w_out
     slab = group * channel_bytes + int(rng.integers(channel_bytes))
     fast, fast_acc = _accumulators(spec, sfm, slab, sat_add=_refuse)
-    ordered, ordered_acc = _accumulators(spec, sfm, no_clip=lambda *args: False)
+    columns = mock.Mock(wraps=fxp.sat_columns)
+    with mock.patch.object(conv_mod, "sat_matvec", wraps=fxp.sat_matvec) as routed:
+        ordered, ordered_acc = _accumulators(spec, sfm, slab, proof=False,
+                                             sat_columns=columns)
+    filled = {int(ch) // group for ch in np.flatnonzero(data.reshape(in_c, -1).any(axis=1))}
+    assert routed.call_count == columns.call_count == len(filled)
     assert fast_acc.dtype == ordered_acc.dtype == np.int64
     assert np.array_equal(fast_acc, ordered_acc)
     assert fast.counters == ordered.counters
@@ -296,11 +307,30 @@ def test_bound_at_int32_max_is_the_last_one_on_the_fast_path(over):
     assert res.counters.saturations == 8 + 4 * over  # all 8 outputs clip to 16 bits
 
 
-def test_one_group_proven_and_the_next_ordered():
-    # one channel per group: channel 0's values are 1, so its group is
-    # proven; channel 1's are 32767, and with the bias and channel 0's
-    # sums in the accumulators its bound fails, so it takes the ordered
-    # steps, clipping where all nine taps land
+def test_layer_proof_reads_each_channels_largest_magnitude():
+    # a 1x1 kernel over three channels: channel 0 is empty, channel 1
+    # holds -32768 against a weight of -32768 (a term of +2**30), and
+    # channel 2 holds 1. The bias puts the sum past INT32_MAX, so the
+    # proof must take channel 1's peak as 32768 and send the run to the
+    # ordered steps, which clip at both terms of every output
+    w = np.array([[[[0]], [[-32768]], [[1]]]], dtype=np.int16)
+    spec = _layer(in_c=3, out_c=1, k=1, w_vals=w,
+                  bias=np.array([(1 << 30) + 4], dtype=np.int32))
+    data = np.zeros((3, 2, 2), dtype=np.int16)
+    data[1], data[2] = -32768, 1
+    x = QTensor((3, 2, 2), Q8_8, data)
+    ordered = mock.Mock(wraps=fxp.sat_columns)
+    res, acc = _accumulators(spec, encode_sm(x), sat_columns=ordered)
+    assert ordered.called and acc.tolist() == [[[INT32_MAX] * 2] * 2]
+    counter = OpCounter()
+    assert decode_sm(res.output) == conv_dense_oracle(spec, x, counter)
+    assert res.counters.saturations == counter.saturations == 4 + 4 + 4
+
+
+def test_one_large_channel_orders_every_group():
+    # one channel per group: channel 0's values are 1 and channel 1's
+    # 32767, so with the bias the layer's bound fails, and both groups
+    # take the ordered steps, channel 1 clipping where all nine taps land
     w = np.full((2, 2, 3, 3), 3641, dtype=np.int16)
     w[1] = -3641
     spec = _layer(in_c=2, out_c=2, k=3, pad=1, w_vals=w,
@@ -308,11 +338,16 @@ def test_one_group_proven_and_the_next_ordered():
     data = np.full((2, 4, 4), 32767, dtype=np.int16)
     data[0] = 1
     x = QTensor((2, 4, 4), Q8_8, data)
-    ordered = mock.Mock(wraps=fxp.sat_columns)
+    peaks = []  # each ordered call's largest slab value (the slab is reused)
+    columns = fxp.sat_columns
+
+    def ordered(acc, w, x):
+        peaks.append(x.max())
+        return columns(acc, w, x)
+
     with mock.patch.object(conv_mod, "sat_matvec", wraps=fxp.sat_matvec) as routed:
         res, acc = _accumulators(spec, encode_sm(x), 8 * 9 * 16, sat_columns=ordered)
-    assert routed.call_count == 2 and ordered.call_count == 1
-    assert ordered.call_args.args[2].max() == 32767  # the second group's slab
+    assert routed.call_count == 2 and peaks == [1, 32767]
     assert acc[0].max() == INT32_MAX and acc[1].min() == fxp.INT32_MIN
     counter = OpCounter()
     assert decode_sm(res.output) == conv_dense_oracle(spec, x, counter)

@@ -214,7 +214,10 @@ def test_sat_matvec_on_a_matrix_is_the_ordered_clamped_sum(seed, over, aligned, 
     # |x|, at INT32_MAX (0) or one past it (1). With `aligned`, one
     # column holds every row peak of x and that row's weights and
     # accumulator share its sign, so one element's sum is the bound
-    # itself: exactly INT32_MAX, or clipping once at the last term.
+    # itself: exactly INT32_MAX, or clipping once at the last term. The
+    # ordered steps run unless the call is proven, which a caller may
+    # state only when the bound holds; either way the result is the
+    # ordered, clamped sum.
     rng = np.random.default_rng(seed)
     out, n, cols = (int(v) for v in rng.integers(1, (5, 7, 5)))
     w = rng.integers(INT16_MIN, INT16_MAX + 1, size=(out, n))
@@ -233,13 +236,15 @@ def test_sat_matvec_on_a_matrix_is_the_ordered_clamped_sum(seed, over, aligned, 
         acc[r, k] = top if aligned else top * int(rng.choice((-1, 1)))
     exact = [max(abs(int(a)) for a in row) + t for row, t in zip(acc, terms)]
     want, want_clips = _ordered_reference(acc, w, x)
-    got = acc.astype(acc_type)
     wf = w.astype(np.float64)
-    with mock.patch.object(fxp, "sat_columns", wraps=fxp.sat_columns) as ordered:
-        clips = sat_matvec(got, wf, np.abs(wf), x.astype(np.float64) if float_x else x)
-    assert ordered.called == (max(exact) > INT32_MAX)
-    assert got.tolist() == want
-    assert clips == want_clips
+    xs = x.astype(np.float64) if float_x else x
+    for proven in {False, max(exact) <= INT32_MAX}:
+        got = acc.astype(acc_type)
+        with mock.patch.object(fxp, "sat_columns", wraps=fxp.sat_columns) as ordered:
+            clips = sat_matvec(got, wf, xs, proven)
+        assert ordered.called == (not proven)
+        assert got.tolist() == want
+        assert clips == want_clips
 
 
 # --- rounding shift -----------------------------------------------------------

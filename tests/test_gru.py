@@ -254,13 +254,16 @@ def _matvec_reference(acc, w2d, xvec):
     return out.astype(np.int32)
 
 
-def _float_operands(w):
-    wf = w.astype(np.float64)
-    return wf, np.abs(wf)
+def _exact_bound(acc, w, x):
+    """The largest ``|acc| + |w| @ |x|`` over the rows, in Python ints."""
+    return max(abs(int(a)) + sum(abs(int(v)) * abs(int(e)) for v, e in zip(row, x))
+               for a, row in zip(acc, w))
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_guarded_matvec_matches_column_loop(seed, stress):
+    # the ordered route always, and the product when the exact bound
+    # holds, so that a caller may prove it
     rng = make_rng(seed)
     h, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
     scale = 32767 if stress else 500
@@ -268,86 +271,86 @@ def test_guarded_matvec_matches_column_loop(seed, stress):
     x = rng.integers(-scale, scale + 1, size=n).astype(np.int16)
     acc0 = rng.integers(-(1 << 30), 1 << 30, size=h).astype(np.int32)
     want = _matvec_reference(acc0, w, x)
-    got = acc0.copy()
-    clips = sat_matvec(got, *_float_operands(w), x)
-    assert np.array_equal(got, want)
-    ordered = acc0.copy()
-    assert sat_columns(ordered, w, x) == clips
-    assert np.array_equal(ordered, want)
+    for proven in {False, _exact_bound(acc0, w, x) <= INT32_MAX}:
+        got = acc0.copy()
+        clips = sat_matvec(got, w.astype(np.float64), x, proven)
+        assert np.array_equal(got, want)
+        ordered = acc0.copy()
+        assert sat_columns(ordered, w, x) == clips
+        assert np.array_equal(ordered, want)
 
 
 def test_guarded_matvec_saturating_prefix():
-    # first column clips the accumulator; the exact-matmul shortcut must
-    # not be taken even though the algebraic total is back in range
+    # first column clips the accumulator; the algebraic total is back in
+    # range, but the bound fails, so only the ordered route may run
     w = np.array([[32767, -32767]], dtype=np.int16)
     x = np.array([32767, 32767], dtype=np.int16)
     acc = np.array([INT32_MAX - 5], dtype=np.int32)
     want = _matvec_reference(acc, w, x)
-    assert sat_matvec(acc, *_float_operands(w), x) == 1
+    assert _exact_bound(acc, w, x) > INT32_MAX
+    assert sat_matvec(acc, w.astype(np.float64), x, False) == 1
     assert np.array_equal(acc, want)
 
 
+def _random_spec(rng, i, h):
+    """A layer of full-scale random int16 weights and zero biases."""
+    mats = [QTensor(d, Q8_8, rng.integers(-32768, 32768, size=d).astype(np.int16))
+            for d in [(h, i)] * 3 + [(h, h)] * 3]
+    zero = np.zeros(h, np.int32)
+    return gru.GruLayerSpec(i, h, *mats, zero, zero, zero, theta=0)
+
+
 @settings(max_examples=150)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(("int16", "delta17", "huge")),
-       st.sampled_from((0, 1, None)))
-def test_float_bound_takes_the_fast_path_exactly_when_it_holds(seed, x_kind, over):
-    # full-scale weights; 17-bit deltas; or int64 entries of 2**53 and up,
-    # which float64 rounds. `over` puts one row's exact bound at INT32_MAX
-    # (0) or INT32_MAX + 1 (1). The ordered fallback must run exactly when
-    # the exact integer bound exceeds INT32_MAX, and either route must
-    # match the per-column reference.
+@given(st.integers(0, 2**32 - 1), st.sampled_from((0, 1, None)))
+def test_float_bound_takes_the_fast_path_exactly_when_it_holds(seed, over):
+    # full-scale weights and factor bounds up to 2**16 (the delta
+    # engine's doubled int16 peaks). `over` puts one accumulator row's
+    # exact bound at INT32_MAX (0) or one past it (1). The float64 bound
+    # both GRU layer proofs share passes exactly when the bound in
+    # Python ints holds.
     rng = make_rng(seed)
-    h, n = int(rng.integers(1, 6)), int(rng.integers(1, 5))
-    scale = 500 if x_kind == "huge" else 32767  # huge products must fit int64
-    w = rng.integers(-scale, scale + 1, size=(h, n)).astype(np.int16)
-    if x_kind == "huge":
-        x = (rng.integers(1 << 53, (1 << 53) + (1 << 20), size=n)
-             * rng.choice((-1, 1), size=n)).astype(np.int64)
-    else:
-        top = 65535 if x_kind == "delta17" else 32767
-        x = rng.integers(-top, top + 1, size=n).astype(np.int64)
-        x //= int(rng.choice((1, n, 1 << 8)))  # makes a passing bound reachable
-    acc0 = rng.integers(-(1 << 20), 1 << 20, size=h).astype(np.int64)
-    terms = [sum(abs(int(w[r, j])) * abs(int(x[j])) for j in range(n)) for r in range(h)]
-    row = int(rng.integers(h))
+    i, h = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    spec = _random_spec(rng, i, h)
+    div = int(rng.choice((1, 64, 1 << 12)))  # makes a passing bound reachable
+    p_x = rng.integers(0, 65537, size=i) // div
+    p_h = rng.integers(0, 65537, size=h) // div
+    terms = [0] * (4 * h)
+    for r, (wx, wh) in enumerate(zip(spec.x_side.cols.T, spec.h_side.cols.T)):
+        terms[r] += sum(abs(int(v)) * int(p) for v, p in zip(wx, p_x))       # rows [xc, r, u]
+        terms[h + r] += sum(abs(int(v)) * int(p) for v, p in zip(wh, p_h))   # rows [r, u, hc]
+    acc = rng.integers(-(1 << 20), 1 << 20, size=4 * h)
+    row = int(rng.integers(4 * h))
     if over is not None and terms[row] <= INT32_MAX:
-        acc0[row] = (INT32_MAX - terms[row] + over) * int(rng.choice((-1, 1)))
-    exact = [abs(int(a)) + t for a, t in zip(acc0, terms)]
-    want = _matvec_reference(acc0, w, x)
-    got = acc0.copy()
-    with mock.patch.object(fxp, "sat_columns", wraps=fxp.sat_columns) as ordered:
-        clips = sat_matvec(got, *_float_operands(w), x)
-    assert ordered.called == (max(exact) > INT32_MAX)
-    assert np.array_equal(got, want)
-    if not ordered.called:
-        assert clips == 0
+        acc[row] = (INT32_MAX - terms[row] + over) * int(rng.choice((-1, 1)))
+    exact = max(abs(int(a)) + t for a, t in zip(acc, terms))
+    assert gru._bound_holds(spec, acc, p_x, p_h) == (exact <= INT32_MAX)
 
 
 def test_float_bound_edge_cases():
+    # |w| @ |x| = INT32_MAX - 32768: from |acc| = 32768 the bound is
+    # INT32_MAX, and the proven product lands on it exactly; one more and
+    # the bound fails, so only the ordered route may run, clipping or not
+    # by the accumulator's sign
     w = np.array([[32767], [-32767]], dtype=np.int16)
-    x = np.array([65537], dtype=np.int64)  # |w| @ |x| = INT32_MAX - 32768
-    for acc0, fallback, clips in (([32768, -32768], False, 0),    # bound == INT32_MAX
-                                  ([32769, 0], True, 1),          # INT32_MAX + 1, clips
-                                  ([-32769, 0], True, 0)):        # INT32_MAX + 1, no clip
+    x = np.array([65537], dtype=np.int64)
+    for acc0, proven, clips in (([32768, -32768], True, 0),
+                                ([32768, -32768], False, 0),
+                                ([32769, 0], False, 1),
+                                ([-32769, 0], False, 0)):
+        assert (_exact_bound(acc0, w, x) <= INT32_MAX) == (acc0[0] == 32768)
         acc = np.array(acc0, dtype=np.int64)
         with mock.patch.object(fxp, "sat_columns", wraps=fxp.sat_columns) as ordered:
-            assert sat_matvec(acc, *_float_operands(w), x) == clips
-        assert ordered.called == fallback
+            assert sat_matvec(acc, w.astype(np.float64), x, proven) == clips
+        assert ordered.called == (not proven)
         assert np.array_equal(acc, _matvec_reference(np.array(acc0), w, x))
-    # 2**53 + 1 rounds to 2**53 in float64; against a non-zero weight the
-    # bound fails and the ordered loop runs on the exact int64 values
-    acc = np.array([0], dtype=np.int64)
-    big = np.array([(1 << 53) + 1, 1], dtype=np.int64)
-    with mock.patch.object(fxp, "sat_columns", wraps=fxp.sat_columns) as ordered:
-        assert sat_matvec(acc, *_float_operands(np.array([[1, -1]])), big) == 1
-    assert ordered.called and acc[0] == INT32_MAX - 1
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_delta_mxv_matches_per_event_reference(seed, full_scale):
-    # full-scale weights and 17-bit deltas make the bound fail, so the
-    # ordered per-event loop runs and must clip exactly as the reference
+    # unproven, the ordered per-event loop runs and must clip exactly as
+    # the reference, which full-scale weights and 17-bit deltas make it
+    # do; proven where the exact bound holds, the product must agree
     rng = make_rng(seed)
     h, n, blocks = int(rng.integers(1, 10)), int(rng.integers(1, 12)), int(rng.integers(1, 4))
     scale = 32767 if full_scale else 300
@@ -371,13 +374,16 @@ def test_delta_mxv_matches_per_event_reference(seed, full_scale):
     clips = delta_mxv_accumulate(GateStack.of(mats), idx, vals, got)
     assert np.array_equal(got, want)
     assert clips == want_sats
+    if _exact_bound(acc0, w[:, idx], vals) <= INT32_MAX:
+        got = acc0.copy()
+        assert delta_mxv_accumulate(GateStack.of(mats), idx, vals, got, True) == 0
+        assert np.array_equal(got, want)
 
 
 def test_fast_path_taken_at_bench_scale(monkeypatch):
     # the bench's GRU layer shape and input scale never reach the ordered
     # fallback, so every gate-stack step is one matvec; the delta engine
-    # proves each layer once, so its products are all unchecked and it
-    # computes no per-call bound
+    # proves each layer once, so its products are all proven
     def refuse(*args):
         raise AssertionError("ordered fallback ran")
 
@@ -385,11 +391,11 @@ def test_fast_path_taken_at_bench_scale(monkeypatch):
     specs = [gru_spec(rng, 32, 128), gru_spec(rng, 128, 128)]
     xs = ar1_seq(20, 32, 0.99, rng)
     monkeypatch.setattr(fxp, "sat_columns", refuse)
-    with mock.patch.object(fxp, "no_clip", refuse):
-        run, proofs, calls = _proofs_and_routes(specs, xs)
+    monkeypatch.setattr(gru, "sat_columns", refuse)
+    run, proofs, calls = _proofs_and_routes(specs, xs)
     assert proofs == [True, True]
     assert len(calls) == np.count_nonzero(run.x_events) + np.count_nonzero(run.h_events)
-    assert all(unchecked for _, unchecked, _ in calls)
+    assert all(proven for _, proven, _ in calls)
     assert run.outputs == run_sequence(specs, xs, "dense").outputs
     assert run.counters.saturations == 0
 
@@ -519,11 +525,12 @@ def _margin_biases(spec, rng):
 
 @settings(deadline=None, max_examples=8)
 @given(st.integers(0, 2**32 - 1), st.sampled_from((0.0, 0.05)))
-def test_fast_and_ordered_routes_mix_within_one_run(seed, theta):
+def test_a_failing_layer_proof_orders_even_its_small_steps(seed, theta):
     # a quiet step, a step of small changes (20 raw, above theta) and then
-    # large inputs: the bound holds at the early steps (dense: the zero
-    # step; sparse: the small input deltas) and fails later, so both
-    # routes run in one sequence and must agree with the per-gate reference
+    # large inputs: a bound on the early steps alone would hold, but the
+    # first layer's proof covers its whole run and fails, so every one of
+    # its products takes the ordered steps, and both modes must agree
+    # with the per-gate reference
     rng = make_rng(seed)
     specs = [_margin_biases(gru_spec(rng, 6, 8, theta=theta, w_amp=1.9), rng),
              _margin_biases(gru_spec(rng, 8, 5, theta=theta, w_amp=1.9), rng)]
@@ -532,12 +539,17 @@ def test_fast_and_ordered_routes_mix_within_one_run(seed, theta):
                                            uniform_seq(8, 6, rng, amp=100.0).data]))
     for mode in ("sparse", "dense"):
         want, want_clips, *_ = _reference_gru(specs, xs, mode)
-        with mock.patch.object(gru, "sat_matvec", wraps=fxp.sat_matvec) as routed, \
-                mock.patch.object(fxp, "sat_columns", wraps=fxp.sat_columns) as ordered:
-            run = run_sequence(specs, xs, mode)
+        if mode == "sparse":
+            with mock.patch.object(fxp, "sat_columns", wraps=fxp.sat_columns) as ordered:
+                run, proofs, calls = _proofs_and_routes(specs, xs)
+            products = [l for l, _, _ in calls if not proofs[l]]
+            assert 0 in products and ordered.call_count == len(products)
+        else:
+            run, proofs, ordered_calls = _dense_routes(specs, xs)
+            assert ordered_calls == sum(1 + len(xs.data) for ok in proofs if not ok)
+        assert proofs[0] is False
         assert run.outputs == want
         assert run.counters.saturations == want_clips
-        assert 0 < ordered.call_count < routed.call_count
 
 
 def _skips_like_the_reference(specs, xs):
@@ -590,39 +602,35 @@ def test_quiet_steps_off_a_fixed_point_run_the_gates(seed):
     _skips_like_the_reference(specs, piecewise_constant_seq(24, 6, 8, rng))
 
 
-def test_dense_chunks_take_their_own_input_side_route(monkeypatch):
+def test_dense_chunks_all_take_the_layer_runs_route(monkeypatch):
     # the cap holds three steps of accumulators, so the chunks are steps
-    # [0:3], [3:6] and [6:8]. Small inputs keep the first and last under
-    # the margin biases' bound and large ones push the middle past it:
-    # that chunk alone takes the ordered steps, and every route must add
-    # up to the per-gate reference
+    # [0:3], [3:6] and [6:8]. Large inputs in the middle chunk fail the
+    # layer proof against the margin biases (and clip), so every chunk
+    # takes the ordered steps, the small ones too; the small inputs alone
+    # pass it and no chunk does. Each run must add up to the per-gate
+    # reference
     rng = make_rng(19)
-    spec = _margin_biases(gru_spec(rng, 6, 8, w_amp=1.9), rng)
+    spec = _margin_biases(gru_spec(rng, 6, 8, w_amp=0.2), rng)
     monkeypatch.setattr(gru, "SLAB_BYTES", 3 * spec.acc_bias.nbytes)
     small = uniform_seq(5, 6, rng, amp=0.08).data
     data = np.vstack([small[:3], uniform_seq(3, 6, rng, amp=100.0).data, small[3:]])
-    xs = QTensor(data.shape, Q8_8, data)
-    blocks, ordered = [], []
+    ordered = []
     ordered_columns = fxp.sat_columns
-
-    def routed(acc, w, w_abs, x):
-        if x.ndim == 2:
-            blocks.append(x.T.tolist())
-        return fxp.sat_matvec(acc, w, w_abs, x)
 
     def columns(acc, w, x):
         if x.ndim == 2:
             ordered.append(x.T.tolist())
         return ordered_columns(acc, w, x)
 
-    monkeypatch.setattr(gru, "sat_matvec", routed)
-    monkeypatch.setattr(fxp, "sat_columns", columns)
-    run = run_sequence([spec], xs, "dense")
-    want, want_clips, *_ = _reference_gru([spec], xs, "dense")
-    assert run.outputs == want
-    assert run.counters.saturations == want_clips
-    assert blocks == [data[0:3].tolist(), data[3:6].tolist(), data[6:8].tolist()]
-    assert ordered == [data[3:6].tolist()]
+    monkeypatch.setattr(gru, "sat_columns", columns)
+    for rows, chunks in ((data, [data[0:3], data[3:6], data[6:8]]), (small, [])):
+        ordered.clear()
+        xs = QTensor(rows.shape, Q8_8, rows)
+        run = run_sequence([spec], xs, "dense")
+        want, want_clips, *_ = _reference_gru([spec], xs, "dense")
+        assert run.outputs == want
+        assert run.counters.saturations == want_clips
+        assert ordered == [c.tolist() for c in chunks]
 
 
 def test_steps_skipped_counts_quiet_steps_per_layer():
@@ -641,21 +649,22 @@ def test_steps_skipped_counts_quiet_steps_per_layer():
 
 # --- the layer proof, the delta routes and the telescoping check ---------------------
 
-def _proofs_and_routes(specs, xs):
-    """A sparse run; returns it, each layer's `layer_no_clip` result and,
-    per delta-engine ``sat_matvec`` call, (layer, unchecked, columns)."""
+def _proofs_and_routes(specs, xs, proof=None):
+    """A sparse run; returns it, each layer's `layer_no_clip` result (or
+    ``proof`` in its place) and, per delta-engine ``sat_matvec`` call,
+    (layer, proven, columns)."""
     proofs, calls = [], []
     layer_no_clip = gru.layer_no_clip
 
-    def proof(*args):
-        proofs.append(layer_no_clip(*args))
+    def proved(*args):
+        proofs.append(layer_no_clip(*args) if proof is None else proof)
         return proofs[-1]
 
-    def routed(acc, w, w_abs, x):
-        calls.append((len(proofs) - 1, w_abs is None, w.shape[1]))
-        return fxp.sat_matvec(acc, w, w_abs, x)
+    def routed(acc, w, x, proven):
+        calls.append((len(proofs) - 1, proven, w.shape[1]))
+        return fxp.sat_matvec(acc, w, x, proven)
 
-    with mock.patch.object(gru, "layer_no_clip", proof), \
+    with mock.patch.object(gru, "layer_no_clip", proved), \
             mock.patch.object(gru, "sat_matvec", routed):
         run = run_sequence(specs, xs, "sparse")
     return run, proofs, calls
@@ -746,7 +755,7 @@ def test_the_float_gate_tail_equals_the_integer_one_and_the_reference():
 def test_a_passing_layer_proof_means_no_accumulator_clip():
     # small nets from quiet to saturating: wherever a layer's proof
     # passes, the per-event reference clips no accumulator, and the
-    # delta engine's products are unchecked exactly in proven layers
+    # delta engine's products are proven exactly in proven layers
     proven = []
 
     @settings(deadline=None, max_examples=30)
@@ -764,7 +773,45 @@ def test_a_passing_layer_proof_means_no_accumulator_clip():
         want, want_clips, _, _, acc_clips = _reference_gru(specs, xs, "sparse")
         assert run.outputs == want and run.counters.saturations == want_clips
         assert all(clips == 0 for ok, clips in zip(proofs, acc_clips) if ok)
-        assert all(unchecked == proofs[l] for l, unchecked, _ in calls)
+        assert all(ok == proofs[l] for l, ok, _ in calls)
+        proven.extend(proofs)
+
+    case()
+    assert any(proven) and not all(proven)
+
+
+def test_delta_runs_equal_with_the_layer_proof_forced_off():
+    # small nets from quiet to saturating: a sparse run whose proof
+    # passes takes its products in float64, and must equal the same run
+    # made with every product ordered in outputs, clips, counters, events
+    # and trace, and so must equal the per-event reference
+    proven = []
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((0.0, 0.05)),
+           st.sampled_from((None, _margin_biases, _edge_biases)),
+           st.sampled_from((0.1, 1.9)), st.sampled_from((1.0, 100.0)))
+    def case(seed, theta, biases, w_amp, amp):
+        rng = make_rng(seed)
+        specs = [gru_spec(rng, 5, 6, theta=theta, w_amp=w_amp),
+                 gru_spec(rng, 6, 4, theta=theta, w_amp=w_amp)]
+        if biases is not None:
+            specs = [biases(s, rng) for s in specs]
+        xs = uniform_seq(8, 5, rng, amp=amp)
+        on, proofs, _ = _proofs_and_routes(specs, xs)
+        with mock.patch.object(fxp, "sat_columns", wraps=fxp.sat_columns) as ordered:
+            off, _, calls = _proofs_and_routes(specs, xs, proof=False)
+        assert calls and ordered.call_count == len(calls)
+        assert not any(ok for _, ok, _ in calls)
+        for a, b in ((on.x_events, off.x_events), (on.h_events, off.h_events),
+                     (on.trace.table, off.trace.table)):
+            assert np.array_equal(a, b)
+        assert on.outputs == off.outputs
+        assert on.layer_counters == off.layer_counters
+        assert on.steps_skipped == off.steps_skipped
+        want, want_clips, want_x, want_h, _ = _reference_gru(specs, xs, "sparse")
+        assert on.outputs == want and on.counters.saturations == want_clips
+        assert np.array_equal(on.x_events, want_x) and np.array_equal(on.h_events, want_h)
         proven.extend(proofs)
 
     case()
@@ -773,15 +820,15 @@ def test_a_passing_layer_proof_means_no_accumulator_clip():
 
 def test_a_failing_layer_proof_checks_every_product():
     # margin biases and amp-100 inputs: the first layer's proof fails, so
-    # none of its products may skip the bound, and the clips and outputs
-    # are the per-event reference's
+    # every one of its products takes the ordered steps, and the clips
+    # and outputs are the per-event reference's
     rng = make_rng(21)
     specs = [_margin_biases(gru_spec(rng, 6, 8, theta=0.05, w_amp=1.9), rng),
              _margin_biases(gru_spec(rng, 8, 5, theta=0.05, w_amp=1.9), rng)]
     xs = uniform_seq(10, 6, rng, amp=100.0)
     run, proofs, calls = _proofs_and_routes(specs, xs)
     assert proofs[0] is False
-    assert all(unchecked == proofs[l] for l, unchecked, _ in calls)
+    assert all(ok == proofs[l] for l, ok, _ in calls)
     assert any(l == 0 for l, _, _ in calls)
     want, want_clips, *_ = _reference_gru(specs, xs, "sparse")
     assert run.outputs == want and run.counters.saturations == want_clips > 0
@@ -789,7 +836,8 @@ def test_a_failing_layer_proof_checks_every_product():
 
 def _dense_routes(specs, xs, proof=None):
     """A dense run; returns it, each layer's `dense_no_clip` result (or
-    ``proof`` in its place) and the number of ``sat_matvec`` calls."""
+    ``proof`` in its place) and the number of ordered ``sat_columns``
+    calls. The dense engine makes no ``sat_matvec`` call."""
     proofs = []
     dense_no_clip = gru.dense_no_clip
 
@@ -798,15 +846,16 @@ def _dense_routes(specs, xs, proof=None):
         return proofs[-1]
 
     with mock.patch.object(gru, "dense_no_clip", proved), \
-            mock.patch.object(gru, "sat_matvec", wraps=fxp.sat_matvec) as routed:
+            mock.patch.object(gru, "sat_matvec", side_effect=AssertionError("sat_matvec")), \
+            mock.patch.object(gru, "sat_columns", wraps=fxp.sat_columns) as ordered:
         run = run_sequence(specs, xs, "dense")
-    return run, proofs, routed.call_count
+    return run, proofs, ordered.call_count
 
 
 def test_dense_runs_equal_with_the_layer_proof_forced_off():
     # small nets from quiet to saturating: a dense run whose proof passes
-    # takes its hidden side unchecked, and must equal the same run made
-    # with every step bound-checked in outputs, clips, counters and trace
+    # takes its products in float64, and must equal the same run made
+    # with every product ordered in outputs, clips, counters and trace
     proven = []
 
     @settings(deadline=None, max_examples=30)
@@ -818,9 +867,10 @@ def test_dense_runs_equal_with_the_layer_proof_forced_off():
         if biases is not None:
             specs = [biases(s, rng) for s in specs]
         xs = uniform_seq(8, 5, rng, amp=amp)
-        on, proofs, _ = _dense_routes(specs, xs)
+        on, proofs, on_calls = _dense_routes(specs, xs)
         off, _, calls = _dense_routes(specs, xs, proof=False)
         assert calls == 2 * (1 + len(xs.data))  # one chunk and one call a step, per layer
+        assert on_calls == sum(1 + len(xs.data) for ok in proofs if not ok)
         assert on.outputs == off.outputs
         assert on.layer_counters == off.layer_counters
         assert np.array_equal(on.trace.table, off.trace.table)
@@ -834,8 +884,8 @@ def test_dense_runs_equal_with_the_layer_proof_forced_off():
 
 def test_a_failing_dense_proof_checks_every_step():
     # margin biases and amp-100 inputs: the proof fails in both layers, so
-    # each step's hidden side is one bound-checked call, besides the one
-    # call of each layer's single chunk; a passing proof leaves the chunks'
+    # each step's hidden side is one ordered call, besides the one call of
+    # each layer's single chunk; a passing proof makes none
     rng = make_rng(26)
     specs = [_margin_biases(gru_spec(rng, 6, 8, w_amp=1.9), rng),
              _margin_biases(gru_spec(rng, 8, 5, w_amp=1.9), rng)]
@@ -846,7 +896,7 @@ def test_a_failing_dense_proof_checks_every_step():
     assert run.outputs == want and run.counters.saturations == want_clips > 0
     quiet = [gru_spec(rng, 6, 8), gru_spec(rng, 8, 5)]
     run, proofs, calls = _dense_routes(quiet, xs)
-    assert proofs == [True, True] and calls == 2
+    assert proofs == [True, True] and calls == 0
     want, want_clips, *_ = _reference_gru(quiet, xs, "dense")
     assert run.outputs == want and run.counters.saturations == want_clips == 0
 
@@ -890,7 +940,7 @@ def test_the_layer_bounds_pass_at_int32_max_and_fail_one_above():
 @given(st.integers(0, 2**32 - 1))
 def test_gathered_and_full_width_routes_agree_on_the_ordered_fallback(seed):
     # one stream of events on a full-scale side from accumulators near the
-    # edge, with the bound refused so every call takes the ordered steps:
+    # edge, unproven so every call takes the ordered steps:
     # the gathered columns and the full-width matrix over the scattered
     # deltas leave the per-event reference's accumulators and clips
     rng = make_rng(seed)
@@ -916,7 +966,6 @@ def test_gathered_and_full_width_routes_agree_on_the_ordered_fallback(seed):
 
         got = acc0.copy()
         with mock.patch.object(gru, "ROUTE_SHARE", share), \
-                mock.patch.object(fxp, "no_clip", lambda *args: False), \
                 mock.patch.object(fxp, "sat_columns", ordered):
             clips = sum(delta_mxv_accumulate(side, idx, vals, got) for idx, vals in stream)
         assert np.array_equal(got, want) and clips == want_clips
@@ -929,7 +978,7 @@ def test_route_crossover_sits_at_its_event_count(n, first):
     side = GateStack.of([QTensor((2, n), Q8_8, np.ones((2, n), np.int16))])
     widths = []
 
-    def routed(acc, w, w_abs, x):
+    def routed(acc, w, x, proven):
         widths.append(w.shape[1])
         return 0
 
