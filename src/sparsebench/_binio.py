@@ -1,5 +1,6 @@
 """The one file boundary (``read_bytes``, ``read_text``, ``atomic_write``:
-any OSError is a MissingArtifact naming the path) and a byte reader."""
+any OSError, and the ValueError of a path holding a NUL byte, is a
+MissingArtifact naming the path) and a byte reader."""
 
 import os
 import struct
@@ -33,17 +34,20 @@ class Reader:
             raise MalformedStream("trailing data after payload", self.pos)
 
 
-def _file_error(verb: str, path: str, exc: OSError) -> MissingArtifact:
+def _file_error(verb: str, path: str, exc: OSError | ValueError) -> MissingArtifact:
+    """``exc`` as an error naming ``path``, quoted when it holds a
+    character that does not print (a NUL byte, which no OS path holds)."""
     reason = ("not found" if verb == "read" and isinstance(exc, FileNotFoundError)
-              else exc.strerror or str(exc))
-    return MissingArtifact(f"cannot {verb} {path}: {reason}")
+              else getattr(exc, "strerror", None) or str(exc))
+    name = path if path.isprintable() else repr(path)
+    return MissingArtifact(f"cannot {verb} {name}: {reason}")
 
 
 def read_bytes(path: str) -> bytes:
     try:
         with open(path, "rb") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise _file_error("read", path, exc) from exc
 
 
@@ -53,10 +57,10 @@ def read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise _file_error("read", path, exc) from exc
     except UnicodeDecodeError as exc:  # one decode of the whole file: a file offset
         raise MalformedStream(f"{path}: not UTF-8 text", exc.start) from exc
+    except (OSError, ValueError) as exc:  # the ValueError of a NUL in the path
+        raise _file_error("read", path, exc) from exc
 
 
 def atomic_write(path: str, data: bytes) -> None:
@@ -75,5 +79,5 @@ def atomic_write(path: str, data: bytes) -> None:
         except BaseException:
             os.unlink(tmp)
             raise
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise _file_error("write", path, exc) from exc

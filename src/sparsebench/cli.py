@@ -27,7 +27,7 @@ from .memmodel import (MemConfig, cost_trace, random_vs_burst_ratio,
                        schedule_dense_weight_stream, solve_budget)
 from .netdesc import count, integer, load_mem_config, load_network, number, u64
 from .report import scatter_axes, scatter_csv, scatter_svg
-from .runner import (execute_conv, execute_conv_averaged, execute_gru,
+from .runner import (check_width, execute_conv, execute_conv_averaged, execute_gru,
                      load_conv_input, load_seq_input, sweep_rows_csv,
                      sweep_theta)
 from .trace import trace_from_csv
@@ -101,6 +101,7 @@ def cmd_run(args) -> int:
             run = None
         else:
             x = load_conv_input(args.input, args.seed)
+            check_width(desc, x.dims[0], args.input)
             report, run = execute_conv(desc, x, args.mode, mem, args.seed)
     else:
         if args.count > 1:
@@ -108,6 +109,7 @@ def cmd_run(args) -> int:
         if args.theta is not None:
             _flag("--theta", quantize_theta, args.theta)
         x_seq = load_seq_input(args.input, args.seed)
+        check_width(desc, x_seq.dims[1], args.input)
         report, run = execute_gru(desc, x_seq, args.mode, mem, args.seed,
                                   theta_override=args.theta)
     if args.trace_csv:
@@ -158,6 +160,7 @@ def sweep_thetas(desc, args) -> int:
         raise ShapeMismatch("a theta sweep needs a gru network")
     thetas = numbers("--thetas", args.thetas, quantize_theta)
     x_seq = load_seq_input(args.input, args.seed)
+    check_width(desc, x_seq.dims[1], args.input)
     emit(sweep_rows_csv(*sweep_theta(desc, x_seq, thetas)), args.out)
     return 0
 

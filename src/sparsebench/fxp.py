@@ -183,8 +183,8 @@ def int32_array(values, what: str) -> np.ndarray:
 # (the ordered step, `sat_add`). An engine may drop the clamps only for
 # a whole layer run, and only after it has proven, before the run's
 # first term, that no ordered prefix of any accumulator's terms can
-# clip: `conv.zeroskip_no_clip`, `gru.layer_no_clip` and
-# `gru.dense_no_clip`. (The dense conv oracle, a check, proves each of
+# clip: `conv.zeroskip_no_clip` and `gru.layer_no_clip`, which serves
+# both GRU engines. (The dense conv oracle, a check, proves each of
 # its channel groups the same way.) Each proof bounds every prefix by a
 # sum of magnitudes, ``|acc| + |W| @ P`` with P a bound on each factor's
 # magnitude. Then every product of the run is one float64 BLAS product,
@@ -205,7 +205,9 @@ def int32_array(values, what: str) -> np.ndarray:
 # of 2**31 or more would round to at least 2**31; so each is represented
 # exactly and the computed bound is the exact one. Every partial sum of
 # the signed product ``acc + W @ x``, in any order, is at most that bound
-# in magnitude, so it too is an exact integer below 2**31.
+# in magnitude, so it too is an exact integer below 2**31. (The delta
+# GRU's product of deltas, taken before it is added, stays below 2**32
+# instead; `gru.layer_no_clip` says why.)
 
 # An engine that takes a block of terms at once (a conv channel group, a
 # dense GRU chunk of steps) caps its work matrix near this many bytes,

@@ -25,19 +25,22 @@ Each layer's six matrices are used as two gate stacks, one per input
 side. The four pre-activation accumulators live in one int64 vector
 laid out [xc, r, u, hc]: the input side [W_xc; W_xr; W_xu] updates its
 first three quarters and the hidden side [W_hr; W_hu; W_hc] its last
-three. Each engine proves once per layer run that no accumulator can
-clip, and then takes every product of the run as one float64 product;
-without the proof, every product of the run is the ordered steps
-(`fxp.sat_columns`). The delta engine (`layer_no_clip`) makes one
-product per side and computed step, over the gathered event columns or,
-when events are dense, over the full stored matrix; it makes none on a
-quiet step whose output it already knows. After a layer run with no
-accumulator clip it checks that the accumulators equal the biases plus
-the weights times the memories (`check_telescoped`). The dense engine
-(`dense_no_clip`, the same bound without the delta engine's factor 2)
-takes the input side of a chunk of steps in one product, since it does
-not depend on the recurrence, and the hidden side one step at a time.
-Both engines share one gate tail (`_gates`), taken in float64 and exact.
+three. Both engines prove once per layer run, with one bound
+(`layer_no_clip`), that no accumulator can clip, and then take every
+product of the run as one float64 product; without the proof, every
+product of the run is the ordered steps (`fxp.sat_columns`). The delta
+engine asks for the proof only from a state whose accumulators equal
+the biases plus the weights times the memories (`telescoped`): the
+deltas sent on a component telescope to its memory, so every prefix of
+such a run is again biases plus weights times memory values, as bounded
+as a dense step. It makes one product per side and computed step, over
+the gathered event columns or, when events are dense, over the full
+stored matrix, and none on a quiet step whose output it already knows;
+a run with no accumulator clip ends by checking that its state still
+telescopes (`check_telescoped`). The dense engine takes the input side
+of a chunk of steps in one product, since it does not depend on the
+recurrence, and the hidden side one step at a time. Both engines share
+one gate tail (`_gates`), taken in float64 and exact.
 """
 
 from dataclasses import dataclass
@@ -307,83 +310,70 @@ def _bound_holds(spec: GruLayerSpec, acc: np.ndarray, p_x: np.ndarray,
     return bool(bound.max() <= INT32_MAX)
 
 
-def _hidden_peak(*hs: np.ndarray) -> np.ndarray:
-    """``max(one, |h|)`` over the given hidden vectors, in int32: a bound
-    on every later gate output of a run whose hidden values start there
-    (`layer_no_clip`)."""
-    peak = np.full(len(hs[0]), 1 << ACT_FMT.frac_bits, np.int32)
-    for v in hs:
-        np.maximum(peak, np.abs(v, dtype=np.int32), out=peak)
-    return peak
-
-
 def layer_no_clip(spec: GruLayerSpec, xs: np.ndarray, state: LayerState) -> bool:
-    """True when no prefix of any delta step of a sparse run of ``xs``
-    from ``state`` can clip an accumulator, in any order of one step's
-    terms.
+    """True when no partial sum of any step of a run of ``xs`` from
+    ``state`` can clip an accumulator, in any order of one step's terms,
+    for a dense run from any state and a delta run from a telescoped one.
 
-    A memory component only ever holds its initial value or a value it
-    was sent, so the deltas sent on component j telescope to ``m_j -
-    m0_j``, and ``|m_j - m0_j| <= 2 P_j`` for a bound ``P_j`` on every
-    value it can hold. Each prefix of the run, and each partial sum of
-    one step's product, is ``acc0 + W (m - m0)`` for some mix of old and
-    new memories, so with no clip before it its magnitude is at most
-    ``|acc0| + |W_x| 2 P_x`` on rows [0:3h] plus ``|W_h| 2 P_h`` on rows
-    [h:4h] (`_bound_holds`); if that bound is at most INT32_MAX nothing
-    clips, by induction over the prefixes.
+    The bound is ``|bias| + |W_x| P_x`` on rows [0:3h] plus ``|W_h|
+    P_h`` on rows [h:4h] (`_bound_holds`), ``P_j`` bounding every value
+    component j takes in the run. ``P_x[j]`` is the largest ``|x_mem[j]|``
+    or ``|xs[t, j]|``, in int32 because ``abs(-32768)`` overflows int16.
+    ``P_h[j] = max(one, |h_mem[j]|, |h[j]|)``: a hidden value is the
+    run's first ``h_prev`` or a gate output, and ``|h'| <= max(one,
+    |h_prev|)``, since ``u`` is a ``SIGMOID_LUT`` value in [0, one] and
+    ``|c| <= one`` a ``TANH_LUT`` one, so ``|(one - u) c + u h_prev| <=
+    one max(one, |h_prev|)`` before the rounding shift by ``log2(one)``.
 
-    ``P_x[j]`` is the largest ``|x_mem0[j]|`` or ``|xs[t, j]|``, taken
-    in int32 because ``abs(-32768)`` overflows int16. ``P_h[j] = max(one,
-    |h_mem0[j]|, |h0[j]|)``: a sent hidden value is the run's first
-    ``h_prev`` or a gate output, and the gate output satisfies ``|h'| <=
-    max(one, |h_prev|)``, since ``u`` is a ``SIGMOID_LUT`` value in [0,
-    one] and ``|c| <= one`` is a ``TANH_LUT`` value, so ``|(one - u) c +
-    u h_prev| <= one max(one, |h_prev|)`` before the rounding shift by
-    ``log2(one)``, which keeps an integer bound.
+    A dense step's partial sums are the bias plus some terms ``W_j v_j``
+    with ``|v_j| <= P_j``. A delta run from a telescoped state is at
+    ``bias + W m`` after each step with no clip before it, m the
+    memories: a memory holds its start value or a value it was sent, and
+    the deltas sent on it telescope. A partial sum of a step adds some
+    of its deltas ``m'_j - m_j``, so it is ``bias + W m''``, each
+    ``m''_j`` an old or new memory value. So every prefix is within the
+    bound, and if that is at most INT32_MAX nothing clips, by induction.
+    The delta engine takes a step's product ``W d`` on its own, and its
+    partial sums may pass 2**31 (``|d_j| <= 2 P_j``), but they are
+    integers below 2**32 by the bound, so the float64 product is exact.
+    From a state that does not telescope the bound proves nothing.
     """
     p_x = np.maximum(np.abs(state.x_mem, dtype=np.int32),
                      np.abs(xs, dtype=np.int32).max(axis=0, initial=0))
-    p_h = _hidden_peak(state.h_mem, state.h)
-    return _bound_holds(spec, state.acc, 2 * p_x, 2 * p_h)
+    p_h = np.full(spec.hidden_size, 1 << ACT_FMT.frac_bits, np.int32)
+    for v in (state.h_mem, state.h):
+        np.maximum(p_h, np.abs(v, dtype=np.int32), out=p_h)
+    return _bound_holds(spec, spec.acc_bias, p_x, p_h)
 
 
-def dense_no_clip(spec: GruLayerSpec, xs: np.ndarray, h0: np.ndarray) -> bool:
-    """True when no partial sum of any dense step of a run of ``xs``
-    from the hidden state ``h0`` can clip an accumulator, in any order
-    of one step's terms.
+def telescoped(spec: GruLayerSpec, state: LayerState) -> bool:
+    """True when each accumulator of ``state`` equals its bias plus the
+    weights times the memories, gate by gate: ``acc = bias + W_x x_mem +
+    W_h h_mem``.
 
-    A dense step starts from the biases, not from memories, so each
-    partial sum is at most ``|bias| + |W_x| P_x`` on rows [0:3h] plus
-    ``|W_h| P_h`` on rows [h:4h] (`_bound_holds`), with no factor 2:
-    ``P_x[j]`` is the largest ``|xs[t, j]|``, in int32, and ``P_h =
-    max(one, |h0|)`` bounds every ``h_prev`` of the run by the gate
-    output argument of `layer_no_clip`.
-    """
-    p_x = np.abs(xs, dtype=np.int32).max(axis=0, initial=0)
-    return _bound_holds(spec, spec.acc_bias, p_x, _hidden_peak(h0))
-
-
-def check_telescoped(spec: GruLayerSpec, start: LayerState, end: LayerState) -> None:
-    """Raise ``EquivalenceFailure`` unless a sparse run from ``start`` to
-    ``end`` with no accumulator clip left each accumulator at its start
-    plus the weights times the memories' change.
-
-    The deltas a run sends on a component telescope to its memory's
-    change, at any theta and with quiet steps skipped, so with no clip
-    ``acc - acc0 = W_x (x_mem - x_mem0) + W_h (h_mem - h_mem0)`` gate by
-    gate. The products are taken in int64 (each term at most 2**31)
-    from the spec's own matrices, not from the gate stacks, ``sat_matvec``
-    or the layer proof, so the check tests `encode_delta`,
+    A delta run from such a state with no accumulator clip ends in one:
+    the deltas it sends on a component telescope to its memory's change,
+    at any theta and with quiet steps skipped. The products are taken in
+    int64 (each term at most 2**30) from the spec's own matrices, not
+    from the gate stacks, ``sat_matvec`` or the layer proof, so the check
+    at the end of a run (`check_telescoped`) tests `encode_delta`,
     `delta_mxv_accumulate`, its routes, the column layout and the
     quiet-step skip. It does not test the gate tail.
     """
-    dx = end.x_mem.astype(np.int64) - start.x_mem
-    dh = end.h_mem.astype(np.int64) - start.h_mem
-    xc, r, u, hc = np.split(end.acc - start.acc, 4)
-    if not (np.array_equal(xc, spec.w_xc.data @ dx)
-            and np.array_equal(r, spec.w_xr.data @ dx + spec.w_hr.data @ dh)
-            and np.array_equal(u, spec.w_xu.data @ dx + spec.w_hu.data @ dh)
-            and np.array_equal(hc, spec.w_hc.data @ dh)):
+    x = state.x_mem.astype(np.int64)
+    h = state.h_mem.astype(np.int64)
+    xc, r, u, hc = np.split(state.acc, 4)
+    return (np.array_equal(xc, spec.b_c + spec.w_xc.data @ x)
+            and np.array_equal(r, spec.b_r + spec.w_xr.data @ x + spec.w_hr.data @ h)
+            and np.array_equal(u, spec.b_u + spec.w_xu.data @ x + spec.w_hu.data @ h)
+            and np.array_equal(hc, spec.w_hc.data @ h))
+
+
+def check_telescoped(spec: GruLayerSpec, state: LayerState) -> None:
+    """Raise ``EquivalenceFailure`` unless ``state`` telescopes
+    (`telescoped`): `run_layer` calls it after a delta run that started
+    from a telescoped state and clipped no accumulator."""
+    if not telescoped(spec, state):
         raise EquivalenceFailure(
             "delta GRU accumulators diverged from the biases plus the weights "
             "times the memories; this is a bug")
@@ -501,21 +491,23 @@ def run_layer(spec: GruLayerSpec, xs: np.ndarray, state: LayerState,
     trace rows are those of any step. After any step every component is
     within theta of its memory, so a threshold step cannot fire, and is
     not called, on an input row equal to the row before it or on an
-    ``h_prev`` the last gate call returned unchanged. One bound before
-    the first step (`layer_no_clip`) lets every delta product be one
-    float64 product; without it every one is the ordered loop. A run
-    with no accumulator clip ends in `check_telescoped`, so a bug in the
-    delta steps fails at any theta.
+    ``h_prev`` the last gate call returned unchanged. If ``state``
+    telescopes (`telescoped`), one bound before the first step
+    (`layer_no_clip`) lets every delta product be one float64 product;
+    without it, or from a state that does not telescope, every one is
+    the ordered loop. A run from a telescoped state with no accumulator
+    clip ends in `check_telescoped`, so a bug in the delta steps fails
+    at any theta.
     Dense: each step recomputes the pre-activations from the biases
     over the full gate stacks and full vectors, and fetches every
     weight and bias word. The input side does not depend on the
     recurrence, so a chunk of steps (an int64 block of one accumulator
     row per step, capped near ``SLAB_BYTES``) takes it at once, on the
-    matrix of its inputs; each step is its own accumulator row. One
-    bound before the first step (`dense_no_clip`) proves that no partial
-    sum of any step's terms can clip. Then each chunk's input side and
-    each step's hidden side ``W_h @ h_prev`` is one float64 product,
-    added to its accumulator rows in place, exact by the `fxp`
+    matrix of its inputs; each step is its own accumulator row. The
+    same bound before the first step (`layer_no_clip`) proves that no
+    partial sum of any step's terms can clip. Then each chunk's input
+    side and each step's hidden side ``W_h @ h_prev`` is one float64
+    product, added to its accumulator rows in place, exact by the `fxp`
     accumulator comment; without the proof both are ordered
     ``sat_columns`` steps. These products are taken here, not through
     ``sat_matvec``, so that a fault in its unchecked branch, which the
@@ -535,8 +527,8 @@ def run_layer(spec: GruLayerSpec, xs: np.ndarray, state: LayerState,
     t_all = np.arange(steps)
     if mode == "sparse":
         theta = spec.theta
-        start = LayerState(x_mem.copy(), h_mem.copy(), h_prev, acc.copy())
-        proven = layer_no_clip(spec, xs, state)
+        start_ok = telescoped(spec, state)
+        proven = start_ok and layer_no_clip(spec, xs, state)
         acc_x, acc_h = acc[:3 * h], acc[h:]
         x_idx, h_idx = [], []
         x_same = np.zeros(steps, bool)  # the input row equals the one before
@@ -559,8 +551,8 @@ def run_layer(spec: GruLayerSpec, xs: np.ndarray, state: LayerState,
             x_idx.append(xi)
             h_idx.append(hi)
         sats += acc_sats
-        if not acc_sats:
-            check_telescoped(spec, start, state)
+        if start_ok and not acc_sats:
+            check_telescoped(spec, state)
         ex = np.array([a.size for a in x_idx], np.int64)
         eh = np.array([a.size for a in h_idx], np.int64)
         x_idx, h_idx = np.concatenate(x_idx), np.concatenate(h_idx)
@@ -579,7 +571,7 @@ def run_layer(spec: GruLayerSpec, xs: np.ndarray, state: LayerState,
                (t_all, _STATE_WRITE, 0, ex + eh + 5 * h)])
     else:
         bias = spec.acc_bias
-        proven = dense_no_clip(spec, xs, h_prev)
+        proven = layer_no_clip(spec, xs, state)
         hw = hside.cols.T
         chunk = max(1, SLAB_BYTES // bias.nbytes)
         for t0 in range(0, steps, chunk):

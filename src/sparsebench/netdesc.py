@@ -142,6 +142,7 @@ class NetworkDesc:
     conv_layers: list[ConvLayerSpec] = field(default_factory=list)
     gru_layers: list[GruLayerSpec] = field(default_factory=list)
     mem: MemConfig = field(default_factory=MemConfig)
+    source: str = ""  # the .net path it was loaded from; "" when built in code
 
 
 def parse_uri(uri: str, where: str | None = None) -> tuple[str, Fields]:
@@ -344,4 +345,4 @@ def load_network(path: str) -> NetworkDesc:
     for (_, out), (into, _) in zip(widths, widths[1:]):
         if into != out:
             raise ShapeMismatch(f"{path}: {kind} chain breaks: {out} -> {into}")
-    return NetworkDesc(name, kind, conv_layers, gru_layers, mem)
+    return NetworkDesc(name, kind, conv_layers, gru_layers, mem, path)

@@ -135,6 +135,20 @@ def load_seq_input(uri: str, seed: int) -> QTensor:
     return t
 
 
+def check_width(desc: NetworkDesc, width: int, uri: str) -> None:
+    """Refuse, before any engine runs, an input of ``width`` channels
+    (conv) or components per step (gru) that the first layer of
+    ``desc`` does not take; the error names the net (its ``.net`` path,
+    or its name when it was built in code) and the input ``uri``."""
+    if desc.kind == "conv":
+        want, what = desc.conv_layers[0].in_channels, "channels"
+    else:
+        want, what = desc.gru_layers[0].input_size, "components per step"
+    if width != want:
+        raise ShapeMismatch(f"{desc.source or desc.name}: layer 0 takes {want} {what}, "
+                            f"input {uri} gives {width}")
+
+
 def _bytes(words_by_tag: dict[str, int]) -> dict[str, int]:
     return {t: 2 * w for t, w in words_by_tag.items()}
 
@@ -253,7 +267,9 @@ def execute_conv_averaged(desc: NetworkDesc, uri: str, mode: str,
     traces = []
     peak = 0
     for _ in range(count):  # one input's run alive at a time
-        run_i, _ = _checked_conv_run(desc, draw(), mode)
+        x = draw()
+        check_width(desc, x.dims[0], uri)
+        run_i, _ = _checked_conv_run(desc, x, mode)
         peak = max(peak, run_i.peak_live_bytes)
         traces.append(run_i.trace)
         for l, r in enumerate(run_i.layer_results):

@@ -171,6 +171,21 @@ def test_run_mismatched_input_exits_3(conv_net, gru_net):
                  "--input", "synth:uniform,t=5,n=11"]) == 3
 
 
+@pytest.mark.parametrize("net, uri, argv, width", [
+    ("conv", "synth:map,c=5,h=8,w=8", ["run"], "2 channels"),
+    ("conv", "synth:map,c=5,h=8,w=8", ["run", "--count", "2"], "2 channels"),
+    ("gru", "synth:uniform,t=5,n=5", ["run"], "6 components per step"),
+    ("gru", "synth:uniform,t=5,n=5", ["sweep-theta", "--thetas", "0"],
+     "6 components per step")], ids=["conv", "conv-count", "gru", "sweep-theta"])
+def test_an_input_the_first_layer_does_not_take_names_the_net_and_the_input(
+        conv_net, gru_net, capsys, net, uri, argv, width):
+    # the engines refused it naming neither the .net file nor the input
+    path = conv_net if net == "conv" else gru_net
+    assert main(argv[:1] + ["--net", path, "--input", uri] + argv[1:]) == 3
+    assert capsys.readouterr().err == (f"error: {path}: layer 0 takes {width}, "
+                                       f"input {uri} gives 5\n")
+
+
 def test_run_non_finite_theta_exits_2(gru_net, capsys):
     # nan was cast to theta 0 (with a numpy warning) and reported as
     # checked; inf was silently saturated
@@ -1281,6 +1296,21 @@ def test_path_that_cannot_be_opened_exits_4_naming_it(tmp_path, conv_net, gru_ne
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(bad) in err and os.strerror(PATH_KINDS[kind]) in err and ".tmp-" not in err
+    assert not list(tmp_path.rglob(".tmp-*"))
+
+
+@pytest.mark.parametrize("entry", PATH_CASES)
+def test_a_path_holding_a_nul_byte_exits_4_naming_it(tmp_path, conv_net, gru_net, map_qt,
+                                                     capsys, entry):
+    # open() refuses such a path with a ValueError, which exited 2 with
+    # "embedded null byte" and most often no path
+    name, access, argv = PATH_CASES[entry]
+    ok = _valid_files(tmp_path, conv_net, gru_net, map_qt, capsys)
+    bad = str(tmp_path / f"a\0{name}")
+    assert main(argv(bad, ok)) == 4
+    err = capsys.readouterr().err
+    assert err.endswith(f"cannot {access} {bad!r}: embedded null byte\n")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not list(tmp_path.rglob(".tmp-*"))
 
 

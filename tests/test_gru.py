@@ -303,11 +303,10 @@ def _random_spec(rng, i, h):
 @settings(max_examples=150)
 @given(st.integers(0, 2**32 - 1), st.sampled_from((0, 1, None)))
 def test_float_bound_takes_the_fast_path_exactly_when_it_holds(seed, over):
-    # full-scale weights and factor bounds up to 2**16 (the delta
-    # engine's doubled int16 peaks). `over` puts one accumulator row's
-    # exact bound at INT32_MAX (0) or one past it (1). The float64 bound
-    # both GRU layer proofs share passes exactly when the bound in
-    # Python ints holds.
+    # full-scale weights and factor bounds up to 2**16, past any int16
+    # magnitude. `over` puts one accumulator row's exact bound at
+    # INT32_MAX (0) or one past it (1). The float64 bound of the GRU
+    # layer proof passes exactly when the bound in Python ints holds.
     rng = make_rng(seed)
     i, h = int(rng.integers(1, 5)), int(rng.integers(1, 4))
     spec = _random_spec(rng, i, h)
@@ -835,17 +834,17 @@ def test_a_failing_layer_proof_checks_every_product():
 
 
 def _dense_routes(specs, xs, proof=None):
-    """A dense run; returns it, each layer's `dense_no_clip` result (or
+    """A dense run; returns it, each layer's `layer_no_clip` result (or
     ``proof`` in its place) and the number of ordered ``sat_columns``
     calls. The dense engine makes no ``sat_matvec`` call."""
     proofs = []
-    dense_no_clip = gru.dense_no_clip
+    layer_no_clip = gru.layer_no_clip
 
     def proved(*args):
-        proofs.append(dense_no_clip(*args) if proof is None else proof)
+        proofs.append(layer_no_clip(*args) if proof is None else proof)
         return proofs[-1]
 
-    with mock.patch.object(gru, "dense_no_clip", proved), \
+    with mock.patch.object(gru, "layer_no_clip", proved), \
             mock.patch.object(gru, "sat_matvec", side_effect=AssertionError("sat_matvec")), \
             mock.patch.object(gru, "sat_columns", wraps=fxp.sat_columns) as ordered:
         run = run_sequence(specs, xs, "dense")
@@ -902,38 +901,94 @@ def test_a_failing_dense_proof_checks_every_step():
 
 
 def _unit_spec(w_xc=0, w_hr=0, b_c=0, b_r=0):
-    """A 1 -> 1 layer of Q2.14 raw weights: ``w_xc`` and ``w_hr`` as
-    given, the other four zero, and the biases ``b_c`` and ``b_r``."""
-    def w(v):
-        return QTensor((1, 1), fxp.Q2_14, np.array([[v]], np.int16))
+    """A layer of one hidden unit and Q2.14 raw weights: ``w_xc`` (a
+    number, or a list of one per input) and ``w_hr`` as given, the
+    other four zero, and the biases ``b_c`` and ``b_r``."""
+    w_xc = np.atleast_2d(np.array(w_xc, np.int16))
+    i = w_xc.shape[1]
 
-    return gru.GruLayerSpec(1, 1, w(0), w(0), w(w_xc), w(w_hr), w(0), w(0),
-                            np.array([b_r]), np.zeros(1, np.int32), np.array([b_c]), theta=0)
+    def w(v, n):
+        return QTensor((1, n), fxp.Q2_14, np.broadcast_to(np.int16(v), (1, n)).copy())
+
+    return gru.GruLayerSpec(i, 1, w(0, i), w(0, i), w(w_xc, i), w(w_hr, 1), w(0, 1),
+                            w(0, 1), np.array([b_r]), np.zeros(1, np.int32),
+                            np.array([b_c]), theta=0)
+
+
+def _telescoped_state(spec, x_mem=0, h_mem=0, h=0):
+    """A state with these memories and last output, its accumulators the
+    biases plus the gate stacks times the memories."""
+    x_mem = np.full(spec.input_size, x_mem, np.int16)
+    h_mem = np.full(spec.hidden_size, h_mem, np.int16)
+    n = spec.hidden_size
+    acc = spec.acc_bias
+    acc[:3 * n] += (x_mem @ spec.x_side.cols).astype(np.int64)
+    acc[n:] += (h_mem @ spec.h_side.cols).astype(np.int64)
+    return LayerState(x_mem, h_mem, np.full(n, h, np.int16), acc)
 
 
 def test_the_layer_bounds_pass_at_int32_max_and_fail_one_above():
-    # the input side: |b_c| + |w_xc| P_x; the hidden side: |b_r| + |w_hr|
-    # P_h with P_h at least one (256) from a zero h0. The sparse proof
-    # doubles both products; the dense one does not
+    # one bound for both engines: the input side |b_c| + |w_xc| P_x, the
+    # hidden side |b_r| + |w_hr| P_h. P_x is the largest input or input
+    # memory, P_h at least one (256), the hidden memory or the first
+    # hidden value, each from a state that telescopes
     one = 1 << Q8_8.frac_bits
     for over in (0, 1):
-        dense = [(_unit_spec(w_xc=3, b_c=INT32_MAX - 9), 3 + over),
-                 (_unit_spec(w_hr=1, b_r=INT32_MAX - one + over), 0)]
-        for spec, x in dense:
-            xs = np.array([[x]], np.int16)
-            assert gru.dense_no_clip(spec, xs, np.zeros(1, np.int16)) == (not over)
-        sparse = [(_unit_spec(w_xc=3, b_c=INT32_MAX - 18), 3 + over),
-                  (_unit_spec(w_hr=1, b_r=INT32_MAX - 2 * one + over), 0)]
-        for spec, x in sparse:
-            xs = np.array([[x]], np.int16)
-            assert gru.layer_no_clip(spec, xs, LayerState.initial(spec)) == (not over)
+        x_side = _unit_spec(w_xc=3, b_c=INT32_MAX - 9)
+        hidden = _unit_spec(w_hr=1, b_r=INT32_MAX - 1000)
+        cases = [(x_side, 3 + over, {}), (x_side, 3, {"x_mem": -3 - over}),
+                 (_unit_spec(w_hr=1, b_r=INT32_MAX - one + over), 0, {}),
+                 (hidden, 0, {"h_mem": -1000 - over}), (hidden, 0, {"h": -1000 - over})]
+        for spec, x, memories in cases:
+            state = _telescoped_state(spec, **memories)
+            assert gru.telescoped(spec, state)
+            assert gru.layer_no_clip(spec, np.array([[x]], np.int16), state) == (not over)
     # at the edge the run reaches INT32_MAX and clips nothing; one above, it clips
     for x, clips in ((3, 0), (4, 1)):
         xs = QTensor((1, 1), Q8_8, np.array([[x]], np.int16))
-        spec = _unit_spec(w_xc=3, b_c=INT32_MAX - 9)
-        assert run_sequence([spec], xs, "dense").counters.saturations == clips
-        want, want_clips, *_ = _reference_gru([spec], xs, "dense")
+        for mode in ("sparse", "dense"):
+            assert run_sequence([x_side], xs, mode).counters.saturations == clips
+        want, want_clips, *_ = _reference_gru([x_side], xs, "dense")
         assert want_clips == clips
+    # from accumulators one off their biases plus weights times memories
+    # the bound still holds but proves nothing: every delta product of
+    # the run is ordered, and no end check runs
+    xs = np.array([[3], [-3], [1]], np.int16)
+    for off, proven in ((0, True), (1, False)):
+        state = _telescoped_state(x_side)
+        state.acc[0] -= off
+        assert gru.layer_no_clip(x_side, xs, state)
+        assert gru.telescoped(x_side, state) == proven
+        with mock.patch.object(gru, "sat_matvec", wraps=fxp.sat_matvec) as product, \
+                mock.patch.object(gru, "check_telescoped",
+                                  wraps=gru.check_telescoped) as check:
+            run_layer(x_side, xs, state)
+        assert {c.args[3] for c in product.call_args_list} == {proven}
+        assert check.called == proven
+
+
+def test_a_block_after_a_clipping_block_takes_the_ordered_steps():
+    # three inputs of weight 32767 into the candidate sum. The first block
+    # clips at INT32_MIN on its first step and returns its inputs to 0,
+    # which leaves the accumulator about 2**30 above its bias and weights
+    # times its memories. The second block's inputs pass the bound
+    # (3 * 32767 * 21845 < 2**31), but from that state its first step
+    # clips at INT32_MAX, so it must take the ordered steps: the chained
+    # blocks equal one run and the per-step ordered reference
+    spec = _unit_spec(w_xc=[32767] * 3)
+    first = np.array([[-32767] * 3, [0] * 3], np.int16)
+    second = np.array([[21845] * 3, [0] * 3], np.int16)
+    whole = QTensor((4, 3), Q8_8, np.vstack([first, second]))
+    want, want_clips, *_ = _reference_gru([spec], whole, "sparse")
+    assert want_clips > 0
+    state, outs, clips = LayerState.initial(spec), [], 0
+    for block in (first, second):
+        out, state, record = run_layer(spec, block, state)
+        outs.append(out)
+        clips += record.counter.saturations
+        if block is first:
+            assert not gru.telescoped(spec, state)
+    assert np.array_equal(np.vstack(outs), want.data) and clips == want_clips
 
 
 @settings(deadline=None, max_examples=40)
@@ -1047,13 +1102,12 @@ def test_a_run_with_no_accumulator_clip_is_checked_and_a_clipping_one_is_not():
     clipping = _edge_biases(gru_spec(rng, 6, 8, theta=0.05, w_amp=1.9), rng)
     xs = uniform_seq(10, 6, rng, amp=100.0).data
     for spec, checked in ((quiet, True), (clipping, False)):
-        start = LayerState.initial(spec)
         with mock.patch.object(gru, "check_telescoped", wraps=gru.check_telescoped) as check:
             _, end, _ = run_layer(spec, xs, LayerState.initial(spec))
         assert check.called == checked
         if not checked:
             with pytest.raises(EquivalenceFailure, match="accumulators diverged"):
-                gru.check_telescoped(spec, start, end)
+                gru.check_telescoped(spec, end)
 
 
 # --- single-step semantics ------------------------------------------------------------

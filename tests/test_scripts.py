@@ -57,6 +57,13 @@ def test_theta_tradeoff_sweeps_the_demo_network(capsys):
     assert float(coarse[-2]) > float(zero[-2]) > 1.0
 
 
+def test_theta_tradeoff_names_the_demo_network_in_a_width_mismatch(capsys):
+    uri = "synth:uniform,t=3,n=31"
+    code, out, err = run("theta_tradeoff.py", ["--input", uri], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: demo-gru: layer 0 takes 32 components per step, input {uri} gives 31\n"
+
+
 def test_theta_tradeoff_needs_a_gru_network(tmp_path, capsys):
     net = tmp_path / "c.net"
     net.write_text("[conv]\nin_c = 2\nout_c = 2\nk = 3\nweights = synth:uniform\nbias = zero\n")
