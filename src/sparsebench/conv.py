@@ -1,27 +1,27 @@
 """Zero-skipping convolution engine with fused ReLU and max-pooling.
 
 Two computation paths share one fixed-point pipeline (32-bit saturating
-accumulators, ties-to-even renormalization):
+accumulators, ties-to-even renormalization) and one no-clip proof per
+layer run (`layer_no_clip`, on each input channel's largest |value|):
 
 * conv_dense_oracle: gather-style reference that multiplies every
-  (output position, kernel element) pair, padded zeros included. Each
-  group of input channels is one float64 im2col product when its exact
-  per-output bound holds, and the ordered `sat_add` steps otherwise.
+  (output position, kernel element) pair, padded zeros included: with
+  the proof, one float64 im2col product per group of input channels,
+  and without it one ordered `sat_add` step per (channel, tap).
 * conv_zeroskip: input-stationary scatter from the non-zero pixels of a
   compressed input to only the accumulators each one feeds. Skipped
   pixels cost no modeled MAC: the MAC count is the (non-zero pixel,
-  tap) hits times the output channels. On the host, one bound before
-  the first group (`zeroskip_no_clip`) proves that no accumulator can
-  clip in the layer run; then each group of input channels is one
-  float64 BLAS product (`fxp.sat_matvec`), zeros included, and without
-  the proof every group takes the ordered steps.
+  tap) hits times the output channels. On the host, each group of input
+  channels is one float64 BLAS product (`fxp.sat_matvec`), zeros
+  included, with the proof, and the ordered steps without it.
 
 Both define each output as its terms added in the same order (input
 channel, then kernel row, then kernel column), clamped after each, and
 adding zero to a saturating accumulator is the identity, so the two
-paths agree bit-exactly even when intermediate sums clip. The oracle
-proves its own product and shares neither `sat_matvec` nor the
-zero-skip hit lists, so the check stays independent of both.
+paths agree bit-exactly even when intermediate sums clip. Equal inputs
+give equal peaks, so both take the same route. The oracle shares
+neither `sat_matvec` nor the zero-skip hit lists, so the check stays
+independent of both.
 
 ReLU and 2x2 pooling are fused after accumulation: the window maximum
 is taken on the 32-bit plane and clamped once, so no full-resolution
@@ -133,9 +133,10 @@ def fused_relu_pool(acc: np.ndarray, relu: bool, pool: str,
     """
     out = acc
     if pool == "max2x2":
-        c, h, w = acc.shape
-        ph, pw = h // 2, w // 2
-        out = acc[:, : 2 * ph, : 2 * pw].reshape(c, ph, 2, pw, 2).max(axis=(2, 4))
+        _, h, w = acc.shape
+        a = acc[:, : h - h % 2, : w - w % 2]  # each window's four corners, strided
+        out = np.maximum(np.maximum(a[:, 0::2, 0::2], a[:, 0::2, 1::2]),
+                         np.maximum(a[:, 1::2, 0::2], a[:, 1::2, 1::2]))
         counter.comparisons += 3 * out.size
     if relu:
         out = np.maximum(out, 0)
@@ -179,21 +180,19 @@ def conv_dense_oracle(spec: ConvLayerSpec, x: QTensor,
     column) with saturation after every term, matching the zero-skip
     path exactly.
 
-    Each group of input channels (sized as in `conv_zeroskip`) is copied
-    into an im2col matrix ``P``: one row per (channel, kernel row,
-    kernel column), in term order, and one column per output position.
-    With ``W2`` the weights as (out_c, in_c * kh * kw), the group's
-    ``bound = |acc| + |W2|[:, rows] @ |P|`` caps, per output, the
-    magnitude of every ordered prefix of its terms. When no output's
-    bound passes INT32_MAX, ``acc += W2[:, rows] @ P`` in float64 is
-    exact and clips nothing, by the argument in the `fxp` accumulator
-    comment applied to each output. Otherwise the group runs the
-    ordered `sat_add` step per (channel, kernel row, kernel column).
-    Groups run in ascending order, each from the accumulators the last
-    one left, and either route equals the group's own ordered steps
-    from there, so the result is the ordered, clamped sum. The oracle
-    shares neither `fxp.sat_matvec` nor the zero-skip hit lists, so
-    the sparse == dense check still tests them.
+    One proof per layer run, `layer_no_clip` on each channel's largest
+    |value| in ``x``, picks the route, as in `conv_zeroskip`: a padded
+    zero adds a zero term, so the zero-skip bound caps every ordered
+    prefix of the oracle's terms too, and on equal inputs both engines
+    take the same route. When it holds, each group of input channels
+    (sized as in `conv_zeroskip`) is copied into an im2col matrix ``P``,
+    one row per (channel, kernel row, kernel column) in term order and
+    one column per output position, and ``acc += W2[:, rows] @ P`` in
+    float64 is exact and clips nothing (the `fxp` accumulator comment),
+    ``W2`` being the weights as (out_c, in_c * kh * kw). Otherwise every
+    (channel, kernel row, kernel column) takes the ordered `sat_add`
+    step. The oracle shares neither `fxp.sat_matvec` nor the zero-skip
+    hit lists, so the sparse == dense check still tests them.
     """
     if len(x.dims) != 3 or x.dims[0] != spec.in_channels:
         raise ShapeMismatch(
@@ -209,29 +208,25 @@ def conv_dense_oracle(spec: ConvLayerSpec, x: QTensor,
     counter.adds += acc.size
     # A padded zero adds a zero term, which cannot clip, so every tap
     # takes its strided window of the padded input over the whole plane.
-    xv = np.pad(x.data.reshape(c, h, w).astype(np.int64), ((0, 0), (p, p), (p, p)))
-    wv = spec.weights.data.reshape(spec.weights.dims).astype(np.int64)
-    # (channel, kernel row, kernel column, output row, output column)
-    windows = sliding_window_view(xv, (kh, kw), axis=(1, 2))[:, ::s, ::s]
-    windows = windows.transpose(0, 3, 4, 1, 2)
-    w2 = wv.reshape(spec.out_channels, -1).astype(np.float64)
-    w2_abs = np.abs(w2)
-    groups, buf = _channel_groups(c, taps, h_out * w_out)
-    for c0, c1 in groups:
-        rows = slice(c0 * taps, c1 * taps)
-        im2col = buf[:(c1 - c0) * taps]
-        im2col.reshape(c1 - c0, kh, kw, h_out, w_out)[...] = windows[c0:c1]
-        prod = w2[:, rows] @ im2col
-        bound = w2_abs[:, rows] @ np.abs(im2col, out=im2col)
-        bound += np.abs(acc, dtype=np.float64)
-        if bound.max() <= INT32_MAX:
-            np.add(acc, prod, out=acc, casting="unsafe")
-            continue
-        for ic in range(c0, c1):
-            for ky in range(kh):
-                for kx in range(kw):
-                    xs = xv[ic, ky: ky + (h_out - 1) * s + 1: s, kx: kx + (w_out - 1) * s + 1: s]
-                    counter.saturations += sat_add(acc3, wv[:, ic, ky, kx][:, None, None] * xs[None])
+    xv = np.zeros((c, h + 2 * p, w + 2 * p), np.int64)  # np.pad costs ~10x this
+    xv[:, p:p + h, p:p + w] = x.data
+    wv = spec.weights.data.astype(np.int64)
+    # int32, since abs(-32768) overflows int16
+    peak = np.abs(x.data.reshape(c, -1), dtype=np.int32).max(axis=1)
+    if layer_no_clip(spec, peak):
+        # (channel, kernel row, kernel column, output row, output column)
+        windows = sliding_window_view(xv, (kh, kw), axis=(1, 2))[:, ::s, ::s]
+        windows = windows.transpose(0, 3, 4, 1, 2)
+        w2 = wv.reshape(spec.out_channels, -1).astype(np.float64)
+        groups, buf = _channel_groups(c, taps, h_out * w_out)
+        for c0, c1 in groups:
+            im2col = buf[:(c1 - c0) * taps]
+            im2col.reshape(c1 - c0, kh, kw, h_out, w_out)[...] = windows[c0:c1]
+            np.add(acc, w2[:, c0 * taps:c1 * taps] @ im2col, out=acc, casting="unsafe")
+    else:
+        for ic, ky, kx in np.ndindex(c, kh, kw):  # term order
+            xs = xv[ic, ky: ky + (h_out - 1) * s + 1: s, kx: kx + (w_out - 1) * s + 1: s]
+            counter.saturations += sat_add(acc3, wv[:, ic, ky, kx][:, None, None] * xs[None])
     n_dense = spec.dense_equivalent_macs(h, w)
     counter.macs_executed += n_dense
     counter.macs_dense_equivalent += n_dense
@@ -272,16 +267,16 @@ def _tap_hits(spec: ConvLayerSpec, ys: np.ndarray, xs: np.ndarray,
             yield ky * spec.kernel_w + kx, hit, row_pos[hit] + ox[hit]
 
 
-def zeroskip_no_clip(spec: ConvLayerSpec, peak: np.ndarray) -> bool:
+def layer_no_clip(spec: ConvLayerSpec, peak: np.ndarray) -> bool:
     """True when no ordered prefix of any output's terms can clip in a
-    zero-skip run whose input channel c holds no value larger than
-    ``peak[c]`` in magnitude.
+    layer run, by either engine, whose input channel c holds no value
+    larger than ``peak[c]`` in magnitude.
 
     An output takes at most one term per (input channel, tap), at most
-    ``|W2[o, (c, tap)]| peak[c]`` in magnitude, so every prefix of its
-    terms is within ``|bias| + |W2| @ repeat(peak, taps)``. That bound
-    is computed in float64 and is exact when it passes (the `fxp`
-    accumulator comment).
+    ``|W2[o, (c, tap)]| peak[c]`` in magnitude (a padded zero or a
+    skipped pixel adds zero), so every prefix of its terms is within
+    ``|bias| + |W2| @ repeat(peak, taps)``. That bound is computed in
+    float64 and is exact when it passes (the `fxp` accumulator comment).
     """
     taps = spec.kernel_h * spec.kernel_w
     w2_abs = np.abs(spec.weights.data.reshape(spec.out_channels, -1), dtype=np.float64)
@@ -303,11 +298,12 @@ def conv_zeroskip(spec: ConvLayerSpec, sfm: SparseFeatureMap,
     share a cell. With ``W2`` the weights as (out_c, in_c * kh * kw), one
     ``sat_matvec(acc, W2[:, rows], slab, proven)`` per group adds them
     to the accumulators, which start at the bias; ``proven`` is
-    `zeroskip_no_clip` on each channel's peak value, taken once before
-    the first group. Rows ascending, over ascending groups, are the
-    oracle's (channel, kernel row, kernel column) term order, so the
-    result is bit-identical to the dense oracle on the decoded input on
-    either route. Its trace rows carry ``layer``.
+    `layer_no_clip` on each channel's peak value, taken once before the
+    first group, as the oracle takes it on the decoded input. Rows
+    ascending, over ascending groups, are the oracle's (channel, kernel
+    row, kernel column) term order, so the result is bit-identical to
+    the dense oracle on the decoded input on either route. Its trace
+    rows carry ``layer``.
     """
     if sfm.dims[0] != spec.in_channels:
         raise ShapeMismatch(
@@ -325,7 +321,7 @@ def conv_zeroskip(spec: ConvLayerSpec, sfm: SparseFeatureMap,
     peak = np.zeros(c)
     if filled.size:
         peak[filled] = np.maximum.reduceat(np.abs(vals), starts[filled])
-    proven = zeroskip_no_clip(spec, peak)
+    proven = layer_no_clip(spec, peak)
     starts = starts.tolist()
     w2 = spec.weights.data.reshape(spec.out_channels, -1).astype(np.float64)
     acc = np.repeat(spec.bias.astype(np.int64)[:, None], n_out, axis=1)

@@ -183,13 +183,13 @@ def int32_array(values, what: str) -> np.ndarray:
 # (the ordered step, `sat_add`). An engine may drop the clamps only for
 # a whole layer run, and only after it has proven, before the run's
 # first term, that no ordered prefix of any accumulator's terms can
-# clip: `conv.zeroskip_no_clip` and `gru.layer_no_clip`, which serves
-# both GRU engines. (The dense conv oracle, a check, proves each of
-# its channel groups the same way.) Each proof bounds every prefix by a
-# sum of magnitudes, ``|acc| + |W| @ P`` with P a bound on each factor's
-# magnitude. Then every product of the run is one float64 BLAS product,
-# and without the proof every product is the ordered steps
-# (`sat_columns`); there is no route in between. `sat_matvec` is that
+# clip: `conv.layer_no_clip`, which serves both conv engines, and
+# `gru.layer_no_clip`, which serves both GRU engines. Each proof bounds
+# every prefix by a sum of magnitudes, ``|acc| + |W| @ P`` with P a
+# bound on each factor's magnitude. Then every product of the run is
+# one float64 BLAS product, and without the proof every product is the
+# ordered steps (`sat_columns`, or the dense conv oracle's `sat_add`
+# per tap); there is no route in between. `sat_matvec` is that
 # choice for the zero-skip conv and the delta GRU. The dense conv oracle
 # and the dense GRU take their own products, so the checks that compare
 # them with those two engines do not rest on its unchecked branch.

@@ -358,15 +358,18 @@ def telescoped(spec: GruLayerSpec, state: LayerState) -> bool:
     from the gate stacks, ``sat_matvec`` or the layer proof, so the check
     at the end of a run (`check_telescoped`) tests `encode_delta`,
     `delta_mxv_accumulate`, its routes, the column layout and the
-    quiet-step skip. It does not test the gate tail.
+    quiet-step skip. It does not test the gate tail. Only the columns from
+    a memory's first nonzero entry to its last are multiplied (a zero
+    entry adds zero terms), so a start from zero memories takes none.
     """
-    x = state.x_mem.astype(np.int64)
-    h = state.h_mem.astype(np.int64)
+    cx, ch = (slice(nz[0], nz[-1] + 1) if nz.size else slice(0)
+              for nz in (np.flatnonzero(state.x_mem), np.flatnonzero(state.h_mem)))
+    x, h = state.x_mem[cx].astype(np.int64), state.h_mem[ch].astype(np.int64)
     xc, r, u, hc = np.split(state.acc, 4)
-    return (np.array_equal(xc, spec.b_c + spec.w_xc.data @ x)
-            and np.array_equal(r, spec.b_r + spec.w_xr.data @ x + spec.w_hr.data @ h)
-            and np.array_equal(u, spec.b_u + spec.w_xu.data @ x + spec.w_hu.data @ h)
-            and np.array_equal(hc, spec.w_hc.data @ h))
+    return (np.array_equal(xc, spec.b_c + spec.w_xc.data[:, cx] @ x)
+            and np.array_equal(r, spec.b_r + spec.w_xr.data[:, cx] @ x + spec.w_hr.data[:, ch] @ h)
+            and np.array_equal(u, spec.b_u + spec.w_xu.data[:, cx] @ x + spec.w_hu.data[:, ch] @ h)
+            and np.array_equal(hc, spec.w_hc.data[:, ch] @ h))
 
 
 def check_telescoped(spec: GruLayerSpec, state: LayerState) -> None:

@@ -1,7 +1,7 @@
 """Run orchestration: input loading, engine dispatch, report assembly.
 
 Every run executes both the sparse and the dense path and compares their
-outputs. Conv runs compare output hashes, and the equality must hold
+outputs. Conv runs compare compressed outputs, and the equality must hold
 always. GRU runs compare output tensors, and the equality must hold at
 theta 0 in the saturation-free regime; otherwise the check is skipped
 (and reported as unchecked). At any theta the delta engine also checks
@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import synth
-from .codec import SparseFeatureMap, decode_sm, encode_sm, load_smfm
+from .codec import SparseFeatureMap, decode_sm, encode_sm, load_smfm, to_smfm_bytes
 from .conv import ConvNetRun, run_network
 from .errors import EquivalenceFailure, MalformedStream, ShapeMismatch
 from .fxp import OpCounter, QTensor, load_qt, qt_header
@@ -222,15 +222,15 @@ def _report(desc: NetworkDesc, mode: str, mem: MemConfig, seed: int | None,
 def _checked_conv_run(desc: NetworkDesc, x: SparseFeatureMap,
                       mode: str) -> tuple[ConvNetRun, str]:
     """Run both engines, require equal outputs; return the mode's run and
-    the output hash."""
+    the output hash. `encode_sm` is canonical, so the compressed outputs
+    are compared as their .smfm bytes (dims, format, bitmap, value list);
+    only the sparse one is decoded, for its hash."""
     sparse_run, sparse_out = run_network(desc.conv_layers, x, "sparse")
     dense_run, dense_out = run_network(desc.conv_layers, x, "dense")
-    sparse_hash = decode_sm(sparse_out).sha256()
-    dense_hash = decode_sm(dense_out).sha256()
-    if sparse_hash != dense_hash:
+    if to_smfm_bytes(sparse_out) != to_smfm_bytes(dense_out):
         raise EquivalenceFailure(
             "sparse and dense conv outputs diverged; this is a bug, not a config error")
-    return (sparse_run if mode == "sparse" else dense_run), sparse_hash
+    return (sparse_run if mode == "sparse" else dense_run), decode_sm(sparse_out).sha256()
 
 
 def execute_conv(desc: NetworkDesc, x: SparseFeatureMap, mode: str,

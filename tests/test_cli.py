@@ -4,6 +4,7 @@ import errno
 import json
 import os
 import stat
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -742,6 +743,46 @@ def test_engine_divergence_exits_5(conv_net, gru_net, monkeypatch, capsys):
     assert main(["run", "--net", gru_net, "--input", "synth:ar1,t=5,n=6",
                  "--theta", "0"]) == 5
     assert "GRU outputs diverged" in capsys.readouterr().err
+
+
+def _other_value(out):
+    # the same bitmap; one value replaced by another non-zero one
+    nzvl = out.nzvl.copy()
+    nzvl[0] = 2 if nzvl[0] == 1 else 1
+    return replace(out, nzvl=nzvl)
+
+
+def _moved_pixel(out):
+    # the same values and non-zero count; the first set pixel moved to
+    # the first unset one
+    bits = np.unpackbits(out.sm, bitorder="little")
+    unset = np.flatnonzero(bits[:out.total_pixels] == 0)[0]
+    bits[np.flatnonzero(bits)[0]], bits[unset] = 0, 1
+    return replace(out, sm=np.packbits(bits, bitorder="little"))
+
+
+@pytest.mark.parametrize("corrupt", [_other_value, _moved_pixel])
+def test_a_conv_divergence_in_one_part_of_the_compressed_output_exits_5(
+        conv_net, monkeypatch, capsys, corrupt):
+    # the check compares the compressed outputs: a dense output that
+    # differs only in its value list, or only in its bitmap, is a
+    # divergence, though each decodes to a valid map
+    from sparsebench import runner
+    from sparsebench.codec import decode_sm
+
+    run_network = runner.run_network
+
+    def corrupted(layers, x, mode):
+        run, out = run_network(layers, x, mode)
+        if mode == "dense":
+            assert 0 < out.nnz < out.total_pixels
+            out = corrupt(out)
+            decode_sm(out)
+        return run, out
+
+    monkeypatch.setattr(runner, "run_network", corrupted)
+    assert main(["run", "--net", conv_net, "--input", "synth:map,c=2,h=8,w=8"]) == 5
+    assert "conv outputs diverged" in capsys.readouterr().err
 
 
 def _wrong_column(gru, monkeypatch):

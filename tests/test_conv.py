@@ -92,11 +92,13 @@ def test_fused_comparison_counts():
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 3),
-       st.integers(1, 9), st.integers(1, 9))
-def test_fused_equals_two_pass_reference(seed, relu, c, h, w):
+       st.integers(1, 9), st.integers(1, 9), st.sampled_from((np.int32, np.int64)))
+def test_fused_equals_two_pass_reference(seed, relu, c, h, w, dtype):
+    # the engines pass int64 accumulators, clamped to the int32 range
     rng = make_rng(seed)
-    acc = rng.integers(-(2**31), 2**31, size=(c, h, w)).astype(np.int32)
+    acc = rng.integers(-(2**31), 2**31, size=(c, h, w)).astype(dtype)
     fused = fused_relu_pool(acc, relu, "max2x2", OpCounter())
+    assert fused.dtype == np.int64
     two_pass = np.maximum(acc, 0) if relu else acc
     ph, pw = h // 2, w // 2
     if ph == 0 or pw == 0:
@@ -231,14 +233,14 @@ def _accumulators(spec, sfm, slab_bytes=conv_mod.SLAB_BYTES, proof=None, **patch
     """conv_zeroskip's result and the int64 accumulators it renormalized,
     with the slab cap set, the layer proof's answer replaced by ``proof``
     unless it is None, and the given fxp module attributes patched."""
-    zeroskip_no_clip = conv_mod.zeroskip_no_clip
+    layer_no_clip = conv_mod.layer_no_clip
 
     def proved(*args):
-        return zeroskip_no_clip(*args) if proof is None else proof
+        return layer_no_clip(*args) if proof is None else proof
 
     with mock.patch.object(conv_mod, "_finish_layer", wraps=conv_mod._finish_layer) as fin, \
             mock.patch.object(conv_mod, "SLAB_BYTES", slab_bytes), \
-            mock.patch.object(conv_mod, "zeroskip_no_clip", proved), \
+            mock.patch.object(conv_mod, "layer_no_clip", proved), \
             mock.patch.multiple(fxp, **patches):
         res = conv_zeroskip(spec, sfm)
     return res, fin.call_args.args[1]
@@ -400,7 +402,8 @@ def test_fast_oracle_equals_the_ordered_loop(k, stride, pad, pool, relu, sparsit
                                              in_c, group, amps, seed):
     # the slab cap is set so each group holds `group` channels (the last
     # group fewer when `group` does not divide in_c); at the larger
-    # amplitudes some groups clip and take the ordered steps
+    # amplitudes the layer proof fails and every (channel, tap) takes
+    # the ordered step, some of them clipping
     rng = make_rng(seed)
     w_amp, x_amp, bias_amp = amps
     spec, x = conv_case(rng, k=k, stride=stride, pad=pad, pool=pool, relu=relu,
@@ -436,11 +439,12 @@ def test_oracle_bound_at_int32_max_is_the_last_one_on_the_product(over):
 
 
 def test_oracle_accumulator_at_int32_min_blocks_the_product():
-    # one channel per group. Channel 0's terms push the bias past INT32_MIN,
-    # so its group clips in the ordered steps. |INT32_MIN| is 2**31, past
-    # INT32_MAX, so channel 1's group, whose -1 terms clip again, takes
-    # the ordered steps too; an int32 |acc| would wrap to -2**31 and let
-    # the product carry the accumulators below INT32_MIN unclamped
+    # one channel per group. The layer bound, 2e9 + 32768 * 32767 + 1,
+    # passes INT32_MAX, so the run takes the ordered step per (channel,
+    # tap): channel 0's term pushes the bias past INT32_MIN and clips,
+    # and channel 1's -1 terms, taken from an accumulator at INT32_MIN,
+    # clip again. A product from there would carry the accumulators
+    # below INT32_MIN unclamped
     w = np.array([[[[-32768]], [[-1]]]], dtype=np.int16)
     spec = _layer(in_c=2, out_c=1, k=1, w_vals=w,
                   bias=np.array([-2_000_000_000], dtype=np.int32))
@@ -455,6 +459,53 @@ def test_oracle_accumulator_at_int32_min_blocks_the_product():
     assert counter.saturations == 4 + 4 + 4  # two clipping groups, then 16 bits
     assert (out, counter) == _oracle(spec, x, **_ORDERED)[:2]
 
+
+@settings(deadline=None, max_examples=60)
+@given(
+    k=st.sampled_from((1, 3, 5)),
+    stride=st.sampled_from((1, 2)),
+    pad=st.sampled_from((0, 1, 2)),
+    sparsity=st.sampled_from((0.0, 0.5, 0.8, 1.0)),
+    in_c=st.integers(1, 5),
+    planted=st.integers(0, 2**5 - 1),
+    edge=st.sampled_from((None, -1, 0, 1)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_both_engines_take_the_route_of_one_layer_proof(k, stride, pad, sparsity, in_c,
+                                                        planted, edge, seed):
+    # each engine asks `layer_no_clip` once per layer run, on each
+    # channel's largest |value|. A channel of the `planted` mask holds
+    # -32768, whose int16 magnitude wraps; with ``edge`` set, output
+    # channel 0's bias puts its bound at INT32_MAX + edge. Both engines
+    # must get the answer of the bound in Python ints, and without the
+    # proof the oracle takes one ordered step per (channel, tap)
+    rng = make_rng(seed)
+    spec, x = conv_case(rng, k=k, stride=stride, pad=pad, sparsity=sparsity, in_c=in_c)
+    data = x.data.copy()
+    for ch in range(in_c):
+        if planted >> ch & 1:
+            data[ch].reshape(-1)[rng.integers(data[ch].size)] = -32768
+    x = QTensor(x.dims, x.fmt, data)
+    peak = [max(abs(int(v)) for v in ch.reshape(-1)) for ch in data]
+    terms = [sum(abs(int(wv)) * peak[ch] for ch, taps in enumerate(row) for wv in taps.reshape(-1))
+             for row in spec.weights.data]
+    if edge is not None:
+        spec.bias[0] = min(max(INT32_MAX + edge - terms[0], 0), INT32_MAX)
+    bound = max(abs(int(b)) + t for b, t in zip(spec.bias, terms))
+    proofs = []
+    layer_no_clip = conv_mod.layer_no_clip
+
+    def recorded(*args):
+        proofs.append(layer_no_clip(*args))
+        return proofs[-1]
+
+    with mock.patch.object(conv_mod, "layer_no_clip", recorded), \
+            mock.patch.object(conv_mod, "sat_add", wraps=fxp.sat_add) as step:
+        res = conv_zeroskip(spec, encode_sm(x))
+        want = conv_dense_oracle(spec, x)
+    assert proofs == [bound <= INT32_MAX] * 2
+    assert step.call_count == (0 if proofs[1] else in_c * k * k)
+    assert decode_sm(res.output) == want
 
 # --- work accounting ---------------------------------------------------------------
 
