@@ -52,7 +52,7 @@ def _print_stats(stats, fmt: str) -> None:
 def cmd_encode(args) -> int:
     t = load_qt(args.input)
     if len(t.dims) != 3:
-        raise ShapeMismatch(f"encode needs a rank-3 tensor, got dims {t.dims}")
+        raise ShapeMismatch(f"{args.input}: encode needs a rank-3 tensor, got dims {t.dims}")
     save_smfm(encode_sm(t), args.output)
     _print_stats(measure_sparsity(t), args.format)
     return 0
@@ -96,9 +96,10 @@ def cmd_run(args) -> int:
         if args.theta is not None:
             raise MalformedStream("--theta applies to gru networks only")
         if args.count > 1:
+            if args.trace_csv:
+                raise MalformedStream("--trace-csv is unavailable with --count")
             report = execute_conv_averaged(desc, args.input, args.mode, mem,
                                            args.seed, args.count)
-            run = None
         else:
             x = load_conv_input(args.input, args.seed)
             check_width(desc, x.dims[0], args.input)
@@ -113,8 +114,6 @@ def cmd_run(args) -> int:
         report, run = execute_gru(desc, x_seq, args.mode, mem, args.seed,
                                   theta_override=args.theta)
     if args.trace_csv:
-        if run is None:
-            raise MalformedStream("--trace-csv is unavailable with --count")
         run.trace.write_csv(args.trace_csv)
     if args.report:
         fmt = "csv" if args.report.endswith(".csv") else "json"

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .codec import (SparseFeatureMap, SparsityStats, decode_sm, encode_sm,
-                    measure_sparsity, nonzero_arrays)
+from .codec import SparseFeatureMap, decode_sm, encode_sm, nonzero_arrays
 from .errors import ShapeMismatch
 from .fxp import (INT32_MAX, SLAB_BYTES, OpCounter, QFormat, QTensor, int32_array,
                   renormalize_array, sat_add, sat_matvec)
@@ -116,7 +115,6 @@ class LayerRunResult:
     output: SparseFeatureMap
     counters: OpCounter
     accesses: AccessTrace
-    output_sparsity: SparsityStats
     pixels_visited: int = 0   # input pixels read: nnz for zero-skip, all for dense
     live_bytes: int = 0       # input + output + weight buffer footprint
 
@@ -145,20 +143,19 @@ def fused_relu_pool(acc: np.ndarray, relu: bool, pool: str,
 
 
 def _layer_result(spec: ConvLayerSpec, layer: int, weight_base: int,
-                  counter: OpCounter, out_tensor: QTensor, out_sfm: SparseFeatureMap,
-                  in_words: int, out_words: int, values_read: int) -> LayerRunResult:
+                  counter: OpCounter, out: SparseFeatureMap, in_words: int,
+                  out_words: int, values_read: int) -> LayerRunResult:
     """A layer run and its traffic, rows in the given layer: weights and
     input stream in from DRAM, SRAM serves values_read input values and a
-    weight per MAC, output values land in SRAM and stream out to DRAM.
-    Accumulators are untraced."""
+    weight per MAC, the output map's values (all its pixels) land in SRAM
+    and stream out to DRAM. Accumulators are untraced."""
     params = spec.weight_words + spec.bias_words
     in_base = weight_base + params
     trace = AccessTrace.from_columns(
         _LAYER_TRIPLES, layer, [weight_base, in_base, 0, 0, 0, in_base + in_words],
-        [params, in_words, counter.macs_executed, values_read, out_tensor.size, out_words])
+        [params, in_words, counter.macs_executed, values_read, out.total_pixels, out_words])
     live = 2 * (in_words + out_words + params)
-    return LayerRunResult(out_sfm, counter, trace, measure_sparsity(out_tensor),
-                          values_read, live)
+    return LayerRunResult(out, counter, trace, values_read, live)
 
 
 def _finish_layer(spec: ConvLayerSpec, acc: np.ndarray, h: int, w: int,
@@ -342,12 +339,11 @@ def conv_zeroskip(spec: ConvLayerSpec, sfm: SparseFeatureMap,
         counter.saturations += sat_matvec(acc, w2[:, rows], slab, proven)
 
     counter.macs_dense_equivalent += spec.dense_equivalent_macs(h, w)
-    out_tensor = _finish_layer(spec, acc.reshape(spec.out_channels, h_out, w_out),
-                               h, w, sfm.fmt, counter)
-    out_sfm = encode_sm(out_tensor)
+    out = encode_sm(_finish_layer(spec, acc.reshape(spec.out_channels, h_out, w_out),
+                                  h, w, sfm.fmt, counter))
     # The input and the pooled output travel compressed.
-    return _layer_result(spec, layer, weight_base, counter, out_tensor, out_sfm,
-                         sfm.payload_words, out_sfm.payload_words, sfm.nnz)
+    return _layer_result(spec, layer, weight_base, counter, out,
+                         sfm.payload_words, out.payload_words, sfm.nnz)
 
 
 def conv_dense_run(spec: ConvLayerSpec, sfm: SparseFeatureMap,
@@ -355,9 +351,9 @@ def conv_dense_run(spec: ConvLayerSpec, sfm: SparseFeatureMap,
     """Dense-mode layer run: same math, no skipping, uncompressed traffic."""
     x = decode_sm(sfm)
     counter = OpCounter()
-    out_tensor = conv_dense_oracle(spec, x, counter)
-    return _layer_result(spec, layer, weight_base, counter, out_tensor,
-                         encode_sm(out_tensor), x.size, out_tensor.size, x.size)
+    out = encode_sm(conv_dense_oracle(spec, x, counter))
+    return _layer_result(spec, layer, weight_base, counter, out,
+                         x.size, out.total_pixels, x.size)
 
 
 @dataclass
@@ -386,7 +382,9 @@ class ConvNetRun:
 
     @property
     def per_layer_sparsity(self) -> list[float]:
-        return [r.output_sparsity.sparsity for r in self.layer_results]
+        """Each layer output's share of zero pixels, from its map's counts."""
+        return [(r.output.total_pixels - r.output.nnz) / r.output.total_pixels
+                for r in self.layer_results]
 
 
 def run_network(layers: list[ConvLayerSpec], x: SparseFeatureMap,

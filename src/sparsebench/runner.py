@@ -98,7 +98,7 @@ def load_conv_input(uri: str, seed: int) -> SparseFeatureMap:
         return load_smfm(uri)
     t = load_qt(uri)
     if len(t.dims) != 3:
-        raise MalformedStream(f"conv input must be rank 3, got dims {t.dims}")
+        raise ShapeMismatch(f"{uri}: conv input must be rank 3, got dims {t.dims}")
     return encode_sm(t)
 
 
@@ -131,7 +131,7 @@ def load_seq_input(uri: str, seed: int) -> QTensor:
             raise f.refuse("amp", exc) from None
     t = load_qt(uri)
     if len(t.dims) != 2:
-        raise MalformedStream(f"sequence input must be rank 2, got dims {t.dims}")
+        raise ShapeMismatch(f"{uri}: sequence input must be rank 2, got dims {t.dims}")
     return t
 
 
@@ -220,27 +220,26 @@ def _report(desc: NetworkDesc, mode: str, mem: MemConfig, seed: int | None,
 
 
 def _checked_conv_run(desc: NetworkDesc, x: SparseFeatureMap,
-                      mode: str) -> tuple[ConvNetRun, str]:
+                      mode: str) -> tuple[ConvNetRun, SparseFeatureMap]:
     """Run both engines, require equal outputs; return the mode's run and
-    the output hash. `encode_sm` is canonical, so the compressed outputs
-    are compared as their .smfm bytes (dims, format, bitmap, value list);
-    only the sparse one is decoded, for its hash."""
+    the output map. `encode_sm` is canonical, so the compressed outputs
+    are compared as their .smfm bytes (dims, format, bitmap, value list)."""
     sparse_run, sparse_out = run_network(desc.conv_layers, x, "sparse")
     dense_run, dense_out = run_network(desc.conv_layers, x, "dense")
     if to_smfm_bytes(sparse_out) != to_smfm_bytes(dense_out):
         raise EquivalenceFailure(
             "sparse and dense conv outputs diverged; this is a bug, not a config error")
-    return (sparse_run if mode == "sparse" else dense_run), decode_sm(sparse_out).sha256()
+    return (sparse_run if mode == "sparse" else dense_run), sparse_out
 
 
 def execute_conv(desc: NetworkDesc, x: SparseFeatureMap, mode: str,
                  mem: MemConfig, seed: int | None = None
                  ) -> tuple[RunReport, ConvNetRun]:
-    run, output_hash = _checked_conv_run(desc, x, mode)
+    run, out = _checked_conv_run(desc, x, mode)
     report = _report(desc, mode, mem, seed, [r.counters for r in run.layer_results],
                      run.per_layer_sparsity, run.trace)
     report.extras = {
-        "output_hash": output_hash,
+        "output_hash": decode_sm(out).sha256(),
         "equivalence_checked": True,
         "peak_live_bytes": run.peak_live_bytes,
         "per_layer_sparsity": run.per_layer_sparsity,
@@ -272,8 +271,9 @@ def execute_conv_averaged(desc: NetworkDesc, uri: str, mode: str,
         run_i, _ = _checked_conv_run(desc, x, mode)
         peak = max(peak, run_i.peak_live_bytes)
         traces.append(run_i.trace)
-        for l, r in enumerate(run_i.layer_results):
-            per_layer[l].append(r.output_sparsity.sparsity)
+        for l, (r, sparsity) in enumerate(zip(run_i.layer_results,
+                                              run_i.per_layer_sparsity)):
+            per_layer[l].append(sparsity)
             layer_counters[l].merge(r.counters)
     means = [float(np.mean(v)) for v in per_layer]
     stderr = [float(np.std(v, ddof=1) / math.sqrt(len(v))) if len(v) > 1 else 0.0

@@ -93,10 +93,23 @@ def test_missing_input_exits_4(tmp_path):
 
 
 def test_wrong_rank_exits_3(tmp_path, capsys):
-    from sparsebench.fxp import Q8_8, QTensor
     flat = str(tmp_path / "flat.qt")
     save_qt(QTensor.zeros((4, 4), Q8_8), flat)
     assert main(["encode", flat, str(tmp_path / "o.smfm")]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {flat}: ")
+
+
+@pytest.mark.parametrize("net, dims", [("conv", (4, 4)), ("gru", (2, 2, 2))],
+                         ids=["conv", "gru"])
+def test_a_run_input_of_the_wrong_rank_exits_3_naming_it(tmp_path, conv_net, gru_net,
+                                                         capsys, net, dims):
+    # exited 2, as an input error, naming no file, while encode exited 3
+    path = str(tmp_path / "wrong.qt")
+    save_qt(QTensor.zeros(dims, Q8_8), path)
+    assert main(["run", "--net", conv_net if net == "conv" else gru_net,
+                 "--input", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and f"got dims {dims}" in err
 
 
 # --- run -------------------------------------------------------------------------
@@ -140,13 +153,23 @@ def test_run_gru_with_theta_and_trace(tmp_path, gru_net, capsys):
     assert len(lines) > 1
 
 
-def test_run_flag_combinations_rejected(conv_net, gru_net):
+def test_run_flag_combinations_rejected(conv_net, gru_net, monkeypatch, capsys):
+    from sparsebench import cli
+
     conv_args = ["run", "--net", conv_net,
                  "--input", "synth:map,c=2,h=8,w=8"]
     assert main(conv_args + ["--theta", "0.1"]) == 2
     gru_args = ["run", "--net", gru_net, "--input", "synth:uniform,t=5,n=6"]
     assert main(gru_args + ["--count", "3"]) == 2
+    capsys.readouterr()
+
+    def started(*args):
+        raise AssertionError("the averaged run started")
+
+    # refused before any of the N draws runs, not after all of them
+    monkeypatch.setattr(cli, "execute_conv_averaged", started)
     assert main(conv_args + ["--count", "2", "--trace-csv", "t.csv"]) == 2
+    assert "--trace-csv is unavailable with --count" in capsys.readouterr().err
 
 
 def test_run_count_below_one_exits_2(conv_net, capsys):

@@ -107,25 +107,54 @@ def test_nonzero_arrays_canonical_order_and_values(t):
     assert len(got) == s.nnz
 
 
-def test_decode_rejects_bad_bitmap_length():
+def _loaded(s):
+    return from_smfm_bytes(to_smfm_bytes(s))
+
+
+# Each read of a map takes the one checked bitmap scan. A .smfm holds
+# exactly the bitmap bytes its dims need, so a load meets only the other
+# two faults.
+READERS = pytest.mark.parametrize("read", [decode_sm, nonzero_arrays],
+                                  ids=["decode_sm", "nonzero_arrays"])
+LOADERS = pytest.mark.parametrize("read", [decode_sm, nonzero_arrays, _loaded],
+                                  ids=["decode_sm", "nonzero_arrays", "from_smfm_bytes"])
+
+
+@READERS
+def test_decode_rejects_bad_bitmap_length(read):
     s = encode_sm(_map([1, 0, 0, 0], (1, 1, 4)))
     bad = type(s)(s.dims, s.fmt, np.array([1, 0], dtype=np.uint8), s.nzvl)
     with pytest.raises(MalformedStream, match="bytes"):
-        decode_sm(bad)
+        read(bad)
 
 
-def test_decode_rejects_set_padding_bits():
+@LOADERS
+def test_decode_rejects_set_padding_bits(read):
     s = encode_sm(_map([1, 0, 0, 0], (1, 1, 4)))
     bad = type(s)(s.dims, s.fmt, np.array([0b10001], dtype=np.uint8), s.nzvl)
     with pytest.raises(MalformedStream, match="padding"):
-        decode_sm(bad)
+        read(bad)
 
 
-def test_decode_rejects_popcount_mismatch():
+@LOADERS
+def test_decode_rejects_popcount_mismatch(read):
     s = encode_sm(_map([1, 2, 0, 0], (1, 1, 4)))
     bad = type(s)(s.dims, s.fmt, s.sm, s.nzvl[:1])
     with pytest.raises(MalformedStream, match="value list"):
-        decode_sm(bad)
+        read(bad)
+
+
+def test_loading_a_map_checks_it_without_decoding(monkeypatch):
+    from sparsebench import codec
+
+    def decoded(s):
+        raise AssertionError("from_smfm_bytes decoded the map")
+
+    t = _map([0, 5, 0, 3, 0, 0, 7], (1, 1, 7))  # one padding bit
+    data = to_smfm_bytes(encode_sm(t))
+    monkeypatch.setattr(codec, "decode_sm", decoded)
+    s = from_smfm_bytes(data)
+    assert list(s.sm) == [0b1001010] and list(s.nzvl) == [5, 3, 7]
 
 
 # --- sparsity measurement -------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from _synthcases import conv_case
 from sparsebench import conv as conv_mod
 from sparsebench import fxp
-from sparsebench.codec import decode_sm, encode_sm
+from sparsebench.codec import decode_sm, encode_sm, measure_sparsity
 from sparsebench.conv import (
     ConvLayerSpec,
     conv_dense_oracle,
@@ -653,6 +653,22 @@ def test_network_modes_agree_and_advance_weight_base():
     assert sparse_run.peak_live_bytes == max(
         r.live_bytes for r in sparse_run.layer_results)
     assert len(sparse_run.per_layer_sparsity) == 3
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("sparse", "dense")))
+def test_per_layer_sparsity_is_the_output_maps_zero_share(seed, mode):
+    # the zero share from each output map's counts is the one measured on
+    # the decoded output, to the last bit; inputs of sparsity 0 and 1 included
+    rng = make_rng(seed)
+    spec, x = conv_case(rng)
+    out_c = int(rng.integers(1, 4))
+    second = ConvLayerSpec(spec.out_channels, out_c, 1, 1, 1, 0,
+                           random_weights((out_c, spec.out_channels, 1, 1), rng, Q8_8, 0.5),
+                           np.zeros(out_c, dtype=np.int32), True, "none", Q8_8)
+    run, _ = run_network([spec, second], encode_sm(x), mode)
+    assert run.per_layer_sparsity == [
+        measure_sparsity(decode_sm(r.output)).sparsity for r in run.layer_results]
 
 
 def test_network_rejects_broken_chain_and_bad_mode():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sparsebench.codec import encode_sm, save_smfm
-from sparsebench.errors import MalformedStream
+from sparsebench.errors import MalformedStream, ShapeMismatch
 from sparsebench.fxp import Q8_8, QTensor, save_qt, to_qt_bytes
 from sparsebench.memmodel import MemConfig
 from sparsebench.netdesc import load_network
@@ -83,7 +83,7 @@ def test_conv_input_from_qt_smfm_and_generator(tmp_path):
     # global seed is the fallback, URI seed wins
     assert _same_map(load_conv_input("synth:map,c=2,h=6,w=6,sparsity=0.5", 1),
                      encode_sm(t))
-    with pytest.raises(MalformedStream, match="rank 3"):
+    with pytest.raises(ShapeMismatch, match="bad.qt: conv input must be rank 3"):
         save_qt(QTensor.zeros((4,), Q8_8), str(tmp_path / "bad.qt"))
         load_conv_input(str(tmp_path / "bad.qt"), 0)
     with pytest.raises(MalformedStream, match="generator"):
@@ -104,7 +104,7 @@ def test_seq_input_from_qt_and_generators(tmp_path):
         assert seq.dims == (steps, 3) and seq.fmt == Q8_8
     hold = load_seq_input("synth:hold,t=8,n=3,hold=4,seed=2", 0).data
     assert (hold[0] == hold[3]).all() and (hold[4] == hold[7]).all()
-    with pytest.raises(MalformedStream, match="rank 2"):
+    with pytest.raises(ShapeMismatch, match="b.qt: sequence input must be rank 2"):
         save_qt(QTensor.zeros((2, 2, 2), Q8_8), str(tmp_path / "b.qt"))
         load_seq_input(str(tmp_path / "b.qt"), 0)
     with pytest.raises(MalformedStream, match="generator"):
