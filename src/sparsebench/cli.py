@@ -27,7 +27,7 @@ from .memmodel import (MemConfig, cost_trace, random_vs_burst_ratio,
                        schedule_dense_weight_stream, solve_budget)
 from .netdesc import count, integer, load_mem_config, load_network, number, u64
 from .report import scatter_axes, scatter_csv, scatter_svg
-from .runner import (check_width, execute_conv, execute_conv_averaged, execute_gru,
+from .runner import (check_input, execute_conv, execute_conv_averaged, execute_gru,
                      load_conv_input, load_seq_input, sweep_rows_csv,
                      sweep_theta)
 from .trace import trace_from_csv
@@ -102,7 +102,7 @@ def cmd_run(args) -> int:
                                            args.seed, args.count)
         else:
             x = load_conv_input(args.input, args.seed)
-            check_width(desc, x.dims[0], args.input)
+            check_input(desc, x.dims, args.input)
             report, run = execute_conv(desc, x, args.mode, mem, args.seed)
     else:
         if args.count > 1:
@@ -110,7 +110,7 @@ def cmd_run(args) -> int:
         if args.theta is not None:
             _flag("--theta", quantize_theta, args.theta)
         x_seq = load_seq_input(args.input, args.seed)
-        check_width(desc, x_seq.dims[1], args.input)
+        check_input(desc, x_seq.dims, args.input)
         report, run = execute_gru(desc, x_seq, args.mode, mem, args.seed,
                                   theta_override=args.theta)
     if args.trace_csv:
@@ -159,7 +159,7 @@ def sweep_thetas(desc, args) -> int:
         raise ShapeMismatch("a theta sweep needs a gru network")
     thetas = numbers("--thetas", args.thetas, quantize_theta)
     x_seq = load_seq_input(args.input, args.seed)
-    check_width(desc, x_seq.dims[1], args.input)
+    check_input(desc, x_seq.dims, args.input)
     emit(sweep_rows_csv(*sweep_theta(desc, x_seq, thetas)), args.out)
     return 0
 

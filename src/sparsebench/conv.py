@@ -1,27 +1,16 @@
 """Zero-skipping convolution engine with fused ReLU and max-pooling.
 
-Two computation paths share one fixed-point pipeline (32-bit saturating
+Two engines share one fixed-point pipeline (32-bit saturating
 accumulators, ties-to-even renormalization) and one no-clip proof per
-layer run (`layer_no_clip`, on each input channel's largest |value|):
-
-* conv_dense_oracle: gather-style reference that multiplies every
-  (output position, kernel element) pair, padded zeros included: with
-  the proof, one float64 im2col product per group of input channels,
-  and without it one ordered `sat_add` step per (channel, tap).
-* conv_zeroskip: input-stationary scatter from the non-zero pixels of a
-  compressed input to only the accumulators each one feeds. Skipped
-  pixels cost no modeled MAC: the MAC count is the (non-zero pixel,
-  tap) hits times the output channels. On the host, each group of input
-  channels is one float64 BLAS product (`fxp.sat_matvec`), zeros
-  included, with the proof, and the ordered steps without it.
-
-Both define each output as its terms added in the same order (input
-channel, then kernel row, then kernel column), clamped after each, and
-adding zero to a saturating accumulator is the identity, so the two
-paths agree bit-exactly even when intermediate sums clip. Equal inputs
-give equal peaks, so both take the same route. The oracle shares
-neither `sat_matvec` nor the zero-skip hit lists, so the check stays
-independent of both.
+layer run (`layer_no_clip`): `conv_dense_oracle`, an output-stationary
+gather over every (output, tap) pair, padded zeros included, and
+`conv_zeroskip`, an input-stationary shift-and-add from only the
+non-zero pixels of a compressed input. Both define each output as its
+terms added in (input channel, kernel row, kernel column) order, clamped
+after each, and adding zero to a saturating accumulator is the
+identity, so they agree bit-exactly even when sums clip; equal inputs
+give equal peaks, so both take the same route. Their products share
+only `sat_add`, so the sparse == dense check tests each by the other.
 
 ReLU and 2x2 pooling are fused after accumulation: the window maximum
 is taken on the 32-bit plane and clamped once, so no full-resolution
@@ -36,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .codec import SparseFeatureMap, decode_sm, encode_sm, nonzero_arrays
 from .errors import ShapeMismatch
 from .fxp import (INT32_MAX, SLAB_BYTES, OpCounter, QFormat, QTensor, int32_array,
-                  renormalize_array, sat_add, sat_matvec)
+                  renormalize_array, sat_add)
 from .trace import AccessTrace, triple_code
 
 POOL_MODES = ("none", "max2x2")
@@ -84,16 +73,17 @@ class ConvLayerSpec:
         w_out = (w + 2 * self.pad - self.kernel_w) // self.stride + 1
         if h_out < 1 or w_out < 1:
             raise ShapeMismatch(
-                f"kernel {self.kernel_h}x{self.kernel_w} does not fit input {h}x{w}")
+                f"kernel {self.kernel_h}x{self.kernel_w} does not fit a {h}x{w} plane "
+                f"padded by {self.pad}")
         return h_out, w_out
 
     def pooled_dims(self, h: int, w: int) -> tuple[int, int]:
         """Final spatial dims; 2x2 pooling floors away odd edges."""
         h_out, w_out = self.out_dims(h, w)
         if self.pool == "max2x2":
+            if h_out < 2 or w_out < 2:
+                raise ShapeMismatch(f"its {h_out}x{w_out} output is too small to pool 2x2")
             h_out, w_out = h_out // 2, w_out // 2
-            if h_out < 1 or w_out < 1:
-                raise ShapeMismatch("output too small to pool 2x2")
         return h_out, w_out
 
     @property
@@ -173,23 +163,15 @@ def conv_dense_oracle(spec: ConvLayerSpec, x: QTensor,
                       counter: OpCounter | None = None) -> QTensor:
     """Reference convolution over every position, padded zeros included.
 
-    Accumulation order per output is (in channel, kernel row, kernel
-    column) with saturation after every term, matching the zero-skip
-    path exactly.
-
-    One proof per layer run, `layer_no_clip` on each channel's largest
-    |value| in ``x``, picks the route, as in `conv_zeroskip`: a padded
-    zero adds a zero term, so the zero-skip bound caps every ordered
-    prefix of the oracle's terms too, and on equal inputs both engines
-    take the same route. When it holds, each group of input channels
-    (sized as in `conv_zeroskip`) is copied into an im2col matrix ``P``,
-    one row per (channel, kernel row, kernel column) in term order and
-    one column per output position, and ``acc += W2[:, rows] @ P`` in
-    float64 is exact and clips nothing (the `fxp` accumulator comment),
-    ``W2`` being the weights as (out_c, in_c * kh * kw). Otherwise every
-    (channel, kernel row, kernel column) takes the ordered `sat_add`
-    step. The oracle shares neither `fxp.sat_matvec` nor the zero-skip
-    hit lists, so the sparse == dense check still tests them.
+    With `layer_no_clip` on each channel's largest |value| in ``x`` (a
+    padded zero adds a zero term, so the bound caps the oracle's
+    prefixes too), each group of input channels (`_channel_groups`) is
+    copied into an im2col matrix, one row per (channel, kernel row,
+    kernel column) and one column per output position, whose float64
+    product with the weights is exact and clips nothing (the `fxp`
+    accumulator comment). Otherwise each (channel, kernel row, kernel
+    column), in term order, takes the ordered `sat_add` step over the
+    whole output plane.
     """
     if len(x.dims) != 3 or x.dims[0] != spec.in_channels:
         raise ShapeMismatch(
@@ -231,10 +213,9 @@ def conv_dense_oracle(spec: ConvLayerSpec, x: QTensor,
 
 
 def _channel_groups(c: int, taps: int, n_out: int) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Consecutive input channel ranges ``(c0, c1)`` whose float64 matrix
-    of one row per (channel, tap) and one column per output position
-    fits near ``SLAB_BYTES`` (at least one channel each), and one
-    buffer that holds the largest of them."""
+    """The oracle's consecutive input channel ranges ``(c0, c1)``, each
+    one's im2col matrix near ``SLAB_BYTES`` (at least one channel), and
+    one buffer that holds the largest."""
     group = max(1, SLAB_BYTES // (8 * taps * n_out))
     buf = np.empty((min(group, c) * taps, n_out))
     return [(c0, min(c0 + group, c)) for c0 in range(0, c, group)], buf
@@ -250,10 +231,9 @@ def _tap_targets(pos: np.ndarray, k: int, pad: int, stride: int,
 
 def _tap_hits(spec: ConvLayerSpec, ys: np.ndarray, xs: np.ndarray,
               h_out: int, w_out: int):
-    """For each kernel tap in (row, column) order: its index ky * kw + kx,
-    the pixels (of ``ys``, ``xs``) that feed an output through it, and
-    those outputs' flat positions. Distinct pixels of one channel feed
-    distinct outputs under one tap."""
+    """For each kernel tap in (row, column) order that some pixel (of
+    ``ys``, ``xs``) feeds an output through: its index ky * kw + kx, those
+    pixels, and their outputs' flat positions, distinct within a channel."""
     s, p = spec.stride, spec.pad
     rows = [_tap_targets(ys, ky, p, s, h_out) for ky in range(spec.kernel_h)]
     cols = [_tap_targets(xs, kx, p, s, w_out) for kx in range(spec.kernel_w)]
@@ -261,7 +241,45 @@ def _tap_hits(spec: ConvLayerSpec, ys: np.ndarray, xs: np.ndarray,
         row_pos = oy * w_out
         for kx, (ox, col_ok) in enumerate(cols):
             hit = np.flatnonzero(row_ok & col_ok)
-            yield ky * spec.kernel_w + kx, hit, row_pos[hit] + ox[hit]
+            if hit.size:
+                yield ky * spec.kernel_w + kx, hit, row_pos[hit] + ox[hit]
+
+
+def _shift_add(spec: ConvLayerSpec, dims: tuple[int, int, int], pixels, h_out: int,
+               w_out: int) -> np.ndarray:
+    """The bias plus every term of every output, in float64, from the
+    (c, y, x, value) ``pixels`` of a map of ``dims``, input-stationary:
+    padded row ``oy * s + ky`` is row ``oy + ky // s`` of stride phase
+    ``ky % s``, the sub-lattice ``plane[:, ky % s::s]`` of the padded
+    float64 plane (at stride 1 the whole plane, no copy); columns
+    likewise. The taps of a phase multiply its sub-lattice once, one
+    product per chunk of taps that fits near ``SLAB_BYTES`` (at least
+    one), and each tap's result is added at its offset as one flat
+    window of accumulators laid out as the sub-lattice (its rows and
+    columns past the outputs collect no output's terms)."""
+    (c, h, w), (cs, ys, xs, vals) = dims, pixels
+    s, p, kh, kw, out_c = spec.stride, spec.pad, spec.kernel_h, spec.kernel_w, spec.out_channels
+    hm, wm = h_out + (kh - 1) // s, w_out + (kw - 1) // s  # the rows and columns any output reads
+    rows = s * -(-max(h + 2 * p, s * hm) // s)  # padded, and hm rows in every phase
+    cols = s * -(-max(w + 2 * p, s * wm) // s)
+    plane = np.zeros((c, rows, cols))
+    plane.reshape(-1)[(cs * rows + ys + p) * cols + xs + p] = vals
+    # (tap, out_c, in_c): the weights each tap applies
+    w_tap = spec.weights.data.transpose(2, 3, 0, 1).reshape(kh * kw, out_c, c).astype(np.float64)
+    size = min(-(-kh // s) * -(-kw // s), max(1, SLAB_BYTES // (8 * out_c * hm * wm)))  # taps
+    buf = np.empty((size * out_c, hm * wm))
+    acc = np.repeat(spec.bias.astype(np.float64), hm * wm)  # flat (out_c, hm, wm)
+    for py, px in np.ndindex(min(s, kh), min(s, kw)):
+        lat = np.ascontiguousarray(plane[:, py::s, px::s][:, :hm, :wm]).reshape(c, hm * wm)
+        taps = [(ky, kx) for ky in range(py, kh, s) for kx in range(px, kw, s)]
+        for t0 in range(0, len(taps), size):
+            chunk = taps[t0:t0 + size]
+            wt = w_tap[[ky * kw + kx for ky, kx in chunk]].reshape(-1, c)
+            prod = np.matmul(wt, lat, out=buf[:len(wt)]).reshape(len(chunk), -1)
+            for (ky, kx), term in zip(chunk, prod):
+                off = ky // s * wm + kx // s
+                acc[:acc.size - off] += term[off:]  # an output's reads stay in its channel
+    return acc.reshape(out_c, hm, wm)[:, :h_out, :w_out]
 
 
 def layer_no_clip(spec: ConvLayerSpec, peak: np.ndarray) -> bool:
@@ -284,23 +302,17 @@ def layer_no_clip(spec: ConvLayerSpec, peak: np.ndarray) -> bool:
 
 def conv_zeroskip(spec: ConvLayerSpec, sfm: SparseFeatureMap,
                   weight_base: int = 0, layer: int = 0) -> LayerRunResult:
-    """Accumulate from the non-zero pixels of a compressed input.
-
-    Each non-zero pixel feeds exactly the output positions whose
-    receptive field contains it, for every output channel; no other
-    term is formed or counted as a MAC. In one (input channel, kernel
-    tap), distinct pixels feed distinct outputs, so each group of input
-    channels' hits are scattered into a zeroed slab with one row per
-    (channel, tap) and one column per output position, and no two hits
-    share a cell. With ``W2`` the weights as (out_c, in_c * kh * kw), one
-    ``sat_matvec(acc, W2[:, rows], slab, proven)`` per group adds them
-    to the accumulators, which start at the bias; ``proven`` is
-    `layer_no_clip` on each channel's peak value, taken once before the
-    first group, as the oracle takes it on the decoded input. Rows
-    ascending, over ascending groups, are the oracle's (channel, kernel
-    row, kernel column) term order, so the result is bit-identical to
-    the dense oracle on the decoded input on either route. Its trace
-    rows carry ``layer``.
+    """Accumulate from the non-zero pixels of a compressed input, each
+    into just the outputs it feeds; the MACs are those (pixel, tap) hits
+    times the output channels. `layer_no_clip` on each channel's peak
+    value picks the route. With it, `_shift_add` adds every term: each
+    product entry sums some of one output's terms, so it and each
+    partial sum is an exact integer below 2**31 (the `fxp` accumulator
+    comment). Without it, each (input channel, kernel row, kernel
+    column), in term order, is one ordered `sat_add` step over only the
+    outputs that channel's pixels feed through that tap (`_tap_hits`):
+    they are distinct, and a skipped zero adds zero, so every clamp is
+    the oracle's. Its trace rows carry ``layer``.
     """
     if sfm.dims[0] != spec.in_channels:
         raise ShapeMismatch(
@@ -308,39 +320,34 @@ def conv_zeroskip(spec: ConvLayerSpec, sfm: SparseFeatureMap,
     counter = OpCounter()
     c, h, w = sfm.dims
     h_out, w_out = spec.out_dims(h, w)
-    taps, n_out = spec.kernel_h * spec.kernel_w, h_out * w_out
-    counter.adds += spec.out_channels * n_out
+    counter.adds += spec.out_channels * h_out * w_out
 
     cs, ys, xs, vals = nonzero_arrays(sfm)
-    starts = np.searchsorted(cs, np.arange(c + 1))
-    # each channel's largest |value|, from the runs of its pixels
+    starts = np.searchsorted(cs, np.arange(c + 1))  # each channel's run of pixels
     filled = np.flatnonzero(np.diff(starts))
     peak = np.zeros(c)
     if filled.size:
         peak[filled] = np.maximum.reduceat(np.abs(vals), starts[filled])
-    proven = layer_no_clip(spec, peak)
-    starts = starts.tolist()
-    w2 = spec.weights.data.reshape(spec.out_channels, -1).astype(np.float64)
-    acc = np.repeat(spec.bias.astype(np.int64)[:, None], n_out, axis=1)
-    groups, buf = _channel_groups(c, taps, n_out)  # one slab, reused
-    for c0, c1 in groups:
-        a, b = starts[c0], starts[c1]
-        if a == b:
-            continue
-        v = vals[a:b]
-        cell = (cs[a:b] - c0) * (taps * n_out)  # each pixel's first slab cell
-        slab = buf[:(c1 - c0) * taps]
-        slab.fill(0)
-        flat = slab.reshape(-1)
-        for tap, hit, pos in _tap_hits(spec, ys[a:b], xs[a:b], h_out, w_out):
-            flat[cell[hit] + tap * n_out + pos] = v[hit]
-            counter.macs_executed += hit.size * spec.out_channels
-        rows = slice(c0 * taps, c1 * taps)
-        counter.saturations += sat_matvec(acc, w2[:, rows], slab, proven)
+    s, p = spec.stride, spec.pad
+    # how many kernel rows (columns) each input row (column) feeds an output through
+    n_rows = sum(_tap_targets(np.arange(h), ky, p, s, h_out)[1] for ky in range(spec.kernel_h))
+    n_cols = sum(_tap_targets(np.arange(w), kx, p, s, w_out)[1] for kx in range(spec.kernel_w))
+    counter.macs_executed += spec.out_channels * int(n_rows[ys] @ n_cols[xs])
+    if layer_no_clip(spec, peak):
+        acc = _shift_add(spec, sfm.dims, (cs, ys, xs, vals), h_out, w_out).astype(np.int64)
+    else:
+        acc = np.repeat(spec.bias.astype(np.int64)[:, None], h_out * w_out, axis=1)
+        wv = spec.weights.data.reshape(spec.out_channels, c, -1).astype(np.int64)
+        for ic in filled.tolist():
+            a, b = starts[ic], starts[ic + 1]
+            for tap, hit, pos in _tap_hits(spec, ys[a:b], xs[a:b], h_out, w_out):
+                fed = acc[:, pos]  # a copy: distinct outputs, written back
+                counter.saturations += sat_add(fed, np.outer(wv[:, ic, tap], vals[a + hit]))
+                acc[:, pos] = fed
 
     counter.macs_dense_equivalent += spec.dense_equivalent_macs(h, w)
-    out = encode_sm(_finish_layer(spec, acc.reshape(spec.out_channels, h_out, w_out),
-                                  h, w, sfm.fmt, counter))
+    acc = acc.reshape(spec.out_channels, h_out, w_out)
+    out = encode_sm(_finish_layer(spec, acc, h, w, sfm.fmt, counter))
     # The input and the pooled output travel compressed.
     return _layer_result(spec, layer, weight_base, counter, out,
                          sfm.payload_words, out.payload_words, sfm.nnz)

@@ -188,11 +188,11 @@ def int32_array(values, what: str) -> np.ndarray:
 # every prefix by a sum of magnitudes, ``|acc| + |W| @ P`` with P a
 # bound on each factor's magnitude. Then every product of the run is
 # one float64 BLAS product, and without the proof every product is the
-# ordered steps (`sat_columns`, or the dense conv oracle's `sat_add`
-# per tap); there is no route in between. `sat_matvec` is that
-# choice for the zero-skip conv and the delta GRU. The dense conv oracle
-# and the dense GRU take their own products, so the checks that compare
-# them with those two engines do not rest on its unchecked branch.
+# ordered steps (`sat_columns`, or a conv engine's `sat_add` per
+# (channel, tap)); there is no route in between. `sat_matvec` is that
+# choice for the delta GRU. Both conv engines and the dense GRU take
+# their own products (an entry may sum any subset of one accumulator's
+# terms), so no check rests on one shared unchecked branch.
 #
 # Why a passing bound makes the float64 product exact. Each bound is
 # computed in float64 from integers far below 2**53 (int16 weights, and
@@ -209,10 +209,10 @@ def int32_array(values, what: str) -> np.ndarray:
 # GRU's product of deltas, taken before it is added, stays below 2**32
 # instead; `gru.layer_no_clip` says why.)
 
-# An engine that takes a block of terms at once (a conv channel group, a
-# dense GRU chunk of steps) caps its work matrix near this many bytes,
-# so memory stays bounded on large inputs; a block holds at least one
-# channel or step.
+# An engine that takes a block of terms at once (a conv oracle channel
+# group or zero-skip chunk of taps, a dense GRU chunk of steps) caps its
+# work matrix near this many bytes, so memory stays bounded on large
+# inputs; a block holds at least one channel, tap or step.
 SLAB_BYTES = 2 << 20
 
 

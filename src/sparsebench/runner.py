@@ -135,18 +135,23 @@ def load_seq_input(uri: str, seed: int) -> QTensor:
     return t
 
 
-def check_width(desc: NetworkDesc, width: int, uri: str) -> None:
-    """Refuse, before any engine runs, an input of ``width`` channels
-    (conv) or components per step (gru) that the first layer of
-    ``desc`` does not take; the error names the net (its ``.net`` path,
-    or its name when it was built in code) and the input ``uri``."""
+def check_input(desc: NetworkDesc, dims: tuple[int, ...], uri: str) -> None:
+    """Refuse, before any engine runs, an input whose width the first
+    layer of ``desc`` does not take or whose plane a conv layer does not
+    fit, naming the net (``.net`` path, or name), layer and ``uri``."""
+    net, h, w = desc.source or desc.name, *dims[-2:]
     if desc.kind == "conv":
-        want, what = desc.conv_layers[0].in_channels, "channels"
+        want, what, width = desc.conv_layers[0].in_channels, "channels", dims[0]
     else:
-        want, what = desc.gru_layers[0].input_size, "components per step"
+        want, what, width = desc.gru_layers[0].input_size, "components per step", dims[1]
     if width != want:
-        raise ShapeMismatch(f"{desc.source or desc.name}: layer 0 takes {want} {what}, "
-                            f"input {uri} gives {width}")
+        raise ShapeMismatch(f"{net}: layer 0 takes {want} {what}, input {uri} gives {width}")
+    for i, spec in enumerate(desc.conv_layers):
+        try:
+            h, w = spec.pooled_dims(h, w)
+        except ShapeMismatch as exc:
+            raise ShapeMismatch(f"{net}: layer {i}: {exc}, input {uri} gives "
+                                f"a {dims[1]}x{dims[2]} plane") from None
 
 
 def _bytes(words_by_tag: dict[str, int]) -> dict[str, int]:
@@ -267,7 +272,7 @@ def execute_conv_averaged(desc: NetworkDesc, uri: str, mode: str,
     peak = 0
     for _ in range(count):  # one input's run alive at a time
         x = draw()
-        check_width(desc, x.dims[0], uri)
+        check_input(desc, x.dims, uri)
         run_i, _ = _checked_conv_run(desc, x, mode)
         peak = max(peak, run_i.peak_live_bytes)
         traces.append(run_i.trace)

@@ -210,6 +210,41 @@ def test_an_input_the_first_layer_does_not_take_names_the_net_and_the_input(
                                        f"input {uri} gives 5\n")
 
 
+TWO_POOLS_NET = CONV_NET + "[conv]" + CONV_NET.split("[conv]")[1].replace("in_c = 2", "in_c = 3")
+
+
+@pytest.mark.parametrize("net, uri, argv, why", [
+    ("cnn.net", "synth:map,c=2,h=1,w=1", ["run"],
+     "layer 0: its 1x1 output is too small to pool 2x2, "
+     "input synth:map,c=2,h=1,w=1 gives a 1x1 plane"),
+    ("cnn.net", "synth:map,c=2,h=1,w=1", ["run", "--count", "2"],
+     "layer 0: its 1x1 output is too small to pool 2x2, "
+     "input synth:map,c=2,h=1,w=1 gives a 1x1 plane"),
+    ("two.net", "synth:map,c=2,h=3,w=3", ["run"],
+     "layer 1: its 1x1 output is too small to pool 2x2, "
+     "input synth:map,c=2,h=3,w=3 gives a 3x3 plane"),
+    ("k5.net", "synth:map,c=2,h=2,w=3", ["run", "--mode", "dense"],
+     "layer 0: kernel 5x5 does not fit a 2x3 plane padded by 1, "
+     "input synth:map,c=2,h=2,w=3 gives a 2x3 plane")],
+    ids=["pool", "pool-count", "second-layer", "kernel"])
+def test_a_plane_the_net_does_not_fit_names_the_net_the_layer_and_the_input(
+        tmp_path, capsys, monkeypatch, net, uri, argv, why):
+    # the engines refused it as "output too small to pool 2x2" or
+    # "kernel 5x5 does not fit input 2x3", naming neither the net, the
+    # layer nor the input; now it is refused before any engine runs
+    path = tmp_path / net
+    path.write_text({"cnn.net": CONV_NET, "two.net": TWO_POOLS_NET,
+                     "k5.net": CONV_NET.replace("k = 3", "k = 5")}[net])
+    from sparsebench import runner
+    monkeypatch.setattr(runner, "run_network", _refuse_engine)
+    assert main(argv[:1] + ["--net", str(path), "--input", uri] + argv[1:]) == 3
+    assert capsys.readouterr().err == f"error: {path}: {why}\n"
+
+
+def _refuse_engine(*args, **kwargs):
+    raise AssertionError("an engine ran")
+
+
 def test_run_non_finite_theta_exits_2(gru_net, capsys):
     # nan was cast to theta 0 (with a numpy warning) and reported as
     # checked; inf was silently saturated

@@ -76,6 +76,17 @@ def test_roundtrip_lossless(t):
 
 
 @given(feature_maps())
+def test_encoded_map_does_not_alias_the_tensor(t):
+    # the value list is gathered by index, a copy: changing the tensor
+    # after encoding leaves the map as encoded
+    s = encode_sm(t)
+    before = to_smfm_bytes(s)
+    t.data[...] = np.where(t.data == 1, 2, 1)  # every pixel changes
+    assert not np.shares_memory(s.nzvl, t.data)
+    assert to_smfm_bytes(s) == before
+
+
+@given(feature_maps())
 def test_payload_formula(t):
     s = encode_sm(t)
     n = t.size

@@ -155,17 +155,15 @@ def test_zeroskip_bit_exact_under_saturation():
 def test_zeroskip_fallback_bit_exact_at_full_scale(k, stride, pad, pool, relu, seed):
     # full-scale weights and inputs: the layer proof almost always
     # fails, so the ordered per-step clamp runs and must still equal the
-    # oracle; the slab cap is set so all channels form one group (an
-    # amplitude of 127.99609375 is the Q8.8 maximum)
+    # oracle, one step per (channel, tap) that some pixel feeds an output
+    # through, and no shift-add product is taken (an amplitude of
+    # 127.99609375 is the Q8.8 maximum)
     rng = make_rng(seed)
     spec, x = conv_case(rng, k=k, stride=stride, pad=pad, pool=pool, relu=relu,
                         sparsity=0.5, w_amp=127.99609375, x_amp=127.99609375,
                         bias_amp=30000.0)
-    c, h, w = x.dims
-    h_out, w_out = spec.out_dims(h, w)
-    one_group = 8 * c * k * k * h_out * w_out
-    with mock.patch.object(conv_mod, "SLAB_BYTES", one_group), \
-            mock.patch.object(fxp, "sat_add", wraps=fxp.sat_add) as step:
+    with mock.patch.object(conv_mod, "sat_add", wraps=fxp.sat_add) as step, \
+            mock.patch.object(conv_mod, "_shift_add", wraps=conv_mod._shift_add) as product:
         res = conv_zeroskip(spec, encode_sm(x))
     counter = OpCounter()
     assert decode_sm(res.output) == conv_dense_oracle(spec, x, counter)
@@ -177,7 +175,28 @@ def test_zeroskip_fallback_bit_exact_at_full_scale(k, stride, pad, pool, relu, s
     bound = max(abs(int(b)) + sum(abs(int(wv)) * peak[ch]
                                   for ch, taps in enumerate(row) for wv in taps.reshape(-1))
                 for b, row in zip(spec.bias, spec.weights.data))
-    assert step.called == (bound > INT32_MAX and res.counters.macs_executed > 0)
+    assert product.called == (bound <= INT32_MAX)
+    assert step.call_count == (len(_hit_pairs(spec, x)) if bound > INT32_MAX else 0)
+
+
+def _hit_pairs(spec, x):
+    """By (channel, kernel row, kernel column), in term order, how many
+    non-zero pixels of ``x`` feed an output through it, where any do."""
+    c, h, w = x.dims
+    h_out, w_out = spec.out_dims(h, w)
+    s, p = spec.stride, spec.pad
+
+    def feeds(pos, k, n_out):
+        o, r = divmod(pos + p - k, s)
+        return r == 0 and 0 <= o < n_out
+
+    hits = {}
+    for ic, ky, kx in np.ndindex(c, spec.kernel_h, spec.kernel_w):
+        n = sum(feeds(int(yy), ky, h_out) and feeds(int(xx), kx, w_out)
+                for yy, xx in zip(*np.nonzero(x.data[ic])))
+        if n:
+            hits[ic, ky, kx] = n
+    return hits
 
 
 def test_zeroskip_fallback_without_clipping(monkeypatch):
@@ -195,10 +214,11 @@ def test_zeroskip_fallback_without_clipping(monkeypatch):
         clips.append(real_step(acc, term))
         return clips[-1]
 
-    monkeypatch.setattr(fxp, "sat_add", step)
+    monkeypatch.setattr(conv_mod, "sat_add", step)
     res = conv_zeroskip(spec, encode_sm(x))
     monkeypatch.undo()
-    assert clips and sum(clips) == 0
+    # one step per (channel, tap): every tap of a padded 4x4 map hits
+    assert len(clips) == 2 * 9 and sum(clips) == 0
     counter = OpCounter()
     assert decode_sm(res.output) == conv_dense_oracle(spec, x, counter)
     # only the 16-bit output conversion saturates, in both engines alike
@@ -214,8 +234,7 @@ def test_fast_path_taken_at_bench_scale(monkeypatch):
                          random_weights((16, 32, 3, 3), rng, Q2_14, 0.2),
                          np.zeros(16, dtype=np.int32), True, "max2x2", Q8_8)
     x = sparse_map(32, 24, 24, 0.8, rng, amp=1.0)
-    # the zero-skip fallback steps through fxp, the oracle's through conv
-    monkeypatch.setattr(fxp, "sat_add", _refuse)
+    # both engines' ordered steps are conv's sat_add
     monkeypatch.setattr(conv_mod, "sat_add", _refuse)
     res = conv_zeroskip(spec, encode_sm(x))
     counter = OpCounter()
@@ -231,17 +250,17 @@ def _refuse(*args):
 
 def _accumulators(spec, sfm, slab_bytes=conv_mod.SLAB_BYTES, proof=None, **patches):
     """conv_zeroskip's result and the int64 accumulators it renormalized,
-    with the slab cap set, the layer proof's answer replaced by ``proof``
-    unless it is None, and the given fxp module attributes patched."""
+    with the product chunk cap set, the layer proof's answer replaced by
+    ``proof`` unless it is None, and the given conv module attributes
+    patched."""
     layer_no_clip = conv_mod.layer_no_clip
 
     def proved(*args):
         return layer_no_clip(*args) if proof is None else proof
 
     with mock.patch.object(conv_mod, "_finish_layer", wraps=conv_mod._finish_layer) as fin, \
-            mock.patch.object(conv_mod, "SLAB_BYTES", slab_bytes), \
             mock.patch.object(conv_mod, "layer_no_clip", proved), \
-            mock.patch.multiple(fxp, **patches):
+            mock.patch.multiple(conv_mod, SLAB_BYTES=slab_bytes, **patches):
         res = conv_zeroskip(spec, sfm)
     return res, fin.call_args.args[1]
 
@@ -249,59 +268,112 @@ def _accumulators(spec, sfm, slab_bytes=conv_mod.SLAB_BYTES, proof=None, **patch
 @settings(deadline=None, max_examples=80)
 @given(
     k=st.sampled_from((1, 3, 5)),
-    stride=st.sampled_from((1, 2)),
+    stride=st.sampled_from((1, 2, 3)),
     pad=st.sampled_from((0, 1, 2)),
     pool=st.booleans(),
     relu=st.booleans(),
     sparsity=st.sampled_from((0.0, 0.5, 0.8, 1.0)),
     in_c=st.integers(1, 7),
-    group=st.integers(1, 3),
-    empty_group=st.integers(-1, 3),
+    chunk=st.integers(1, 3),
+    empty=st.integers(-1, 6),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_fast_path_equals_the_ordered_loop(k, stride, pad, pool, relu, sparsity,
-                                           in_c, group, empty_group, seed):
-    # the slab cap is set so each group holds `group` channels (the last
-    # group fewer when `group` does not divide in_c), and one group's
-    # channels may all be zero. With the layer proof forced off, every
-    # group with a non-zero pixel takes the ordered steps
+                                           in_c, chunk, empty, seed):
+    # the chunk cap is set so one product holds `chunk` taps' results
+    # (a phase's last chunk fewer), and channel `empty` may be all zero.
+    # The proven run takes no ordered step; with the layer proof forced
+    # off, the run takes no product and one ordered step per (channel,
+    # tap) that some pixel feeds an output through, in term order
     rng = make_rng(seed)
     spec, x = conv_case(rng, k=k, stride=stride, pad=pad, pool=pool, relu=relu,
                         sparsity=sparsity, in_c=in_c)
-    data = x.data.copy()
-    data[max(0, empty_group * group):(empty_group + 1) * group] = 0
-    sfm = encode_sm(QTensor(x.dims, x.fmt, data))
+    if 0 <= empty < in_c:
+        data = x.data.copy()
+        data[empty] = 0
+        x = QTensor(x.dims, x.fmt, data)
+    sfm = encode_sm(x)
     h_out, w_out = spec.out_dims(*x.dims[1:])
-    channel_bytes = 8 * k * k * h_out * w_out
-    slab = group * channel_bytes + int(rng.integers(channel_bytes))
+    tap_bytes = (8 * spec.out_channels * (h_out + (k - 1) // stride)
+                 * (w_out + (k - 1) // stride))
+    slab = chunk * tap_bytes + int(rng.integers(tap_bytes))
     fast, fast_acc = _accumulators(spec, sfm, slab, sat_add=_refuse)
-    columns = mock.Mock(wraps=fxp.sat_columns)
-    with mock.patch.object(conv_mod, "sat_matvec", wraps=fxp.sat_matvec) as routed:
-        ordered, ordered_acc = _accumulators(spec, sfm, slab, proof=False,
-                                             sat_columns=columns)
-    filled = {int(ch) // group for ch in np.flatnonzero(data.reshape(in_c, -1).any(axis=1))}
-    assert routed.call_count == columns.call_count == len(filled)
+    step = mock.Mock(wraps=fxp.sat_add)
+    ordered, ordered_acc = _accumulators(spec, sfm, slab, proof=False, sat_add=step,
+                                         _shift_add=_refuse)
+    # each step adds one (channel, tap)'s terms to just the outputs its
+    # pixels feed
+    assert [call.args[1].shape for call in step.call_args_list] == [
+        (spec.out_channels, n) for n in _hit_pairs(spec, x).values()]
     assert fast_acc.dtype == ordered_acc.dtype == np.int64
     assert np.array_equal(fast_acc, ordered_acc)
     assert fast.counters == ordered.counters
     assert np.array_equal(fast.accesses.table, ordered.accesses.table)
-    assert decode_sm(fast.output) == decode_sm(ordered.output) == conv_dense_oracle(
-        spec, decode_sm(sfm))
+    assert decode_sm(fast.output) == decode_sm(ordered.output) == conv_dense_oracle(spec, x)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    k=st.sampled_from((1, 3, 5)),
+    stride=st.sampled_from((1, 2, 3)),
+    pad=st.sampled_from((0, 1, 2)),
+    sparsity=st.sampled_from((0.0, 0.5, 0.8)),
+    in_c=st.integers(1, 5),
+    amps=st.sampled_from(((0.5, 4.0, 2.0), (100.0, 120.0, 30000.0),
+                          (127.99609375, 127.99609375, 30000.0))),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ordered_route_clips_as_the_oracle_at_every_stride_phase(k, stride, pad, sparsity,
+                                                                 in_c, amps, seed):
+    # with its proof forced off, the zero-skip's ordered steps over the
+    # hit lists leave the oracle's int64 accumulators and clip counts, by
+    # whichever route the oracle takes; at the larger amplitudes some
+    # intermediate sums clip
+    rng = make_rng(seed)
+    w_amp, x_amp, bias_amp = amps
+    spec, x = conv_case(rng, k=k, stride=stride, pad=pad, sparsity=sparsity, in_c=in_c,
+                        w_amp=w_amp, x_amp=x_amp, bias_amp=bias_amp)
+    res, acc = _accumulators(spec, encode_sm(x), proof=False, _shift_add=_refuse)
+    want, counter, want_acc = _oracle(spec, x)
+    assert acc.dtype == want_acc.dtype == np.int64
+    assert np.array_equal(acc, want_acc)
+    assert res.counters.saturations == counter.saturations
+    assert decode_sm(res.output) == want
+
+
+def test_ordered_route_takes_channel_then_tap_order():
+    # one 2x2 output window of a 2x2 kernel over two channels: channel 0's
+    # four terms are T = 32767 * 32767 and channel 1's -T. In (channel,
+    # tap) order the third and fourth terms clip at INT32_MAX and the sum
+    # ends at INT32_MAX - 4T; in (tap, channel) order the terms cancel in
+    # pairs and nothing clips
+    t = 32767 * 32767
+    w = np.full((1, 2, 2, 2), 32767, dtype=np.int16)
+    w[0, 1] = -32767
+    spec = _layer(in_c=2, out_c=1, k=2, w_vals=w)
+    x = _ones_input(c=2, h=2, w=2, raw=32767)
+    res, acc = _accumulators(spec, encode_sm(x))
+    assert acc.tolist() == [[[INT32_MAX - 4 * t]]]
+    counter = OpCounter()
+    assert decode_sm(res.output) == conv_dense_oracle(spec, x, counter)
+    assert res.counters.saturations == counter.saturations == 2 + 1  # then 16 bits
 
 
 @pytest.mark.parametrize("over", [0, 1])
 def test_bound_at_int32_max_is_the_last_one_on_the_fast_path(over):
     # pad 0: each output takes all 18 terms, 18 * 3641 * 32767 = INT32_MAX - 1,
     # so with bias +-1 the bound and channel 0's sum are INT32_MAX exactly;
-    # one more and the ordered loop runs, channel 0 clipping at every output
+    # one more and the ordered loop runs, one step per (channel, tap),
+    # channel 0 clipping at every output
     w = np.full((2, 2, 3, 3), 3641, dtype=np.int16)
     w[1] = -3641
     spec = _layer(in_c=2, out_c=2, k=3, w_vals=w,
                   bias=np.array([1 + over, -1 - over], dtype=np.int32))
     x = _ones_input(c=2, h=4, w=4, raw=32767)
     step = mock.Mock(wraps=fxp.sat_add)
-    res, acc = _accumulators(spec, encode_sm(x), sat_add=step)
-    assert step.called == bool(over)
+    product = mock.Mock(wraps=conv_mod._shift_add)
+    res, acc = _accumulators(spec, encode_sm(x), sat_add=step, _shift_add=product)
+    assert step.call_count == 18 * over and product.called == (not over)
     assert acc.tolist() == [[[INT32_MAX] * 2] * 2, [[-INT32_MAX - over] * 2] * 2]
     counter = OpCounter()
     assert decode_sm(res.output) == conv_dense_oracle(spec, x, counter)
@@ -314,25 +386,29 @@ def test_layer_proof_reads_each_channels_largest_magnitude():
     # holds -32768 against a weight of -32768 (a term of +2**30), and
     # channel 2 holds 1. The bias puts the sum past INT32_MAX, so the
     # proof must take channel 1's peak as 32768 and send the run to the
-    # ordered steps, which clip at both terms of every output
+    # ordered steps, one per filled channel, which clip at both terms of
+    # every output
     w = np.array([[[[0]], [[-32768]], [[1]]]], dtype=np.int16)
     spec = _layer(in_c=3, out_c=1, k=1, w_vals=w,
                   bias=np.array([(1 << 30) + 4], dtype=np.int32))
     data = np.zeros((3, 2, 2), dtype=np.int16)
     data[1], data[2] = -32768, 1
     x = QTensor((3, 2, 2), Q8_8, data)
-    ordered = mock.Mock(wraps=fxp.sat_columns)
-    res, acc = _accumulators(spec, encode_sm(x), sat_columns=ordered)
-    assert ordered.called and acc.tolist() == [[[INT32_MAX] * 2] * 2]
+    step = mock.Mock(wraps=fxp.sat_add)
+    res, acc = _accumulators(spec, encode_sm(x), sat_add=step, _shift_add=_refuse)
+    assert step.call_count == 2 and acc.tolist() == [[[INT32_MAX] * 2] * 2]
+    assert [call.args[1].tolist() for call in step.call_args_list] == [
+        [[1 << 30] * 4], [[1] * 4]]
     counter = OpCounter()
     assert decode_sm(res.output) == conv_dense_oracle(spec, x, counter)
     assert res.counters.saturations == counter.saturations == 4 + 4 + 4
 
 
 def test_one_large_channel_orders_every_group():
-    # one channel per group: channel 0's values are 1 and channel 1's
-    # 32767, so with the bias the layer's bound fails, and both groups
-    # take the ordered steps, channel 1 clipping where all nine taps land
+    # channel 0's values are 1 and channel 1's 32767, so with the bias
+    # the layer's bound fails, and every (channel, tap) of both channels
+    # takes an ordered step, channel 0's nine before channel 1's nine;
+    # channel 1 clips where all nine taps land
     w = np.full((2, 2, 3, 3), 3641, dtype=np.int16)
     w[1] = -3641
     spec = _layer(in_c=2, out_c=2, k=3, pad=1, w_vals=w,
@@ -340,16 +416,13 @@ def test_one_large_channel_orders_every_group():
     data = np.full((2, 4, 4), 32767, dtype=np.int16)
     data[0] = 1
     x = QTensor((2, 4, 4), Q8_8, data)
-    peaks = []  # each ordered call's largest slab value (the slab is reused)
-    columns = fxp.sat_columns
-
-    def ordered(acc, w, x):
-        peaks.append(x.max())
-        return columns(acc, w, x)
-
-    with mock.patch.object(conv_mod, "sat_matvec", wraps=fxp.sat_matvec) as routed:
-        res, acc = _accumulators(spec, encode_sm(x), 8 * 9 * 16, sat_columns=ordered)
-    assert routed.call_count == 2 and peaks == [1, 32767]
+    step = mock.Mock(wraps=fxp.sat_add)
+    res, acc = _accumulators(spec, encode_sm(x), sat_add=step, _shift_add=_refuse)
+    peaks = [int(call.args[1].max()) for call in step.call_args_list]
+    assert peaks == [3641] * 9 + [3641 * 32767] * 9
+    # an edge tap of a padded 3x3 kernel feeds 3 of the 4 rows or columns
+    assert [call.args[1].shape[1] for call in step.call_args_list[:9]] == [
+        9, 12, 9, 12, 16, 12, 9, 12, 9]
     assert acc[0].max() == INT32_MAX and acc[1].min() == fxp.INT32_MIN
     counter = OpCounter()
     assert decode_sm(res.output) == conv_dense_oracle(spec, x, counter)
@@ -477,8 +550,10 @@ def test_both_engines_take_the_route_of_one_layer_proof(k, stride, pad, sparsity
     # channel's largest |value|. A channel of the `planted` mask holds
     # -32768, whose int16 magnitude wraps; with ``edge`` set, output
     # channel 0's bias puts its bound at INT32_MAX + edge. Both engines
-    # must get the answer of the bound in Python ints, and without the
-    # proof the oracle takes one ordered step per (channel, tap)
+    # must get the answer of the bound in Python ints. Without the proof
+    # the zero-skip takes one ordered step per (channel, tap) that some
+    # pixel feeds an output through and the oracle one per (channel,
+    # tap); with it, neither takes a step
     rng = make_rng(seed)
     spec, x = conv_case(rng, k=k, stride=stride, pad=pad, sparsity=sparsity, in_c=in_c)
     data = x.data.copy()
@@ -499,12 +574,14 @@ def test_both_engines_take_the_route_of_one_layer_proof(k, stride, pad, sparsity
         proofs.append(layer_no_clip(*args))
         return proofs[-1]
 
-    with mock.patch.object(conv_mod, "layer_no_clip", recorded), \
-            mock.patch.object(conv_mod, "sat_add", wraps=fxp.sat_add) as step:
-        res = conv_zeroskip(spec, encode_sm(x))
-        want = conv_dense_oracle(spec, x)
+    with mock.patch.object(conv_mod, "layer_no_clip", recorded):
+        with mock.patch.object(conv_mod, "sat_add", wraps=fxp.sat_add) as step:
+            res = conv_zeroskip(spec, encode_sm(x))
+        with mock.patch.object(conv_mod, "sat_add", wraps=fxp.sat_add) as oracle_step:
+            want = conv_dense_oracle(spec, x)
     assert proofs == [bound <= INT32_MAX] * 2
-    assert step.call_count == (0 if proofs[1] else in_c * k * k)
+    assert step.call_count == (0 if proofs[1] else len(_hit_pairs(spec, x)))
+    assert oracle_step.call_count == (0 if proofs[1] else in_c * k * k)
     assert decode_sm(res.output) == want
 
 # --- work accounting ---------------------------------------------------------------
